@@ -15,22 +15,28 @@ x^{1/2-nu} branch is carried by one explicit seed function
 whose coefficient *is* gamma_- u (rho even keeps gamma_+ G = 0).  The seed
 stays a finite angle away from the substituted space (its x^{-2nu} profile is
 not replicable by bounded piecewise polynomials), so the basis has no hidden
-near-degeneracy; rank-revealing solves guard the rest.
+near-degeneracy.
 
 Every first-cell integrand is x^sigma times a polynomial in t = x/h and is
 integrated exactly by Gauss-Jacobi rules; cells away from the origin use
-Gauss-Legendre.  Matrix convention: entry[row j, col i] = <op(phi_i), phi_j>,
-inner product linear in the first slot.
+Gauss-Legendre on reference-element tables, vectorised over cells.  Matrix
+convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
+in the first slot.  A local-to-global DOF map makes every operator a band of
+half-width p (the degree) plus, with the seed, one border row and column
+(BorderedBand); solves cost O(n) through a banded LU and one Schur step.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import Legendre
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy import linalg as la
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .config import DEFAULTS
 from .core import as_order
@@ -158,21 +164,6 @@ class _Rho:
         return np.where(x < self.xc, self.poly(x), 0.0)
 
 
-class BasisFunction:
-    """One global basis function: per-cell data plus trace metadata.
-
-    ``kind`` is "seed" for the x^{1/2-nu} branch carrier and "w" for the
-    substituted Lagrange functions (cells map to local polynomials in t).
-    """
-
-    def __init__(self, name, kind):
-        self.name = name
-        self.kind = kind
-        self.cells = {}               # cell index -> local Polynomial (w kind)
-        self.gamma_minus = 0.0
-        self.gamma_plus = 0.0
-
-
 def frobenius_minus_series(nu, a_value, terms=4):
     """Coefficients c_k of the minus-branch series x^{1/2-nu} sum c_k x^{2k}.
 
@@ -189,12 +180,129 @@ def frobenius_minus_series(nu, a_value, terms=4):
     return c
 
 
+def _at(fun, x):
+    """fun at the points x (called on the flattened array), shaped like x."""
+    flat = np.ravel(x)
+    vals = np.broadcast_to(np.asarray(fun(flat), dtype=complex), flat.shape)
+    return vals.reshape(np.shape(x))
+
+
+def _band_rows(p, m):
+    """Row index of each slot of (2p+1, m) band storage (may fall outside)."""
+    return np.arange(m)[None, :] + np.arange(2 * p + 1)[:, None] - p
+
+
+@dataclass(frozen=True)
+class BorderedBand:
+    """Square operator on a Space's dofs in band-plus-border storage.
+
+    ``band[p + i - j, j]`` holds entry (i, j) of the Lagrange block (half
+    bandwidth p, the LAPACK band layout); slots outside the matrix are zero.
+    A seeded space puts its seed first: ``row`` holds the entries
+    (seed, w_j), ``col`` the entries (w_i, seed) and ``corner`` (seed, seed).
+    Unseeded operators carry ``row = col = None``.
+    """
+
+    band: np.ndarray
+    row: np.ndarray = None
+    col: np.ndarray = None
+    corner: complex = 0.0
+
+    @property
+    def p(self):
+        return (self.band.shape[0] - 1) // 2
+
+    @property
+    def seeded(self):
+        return self.row is not None
+
+    @property
+    def shape(self):
+        n = self.band.shape[1] + int(self.seeded)
+        return (n, n)
+
+    @property
+    def nbytes(self):
+        """Bytes actually stored: band, border and corner."""
+        border = self.row.nbytes + self.col.nbytes + 16 if self.seeded else 0
+        return self.band.nbytes + border
+
+    def __add__(self, other):
+        if self.seeded != other.seeded:
+            raise ValueError("operators on different spaces")
+        if not self.seeded:
+            return BorderedBand(self.band + other.band)
+        return BorderedBand(self.band + other.band, self.row + other.row,
+                            self.col + other.col, self.corner + other.corner)
+
+    def __matmul__(self, x):
+        x = np.asarray(x)
+        xw = x[int(self.seeded):]
+        p, m = self.p, self.band.shape[1]
+        y = np.zeros(m, dtype=np.result_type(self.band, x))
+        for r in range(2 * p + 1):
+            off = r - p
+            lo, hi = max(0, -off), min(m, m - off)
+            y[lo + off:hi + off] += self.band[r, lo:hi] * xw[lo:hi]
+        if not self.seeded:
+            return y
+        return np.concatenate(([self.corner * x[0] + self.row @ xw],
+                               y + self.col * x[0]))
+
+    def toarray(self):
+        n = self.shape[0]
+        s = int(self.seeded)
+        rows = _band_rows(self.p, n - s)
+        cols = np.broadcast_to(np.arange(n - s), rows.shape)
+        inside = (rows >= 0) & (rows < n - s)
+        out = np.zeros((n, n), dtype=complex)
+        out[s + rows[inside], s + cols[inside]] = self.band[inside]
+        if s:
+            out[0, 0] = self.corner
+            out[0, 1:] = self.row
+            out[1:, 0] = self.col
+        return out
+
+    def diagonal(self):
+        d = self.band[self.p]
+        return np.concatenate(([self.corner], d)) if self.seeded else d.copy()
+
+    def lagrange_block(self):
+        """The operator without its seed row and column."""
+        return BorderedBand(self.band)
+
+    def scaled(self, d):
+        """diag(d) A diag(d), d over all dofs (seed first)."""
+        s = int(self.seeded)
+        dw = d[s:]
+        m = dw.size
+        rows = _band_rows(self.p, m)
+        drow = np.where((rows >= 0) & (rows < m), dw[np.clip(rows, 0, m - 1)],
+                        0.0)
+        band = self.band * drow * dw[None, :]
+        if not s:
+            return BorderedBand(band)
+        return BorderedBand(band, d[0] * self.row * dw, d[0] * self.col * dw,
+                            d[0] * d[0] * self.corner)
+
+    def norm1(self):
+        colsum = np.abs(self.band).sum(axis=0)
+        if not self.seeded:
+            return float(colsum.max())
+        return float(max(abs(self.corner) + np.abs(self.col).sum(),
+                         (colsum + np.abs(self.row)).max()))
+
+
 class Space:
     """Substituted-variable space x^{1/2+nu} W_h (+ minus seed) on (0, X).
 
     ``seed_series`` feeds the minus-branch carrier: coefficients c_k of an
     even polynomial sum c_k x^{2k} multiplying x^{1/2-nu} rho(x) (default
     just 1), normally the truncated Frobenius series of the operator at hand.
+
+    DOF map: the seed (when present) is dof 0; cell k owns the Lagrange dofs
+    s + k p + (0..p), s the seed count, neighbouring cells sharing their edge
+    dof.  A Dirichlet cap drops the dof of the last edge.
     """
 
     def __init__(self, nu, x_max, n_cells=None, degree=None,
@@ -250,96 +358,84 @@ class Space:
         self.seed_d1 = seed_poly.deriv()
         self.seed_d2 = self.seed_d1.deriv()
 
-        self._build_basis()
-        self._table_cache = {}
-
-    # -- construction --------------------------------------------------------
-
-    def _build_basis(self):
         p = self.degree
-        edges = self.edges
-        K = edges.size - 1
-        funcs = []
+        self.n_cells = self.edges.size - 1
+        seeds = int(include_minus)
+        self.idx_minus = 0 if include_minus else None
+        self.idx_w0 = seeds
+        self.n = seeds + self.n_cells * p + (0 if self.dirichlet_cap else 1)
+        # column i: monomial coefficients (in t) of the i-th local Lagrange
+        # function on the Lobatto nodes
+        self._lagrange = np.linalg.inv(
+            np.vander(lobatto_nodes(p), p + 1, increasing=True))
 
-        self.idx_minus = None
-        if self.include_minus:
-            seed = BasisFunction("seed[1/2-nu]", "seed")
-            seed.gamma_minus = 1.0
-            funcs.append(seed)
-            self.idx_minus = 0
+    # -- the DOF map ------------------------------------------------------------
 
-        tn = lobatto_nodes(p)
-        V = np.vander(tn, p + 1, increasing=True)
-        Vinv = np.linalg.inv(V)
-        lagrange = [Polynomial(Vinv[:, i]) for i in range(p + 1)]
+    def _local_coeffs(self, coeffs):
+        """(K, p+1+s) coefficients of each cell's local functions (seed last)."""
+        c = np.asarray(coeffs, dtype=complex)
+        p, K = self.degree, self.n_cells
+        s = int(self.include_minus)
+        w = np.zeros(K * p + 1, dtype=complex)
+        w[:self.n - s] = c[s:]
+        local = w[p * np.arange(K)[:, None] + np.arange(p + 1)]
+        if s:
+            local = np.concatenate([local, np.full((K, 1), c[0])], axis=1)
+        return local
 
-        def node_key(k, i):
-            if i == 0:
-                return ("edge", k)
-            if i == p:
-                return ("edge", k + 1)
-            return ("int", k, i)
+    def _scatter(self, loc):
+        """Lagrange part of a global vector from per-cell entries loc[k, 0..p]."""
+        p, K = self.degree, self.n_cells
+        w = np.zeros(K * p + 1, dtype=complex)
+        w[:K * p] += loc[:, :p].reshape(-1)
+        w[p::p] += loc[:, p]
+        return w[:self.n - int(self.include_minus)]
 
-        node_funcs = {}
-        order_keys = []
-        for k in range(K):
-            for i in range(p + 1):
-                key = node_key(k, i)
-                f = node_funcs.get(key)
-                if f is None:
-                    f = BasisFunction(str(key), "w")
-                    node_funcs[key] = f
-                    order_keys.append(key)
-                if k in f.cells:
-                    f.cells[k] = f.cells[k] + lagrange[i]
-                else:
-                    f.cells[k] = lagrange[i]
+    def _assemble_vector(self, loc):
+        """Global vector from per-cell entries loc[k, i] (seed last)."""
+        w = self._scatter(loc)
+        if not self.include_minus:
+            return w
+        return np.concatenate(([loc[:, self.degree + 1].sum()], w))
 
-        for key in order_keys:
-            if key == ("edge", K) and self.dirichlet_cap:
-                continue
-            funcs.append(node_funcs[key])
-        self.funcs = funcs
-        self.n = len(funcs)
-        self.idx_w0 = None
-        for i, f in enumerate(self.funcs):
-            if f.name == str(("edge", 0)):
-                f.gamma_plus = 2.0 * self.order.nu
-                self.idx_w0 = i
-                break
+    def _assemble(self, loc):
+        """BorderedBand from per-cell matrices loc[k, j, i] (seed last)."""
+        p, K = self.degree, self.n_cells
+        j, i = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
+        blocks = np.zeros((2 * p + 1, K, p + 1), dtype=complex)
+        blocks[p + j - i, :, i] = np.moveaxis(loc[:, j, i], 0, -1)
+        band = np.zeros((2 * p + 1, K * p + 1), dtype=complex)
+        band[:, :K * p] += blocks[:, :, :p].reshape(2 * p + 1, -1)
+        band[:, p::p] += blocks[:, :, p]
+        m = self.n - int(self.include_minus)
+        band = band[:, :m]
+        band[_band_rows(p, m) >= m] = 0.0      # couplings to a capped dof
+        if not self.include_minus:
+            return BorderedBand(band)
+        s = p + 1
+        return BorderedBand(band, self._scatter(loc[:, s]),
+                            self._scatter(loc[:, :, s]), loc[:, s, s].sum())
 
     # -- pointwise evaluation -------------------------------------------------
 
     def eval_coeffs(self, coeffs, x):
         """Evaluate sum_i c_i phi_i at arbitrary points in (0, X]."""
         x = np.asarray(x, dtype=float)
-        out = np.zeros(x.shape, dtype=complex)
         nuval = self.order.nu
         edges = self.edges
-        cell_of = np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
-                          edges.size - 2)
-        for i, f in enumerate(self.funcs):
-            c = coeffs[i]
-            if c == 0:
-                continue
-            if f.kind == "seed":
-                out += c * x ** (0.5 - nuval) \
-                    * np.where(x < self.rho.xc, self.seed_poly(x), 0.0)
-                continue
-            for k, poly in f.cells.items():
-                mask = cell_of == k
-                if not np.any(mask):
-                    continue
-                a, b = edges[k], edges[k + 1]
-                t = (x[mask] - a) / (b - a)
-                out[mask] += c * x[mask] ** (0.5 + nuval) * poly(t)
+        cell = np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
+                       self.n_cells - 1)
+        t = (x - edges[cell]) / (edges[cell + 1] - edges[cell])
+        local = self._local_coeffs(coeffs)
+        lag = np.moveaxis(polyval(t, self._lagrange), 0, -1)
+        out = x ** (0.5 + nuval) \
+            * np.sum(local[cell, :self.degree + 1] * lag, axis=-1)
+        if self.include_minus and coeffs[0] != 0:
+            out = out + coeffs[0] * x ** (0.5 - nuval) \
+                * np.where(x < self.rho.xc, self.seed_poly(x), 0.0)
         return out
 
     # -- per-cell tables --------------------------------------------------------
-
-    def _to_t(self, poly_x, h):
-        coef = poly_x.coef * h ** np.arange(poly_x.coef.size)
-        return Polynomial(coef)
 
     def _seed_tagged(self):
         """Seed value / d_nu / |D_nu|^2 pieces on the first cell.
@@ -359,151 +455,118 @@ class Space:
         dnu = [Tagged(h ** (e + 1.0), e + 1.0,
                       self._to_t(d1_over_x, h)).normalized()]
         comp = [Tagged(h ** e, e, self._to_t(comp_x, h)).normalized()]
-        return val, dnu, comp
+        return {"v": val, "d": dnu, "c": comp}
 
-    def _w_tagged(self, poly):
-        h = self.edges[1]
-        nuval = self.order.nu
-        return [Tagged(h ** (0.5 + nuval), 0.5 + nuval, poly).normalized()]
+    @staticmethod
+    def _to_t(poly_x, h):
+        return Polynomial(poly_x.coef * h ** np.arange(poly_x.coef.size))
 
-    def _first_cell_images(self):
-        """(index, value/d_nu/|D_nu|^2 tagged lists) of functions on cell 0."""
+    @cached_property
+    def _first_cell(self):
+        """Value / d_nu / |D_nu|^2 tagged pieces of the local functions on
+        cell 0: the Lagrange functions 0..p, then the seed."""
         nuval = self.order.nu
         h = self.edges[1]
         out = []
-        for i, f in enumerate(self.funcs):
-            if f.kind == "seed":
-                vals, dn, comp = self._seed_tagged()
-            elif 0 in f.cells:
-                vals = self._w_tagged(f.cells[0])
-                dn = [t.d_nu(nuval, h) for t in vals]
-                comp = [t.d_nu_star(nuval, h) for t in dn]
-            else:
-                continue
-            out.append((i, {"v": vals, "d": dn, "c": comp}))
+        for i in range(self.degree + 1):
+            vals = [Tagged(h ** (0.5 + nuval), 0.5 + nuval,
+                           Polynomial(self._lagrange[:, i])).normalized()]
+            dn = [t.d_nu(nuval, h) for t in vals]
+            out.append({"v": vals, "d": dn,
+                        "c": [t.d_nu_star(nuval, h) for t in dn]})
+        if self.include_minus:
+            out.append(self._seed_tagged())
         return out
 
-    def _cell_tables(self, k):
-        """(live, xq, wq, values, d_nu values, |D_nu|^2 values) for cell k >= 1."""
-        if k in self._table_cache:
-            return self._table_cache[k]
+    @cached_property
+    def _bulk(self):
+        """(xq, wq, tables) on the cells k >= 1, vectorised over cells.
+
+        xq, wq have shape (K-1, nq); tables["v"/"d"/"c"] hold the values,
+        d_nu and |D_nu|^2 images of the local functions, shape
+        (K-1, p+1+s, nq), the seed last and zero from its cutoff on.
+        """
         nuval = self.order.nu
-        a, b = self.edges[k], self.edges[k + 1]
+        a, b = self.edges[1:-1, None], self.edges[2:, None]
+        x, w = legendre_rule(self.degree + 8, -1.0, 1.0)
+        mid, half = (a + b) / 2.0, (b - a) / 2.0
+        xq, wq = mid + half * x, w * half
         h = b - a
-        xq, wq = legendre_rule(self.degree + 8, a, b)
         t = (xq - a) / h
+        P = polyval(t, self._lagrange)
+        P1 = polyval(t, polyder(self._lagrange)) / h
+        P2 = polyval(t, polyder(self._lagrange, 2)) / h ** 2
         xe = xq ** (0.5 + nuval)
         xem = xq ** (nuval - 0.5)
-        live, vals, dnus, comps = [], [], [], []
-        for i, f in enumerate(self.funcs):
-            if f.kind == "seed":
-                if k >= self._cut_idx:
-                    continue
-                r, r1, r2 = (self.seed_poly(xq), self.seed_d1(xq),
-                             self.seed_d2(xq))
-                e = 0.5 - nuval
-                v = xq ** e * r
-                # d_nu (x^{1/2-nu} r) = x^{1/2-nu} r'
-                d1 = xq ** e * r1
-                # |D_nu|^2 (x^{1/2-nu} r) = x^{1/2-nu}(-r'' - (1-2nu) r'/x)
-                d2 = xq ** e * (-r2 - (1.0 - 2.0 * nuval) * r1 / xq)
-                live.append(i)
-                vals.append(v.astype(complex))
-                dnus.append(d1.astype(complex))
-                comps.append(d2.astype(complex))
-                continue
-            poly = f.cells.get(k)
-            if poly is None:
-                continue
-            P = poly(t)
-            P1 = poly.deriv()(t) / h
-            P2 = poly.deriv(2)(t) / h ** 2
-            live.append(i)
-            vals.append((xe * P).astype(complex))
-            dnus.append((xe * P1 + 2.0 * nuval * xem * P).astype(complex))
-            comps.append((-xe * P2
-                          - (1.0 + 2.0 * nuval) * xem * P1).astype(complex))
-        table = (np.array(live), xq, wq, np.array(vals), np.array(dnus),
-                 np.array(comps))
-        self._table_cache[k] = table
-        return table
+        tables = {"v": xe * P,
+                  "d": xe * P1 + 2.0 * nuval * xem * P,
+                  "c": -xe * P2 - (1.0 + 2.0 * nuval) * xem * P1}
+        tables = {key: np.moveaxis(val, 0, 1).astype(complex)
+                  for key, val in tables.items()}
+        if self.include_minus:
+            live = np.arange(1, self.n_cells)[:, None] < self._cut_idx
+            r, r1, r2 = (self.seed_poly(xq), self.seed_d1(xq),
+                         self.seed_d2(xq))
+            xs = np.where(live, xq ** (0.5 - nuval), 0.0)
+            # d_nu (x^{1/2-nu} r) = x^{1/2-nu} r'
+            # |D_nu|^2 (x^{1/2-nu} r) = x^{1/2-nu}(-r'' - (1-2nu) r'/x)
+            seed = {"v": xs * r, "d": xs * r1,
+                    "c": xs * (-r2 - (1.0 - 2.0 * nuval) * r1 / xq)}
+            tables = {key: np.concatenate([val, seed[key][:, None]], axis=1)
+                      for key, val in tables.items()}
+        return xq, wq, tables
 
     # -- assembly ---------------------------------------------------------------
 
     def matrices(self, a_fun=None, b_fun=None, need_h2=False):
         """S = <d_nu u, d_nu v>, M = <u, v>, optionally A = <a u, v>,
-        B = <-i b d_nu u, v>, C2 = <|D_nu|^2 u, |D_nu|^2 v>, P2 = <|D_nu|^2 u, v>."""
-        n = self.n
-        h = self.edges[1]
-        mats = {"S": np.zeros((n, n), dtype=complex),
-                "M": np.zeros((n, n), dtype=complex)}
+        B = <-i b d_nu u, v>, C2 = <|D_nu|^2 u, |D_nu|^2 v>, P2 = <|D_nu|^2 u, v>,
+        each a BorderedBand."""
+        # name: (trial image, test image, coefficient, factor)
+        forms = {"S": ("d", "d", None, 1.0), "M": ("v", "v", None, 1.0)}
         if a_fun is not None:
-            mats["A"] = np.zeros((n, n), dtype=complex)
+            forms["A"] = ("v", "v", a_fun, 1.0)
         if b_fun is not None:
-            mats["B"] = np.zeros((n, n), dtype=complex)
+            forms["B"] = ("d", "v", b_fun, -1j)
         if need_h2:
-            mats["C2"] = np.zeros((n, n), dtype=complex)
-            mats["P2"] = np.zeros((n, n), dtype=complex)
+            forms["C2"] = ("c", "c", None, 1.0)
+            forms["P2"] = ("c", "v", None, 1.0)
 
-        imgs = self._first_cell_images()
-        for i, fi in imgs:
-            for j, fj in imgs:
-                mats["S"][j, i] += first_cell_inner(fi["d"], fj["d"], h)
-                mats["M"][j, i] += first_cell_inner(fi["v"], fj["v"], h)
-                if a_fun is not None:
-                    mats["A"][j, i] += first_cell_inner(fi["v"], fj["v"], h,
-                                                        coeff=a_fun)
-                if b_fun is not None:
-                    mats["B"][j, i] += -1j * first_cell_inner(
-                        fi["d"], fj["v"], h, coeff=b_fun)
-                if need_h2:
-                    mats["C2"][j, i] += first_cell_inner(fi["c"], fj["c"], h)
-                    mats["P2"][j, i] += first_cell_inner(fi["c"], fj["v"], h)
-
-        for k in range(1, self.edges.size - 1):
-            live, xq, wq, vals, dnus, comps = self._cell_tables(k)
-            if live.size == 0:
-                continue
-            idx = np.ix_(live, live)
-            mats["M"][idx] += np.einsum("q,iq,jq->ji", wq, vals, np.conj(vals))
-            mats["S"][idx] += np.einsum("q,iq,jq->ji", wq, dnus, np.conj(dnus))
-            if a_fun is not None:
-                aq = np.broadcast_to(np.asarray(a_fun(xq), dtype=complex),
-                                     xq.shape)
-                mats["A"][idx] += np.einsum("q,iq,jq->ji", wq * aq, vals,
-                                            np.conj(vals))
-            if b_fun is not None:
-                bq = np.broadcast_to(np.asarray(b_fun(xq), dtype=complex),
-                                     xq.shape)
-                mats["B"][idx] += -1j * np.einsum("q,iq,jq->ji", wq * bq, dnus,
-                                                  np.conj(vals))
-            if need_h2:
-                mats["C2"][idx] += np.einsum("q,iq,jq->ji", wq, comps,
-                                             np.conj(comps))
-                mats["P2"][idx] += np.einsum("q,iq,jq->ji", wq, comps,
-                                             np.conj(vals))
+        h = self.edges[1]
+        first = self._first_cell
+        xq, wq, tables = self._bulk
+        mats = {}
+        for name, (trial, test, coeff, factor) in forms.items():
+            loc = np.empty((self.n_cells, len(first), len(first)),
+                           dtype=complex)
+            loc[0] = [[factor * first_cell_inner(fi[trial], fj[test], h,
+                                                 coeff=coeff)
+                       for fi in first] for fj in first]
+            wk = wq if coeff is None else wq * _at(coeff, xq)
+            loc[1:] = factor * np.einsum("kq,kiq,kjq->kji", wk,
+                                         tables[trial], np.conj(tables[test]))
+            mats[name] = self._assemble(loc)
         return mats
 
     def load_vector(self, f, singular_exponent=0.0):
         """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0."""
-        b = np.zeros(self.n, dtype=complex)
         h = self.edges[1]
-        for i, fi in self._first_cell_images():
+        first = self._first_cell
+        loc = np.zeros((self.n_cells, len(first)), dtype=complex)
+        for i, fi in enumerate(first):
             for term in fi["v"]:
                 sigma = term.e + singular_exponent
                 t, w = jacobi_rule(sigma, 24, 0.0, 1.0)
                 x = h * t
                 smooth_f = np.asarray(f(x), dtype=complex) \
                     / x ** singular_exponent
-                b[i] += np.conj(term.coef) * h ** (1.0 + singular_exponent) \
+                loc[0, i] += np.conj(term.coef) \
+                    * h ** (1.0 + singular_exponent) \
                     * np.sum(w * smooth_f * np.conj(term.poly(t)))
-        for k in range(1, self.edges.size - 1):
-            live, xq, wq, vals, _, _ = self._cell_tables(k)
-            if live.size == 0:
-                continue
-            fv = np.asarray(f(xq), dtype=complex)
-            b[live] += np.einsum("q,iq->i", wq * fv, np.conj(vals))
-        return b
+        xq, wq, tables = self._bulk
+        loc[1:] = np.einsum("kq,kiq->ki", wq * _at(f, xq),
+                            np.conj(tables["v"]))
+        return self._assemble_vector(loc)
 
     @property
     def resolved_start(self):
@@ -524,16 +587,16 @@ class Space:
         ``op_values(xq, u, du, cu)`` combines the tables into P u_h at the
         quadrature points.
         """
-        total = 0.0
-        c = np.asarray(coeffs, dtype=complex)
-        for k in range(max(self.resolved_start, 1), self.edges.size - 1):
-            live, xq, wq, vals, dnus, comps = self._cell_tables(k)
-            ck = c[live]
-            r = op_values(xq, ck @ vals, ck @ dnus, ck @ comps)
-            if f is not None:
-                r = r - np.asarray(f(xq), dtype=complex)
-            total += float(np.sum(wq * np.abs(r) ** 2))
-        return np.sqrt(total)
+        lo = max(self.resolved_start, 1)
+        xq, wq, tables = self._bulk
+        local = self._local_coeffs(coeffs)[lo:]
+        u, du, cu = (np.einsum("ki,kiq->kq", local, tables[key][lo - 1:])
+                     .reshape(-1) for key in ("v", "d", "c"))
+        x = xq[lo - 1:].reshape(-1)
+        r = op_values(x, u, du, cu)
+        if f is not None:
+            r = r - _at(f, x)
+        return float(np.sqrt(np.sum(wq[lo - 1:].reshape(-1) * np.abs(r) ** 2)))
 
     def norms(self, coeffs, mats, q2=0.0):
         """(H0^2, H1^2, H2^2) of a coefficient vector for tangential mode q."""
@@ -547,36 +610,111 @@ class Space:
         return h0sq, h1sq, h2sq
 
     def gamma_minus_vector(self):
-        return np.array([f.gamma_minus for f in self.funcs], dtype=complex)
+        v = np.zeros(self.n, dtype=complex)
+        if self.include_minus:
+            v[self.idx_minus] = 1.0
+        return v
 
     def gamma_plus_vector(self):
-        return np.array([f.gamma_plus for f in self.funcs], dtype=complex)
+        v = np.zeros(self.n, dtype=complex)
+        v[self.idx_w0] = 2.0 * self.order.nu
+        return v
+
+
+def _inverse_diag_sqrt(diag):
+    d = np.sqrt(np.abs(diag))
+    d[d == 0] = 1.0
+    return 1.0 / d
 
 
 def _diag_scale(A):
-    d = np.sqrt(np.abs(np.diag(A)))
-    d[d == 0] = 1.0
-    Dinv = 1.0 / d
+    Dinv = _inverse_diag_sqrt(np.diag(A))
     return (A * Dinv[None, :]) * Dinv[:, None], Dinv
 
 
-def galerkin_solve(A, rhs, cutoff=RANK_CUTOFF):
-    """Diagonal-scaled rank-revealing solve; returns (x, effective condition).
+class _BorderedLU:
+    """Banded LU of the Lagrange block plus one Schur step on the seed."""
 
-    An inconsistent system (singular operator with incompatible data) raises
-    SingularSystem via the residual test.
+    def __init__(self, A):
+        p = A.p
+        ab = np.zeros((3 * p + 1, A.band.shape[1]), dtype=complex)
+        ab[p:] = A.band
+        self.A, self.p = A, p
+        self.lu, self.piv, info = zgbtrf(ab, p, p, overwrite_ab=True)
+        if info != 0:
+            raise SingularSystem(f"banded LU: zero pivot in column {info}")
+        if A.seeded:
+            self.z = self._band_solve(A.col, 0)              # W^-1 col
+            self.zh = self._band_solve(np.conj(A.row), 2)    # W^-H conj(row)
+            self.pivot = A.corner - A.row @ self.z
+            if self.pivot == 0:
+                raise SingularSystem("zero Schur pivot on the seed dof")
+
+    def _band_solve(self, b, trans):
+        x, _ = zgbtrs(self.lu, self.p, self.p, b, self.piv, trans=trans)
+        return x
+
+    def solve(self, b, adjoint=False):
+        """A^{-1} b, or A^{-H} b with ``adjoint``."""
+        b = np.asarray(b, dtype=complex)
+        trans = 2 if adjoint else 0
+        if not self.A.seeded:
+            return self._band_solve(b, trans)
+        if adjoint:
+            row, z, pivot = np.conj(self.A.col), self.zh, np.conj(self.pivot)
+        else:
+            row, z, pivot = self.A.row, self.z, self.pivot
+        y = self._band_solve(b[1:], trans)
+        x0 = (b[0] - row @ y) / pivot
+        return np.concatenate(([x0], y - x0 * z))
+
+
+def _inverse_norm1(lu, n):
+    """Lower estimate of ||A^{-1}||_1 from a few solves with A and A^H
+    (Hager's method with Higham's refinements, as LAPACK's xLACN2)."""
+    def sign(v):
+        mag = np.abs(v)
+        return np.where(mag > 0, v / np.where(mag > 0, mag, 1.0), 1.0)
+
+    y = lu.solve(np.full(n, 1.0 / n))
+    est = np.abs(y).sum()
+    z = np.abs(lu.solve(sign(y), adjoint=True))
+    j = int(np.argmax(z))
+    for _ in range(4):
+        y = lu.solve(np.eye(1, n, j)[0])
+        step = np.abs(y).sum()
+        if step <= est:
+            break
+        est = step
+        z = np.abs(lu.solve(sign(y), adjoint=True))
+        j, last = int(np.argmax(z)), j
+        if z[j] == z[last]:
+            break
+    i = np.arange(n)
+    alt = lu.solve((-1.0) ** i * (1.0 + i / max(n - 1, 1)))
+    return max(est, 2.0 * np.abs(alt).sum() / (3.0 * n))
+
+
+def galerkin_solve(A, rhs):
+    """Diagonal-scaled banded solve of a BorderedBand; returns (x, condition).
+
+    The Lagrange block is factored by banded LU and the seed dof eliminated
+    by one Schur step, so the cost is linear in the dof count.  The
+    condition is the 1-norm condition number of the scaled matrix, with
+    ||As^{-1}||_1 estimated from the factor.  An exactly singular band, a
+    zero Schur pivot, or an inconsistent system (singular operator with
+    incompatible data, caught by the residual test) raises SingularSystem.
     """
-    As, Dinv = _diag_scale(A)
-    bs = rhs * Dinv
-    try:
-        x, _, rank, sv = la.lstsq(As, bs, cond=cutoff, lapack_driver="gelsd")
-    except (la.LinAlgError, ValueError) as exc:
-        raise SingularSystem(str(exc)) from exc
+    Dinv = _inverse_diag_sqrt(A.diagonal())
+    As = A.scaled(Dinv)
+    bs = np.asarray(rhs, dtype=complex) * Dinv
+    lu = _BorderedLU(As)
+    x = lu.solve(bs)
     resid = np.linalg.norm(As @ x - bs) / max(np.linalg.norm(bs), 1e-300)
-    if not np.all(np.isfinite(x)) or resid > max(1e-5, 10.0 * cutoff):
+    if not np.all(np.isfinite(x)) or resid > 1e-5:
         raise SingularSystem(f"linear solve residual {resid:.2e}")
-    cond = float(sv[0] / sv[rank - 1]) if rank else np.inf
-    return x * Dinv, cond
+    cond = As.norm1() * _inverse_norm1(lu, x.size)
+    return x * Dinv, float(cond)
 
 
 def _deflation(K, cutoff=RANK_CUTOFF):

@@ -121,16 +121,17 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
                   n_cells=max(4, n_nodes // settings.fem_degree),
                   dirichlet_cap=True, include_minus=False, settings=settings)
     mats = space.matrices()
+    S, M = mats["S"].toarray(), mats["M"].toarray()
 
     records = []
     for q in range(-q_max, q_max + 1):
         q2 = float(q * q)
-        K = mats["S"] + (1.0 + q2) * mats["M"]
-        lam, vec = _sym_generalized_eig(K, mats["M"])
+        K = S + (1.0 + q2) * M
+        lam, vec = mass_deflated_eig(K, M)
         # residuals measured in the deflated scaled coordinates, where the
         # near-null enrichment directions carry no weight
         T, Dinv, Ks = _deflation(K)
-        Ms = (mats["M"] * Dinv[None, :]) * Dinv[:, None]
+        Ms = (M * Dinv[None, :]) * Dinv[:, None]
         Kp = T.conj().T @ Ks @ T
         Mp = T.conj().T @ Ms @ T
         scale_k = la.norm(Kp, 2)
@@ -161,11 +162,6 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     return ModeSet(order.nu, None, lams, tuple(eigenvectors),
                    np.array(cauchy_cols).T, residuals, ModeSource.LINEAR_EVP,
                    closed_form=closed, discrepancy=disc, dof=space.n)
-
-
-def _sym_generalized_eig(K, M):
-    """Generalized eigenproblem, mass-scaled and deflated (see fem)."""
-    return mass_deflated_eig(K, M)
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +199,7 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     base = mats["S"] + mats["A"]
     if "B" in mats:
         base = base + mats["B"]
-    M = mats["M"]
-    p1f = getattr(pencil_op, "p1_coeff", None)
+    base, M = base.toarray(), mats["M"].toarray()
     A0 = base + a2c * M
     A1 = a1c * M
     A2 = a0c * M
@@ -360,7 +355,8 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     space = Space(order, 1.0, n_cells=n_cells, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     mats = space.matrices()
-    lam, _ = _sym_generalized_eig(mats["S"] + mats["M"], mats["M"])
+    M = mats["M"].toarray()
+    lam, _ = mass_deflated_eig(mats["S"].toarray() + M, M)
     lam = np.sort(lam.real)
     s = 1.0 / np.sqrt(np.maximum(lam, 1e-300))
     s = np.sort(s)[::-1][:dof]

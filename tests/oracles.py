@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's evaluation paths (scipy.special):
 ascending series summed to machine convergence, large-argument asymptotic
-expansions, and plain adaptive quadrature.  They exist so the dual-route
-checks compare two genuinely different computations.
+expansions, plain adaptive quadrature, and a dense SVD least-squares solve
+of the assembled Galerkin system.  They exist so the dual-route checks
+compare two genuinely different computations.
 """
 
 import math
 
 import numpy as np
+from scipy import linalg as la
 from scipy.integrate import quad
 
 
@@ -86,3 +88,39 @@ def quad_0_1(f, singular_points=()):
     val, _ = quad(f, 0.0, 1.0, points=list(singular_points) or None,
                   limit=400)
     return val
+
+
+def robin_interval(nu, a, beta, g):
+    """Solution of (|D_nu|^2 + a) u = 0 on (0, 1), u(1) = 0,
+    gamma_+ u + beta gamma_- u = g, from the ascending series.
+
+    u = A sqrt(x) I_nu(k x) + B sqrt(x) I_{-nu}(k x) with k = sqrt(a); the
+    first branch carries gamma_+ = 2 nu (k/2)^nu / Gamma(1+nu), the second
+    gamma_- = (k/2)^{-nu} / Gamma(1-nu).  Returns (gamma_-, gamma_+, u).
+    """
+    k = math.sqrt(a)
+    gp_i = 2.0 * nu * (k / 2.0) ** nu / gamma_c(1.0 + nu)
+    gm_i = (k / 2.0) ** (-nu) / gamma_c(1.0 - nu)
+    M = np.array([[series_I(nu, k), series_I(-nu, k)], [gp_i, beta * gm_i]])
+    A, B = np.linalg.solve(M, np.array([0.0, g], dtype=complex))
+
+    def u(x):
+        return np.array([A * math.sqrt(xi) * series_I(nu, k * xi)
+                         + B * math.sqrt(xi) * series_I(-nu, k * xi)
+                         for xi in np.atleast_1d(x)])
+
+    return B * gm_i, A * gp_i, u
+
+
+def dense_galerkin_solve(A, rhs, cutoff=1e-11):
+    """Dense reference for ``fem.galerkin_solve``: the same diagonal
+    scaling, then a rank-revealing SVD least-squares solve (LAPACK gelsd)
+    of ``A.toarray()``.  Returns (x, 2-norm effective condition)."""
+    A = A.toarray()
+    d = np.sqrt(np.abs(np.diag(A)))
+    d[d == 0] = 1.0
+    Dinv = 1.0 / d
+    As = (A * Dinv[None, :]) * Dinv[:, None]
+    x, _, rank, sv = la.lstsq(As, rhs * Dinv, cond=cutoff,
+                              lapack_driver="gelsd")
+    return x * Dinv, float(sv[0] / sv[rank - 1])

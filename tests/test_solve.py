@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
+
+import besselbvp.solve
 from besselbvp.core import (
     GridFunction,
     Order,
@@ -10,6 +13,7 @@ from besselbvp.core import (
 from besselbvp.errors import (
     DomainError,
     RegularityViolated,
+    SingularSystem,
     SpectralParameterOnCut,
 )
 from besselbvp.solve import (
@@ -28,6 +32,8 @@ from besselbvp.special import bessel_zeros
 from besselbvp.symbols import BoundaryOperator, Sector, mode_solution, mode_traces
 
 import scipy.special as ss
+
+from oracles import dense_galerkin_solve, robin_interval
 
 
 def h1_error(sol, exact_vals, nu):
@@ -139,6 +145,99 @@ def test_robin_halfline_matches_scaled_mode():
     c = g / (closed.gamma_plus + beta)
     oracle = mode_solution(nu, -1.0j, grid=sol.u.grid)
     assert np.max(np.abs(sol.u.values - c * oracle.profile.values)) < 2e-6
+
+
+def robin_data_problem(nu, a, beta, g, rhs=0.0, sing_exp=0.0):
+    op = BesselOperator(Order(nu), a_coeff=a)
+    return BVProblem(op=op, bc0=BoundaryOperator.robin(nu, beta),
+                     bc1=CapCondition.DIRICHLET, rhs=rhs, boundary_data=g,
+                     rhs_singular_exponent=sing_exp)
+
+
+def test_robin_data_residual_is_scale_invariant():
+    # f = 0: the residual is relative to the operator terms, not absolute,
+    # so scaling the data scales the solution and leaves the residual alone
+    small = solve_1d(robin_data_problem(0.1, 1.0, 1.0, 1.0), n_nodes=256)
+    large = solve_1d(robin_data_problem(0.1, 1.0, 1.0, 1000.0), n_nodes=256)
+    assert small.residual_norm < 1e-2
+    assert abs(large.residual_norm - small.residual_norm) \
+        <= 1e-6 * small.residual_norm
+    assert np.max(np.abs(large.u.values - 1000.0 * small.u.values)) \
+        <= 1e-9 * np.max(np.abs(large.u.values))
+
+
+@pytest.mark.parametrize("a, n", [(1e4, 64), (1e6, 32)])
+def test_unresolved_robin_data_still_raises(a, n):
+    for g in (1.0, 1000.0):
+        with pytest.raises(SingularSystem):
+            solve_1d(robin_data_problem(0.1, a, 1.0, g), n_nodes=n)
+
+
+def test_robin_data_at_2048_meets_ladder_tolerances():
+    # u = u* + w: manufactured part (gamma_- = 0, gamma_+ = 2 nu) plus the
+    # homogeneous Robin solution carrying the remaining data
+    nu, a, beta, g = 0.1, 1.3, 1.2, 1.1
+    ustar, f = manufactured_plus(nu, a=a, k=3.0)
+    sol = solve_1d(robin_data_problem(nu, a, beta, g, rhs=f,
+                                      sing_exp=nu - 0.5), n_nodes=2048)
+    gm, gp, w = robin_interval(nu, a, beta, g - 2 * nu)
+    x = sol.u.grid.nodes
+    idx = np.unique(np.linspace(0, x.size - 1, 12).astype(int))
+    exact = w(x[idx]) + ustar(x[idx])
+    assert np.max(np.abs(sol.u.values[idx] - exact)) < 2e-6
+    assert abs(sol.traces.gamma_plus - (gp + 2 * nu)) < 1e-7
+    assert abs(sol.traces.gamma_minus - gm) < 1e-9
+
+
+@pytest.mark.parametrize("n", [256, 512])
+@pytest.mark.parametrize("nu", [0.7, 0.8, 0.9, 0.95])
+def test_dirichlet_gamma_plus_near_order_one(nu, n):
+    ustar, f = manufactured_plus(nu, a=1.0, k=3.0)
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    prob = BVProblem(op=op, bc0=BoundaryOperator.dirichlet(nu),
+                     bc1=CapCondition.DIRICHLET, rhs=f, boundary_data=0.0,
+                     rhs_singular_exponent=nu - 0.5)
+    sol = solve_1d(prob, n_nodes=n)
+    assert abs(sol.traces.gamma_plus - 2 * nu) < 1e-8
+
+
+def oracle_cases():
+    ustar, f = manufactured_plus(0.4)
+    yield "dirichlet", BVProblem(
+        op=BesselOperator(Order(0.4), a_coeff=1.0),
+        bc0=BoundaryOperator.dirichlet(0.4), rhs=f, boundary_data=0.0,
+        rhs_singular_exponent=-0.1)
+    yield "robin", robin_data_problem(0.3, 2.0, 0.7, 1.5)
+    yield "decay", BVProblem(
+        op=BesselOperator(Order(0.3), a_coeff=1.0),
+        bc0=BoundaryOperator.dirichlet(0.3), bc1=CapCondition.DECAY,
+        rhs=0.0, boundary_data=1.0)
+    ustar, f = manufactured_plus(1.5)
+    yield "supercritical", BVProblem(
+        op=BesselOperator(Order(1.5), a_coeff=1.0), rhs=f,
+        rhs_singular_exponent=1.0)
+    yield "b_coeff", BVProblem(
+        op=BesselOperator(Order(0.35), a_coeff=1.0,
+                          b_coeff=Polynomial([0.0, 1.0, -1.0])),
+        bc0=BoundaryOperator.robin(0.35, 1.0), rhs=lambda x: np.cos(x),
+        boundary_data=0.5)
+
+
+@pytest.mark.parametrize("name, prob", list(oracle_cases()))
+def test_solve_matches_dense_oracle(name, prob, monkeypatch):
+    # values on the output grid and traces agree; raw coefficients of the
+    # graded tail may legitimately differ between the two solvers.  n = 128
+    # is the smallest size at which every case passes the residual gate.
+    sol = solve_1d(prob, n_nodes=128, monitor_truncation=False)
+    monkeypatch.setattr(besselbvp.solve, "galerkin_solve",
+                        dense_galerkin_solve)
+    ref = solve_1d(prob, n_nodes=128, monitor_truncation=False)
+    scale = np.max(np.abs(ref.u.values))
+    assert np.max(np.abs(sol.u.values - ref.u.values)) <= 1e-10 * scale
+    if ref.traces is not None:
+        for got, want in ((sol.traces.gamma_minus, ref.traces.gamma_minus),
+                          (sol.traces.gamma_plus, ref.traces.gamma_plus)):
+            assert abs(got - want) <= 1e-8 * max(1.0, abs(want))
 
 
 def test_supercritical_needs_no_boundary_condition():
