@@ -329,11 +329,11 @@ def _cmd_modes(conf, cfg, settings):
         btype = _get(conf, "modes", "boundary", "dirichlet")
         bc = None if btype == "dirichlet" else \
             BoundaryOperator.lambda_robin(nu)
-        ms = pencil_modes(nu, op, bc, q=q, n_nodes=nodes, settings=settings)
+        ms = pencil_modes(nu, op, bc, q=q, n_nodes=nodes,
+                          max_modes=2 * count, settings=settings)
         payload["eigenvalues"] = [
             {"re": float(l.real), "im": float(l.imag), "residual": float(r)}
-            for l, r in zip(ms.eigenvalues[:2 * count],
-                            ms.residuals[:2 * count])]
+            for l, r in zip(ms.eigenvalues, ms.residuals)]
         if _get(conf, "modes", "completeness", "false", bool):
             dof = int(_get(conf, "modes", "completeness_dof", "32", float))
             all_ms = pencil_modes(nu, op, bc, q=q,
@@ -463,11 +463,10 @@ def _cmd_kg(conf, cfg, settings):
             raise ConfigError(f"q must have {n - 1} components")
         count = int(_get(conf, "modes", "count", "6", float))
         ms = pencil_modes(red.nu, red.bessel_op, None, q=q, n_nodes=160,
-                          settings=settings)
+                          max_modes=2 * count, settings=settings)
         payload["normal_modes"] = [
             {"re": float(l.real), "im": float(l.imag), "residual": float(r)}
-            for l, r in zip(ms.eigenvalues[:2 * count],
-                            ms.residuals[:2 * count])]
+            for l, r in zip(ms.eigenvalues, ms.residuals)]
     return payload, None
 
 

@@ -36,7 +36,6 @@ class Settings:
     fem_degree: int = 5
     solver_residual_tol: float = 1e-7
     rank_rel_tol: float = 1e-8
-    degenerate_group_tol: float = 1e-6
     halfline_decay_lengths: float = 40.0
 
     def with_overrides(self, **kw):

@@ -24,6 +24,9 @@ convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
 in the first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
 (BorderedBand); solves cost O(n) through a banded LU and one Schur step.
+Count-limited eigensolves (mass_deflated_eig, pencil_eig with a count) run
+ARPACK shift-invert Lanczos/Arnoldi through the same factor, O(n) per
+Krylov step; dense companion QZ is kept for full-spectrum requests.
 """
 
 from __future__ import annotations
@@ -208,6 +211,8 @@ class BorderedBand:
     col: np.ndarray = None
     corner: complex = 0.0
 
+    __array_ufunc__ = None      # numpy scalars defer to __rmul__
+
     @property
     def p(self):
         return (self.band.shape[0] - 1) // 2
@@ -235,15 +240,25 @@ class BorderedBand:
         return BorderedBand(self.band + other.band, self.row + other.row,
                             self.col + other.col, self.corner + other.corner)
 
+    def __rmul__(self, c):
+        if not self.seeded:
+            return BorderedBand(c * self.band)
+        return BorderedBand(c * self.band, c * self.row, c * self.col,
+                            c * self.corner)
+
     def __matmul__(self, x):
         x = np.asarray(x)
         xw = x[int(self.seeded):]
         p, m = self.p, self.band.shape[1]
-        y = np.zeros(m, dtype=np.result_type(self.band, x))
-        for r in range(2 * p + 1):
-            off = r - p
-            lo, hi = max(0, -off), min(m, m - off)
-            y[lo + off:hi + off] += self.band[r, lo:hi] * xw[lo:hi]
+        # prod[r, p + j] = A[j + r - p, j] x_j, so (A x)_i sums the slots
+        # prod[r, i + 2p - r]: a strided view walks those anti-diagonals
+        prod = np.zeros((2 * p + 1, m + 2 * p),
+                        dtype=np.result_type(self.band, x))
+        np.multiply(self.band, xw, out=prod[:, p:p + m])
+        item = prod.itemsize
+        y = np.add.reduce(np.ndarray((2 * p + 1, m), prod.dtype, prod,
+                                     2 * p * item,
+                                     ((m + 2 * p - 1) * item, item)), axis=0)
         if not self.seeded:
             return y
         return np.concatenate(([self.corner * x[0] + self.row @ xw],
@@ -262,6 +277,19 @@ class BorderedBand:
             out[0, 1:] = self.row
             out[1:, 0] = self.col
         return out
+
+    def adjoint(self):
+        """The conjugate transpose, in the same storage."""
+        p, m = self.p, self.band.shape[1]
+        band = np.zeros_like(self.band)
+        for r in range(2 * p + 1):
+            off = r - p
+            lo, hi = max(0, -off), min(m, m - off)
+            band[2 * p - r, lo + off:hi + off] = np.conj(self.band[r, lo:hi])
+        if not self.seeded:
+            return BorderedBand(band)
+        return BorderedBand(band, np.conj(self.col), np.conj(self.row),
+                            np.conj(self.corner))
 
     def diagonal(self):
         d = self.band[self.p]
@@ -284,6 +312,11 @@ class BorderedBand:
             return BorderedBand(band)
         return BorderedBand(band, d[0] * self.row * dw, d[0] * self.col * dw,
                             d[0] * d[0] * self.corner)
+
+    def unit_diagonal(self):
+        """(diag(d) A diag(d), d) with d = |diag A|^{-1/2} (1 where it is 0)."""
+        d = _inverse_diag_sqrt(self.diagonal())
+        return self.scaled(d), d
 
     def norm1(self):
         colsum = np.abs(self.band).sum(axis=0)
@@ -705,8 +738,7 @@ def galerkin_solve(A, rhs):
     zero Schur pivot, or an inconsistent system (singular operator with
     incompatible data, caught by the residual test) raises SingularSystem.
     """
-    Dinv = _inverse_diag_sqrt(A.diagonal())
-    As = A.scaled(Dinv)
+    As, Dinv = A.unit_diagonal()
     bs = np.asarray(rhs, dtype=complex) * Dinv
     lu = _BorderedLU(As)
     x = lu.solve(bs)
@@ -717,6 +749,141 @@ def galerkin_solve(A, rhs):
     return x * Dinv, float(cond)
 
 
+def _start_vector(n):
+    """Fixed Krylov start vector: ARPACK's own default is random and depends
+    on the call history, which would make artifacts irreproducible."""
+    return np.random.default_rng(0).standard_normal(n)
+
+
+def _is_real(*ops):
+    """True when no BorderedBand in ``ops`` has a nonzero imaginary part."""
+    return not any(np.any(np.imag(x)) for B in ops
+                   for x in (B.band, B.row, B.col, B.corner) if x is not None)
+
+
+def spectral_norm(A):
+    """Lower estimate of ||A||_2 of a BorderedBand: Lanczos on A^H A, O(n)
+    per step.
+
+    Starts from the fixed vector, reorthogonalises fully, and stops at an
+    invariant subspace, once the residual bound of the top Ritz value is
+    below 1e-13 relative, or after 60 steps.  The Ritz value approaches the
+    norm from below: it is exact to rounding when the top singular value is
+    separated (pencil operators on graded meshes), and low by up to ~1e-5
+    relative when the top of the spectrum is a tight cluster (a mass matrix
+    scaled to a uniform bulk).
+    """
+    n = A.shape[0]
+    AH = A.adjoint()
+    real = _is_real(A)
+    steps = min(n, 60)
+    Q = np.zeros((steps, n), dtype=float if real else complex)
+    Qh = np.zeros_like(Q)
+    alpha, beta = np.zeros(steps), np.zeros(steps)
+    q = _start_vector(n)
+    q = q / np.linalg.norm(q)
+    theta = 0.0
+    for k in range(steps):
+        Q[k], Qh[k] = q, np.conj(q)
+        w = AH @ (A @ q)
+        w = w.real if real else w
+        alpha[k] = np.real(Qh[k] @ w)
+        for _ in range(2):
+            w = w - (Qh[:k + 1] @ w) @ Q[:k + 1]
+        beta[k] = np.linalg.norm(w)
+        # a vanishing beta means the Krylov space is invariant: the Ritz
+        # values are exact, and w is rounding noise that must not be used
+        breakdown = beta[k] <= 1e-13 * alpha[:k + 1].max()
+        if breakdown or k % 8 == 7 or k == steps - 1:
+            vals, vecs = la.eigh_tridiagonal(alpha[:k + 1], beta[:k],
+                                             select="i", select_range=(k, k))
+            theta = vals[0]
+            if breakdown or beta[k] * abs(vecs[-1, 0]) <= 1e-13 * theta:
+                break
+        q = w / beta[k]
+    return float(np.sqrt(max(theta, 0.0)))
+
+
+def mass_deflated_eig(K, M, count):
+    """The ``count`` eigenvalues of K u = lambda M u nearest 0, by modulus.
+
+    K, M are real symmetric BorderedBands, K positive definite.  Both are
+    scaled by K's diagonal, and ARPACK's shift-invert Lanczos about 0
+    applies the banded LU of the scaled K and a band product with M once per
+    step, so a step costs O(n).  Requests beyond ARPACK's limit k < n return
+    n - 1 modes.  Returns (eigenvalues, coefficient eigenvectors).
+    """
+    # imported here: scipy.sparse.linalg adds ~40 ms to the package import
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    Ks, d = K.unit_diagonal()
+    Ms = M.scaled(d)
+    if not _is_real(Ks, Ms):
+        raise DomainError("mass_deflated_eig takes real symmetric K and M")
+    n = d.size
+    lu = _BorderedLU(Ks)
+    OPinv = LinearOperator((n, n), matvec=lambda v: lu.solve(v).real,
+                           dtype=float)
+    Kop, Mop = (LinearOperator((n, n), matvec=lambda v, B=B: (B @ v).real,
+                               dtype=float) for B in (Ks, Ms))
+    lam, Z = eigsh(Kop, k=min(int(count), n - 1), M=Mop, sigma=0.0,
+                   OPinv=OPinv, v0=_start_vector(n))
+    idx = np.argsort(np.abs(lam), kind="stable")
+    return lam[idx], Z[:, idx] * d[:, None]
+
+
+def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
+    """Eigenpairs of the pencil A0 + lam A1 + lam^2 A2 of BorderedBands.
+
+    Returns (eigenvalues, coefficient eigenvectors, effective dimension m).
+
+    With ``count``, the ``count + 2`` eigenvalues of least modulus (two
+    spare, so a +- pair is never cut before the caller's sort): ARPACK
+    Arnoldi on the companion operator shift-inverted about 0,
+    [v1; v2] -> [v2; -A0^{-1}(A2 v1 + A1 v2)], applying the banded LU of the
+    diagonally scaled A0 once per step.  An exactly singular A0 is retried
+    once about a small shift sigma (nearest eigenvalues to sigma).  Here m =
+    n, and at most 2n - 2 eigenvalues are returned.
+
+    Without ``count``, every eigenvalue: dense companion QZ in deflated
+    scaled coordinates, nonfinite eigenvalues at infinity kept; a regular
+    reduced pencil contributes 2 m eigenvalues with multiplicity.
+    """
+    if count is None:
+        return _companion_qz(A0.toarray(), A1.toarray(), A2.toarray(), cutoff)
+    # imported here: scipy.sparse.linalg adds ~40 ms to the package import
+    from scipy.sparse.linalg import LinearOperator, eigs
+
+    B0, d = A0.unit_diagonal()
+    B1, B2 = A1.scaled(d), A2.scaled(d)
+    n = d.size
+    shift = 0.0
+    try:
+        lu = _BorderedLU(B0)
+    except SingularSystem:
+        # 1e-3 of the eigenvalue scale sqrt(|B0| / |B2|) (|B0| / |B1| for a
+        # linear pencil); P(shift + e) = P(shift) + e (B1 + 2 shift B2)
+        # + e^2 B2 is again a quadratic pencil in e
+        n0, n1, n2 = B0.norm1(), B1.norm1(), B2.norm1()
+        shift = 1e-3 * (np.sqrt(n0 / n2) if n2 else (n0 / n1 if n1 else 1.0))
+        B0 = B0 + shift * B1 + shift ** 2 * B2
+        B1 = B1 + (2.0 * shift) * B2
+        lu = _BorderedLU(B0)
+
+    def companion(v):
+        v1, v2 = v[:n], v[n:]
+        return np.concatenate([v2, -lu.solve(B2 @ v1 + B1 @ v2)])
+
+    op = LinearOperator((2 * n, 2 * n), matvec=companion, dtype=complex)
+    mu, V = eigs(op, k=min(int(count) + 2, 2 * n - 2), which="LM",
+                 v0=_start_vector(2 * n).astype(complex))
+    finite = mu != 0
+    lam = shift + 1.0 / mu[finite]
+    vecs = V[:n, finite] * d[:, None]
+    idx = np.argsort(np.abs(lam), kind="stable")
+    return lam[idx], vecs[:, idx], n
+
+
 def _deflation(K, cutoff=RANK_CUTOFF):
     """(T, Dinv, Ks): orthonormal basis of the content of the scaled K."""
     Ks, Dinv = _diag_scale(K)
@@ -725,50 +892,8 @@ def _deflation(K, cutoff=RANK_CUTOFF):
     return U[:, keep], Dinv, Ks
 
 
-def mass_deflated_eig(K, M, cutoff=RANK_CUTOFF):
-    """Eigenvalues of K u = lambda M u with scaling-robust reduction.
-
-    Scales by the diagonal of K, drops near-null directions of the scaled K,
-    and for a Hermitian positive reduced pencil goes through the Cholesky
-    factor (the small eigenvalues then come from a Hermitian eigensolve of
-    the compact inverse); otherwise QZ.  Sorted by modulus.
-    """
-    T, Dinv, Ks = _deflation(K, cutoff)
-    Ms = (M * Dinv[None, :]) * Dinv[:, None]
-    Kp = T.conj().T @ Ks @ T
-    Mp = T.conj().T @ Ms @ T
-    herm = (np.max(np.abs(Kp - Kp.conj().T)) < 1e-12
-            and np.max(np.abs(Mp - Mp.conj().T)) < 1e-12)
-    if herm:
-        try:
-            L = la.cholesky(0.5 * (Kp + Kp.conj().T), lower=True)
-            B = la.solve_triangular(L, 0.5 * (Mp + Mp.conj().T), lower=True)
-            B = la.solve_triangular(L, B.conj().T, lower=True).conj().T
-            mu, W = la.eigh(0.5 * (B + B.conj().T))
-            pos = mu > 1e-300
-            lam = np.where(pos, 1.0 / np.maximum(mu, 1e-300), np.inf)
-            Z = la.solve_triangular(L.conj().T, W, lower=False)
-            idx = np.argsort(np.abs(lam))
-            lam, Z = lam[idx], Z[:, idx]
-            keep = np.isfinite(lam)
-            return lam[keep], (T @ Z[:, keep]) * Dinv[:, None]
-        except la.LinAlgError:
-            pass
-    lam, Z = la.eig(Kp, Mp)
-    finite = np.isfinite(lam)
-    lam, Z = lam[finite], Z[:, finite]
-    idx = np.argsort(np.abs(lam))
-    lam, Z = lam[idx], Z[:, idx]
-    return lam, (T @ Z) * Dinv[:, None]
-
-
-def pencil_eig(A0, A1, A2, cutoff=RANK_CUTOFF):
-    """Companion QZ for A0 + lam A1 + lam^2 A2 in deflated scaled coordinates.
-
-    Returns (eigenvalues, coefficient eigenvectors, effective dimension m)
-    with nonfinite eigenvalues removed; a regular reduced pencil contributes
-    2 m eigenvalues with multiplicity.
-    """
+def _companion_qz(A0, A1, A2, cutoff):
+    """Dense companion QZ of pencil_eig in deflated scaled coordinates."""
     T, Dinv, A0s = _deflation(A0, cutoff)
     A1s = (A1 * Dinv[None, :]) * Dinv[:, None]
     A2s = (A2 * Dinv[None, :]) * Dinv[:, None]

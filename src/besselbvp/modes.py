@@ -2,18 +2,20 @@
 
 The interval Dirichlet spectrum has the closed form 1 + |q|^2 + j_{nu,n}^2
 with eigenfunctions sqrt(x) J_nu(j_{nu,n} x); the discrete Galerkin
-eigenproblem is solved alongside and the per-mode discrepancy reported.
-Quadratic pencils P(lambda) = P2 + lambda P1 + lambda^2 (with optionally
-lambda-linear boundary rows) are linearised to a companion generalized
-eigenproblem; two-fold completeness is probed by the numerical rank of the
-stacked Cauchy data (u, lambda u), the desk-scale surrogate for the
-continuum density statement.
+eigenproblem is solved alongside, by shift-invert Lanczos for the modes
+asked for, and the per-mode discrepancy reported.  Quadratic pencils
+P(lambda) = P2 + lambda P1 + lambda^2 (with optionally lambda-linear
+boundary rows) are linearised to a companion eigenproblem: shift-invert
+Arnoldi when a mode count is given, dense QZ for the full spectrum.
+Two-fold completeness is probed by the numerical rank of the stacked Cauchy
+data (u, lambda u), the desk-scale surrogate for the continuum density
+statement.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -21,8 +23,9 @@ from scipy import linalg as la
 
 from .config import DEFAULTS
 from .core import GridFunction, RadialGrid, Regime, as_order
-from .errors import DomainError, IncompleteModeInput, LinearizationSingular
-from .fem import Space, _deflation, mass_deflated_eig, pencil_eig
+from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
+                     SingularSystem)
+from .fem import Space, mass_deflated_eig, pencil_eig, spectral_norm
 from .special import bessel_zeros
 
 __all__ = [
@@ -45,7 +48,7 @@ class ModeSource(Enum):
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Eigenvalues sorted by |lambda| with degenerate groups kept adjacent."""
+    """Eigenvalues sorted by |lambda|, with eigenvectors and Cauchy data."""
 
     nu: float
     fourier_index: object
@@ -61,24 +64,6 @@ class ModeSet:
 
     def __len__(self):
         return len(self.eigenvalues)
-
-    def degenerate_groups(self, settings=DEFAULTS):
-        """Indices grouped by |lam_i - lam_j| < tol max(1, |lam_i|).
-
-        Eigenvalues are sorted by modulus, so members of a degenerate group
-        are adjacent; this materialises the grouping.
-        """
-        tol = settings.degenerate_group_tol
-        groups = []
-        for i, lam in enumerate(self.eigenvalues):
-            if groups and np.isfinite(lam) \
-                    and np.isfinite(self.eigenvalues[groups[-1][0]]) \
-                    and abs(lam - self.eigenvalues[groups[-1][-1]]) \
-                    < tol * max(1.0, abs(lam)):
-                groups[-1].append(i)
-            else:
-                groups.append([i])
-        return groups
 
 
 @dataclass(frozen=True)
@@ -121,26 +106,22 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
                   n_cells=max(4, n_nodes // settings.fem_degree),
                   dirichlet_cap=True, include_minus=False, settings=settings)
     mats = space.matrices()
-    S, M = mats["S"].toarray(), mats["M"].toarray()
+    S, M = mats["S"], mats["M"]
 
     records = []
     for q in range(-q_max, q_max + 1):
         q2 = float(q * q)
         K = S + (1.0 + q2) * M
-        lam, vec = mass_deflated_eig(K, M)
-        # residuals measured in the deflated scaled coordinates, where the
-        # near-null enrichment directions carry no weight
-        T, Dinv, Ks = _deflation(K)
-        Ms = (M * Dinv[None, :]) * Dinv[:, None]
-        Kp = T.conj().T @ Ks @ T
-        Mp = T.conj().T @ Ms @ T
-        scale_k = la.norm(Kp, 2)
-        scale_m = la.norm(Mp, 2)
-        for n in range(min(n_max, lam.size)):
+        lam, vec = mass_deflated_eig(K, M, n_max)
+        # residuals in the coordinates scaled by K's diagonal
+        Ks, d = K.unit_diagonal()
+        Ms = M.scaled(d)
+        scale_k, scale_m = spectral_norm(Ks), spectral_norm(Ms)
+        for n in range(lam.size):
             lamk = float(np.real(lam[n]))
             c = vec[:, n]
-            z = T.conj().T @ (c / Dinv)
-            r = (Kp - lamk * Mp) @ z
+            z = c / d
+            r = Ks @ z - lamk * (Ms @ z)
             resid = np.linalg.norm(r) / max(
                 (scale_k + abs(lamk) * scale_m) * np.linalg.norm(z), 1e-300)
             closed = 1.0 + q2 + float(zeros.zeros[n]) ** 2
@@ -169,7 +150,8 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
 # ---------------------------------------------------------------------------
 
 def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
-    """(A0, A1, A2, space): A(lam) = A0 + lam A1 + lam^2 A2 with bc folded in."""
+    """(A0, A1, A2, space): BorderedBands of A(lam) = A0 + lam A1 + lam^2 A2
+    with the boundary row folded in."""
     order = as_order(nu)
     if pencil_op.pencil_fourier is not None:
         a2c, a1c, a0c = pencil_op.pencil_fourier(q if q is not None else 0)
@@ -181,7 +163,6 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     essential = bc is None
     lam_plus = False
     if bc is not None:
-        tm, tp = bc.t_minus[0], bc.t_plus[0]
         if all(s.const == 0 and s.lam == 0 for s in bc.t_plus):
             essential = True            # Dirichlet-type row: gamma_- u = 0
         lam_plus = any(s.lam != 0 for s in bc.t_plus)
@@ -199,30 +180,32 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     base = mats["S"] + mats["A"]
     if "B" in mats:
         base = base + mats["B"]
-    base, M = base.toarray(), mats["M"].toarray()
+    M = mats["M"]
     A0 = base + a2c * M
     A1 = a1c * M
     A2 = a0c * M
 
     if bc is not None and not essential and order.regime is Regime.SUBCRITICAL:
-        im = space.idx_minus
+        # the seed is dof 0: its test row is the border row plus the corner
+        tmc, tpc = bc.t_minus[0], bc.t_plus[0]
         if lam_plus:
             # bordered lambda-linear boundary row replaces the gamma_- test row
             gm = space.gamma_minus_vector()
             gp = space.gamma_plus_vector()
-            for Amat in (A0, A1, A2):
-                Amat[im, :] = 0.0
-            tmc, tpc = bc.t_minus[0], bc.t_plus[0]
-            A0[im, :] = tmc.const * gm + tpc.const * gp
-            A1[im, :] = tmc.lam * gm + tpc.lam * gp
+
+            def boundary_row(A, cm, cp):
+                t = cm * gm + cp * gp
+                return replace(A, row=t[1:], corner=t[0])
+
+            A0 = boundary_row(A0, tmc.const, tpc.const)
+            A1 = boundary_row(A1, tmc.lam, tpc.lam)
+            A2 = boundary_row(A2, 0.0, 0.0)
         else:
             # natural substitution gamma_+ u = -(t_-(lam)/t_+) gamma_- u in
             # the boundary term of <P(lam) u, phi> on the gamma_- test row
-            tpc = bc.t_plus[0].const
-            tmc = bc.t_minus[0]
-            A0[im, im] -= tmc.const / tpc
-            A1[im, im] -= tmc.lam / tpc
-    return A0, A1, A2, space, M
+            A0 = replace(A0, corner=A0.corner - tmc.const / tpc.const)
+            A1 = replace(A1, corner=A1.corner - tmc.lam / tpc.const)
+    return A0, A1, A2, space
 
 
 def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
@@ -235,25 +218,27 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     1e-7 residual budget are dropped; pass ``residual_cap=None`` to collect
     every eigenvalue of the discrete pencil (with multiplicity), as the
     completeness check requires.
+
+    ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
+    Arnoldi through the banded LU of P(0), O(n) per step.  Without it every
+    eigenvalue is computed by dense companion QZ.
     """
     order = as_order(nu)
     n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
     if residual_cap == "default":
         residual_cap = settings.solver_residual_tol
-    A0, A1, A2, space, M = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
-                                            settings)
+    A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
+                                         settings)
     n = A0.shape[0]
     try:
-        lam, cvecs, m_eff = pencil_eig(A0, A1, A2)
-    except la.LinAlgError as exc:
+        lam, cvecs, m_eff = pencil_eig(A0, A1, A2, count=max_modes)
+    except (la.LinAlgError, SingularSystem) as exc:
         raise LinearizationSingular(str(exc)) from exc
     if lam.size == 0:
         raise LinearizationSingular("all companion eigenvalues are infinite")
 
     # residuals against the unlinearised pencil, scale-aware
-    scale0 = la.norm(A0, 2)
-    scale1 = la.norm(A1, 2)
-    scale2 = la.norm(A2, 2)
+    scale0, scale1, scale2 = (spectral_norm(A) for A in (A0, A1, A2))
     keep, resid = [], []
     for k in range(lam.size):
         c = cvecs[:, k]
@@ -267,7 +252,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
                 keep.append(k)
                 resid.append(0.0)
             continue
-        r = (A0 + lam[k] * A1 + lam[k] ** 2 * A2) @ c
+        r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
         scale = scale0 + abs(lam[k]) * scale1 + abs(lam[k]) ** 2 * scale2
         rel = np.linalg.norm(r) / max(scale, 1e-300)
         if residual_cap is None or rel < residual_cap:
@@ -355,11 +340,8 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     space = Space(order, 1.0, n_cells=n_cells, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     mats = space.matrices()
-    M = mats["M"].toarray()
-    lam, _ = mass_deflated_eig(mats["S"].toarray() + M, M)
-    lam = np.sort(lam.real)
-    s = 1.0 / np.sqrt(np.maximum(lam, 1e-300))
-    s = np.sort(s)[::-1][:dof]
+    lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof)
+    s = 1.0 / np.sqrt(np.maximum(np.sort(lam.real), 1e-300))
     j = np.arange(1, s.size + 1)
     slope, intercept = np.polyfit(np.log(j), np.log(s), 1)
     return SingularValueReport(s, float(slope), float(np.exp(intercept)))

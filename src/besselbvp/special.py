@@ -126,47 +126,63 @@ def eval_J_deriv(nu, x):
     return _sp.jvp(nu, np.asarray(x, dtype=float))
 
 
-def _mcmahon_guess(nu, n):
-    """McMahon first-order guess (n + nu/2 - 1/4) pi for the n-th zero of J_nu."""
-    return (n + 0.5 * nu - 0.25) * np.pi
+def _zero_brackets(nu, count):
+    """Intervals (a, b, sign J_nu(a)) holding the first ``count`` zeros.
+
+    Scans J_nu on a grid of step pi/2 from x = nu upward.  Consecutive
+    positive zeros of J_nu are more than pi/2 apart for every nu >= 0 (the
+    smallest gap, j_{0,2} - j_{0,1}, is 3.12), and none lies below nu, so
+    every zero sits in exactly one grid interval and each sign change
+    certifies one zero: the count cannot skip an index.
+    """
+    step = np.pi / 2.0
+    brackets = []
+    start = nu
+    while len(brackets) < count:
+        xs = start + step * np.arange(2 * (count - len(brackets)) + 8)
+        fs = _sp.jv(nu, xs)
+        for a, b, fa, fb in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
+            if fa != 0 and fa * fb <= 0:
+                brackets.append((a, b, np.sign(fa)))
+        start = xs[-1]
+    return brackets[:count]
 
 
 def bessel_zeros(nu, count, settings=DEFAULTS):
     """First ``count`` positive zeros of J_nu, Newton-refined until |J_nu| < 1e-13.
 
-    Starts from the McMahon guess; for small n and larger nu the guess is
-    safeguarded by bisection brackets so Newton cannot hop across zeros.
+    Each zero is bracketed by a sign change on a scan finer than the zero
+    spacing (see ``_zero_brackets``); Newton steps that leave the bracket
+    fall back to bisection, so the n-th entry is always the n-th zero.
     """
     nu = _check_order(nu)
     count = int(count)
     if count < 1:
         raise DomainError("count must be >= 1")
     zeros = np.empty(count)
-    lower = max(nu, 1e-8)  # first zero of J_nu exceeds nu
-    for n in range(1, count + 1):
-        x = max(_mcmahon_guess(nu, n), lower * 1.0001 + 0.1)
-        lo, hi = lower, np.inf
+    for n, (lo, hi, sign_lo) in enumerate(_zero_brackets(nu, count)):
+        x = 0.5 * (lo + hi)
         converged = False
         for _ in range(settings.bessel_zero_max_newton):
             f = _sp.jv(nu, x)
+            fp = _sp.jvp(nu, x)
+            xn = x - f / fp if fp != 0 else np.nan
             if abs(f) < settings.bessel_zero_residual:
+                # one more step: Newton squares the residual-level error
+                x = xn if lo < xn < hi else x
                 converged = True
                 break
-            fp = _sp.jvp(nu, x)
-            step = f / fp if fp != 0 else np.nan
-            xn = x - step
-            if not np.isfinite(xn) or xn <= lo or xn >= hi:
-                xn = 0.5 * (lo + (hi if np.isfinite(hi) else x + np.pi))
-            if _sp.jv(nu, x) * _sp.jv(nu, xn) < 0:
-                lo, hi = (min(x, xn), max(x, xn))
-            x = xn
+            if np.sign(f) == sign_lo:
+                lo = x
+            else:
+                hi = x
+            x = xn if lo < xn < hi else 0.5 * (lo + hi)
         if not converged:
             raise ZeroSearchError(
-                f"zero {n} of J_{nu} did not converge below "
+                f"zero {n + 1} of J_{nu} did not converge below "
                 f"{settings.bessel_zero_residual}"
             )
-        zeros[n - 1] = x
-        lower = x
+        zeros[n] = x
     return BesselZeroTable(nu, zeros)
 
 

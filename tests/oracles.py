@@ -124,3 +124,53 @@ def dense_galerkin_solve(A, rhs, cutoff=1e-11):
     x, _, rank, sv = la.lstsq(As, rhs * Dinv, cond=cutoff,
                               lapack_driver="gelsd")
     return x * Dinv, float(sv[0] / sv[rank - 1])
+
+
+def _scaled_dense(A):
+    """(As, d): the dense form of A scaled by d = |diag A|^{-1/2}."""
+    A = A.toarray()
+    d = np.sqrt(np.abs(np.diag(A)))
+    d[d == 0] = 1.0
+    d = 1.0 / d
+    return (A * d[None, :]) * d[:, None], d
+
+
+def dense_hermitian_eig(K, M, cutoff=1e-11):
+    """Dense reference for ``fem.mass_deflated_eig``: every eigenpair of
+    K u = lambda M u, sorted by modulus.
+
+    Scales by K's diagonal, drops the directions of the scaled K below
+    ``cutoff`` relative (SVD), and solves the reduced pencil through the
+    Cholesky factor of K: the small eigenvalues are the reciprocals of the
+    large eigenvalues of the compact L^{-1} M L^{-H} (``eigh``).  Also
+    returns the eigenvalues of the same reduced pencil by QZ.
+    """
+    Ks, d = _scaled_dense(K)
+    Ms = (M.toarray() * d[None, :]) * d[:, None]
+    U, sv, _ = la.svd(0.5 * (Ks + Ks.conj().T))
+    T = U[:, sv > cutoff * sv[0]]
+    Kp = T.conj().T @ Ks @ T
+    Mp = T.conj().T @ Ms @ T
+    L = la.cholesky(0.5 * (Kp + Kp.conj().T), lower=True)
+    B = la.solve_triangular(L, 0.5 * (Mp + Mp.conj().T), lower=True)
+    B = la.solve_triangular(L, B.conj().T, lower=True).conj().T
+    mu, W = la.eigh(0.5 * (B + B.conj().T))
+    keep = mu > 1e-300
+    lam = 1.0 / mu[keep]
+    Z = la.solve_triangular(L.conj().T, W[:, keep], lower=False)
+    idx = np.argsort(np.abs(lam))
+    qz = la.eigvals(Kp, Mp)
+    qz = qz[np.isfinite(qz)]
+    return lam[idx], (T @ Z[:, idx]) * d[:, None], qz[np.argsort(np.abs(qz))]
+
+
+def dense_companion_eigvals(A0, A1, A2):
+    """Every eigenvalue of A0 + lam A1 + lam^2 A2 by QZ on the plain
+    companion pencil (no scaling, no deflation), finite ones by modulus."""
+    A0, A1, A2 = (A.toarray() for A in (A0, A1, A2))
+    n = A0.shape[0]
+    Z, Iden = np.zeros((n, n)), np.eye(n)
+    lam = la.eigvals(np.block([[-A1, -A0], [Iden, Z]]),
+                     np.block([[A2, Z], [Z, Iden]]))
+    lam = lam[np.isfinite(lam)]
+    return lam[np.argsort(np.abs(lam))]

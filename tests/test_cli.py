@@ -1,10 +1,18 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-from besselbvp.cli import main
-
 import numpy as np
+import pytest
+
+from besselbvp.cli import main
+from besselbvp.core import Order
+from besselbvp.modes import (dirichlet_spectrum, embedding_singular_values,
+                             pencil_modes)
+from besselbvp.solve import BesselOperator
 
 
 FIXTURES = Path(__file__).parent.parent / "fixtures"
@@ -92,16 +100,44 @@ def test_expand_roundtrip(tmp_path):
     assert abs(body["g_plus"]["re"] - 5.0) < 1e-8
 
 
+EIGEN_FIXTURES = [("modes", "dirichlet_nu05"), ("kg", "ads_static")]
+
+
+def artifacts(command, stem, out):
+    return [(out / f"{command}_{stem}{ext}").read_bytes()
+            for ext in (".json", ".meta.json")]
+
+
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    run_cmd("modes", "dirichlet_nu05.cfg", a, seed=3)
-    run_cmd("modes", "dirichlet_nu05.cfg", b, seed=3)
-    fa = (a / "modes_dirichlet_nu05.json").read_bytes()
-    fb = (b / "modes_dirichlet_nu05.json").read_bytes()
-    assert fa == fb
-    ma = (a / "modes_dirichlet_nu05.meta.json").read_bytes()
-    mb = (b / "modes_dirichlet_nu05.meta.json").read_bytes()
-    assert ma == mb
+    for command, stem in EIGEN_FIXTURES:
+        run_cmd(command, f"{stem}.cfg", a, seed=3)
+        run_cmd(command, f"{stem}.cfg", b, seed=3)
+        assert artifacts(command, stem, a) == artifacts(command, stem, b)
+
+
+@pytest.mark.parametrize("command, stem", EIGEN_FIXTURES)
+def test_artifacts_independent_of_earlier_eigensolves(tmp_path, command,
+                                                      stem):
+    # ARPACK starts from a fixed vector: a fresh interpreter and one that
+    # has already run other eigensolves write the same bytes
+    fresh = tmp_path / "fresh"
+    src = Path(__file__).parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(src)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    subprocess.run([sys.executable, "-m", "besselbvp.cli", command,
+                    "--config", str(FIXTURES / f"{stem}.cfg"),
+                    "--out", str(fresh), "--seed", "3", "--quiet"],
+                   check=True, env=env, timeout=300)
+    op = BesselOperator(Order(0.3), a_coeff=0.0,
+                        pencil_fourier=lambda q: (float(np.dot(q, q)),
+                                                  0.0, 1.0))
+    pencil_modes(0.3, op, None, q=1, n_nodes=96, max_modes=6)
+    dirichlet_spectrum(1.7, q_max=1, n_max=3, n_nodes=96)
+    embedding_singular_values(0.6, dof=16)
+    warm = tmp_path / "warm"
+    run_cmd(command, f"{stem}.cfg", warm, seed=3)
+    assert artifacts(command, stem, fresh) == artifacts(command, stem, warm)
 
 
 def test_unknown_key_is_hard_error(tmp_path):

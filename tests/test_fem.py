@@ -43,6 +43,34 @@ def test_bordered_band_matches_its_dense_form():
     assert A.nbytes == A.band.nbytes + A.row.nbytes + A.col.nbytes + 16
 
 
+def loop_matvec(A, x):
+    """Reference band product: one slice update per stored diagonal."""
+    xw = x[int(A.seeded):]
+    p, m = A.p, A.band.shape[1]
+    y = np.zeros(m, dtype=complex)
+    for r in range(2 * p + 1):
+        off = r - p
+        lo, hi = max(0, -off), min(m, m - off)
+        y[lo + off:hi + off] += A.band[r, lo:hi] * xw[lo:hi]
+    if not A.seeded:
+        return y
+    return np.concatenate(([A.corner * x[0] + A.row @ xw], y + A.col * x[0]))
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_band_product_adjoint_and_scalar_multiple(seeded):
+    _, A, _ = robin_system(0.3, 12, seeded)
+    D = A.toarray()
+    c = np.random.default_rng(2).standard_normal(A.shape[0]) * (1 + 2j)
+    # the strided product adds the diagonals in the loop's order
+    assert np.array_equal(A @ c, loop_matvec(A, c))
+    assert np.array_equal(A.adjoint().toarray(), D.conj().T)
+    assert np.array_equal((np.float64(2.5) * A).toarray(), 2.5 * D)
+    As, d = A.unit_diagonal()
+    assert np.allclose(np.abs(As.diagonal()), 1.0, rtol=1e-14)
+    assert np.allclose(As.toarray(), D * np.outer(d, d), rtol=1e-14)
+
+
 @pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),
                                         (0.8, True), (1.5, False)])
 def test_condition_estimate_within_10x_of_dense(nu, seeded):

@@ -111,6 +111,26 @@ def test_zeros_interlacing():
         assert np.all(b[:-1] < a[1:])
 
 
+def test_zeros_match_mpmath_for_orders_up_to_100():
+    # large orders used to skip zeros: the McMahon start overshot j_{nu,1}
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(2015)
+    orders = np.concatenate([[0.0, 5.5, 6.0, 10.0, 100.0],
+                             rng.uniform(0.0, 100.0, 10)])
+    for nu in orders:
+        got = bessel_zeros(nu, 5).zeros
+        want = [float(mpmath.besseljzero(mpmath.mpf(float(nu)), k))
+                for k in range(1, 6)]
+        assert np.allclose(got, want, rtol=1e-14, atol=0), nu
+
+
+def test_zeros_match_scipy_at_integer_orders():
+    from scipy.special import jn_zeros
+    for nu in range(0, 101):
+        assert np.allclose(bessel_zeros(nu, 12).zeros, jn_zeros(nu, 12),
+                           rtol=1e-12, atol=0), nu
+
+
 def test_zero_table_invariants():
     with pytest.raises(ValueError):
         BesselZeroTable(0.5, np.array([2.0, 1.0]))
