@@ -256,7 +256,11 @@ class BranchFunction:
 
 
 def branch_inner(f, g, x_max):
-    """L2 inner product <f, g> = int_0^xmax f conj(g) dx, exact per branch pair."""
+    """L2 inner product <f, g> = int_0^xmax f conj(g) dx, exact per branch pair.
+
+    The factors are evaluated at the Jacobi nodes and multiplied there: the
+    product polynomial in the monomial basis cancels.
+    """
     total = 0.0 + 0.0j
     for ef, pf in f.terms:
         for eg, pg in g.terms:
@@ -264,10 +268,9 @@ def branch_inner(f, g, x_max):
             if sigma <= -1.0:
                 raise DomainError(
                     f"branch product x^{sigma} is not integrable at 0")
-            prod = pf * Polynomial(np.conj(pg.coef))
-            npts = prod.degree() // 2 + 2
+            npts = (pf.degree() + pg.degree()) // 2 + 2
             x, w = jacobi_rule(sigma, npts, 0.0, x_max)
-            total += np.sum(w * prod(x))
+            total += np.sum(w * pf(x) * np.conj(pg(x)))
     return total
 
 

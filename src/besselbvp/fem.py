@@ -17,9 +17,15 @@ stays a finite angle away from the substituted space (its x^{-2nu} profile is
 not replicable by bounded piecewise polynomials), so the basis has no hidden
 near-degeneracy.
 
-Every first-cell integrand is x^sigma times a polynomial in t = x/h and is
-integrated exactly by Gauss-Jacobi rules; cells away from the origin use
-Gauss-Legendre on reference-element tables, vectorised over cells.  Matrix
+The value, d_nu and |D_nu|^2 images of every local function are x^power
+times a polynomial, with one of four branch powers (nu +- 1/2 for the
+Lagrange functions, 1/2 - nu and 3/2 - nu for the seed).  One helper,
+Space._images, tabulates the polynomial factors at any points; every
+consumer integrates these tables.  Cells away from the origin multiply them
+by x^power and use Gauss-Legendre, vectorised over cells.  On the origin
+cell the entries of a form are grouped by their product power beta and each
+group is integrated exactly by the 24-point Gauss-Jacobi rule for x^beta,
+one einsum per form (first_cell_inner).  Matrix
 convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
 in the first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
@@ -45,8 +51,6 @@ from .config import DEFAULTS
 from .core import as_order
 from .errors import DomainError, SingularSystem
 from .quadrature import jacobi_rule, legendre_rule
-
-_T = Polynomial([0.0, 1.0])
 
 RANK_CUTOFF = 1e-11
 
@@ -97,59 +101,17 @@ def solver_mesh(x_max, n_cells, floor=1e-8, geo_ratio=0.25, outward=False):
     return np.unique(edges)
 
 
-@dataclass(frozen=True)
-class Tagged:
-    """coef * t^e * P(t) on the first cell, t = x / h."""
+def first_cell_inner(x, w, f, g, mask, coeff=None):
+    """Cell-0 integrals int_0^h f_i conj(g_j) c dx of one form, entry [j, i].
 
-    coef: complex
-    e: float
-    poly: Polynomial
-
-    def normalized(self):
-        """Strip (relatively) vanishing leading coefficients into the tag.
-
-        Exact cancellations in d_nu / d_nu* compositions leave rounding fuzz
-        ~1e-17 in the constant term; stripping at a relative tolerance keeps
-        the integrability bookkeeping honest.
-        """
-        e, p = self.e, self.poly
-        scale = np.max(np.abs(p.coef)) or 1.0
-        coef = np.array(p.coef)
-        coef[np.abs(coef) <= 1e-12 * scale] = 0.0
-        coef = np.trim_zeros(coef, 'b')
-        p = Polynomial(coef if coef.size else [0.0])
-        while p.coef.size > 1 and p.coef[0] == 0.0:
-            e += 1.0
-            p = Polynomial(p.coef[1:])
-        return Tagged(self.coef, e, p)
-
-    def d_nu(self, nu, h):
-        q = (self.e + nu - 0.5) * self.poly + _T * self.poly.deriv()
-        return Tagged(self.coef / h, self.e - 1.0, q).normalized()
-
-    def d_nu_star(self, nu, h):
-        q = (self.e + 0.5 - nu) * self.poly + _T * self.poly.deriv()
-        return Tagged(-self.coef / h, self.e - 1.0, q).normalized()
-
-    def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return self.coef * t ** self.e * self.poly(t)
-
-
-def first_cell_inner(fs, gs, h, coeff=None, nq=24):
-    """int_0^h f conj(g) c(x) dx for lists of tagged pieces (t = x/h)."""
-    total = 0.0 + 0.0j
-    for f in fs:
-        for g in gs:
-            sigma = f.e + g.e
-            if sigma <= -1.0:
-                raise DomainError("non-integrable product on the first cell")
-            t, w = jacobi_rule(sigma, nq, 0.0, 1.0)
-            vals = f.poly(t) * np.conj(g.poly(t))
-            if coeff is not None:
-                vals = vals * np.asarray(coeff(h * t), dtype=complex)
-            total += f.coef * np.conj(g.coef) * h * np.sum(w * vals)
-    return total
+    Rule r (nodes x[r], weights w[r]) is the Gauss-Jacobi rule of the
+    product power x^beta_r and integrates the entries with mask[r, j, i];
+    f[r] and g[r] hold the trial and test tables at its nodes, without the
+    x^power factors.
+    """
+    if coeff is not None:
+        w = w * _at(coeff, x)
+    return np.einsum("rq,riq,rjq,rji->ji", w, f, np.conj(g), mask)
 
 
 class _Rho:
@@ -157,14 +119,7 @@ class _Rho:
 
     def __init__(self, xc):
         self.xc = float(xc)
-        s = Polynomial([1.0, 0.0, -1.0 / self.xc ** 2])
-        self.poly = s ** 4
-        self.d1 = self.poly.deriv()
-        self.d2 = self.d1.deriv()
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        return np.where(x < self.xc, self.poly(x), 0.0)
+        self.poly = Polynomial([1.0, 0.0, -1.0 / self.xc ** 2]) ** 4
 
 
 def frobenius_minus_series(nu, a_value, terms=4):
@@ -379,8 +334,7 @@ class Space:
         target = self.x_max / 2.0 if seed_cutoff is None \
             else min(seed_cutoff, self.x_max / 2.0)
         cut_idx = int(np.searchsorted(self.edges, target, side="right") - 1)
-        self._cut_idx = max(cut_idx, 1)
-        self.rho = _Rho(self.edges[self._cut_idx])
+        self.rho = _Rho(self.edges[max(cut_idx, 1)])
 
         seed_poly = Polynomial(self.rho.poly.coef.astype(complex))
         if seed_series is not None:
@@ -388,8 +342,12 @@ class Space:
             even[::2] = np.asarray(seed_series, dtype=complex)
             seed_poly = seed_poly * Polynomial(even)
         self.seed_poly = seed_poly
-        self.seed_d1 = seed_poly.deriv()
-        self.seed_d2 = self.seed_d1.deriv()
+        # the seed's image factors r, r'/x and -r'' - (1-2nu) r'/x, formed in
+        # x (r is even, so r' = x (r'/x)): pushing the cancellation through
+        # t = x/h would lose the h^2 structure of r(h t) on a ~1e-9 cell
+        r1_x = Polynomial(seed_poly.deriv().coef[1:])
+        self._seed_factors = (seed_poly, r1_x, -seed_poly.deriv(2)
+                              - (1.0 - 2.0 * self.order.nu) * r1_x)
 
         p = self.degree
         self.n_cells = self.edges.size - 1
@@ -401,6 +359,16 @@ class Space:
         # function on the Lobatto nodes
         self._lagrange = np.linalg.inv(
             np.vander(lobatto_nodes(p), p + 1, increasing=True))
+        # the branch power of each local function's value, d_nu and
+        # |D_nu|^2 images: x^{1/2+nu} W_h gives nu+1/2, nu-1/2, nu-1/2 and
+        # the seed x^{1/2-nu} r gives 1/2-nu, 3/2-nu, 1/2-nu
+        nuval = self.order.nu
+        self._powers = {
+            key: np.array([lag] * (p + 1) + [seed] * seeds)
+            for key, lag, seed in (("v", nuval + 0.5, 0.5 - nuval),
+                                   ("d", nuval - 0.5, 1.5 - nuval),
+                                   ("c", nuval - 0.5, 0.5 - nuval))}
+        self._rules = {}
 
     # -- the DOF map ------------------------------------------------------------
 
@@ -470,111 +438,83 @@ class Space:
 
     # -- per-cell tables --------------------------------------------------------
 
-    def _seed_tagged(self):
-        """Seed value / d_nu / |D_nu|^2 pieces on the first cell.
+    def _images(self, x, a, h):
+        """Value, d_nu and |D_nu|^2 images of the local functions at x.
 
-        Derivative images are formed from rho's x-expansion directly
-        (d_nu (x^{1/2-nu} rho) = x^{1/2-nu} rho'), because pushing the
-        generic cancellation through the t-polynomial loses the h^2-scaled
-        structure of rho(h t) to rounding fuzz on a ~1e-9 cell.
+        x, of shape (..., nq), lies in the cells with left edges a and widths
+        h, of shape (..., 1).  Returns {"v"/"d"/"c": table}, each of shape
+        (..., p+1+s, nq): the image of local function i at x is
+        x^self._powers[key][i] * table[..., i, :].  The seed is last and zero
+        from its cutoff on.
         """
-        h = self.edges[1]
         nuval = self.order.nu
-        e = 0.5 - nuval
-        rho = self.seed_poly
-        d1_over_x = Polynomial(self.seed_d1.coef[1:])     # seed' = x * (this)
-        comp_x = -self.seed_d2 - (1.0 - 2.0 * nuval) * d1_over_x
-        val = [Tagged(h ** e, e, self._to_t(rho, h)).normalized()]
-        dnu = [Tagged(h ** (e + 1.0), e + 1.0,
-                      self._to_t(d1_over_x, h)).normalized()]
-        comp = [Tagged(h ** e, e, self._to_t(comp_x, h)).normalized()]
-        return {"v": val, "d": dnu, "c": comp}
-
-    @staticmethod
-    def _to_t(poly_x, h):
-        return Polynomial(poly_x.coef * h ** np.arange(poly_x.coef.size))
-
-    @cached_property
-    def _first_cell(self):
-        """Value / d_nu / |D_nu|^2 tagged pieces of the local functions on
-        cell 0: the Lagrange functions 0..p, then the seed."""
-        nuval = self.order.nu
-        h = self.edges[1]
-        out = []
-        for i in range(self.degree + 1):
-            vals = [Tagged(h ** (0.5 + nuval), 0.5 + nuval,
-                           Polynomial(self._lagrange[:, i])).normalized()]
-            dn = [t.d_nu(nuval, h) for t in vals]
-            out.append({"v": vals, "d": dn,
-                        "c": [t.d_nu_star(nuval, h) for t in dn]})
+        t = (x - a) / h
+        L = polyval(t, self._lagrange)
+        L1 = polyval(t, polyder(self._lagrange)) / h
+        L2 = polyval(t, polyder(self._lagrange, 2)) / h ** 2
+        # d_nu (x^{1/2+nu} L) = x^{nu-1/2} (x L' + 2 nu L)
+        # |D_nu|^2 (x^{1/2+nu} L) = x^{nu-1/2} (-x L'' - (1+2nu) L')
+        tables = [L, x * L1 + 2.0 * nuval * L,
+                  -x * L2 - (1.0 + 2.0 * nuval) * L1]
         if self.include_minus:
-            out.append(self._seed_tagged())
-        return out
+            live = x < self.rho.xc
+            tables = [np.concatenate([tab, np.where(live, r(x), 0.0)[None]])
+                      for tab, r in zip(tables, self._seed_factors)]
+        return {key: np.moveaxis(tab, 0, -2).astype(complex)
+                for key, tab in zip("vdc", tables)}
 
     @cached_property
     def _bulk(self):
         """(xq, wq, tables) on the cells k >= 1, vectorised over cells.
 
-        xq, wq have shape (K-1, nq); tables["v"/"d"/"c"] hold the values,
-        d_nu and |D_nu|^2 images of the local functions, shape
-        (K-1, p+1+s, nq), the seed last and zero from its cutoff on.
+        xq, wq are Gauss-Legendre points and weights of shape (K-1, nq);
+        tables["v"/"d"/"c"] hold the images of the local functions, x-powers
+        included, of shape (K-1, p+1+s, nq).
         """
-        nuval = self.order.nu
         a, b = self.edges[1:-1, None], self.edges[2:, None]
-        x, w = legendre_rule(self.degree + 8, -1.0, 1.0)
-        mid, half = (a + b) / 2.0, (b - a) / 2.0
-        xq, wq = mid + half * x, w * half
-        h = b - a
-        t = (xq - a) / h
-        P = polyval(t, self._lagrange)
-        P1 = polyval(t, polyder(self._lagrange)) / h
-        P2 = polyval(t, polyder(self._lagrange, 2)) / h ** 2
-        xe = xq ** (0.5 + nuval)
-        xem = xq ** (nuval - 0.5)
-        tables = {"v": xe * P,
-                  "d": xe * P1 + 2.0 * nuval * xem * P,
-                  "c": -xe * P2 - (1.0 + 2.0 * nuval) * xem * P1}
-        tables = {key: np.moveaxis(val, 0, 1).astype(complex)
-                  for key, val in tables.items()}
-        if self.include_minus:
-            live = np.arange(1, self.n_cells)[:, None] < self._cut_idx
-            r, r1, r2 = (self.seed_poly(xq), self.seed_d1(xq),
-                         self.seed_d2(xq))
-            xs = np.where(live, xq ** (0.5 - nuval), 0.0)
-            # d_nu (x^{1/2-nu} r) = x^{1/2-nu} r'
-            # |D_nu|^2 (x^{1/2-nu} r) = x^{1/2-nu}(-r'' - (1-2nu) r'/x)
-            seed = {"v": xs * r, "d": xs * r1,
-                    "c": xs * (-r2 - (1.0 - 2.0 * nuval) * r1 / xq)}
-            tables = {key: np.concatenate([val, seed[key][:, None]], axis=1)
-                      for key, val in tables.items()}
+        xq, wq = legendre_rule(self.degree + 8, a, b)
+        tables = {key: tab * xq[:, None, :] ** self._powers[key][:, None]
+                  for key, tab in self._images(xq, a, b - a).items()}
         return xq, wq, tables
+
+    def _first_rule(self, beta):
+        """(x, w, tables) of the 24-point Gauss-Jacobi rule for x^beta on
+        cell 0, the image tables evaluated once per Space."""
+        if beta not in self._rules:
+            h = self.edges[1]
+            x, w = jacobi_rule(beta, 24, 0.0, h)
+            self._rules[beta] = (x, w, self._images(x, 0.0, h))
+        return self._rules[beta]
+
+    def _first_cell(self, trial, test):
+        """first_cell_inner's (x, w, f, g, mask) for <trial image, test
+        image>: one rule per product power beta[j, i] of the entries."""
+        beta = np.add.outer(self._powers[test], self._powers[trial])
+        betas = np.unique(beta)
+        x, w, tabs = zip(*(self._first_rule(b) for b in betas))
+        return (np.array(x), np.array(w), np.array([t[trial] for t in tabs]),
+                np.array([t[test] for t in tabs]),
+                beta == betas[:, None, None])
 
     # -- assembly ---------------------------------------------------------------
 
-    def matrices(self, a_fun=None, b_fun=None, need_h2=False):
-        """S = <d_nu u, d_nu v>, M = <u, v>, optionally A = <a u, v>,
-        B = <-i b d_nu u, v>, C2 = <|D_nu|^2 u, |D_nu|^2 v>, P2 = <|D_nu|^2 u, v>,
-        each a BorderedBand."""
+    def matrices(self, a_fun=None, b_fun=None):
+        """S = <d_nu u, d_nu v>, M = <u, v>, optionally A = <a u, v> and
+        B = <-i b d_nu u, v>, each a BorderedBand."""
         # name: (trial image, test image, coefficient, factor)
         forms = {"S": ("d", "d", None, 1.0), "M": ("v", "v", None, 1.0)}
         if a_fun is not None:
             forms["A"] = ("v", "v", a_fun, 1.0)
         if b_fun is not None:
             forms["B"] = ("d", "v", b_fun, -1j)
-        if need_h2:
-            forms["C2"] = ("c", "c", None, 1.0)
-            forms["P2"] = ("c", "v", None, 1.0)
 
-        h = self.edges[1]
-        first = self._first_cell
+        n_loc = self._powers["v"].size
         xq, wq, tables = self._bulk
         mats = {}
         for name, (trial, test, coeff, factor) in forms.items():
-            loc = np.empty((self.n_cells, len(first), len(first)),
-                           dtype=complex)
-            loc[0] = [[factor * first_cell_inner(fi[trial], fj[test], h,
-                                                 coeff=coeff)
-                       for fi in first] for fj in first]
+            loc = np.empty((self.n_cells, n_loc, n_loc), dtype=complex)
+            loc[0] = factor * first_cell_inner(*self._first_cell(trial, test),
+                                               coeff=coeff)
             wk = wq if coeff is None else wq * _at(coeff, xq)
             loc[1:] = factor * np.einsum("kq,kiq,kjq->kji", wk,
                                          tables[trial], np.conj(tables[test]))
@@ -583,19 +523,13 @@ class Space:
 
     def load_vector(self, f, singular_exponent=0.0):
         """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0."""
-        h = self.edges[1]
-        first = self._first_cell
-        loc = np.zeros((self.n_cells, len(first)), dtype=complex)
-        for i, fi in enumerate(first):
-            for term in fi["v"]:
-                sigma = term.e + singular_exponent
-                t, w = jacobi_rule(sigma, 24, 0.0, 1.0)
-                x = h * t
-                smooth_f = np.asarray(f(x), dtype=complex) \
-                    / x ** singular_exponent
-                loc[0, i] += np.conj(term.coef) \
-                    * h ** (1.0 + singular_exponent) \
-                    * np.sum(w * smooth_f * np.conj(term.poly(t)))
+        power = self._powers["v"]
+        loc = np.zeros((self.n_cells, power.size), dtype=complex)
+        for e in np.unique(power):
+            x, w, images = self._first_rule(e + singular_exponent)
+            smooth_f = _at(f, x) / x ** singular_exponent
+            own = power == e
+            loc[0, own] = np.conj(images["v"][own]) @ (w * smooth_f)
         xq, wq, tables = self._bulk
         loc[1:] = np.einsum("kq,kiq->ki", wq * _at(f, xq),
                             np.conj(tables["v"]))
@@ -631,16 +565,29 @@ class Space:
             r = r - _at(f, x)
         return float(np.sqrt(np.sum(wq[lo - 1:].reshape(-1) * np.abs(r) ** 2)))
 
-    def norms(self, coeffs, mats, q2=0.0):
-        """(H0^2, H1^2, H2^2) of a coefficient vector for tangential mode q."""
-        c = np.asarray(coeffs, dtype=complex)
-        h0sq = float(np.real(np.vdot(c, mats["M"] @ c)))
-        h1sq = float(np.real(np.vdot(c, mats["S"] @ c))) + (1.0 + q2) * h0sq
-        h2sq = None
-        if "C2" in mats:
-            h2sq = float(np.real(np.vdot(c, mats["C2"] @ c))) \
-                + (1.0 + q2) * h1sq
-        return h0sq, h1sq, h2sq
+    def norms(self, coeffs, q2=0.0):
+        """(H0^2, H1^2, H2^2) of a coefficient vector for tangential mode q.
+
+        As in strong_residual, u, d_nu u and |D_nu|^2 u are summed at the
+        quadrature points before they are squared, so the large first-cell
+        tables (~h0^{nu-3/2}) cancel in the image, not in a quadratic form.
+        On cell 0 the Lagrange and seed parts of each image are paired at
+        the rule of their product power.
+        """
+        local = self._local_coeffs(coeffs)
+        heads = [0, self.degree + 1][:1 + int(self.include_minus)]
+        xq, wq, tables = self._bulk
+        sq = []
+        for key in ("v", "d", "c"):
+            x, w, f, _, mask = self._first_cell(key, key)
+            parts = np.add.reduceat(local[0, :, None] * f, heads, axis=1)
+            first = first_cell_inner(x, w, parts, parts,
+                                     mask[:, heads][:, :, heads])
+            image = np.einsum("ki,kiq->kq", local[1:], tables[key])
+            sq.append(float(np.real(first.sum()))
+                      + float(np.sum(wq * np.abs(image) ** 2)))
+        h1sq = sq[1] + (1.0 + q2) * sq[0]
+        return sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq
 
     def gamma_minus_vector(self):
         v = np.zeros(self.n, dtype=complex)
@@ -804,6 +751,20 @@ def spectral_norm(A):
     return float(np.sqrt(max(theta, 0.0)))
 
 
+def modulus_order(lam):
+    """Indices that sort ``lam`` by modulus, in a canonical order within ties.
+
+    Moduli that agree within 1e-12 |lambda| (a +- pair, which rounding alone
+    would order) are sorted by real part ascending, so -n pi precedes n pi.
+    """
+    mod = np.abs(lam)
+    idx = np.argsort(mod, kind="stable")
+    m = mod[idx]
+    tie = np.isfinite(m[1:]) & (m[1:] <= m[:-1] * (1.0 + 1e-12))
+    group = np.cumsum(np.concatenate(([True], ~tie)))
+    return idx[np.lexsort((np.real(lam)[idx], group))]
+
+
 def mass_deflated_eig(K, M, count):
     """The ``count`` eigenvalues of K u = lambda M u nearest 0, by modulus.
 
@@ -880,7 +841,7 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
     finite = mu != 0
     lam = shift + 1.0 / mu[finite]
     vecs = V[:n, finite] * d[:, None]
-    idx = np.argsort(np.abs(lam), kind="stable")
+    idx = modulus_order(lam)
     return lam[idx], vecs[:, idx], n
 
 

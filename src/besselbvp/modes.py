@@ -25,7 +25,8 @@ from .config import DEFAULTS
 from .core import GridFunction, RadialGrid, Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
-from .fem import Space, mass_deflated_eig, pencil_eig, spectral_norm
+from .fem import (Space, mass_deflated_eig, modulus_order, pencil_eig,
+                  spectral_norm)
 from .special import bessel_zeros
 
 __all__ = [
@@ -260,7 +261,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
             resid.append(rel)
     lam, cvecs = lam[keep], cvecs[:, keep]
     resid = np.array(resid)
-    idx = np.argsort(np.abs(lam), kind="stable")
+    idx = modulus_order(lam)
     lam, cvecs, resid = lam[idx], cvecs[:, idx], resid[idx]
     if max_modes is not None:
         lam, cvecs, resid = (lam[:max_modes], cvecs[:, :max_modes],

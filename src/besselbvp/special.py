@@ -27,10 +27,8 @@ __all__ = [
     "eval_K",
     "eval_I",
     "eval_J",
-    "eval_J_deriv",
     "bessel_zeros",
     "sqrtx_K",
-    "sqrtx_I",
 ]
 
 
@@ -121,11 +119,6 @@ def eval_J(nu, x):
     return val if np.ndim(x) else float(val)
 
 
-def eval_J_deriv(nu, x):
-    nu = _check_order(nu)
-    return _sp.jvp(nu, np.asarray(x, dtype=float))
-
-
 def _zero_brackets(nu, count):
     """Intervals (a, b, sign J_nu(a)) holding the first ``count`` zeros.
 
@@ -191,8 +184,3 @@ def sqrtx_K(nu, tau, x):
     x = np.asarray(x, dtype=float)
     return np.sqrt(x) * _guard(_sp.kv(nu, tau * x), "K", nu, "tau*x")
 
-
-def sqrtx_I(nu, tau, x):
-    """sqrt(x) I_nu(tau x); the growing branch, O(x^{1/2+nu}) at the origin."""
-    x = np.asarray(x, dtype=float)
-    return np.sqrt(x) * _guard(_sp.iv(nu, tau * x), "I", nu, "tau*x")

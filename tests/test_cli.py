@@ -81,6 +81,10 @@ def test_kg_fixture(tmp_path):
     assert body["elliptic"] and body["parameter_elliptic"]
     lams = sorted(abs(m["re"]) for m in body["normal_modes"])
     assert abs(lams[0] - math.pi) < 1e-6
+    # +- n pi in the canonical order: -n pi first within each pair
+    got = [mode["re"] for mode in body["normal_modes"]]
+    want = math.pi * np.array([-1, 1, -2, 2, -3, 3, -4, 4])
+    assert np.allclose(got, want, rtol=1e-9)
 
 
 def test_expand_roundtrip(tmp_path):

@@ -7,6 +7,7 @@ import sympy as sp
 from numpy.polynomial import Polynomial
 
 from besselbvp.core import (
+    BranchFunction,
     DensityHint,
     GridFunction,
     Order,
@@ -20,10 +21,12 @@ from besselbvp.core import (
     gridfunction_to_csv,
     hardy_check,
     bessel_schroedinger_apply,
+    branch_inner,
     traces,
     twisted_norm,
 )
 from besselbvp.errors import DomainError, GridTooCoarse, TraceFitError
+from besselbvp.fem import lobatto_nodes
 from besselbvp.solve import BesselOperator
 
 from oracles import quad_0_1
@@ -340,3 +343,20 @@ def test_csv_round_trip():
 def test_csv_header_mandatory():
     with pytest.raises(DomainError):
         gridfunction_from_csv(io.StringIO("0.5,1.0,0.0\n"))
+
+
+def test_branch_inner_multiplies_the_factors_at_the_nodes():
+    # <t^0.8 P0, t^0.8 P0> on (0, 1), P0 the degree-5 Lobatto Lagrange
+    # function of node 0 (nu = 0.3), against exact moments of the same
+    # floating-point polynomial; forming P0^2 in the monomial basis first
+    # cancels to ~4e-10 relative
+    mpmath = pytest.importorskip("mpmath")
+    nodes = lobatto_nodes(5)
+    p0 = Polynomial.fromroots(nodes[1:]) / np.prod(nodes[0] - nodes[1:])
+    f = BranchFunction([(0.8, p0)])
+    with mpmath.workdps(40):
+        c = [mpmath.mpf(float(v)) for v in p0.coef]
+        e = 2 * mpmath.mpf(0.8) + 1
+        exact = float(sum(c[i] * c[j] / (e + i + j)
+                          for i in range(6) for j in range(6)))
+    assert abs(branch_inner(f, f, 1.0) - exact) <= 1e-11 * exact

@@ -1,13 +1,18 @@
-"""The banded Galerkin core: band-plus-border storage and the bordered solve."""
+"""The banded Galerkin core: cell tables, band-plus-border storage, the
+bordered solve and the canonical order of pencil eigenvalues."""
 
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
 
-from besselbvp.core import Order
+from besselbvp.core import BranchFunction, Order, branch_inner
 from besselbvp.errors import SingularSystem
-from besselbvp.fem import BorderedBand, Space, galerkin_solve
+from besselbvp.fem import (BorderedBand, Space, galerkin_solve,
+                           lobatto_nodes, modulus_order)
+from besselbvp.solve import BesselOperator, BVProblem, solve_1d
+from besselbvp.symbols import BoundaryOperator
 
 
 def scaled_dense(A):
@@ -108,3 +113,84 @@ def test_operator_storage_is_linear_in_dofs():
         mats = space.matrices(a_fun=lambda x: np.ones_like(x))
         stored[n] = (mats["S"] + mats["A"]).nbytes
     assert stored[2048] < 10 * stored[256]
+
+
+def lagrange(p, i):
+    """The i-th Lagrange polynomial on the degree-p Lobatto nodes of [0, 1]."""
+    nodes = lobatto_nodes(p)
+    others = np.delete(nodes, i)
+    return Polynomial.fromroots(others) / np.prod(nodes[i] - others)
+
+
+@pytest.mark.parametrize("nu, seeded", [
+    (nu, seeded) for nu in (0.05, 0.3, 0.5, 0.75, 0.99, 1.5, 3.0)
+    for seeded in ((True, False) if nu < 1 else (False,))])
+def test_first_cell_entries_match_branch_calculus(nu, seeded):
+    """Cell-0 entries of S, M, A (constant a) and B (polynomial b).
+
+    In t = x/h a Lagrange function on cell 0 is h^{nu+1/2} F_i(t) with
+    F_i = t^{nu+1/2} L_i(t), and d_nu scales like 1/h, so
+    M = h^{2nu+2} <F_i, F_j>, S = h^{2nu} <d_nu F_i, d_nu F_j> and
+    B = -i h^{2nu+1} <b(h t) d_nu F_i, F_j>.  Only the functions that live
+    on cell 0 alone are compared (the edge function and the seed span more
+    cells).
+    """
+    space = Space(Order(nu), 1.0, n_cells=12, include_minus=seeded)
+    a, b = 1.7, Polynomial([0.0, 1.0, -1.0])           # b(x) = x (1 - x)
+    mats = space.matrices(a_fun=lambda x: np.full(np.shape(x), a), b_fun=b)
+    h, p, s = space.edges[1], space.degree, int(seeded)
+    F = [BranchFunction([(nu + 0.5, lagrange(p, i))]) for i in range(p)]
+    dF = [f.d_nu(nu) for f in F]
+    bt = Polynomial(b.coef * h ** np.arange(b.coef.size))     # b(h t)
+    want = {
+        "M": h ** (2 * nu + 2) * np.array(
+            [[branch_inner(fi, fj, 1.0) for fi in F] for fj in F]),
+        "S": h ** (2 * nu) * np.array(
+            [[branch_inner(di, dj, 1.0) for di in dF] for dj in dF]),
+        "B": -1j * h ** (2 * nu + 1) * np.array(
+            [[branch_inner(di.times_poly(bt), fj, 1.0) for di in dF]
+             for fj in F]),
+    }
+    want["A"] = a * want["M"]
+    got = {k: m.toarray()[s:s + p, s:s + p] for k, m in mats.items()}
+    dM, dS = (np.sqrt(np.abs(np.diag(got[k]))) for k in ("M", "S"))
+    # B's scale is its Cauchy-Schwarz bound max|b| sqrt(M_jj S_ii), with
+    # max|b| = h on cell 0
+    scale = {"M": np.outer(dM, dM), "A": a * np.outer(dM, dM),
+             "S": np.outer(dS, dS), "B": h * np.outer(dM, dS)}
+    for k in ("S", "M", "A", "B"):
+        assert np.max(np.abs(got[k] - want[k]) / scale[k]) <= 1e-11, k
+
+
+def test_resolvent_h2_term_converges_with_the_mesh():
+    # (|D_nu|^2 + 16) u = f with a Dirichlet row: the resolvent of the
+    # Laplace pencil at |lambda| = 4 on the elliptic-cone bisector
+    nu = 0.3
+    rng = np.random.default_rng(0)
+    c = rng.standard_normal(6) + 1j * rng.standard_normal(6)
+
+    def f(x):
+        k = np.arange(1, 7)
+        return np.sin(np.pi * np.multiply.outer(x, k)) @ c
+
+    prob = BVProblem(op=BesselOperator(Order(nu), a_coeff=16.0),
+                     bc0=BoundaryOperator.dirichlet(nu), rhs=f)
+    terms = []
+    for n in (256, 512, 1024):
+        sol = solve_1d(prob, n_nodes=n)
+        h0, h1, h2 = sol.space.norms(sol.coeffs)
+        terms.append(h2 - h1)              # ||(|D_nu|^2) u||^2
+    terms = np.array(terms)
+    assert np.ptp(terms) <= 1e-5 * terms[-1]
+
+
+def test_modulus_ties_break_by_real_part():
+    up = np.nextafter(np.pi, 4.0)             # one ulp above pi
+    for lam in (np.array([up, -np.pi, 1.0]), np.array([-up, np.pi, 1.0])):
+        ordered = lam[modulus_order(lam)]
+        assert ordered[0] == 1.0
+        assert ordered[1] < 0 < ordered[2]
+    # distinct moduli keep their order; infinities never join a tie
+    lam = np.array([np.inf, 2.0, -1.0 - 1e-9, 1.0])
+    assert list(lam[modulus_order(lam)]) == [1.0, -1.0 - 1e-9, 2.0, np.inf]
+
