@@ -542,15 +542,17 @@ def operator_residual(u, nu, a_value, window=(0.05, 0.95), settings=DEFAULTS):
     """
     order = as_order(nu)
     x = u.grid.nodes
+    lo, hi = window[0] * u.grid.x_max, window[1] * u.grid.x_max
+    mask = (x >= lo) & (x <= hi)
+    if not np.any(mask):
+        raise DomainError(f"residual window {tuple(window)} holds no grid node")
     d2 = grid_derivative(u.grid, u.values, deriv=2, settings=settings,
                          check=False)
     centrifugal = (order.nu ** 2 - 0.25) * u.values / x ** 2
     zeroth = complex(a_value) * u.values
     res = -d2 + centrifugal + zeroth
-    lo, hi = window[0] * u.grid.x_max, window[1] * u.grid.x_max
-    mask = (x >= lo) & (x <= hi)
     scale = np.max(np.abs(d2[mask]) + np.abs(centrifugal[mask])
-                   + np.abs(zeroth[mask])) if np.any(mask) else 1.0
+                   + np.abs(zeroth[mask]))
     return float(np.max(np.abs(res[mask])) / max(scale, 1e-300))
 
 

@@ -174,3 +174,59 @@ def dense_companion_eigvals(A0, A1, A2):
                      np.block([[A2, Z], [Z, Iden]]))
     lam = lam[np.isfinite(lam)]
     return lam[np.argsort(np.abs(lam))]
+
+
+def fornberg_weights(z, x, m):
+    """Finite-difference weights for derivatives 0..m at one point z.
+
+    The scalar Fornberg recurrence (Math. Comp. 51 (1988) 699-706), one node
+    at a time; returns shape (len(x), m + 1).
+    """
+    n = len(x)
+    c = np.zeros((n, m + 1))
+    c1, c4 = 1.0, x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2, c5, c4 = 1.0, c4, x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def stencil_derivative(x, values, deriv, width):
+    """Sliding-stencil derivative, one node and one np.dot at a time.
+
+    Node i uses the ``width`` consecutive nodes centred on it, shifted
+    inwards at the ends of the grid.
+    """
+    n = len(x)
+    out = np.empty(n, dtype=complex)
+    half = width // 2
+    for i in range(n):
+        lo = min(max(0, i - half), n - width)
+        sl = slice(lo, lo + width)
+        wts = fornberg_weights(x[i], x[sl], deriv)[:, deriv]
+        out[i] = np.dot(wts, values[sl])
+    return out
+
+
+def stencil_error_estimate(x, values, deriv, width):
+    """Relative change of the stencil derivative from ``width`` to
+    ``width - 2`` over the interior nodes; None when too narrow to compare."""
+    if width - 2 < deriv + 2:
+        return None
+    fine = stencil_derivative(x, values, deriv, width)
+    rough = stencil_derivative(x, values, deriv, width - 2)
+    inner = slice(width, max(len(x) - width, width + 1))
+    scale = np.max(np.abs(fine[inner])) or 1.0
+    return np.max(np.abs(fine[inner] - rough[inner])) / scale

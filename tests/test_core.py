@@ -22,14 +22,22 @@ from besselbvp.core import (
     hardy_check,
     bessel_schroedinger_apply,
     branch_inner,
+    grid_derivative,
     traces,
     twisted_norm,
+    _fornberg,
 )
+from besselbvp.config import DEFAULTS
 from besselbvp.errors import DomainError, GridTooCoarse, TraceFitError
 from besselbvp.fem import lobatto_nodes
 from besselbvp.solve import BesselOperator
 
-from oracles import quad_0_1
+from oracles import (
+    fornberg_weights,
+    quad_0_1,
+    stencil_derivative,
+    stencil_error_estimate,
+)
 
 
 def grid(n=256, xmax=1.0):
@@ -152,6 +160,71 @@ def test_grid_too_coarse_diagnostic():
     u = GridFunction.from_callable(g, lambda x: np.sin(40 * x))
     with pytest.raises(GridTooCoarse):
         d_nu(u, nu)
+
+
+# --------------------------------------------------------------------------
+# stencil derivatives against the per-node oracle
+# --------------------------------------------------------------------------
+
+STENCIL_GRIDS = {
+    "uniform": lambda: RadialGrid.uniform(1.0, 256),
+    "graded": lambda: RadialGrid.build(1.0, 256),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STENCIL_GRIDS))
+@pytest.mark.parametrize("width", [5, 7, 9])
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_stencil_weights_bitwise_equal_scalar_fornberg(kind, width, deriv):
+    x = STENCIL_GRIDS[kind]().nodes
+    lo = np.clip(np.arange(x.size) - width // 2, 0, x.size - width)
+    idx = lo[:, None] + np.arange(width)
+    got = _fornberg(x, x[idx], deriv)
+    want = np.stack([fornberg_weights(x[i], x[idx[i]], deriv)
+                     for i in range(x.size)])
+    assert got.shape == (x.size, width, deriv + 1)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(STENCIL_GRIDS))
+@pytest.mark.parametrize("width", [5, 7, 9])
+@pytest.mark.parametrize("deriv", [1, 2])
+@pytest.mark.parametrize("check", [True, False])
+def test_grid_derivative_bitwise_equal_per_node_oracle(kind, width, deriv,
+                                                       check):
+    g = STENCIL_GRIDS[kind]()
+    x = g.nodes
+    samples = [np.sin(3 * x) + 1j * x ** 0.3 * np.cos(x), np.exp(x)]
+    for values in samples:
+        want = stencil_derivative(x, values, deriv, width)
+        estimate = stencil_error_estimate(x, values, deriv, width)
+        too_coarse = (check and estimate is not None
+                      and estimate > DEFAULTS.derivative_check_tol)
+        if too_coarse:
+            with pytest.raises(GridTooCoarse):
+                grid_derivative(g, values, deriv=deriv, width=width,
+                                check=check)
+            continue
+        got = grid_derivative(g, values, deriv=deriv, width=width,
+                              check=check)
+        assert got.dtype == complex
+        assert np.array_equal(got, want)
+
+
+def _nine_node_grid():
+    nodes = (np.arange(9) + 0.5) / 9.0
+    return RadialGrid(nodes, np.full(9, 1.0 / 9.0), 1.0)
+
+
+@pytest.mark.parametrize("deriv", [1, 2])
+def test_grid_derivative_width_equal_to_grid_raises_typed(deriv):
+    # default width 9 on 9 nodes leaves the error estimate no interior node
+    g = _nine_node_grid()
+    values = np.exp(g.nodes) + 0j
+    with pytest.raises(GridTooCoarse):
+        grid_derivative(g, values, deriv=deriv)
+    got = grid_derivative(g, values, deriv=deriv, check=False)
+    assert np.array_equal(got, stencil_derivative(g.nodes, values, deriv, 9))
 
 
 # --------------------------------------------------------------------------

@@ -414,6 +414,13 @@ def test_poisson_lift_residuals_and_interpolation():
     assert abs(tr.gamma_minus - 1.0) < 1e-9
 
 
+def test_operator_residual_empty_window_raises_domain_error():
+    grid = RadialGrid.uniform(1.0, 64)
+    gf = poisson_lift(0.3, "at_zero", {0: 1.0}, grid=grid)[0]
+    with pytest.raises(DomainError):
+        operator_residual(gf, 0.3, 1.0, window=(0.5, 0.5001))
+
+
 def test_poisson_lift_at_one():
     nu = 0.5
     grid = RadialGrid.uniform(1.0, 1024)
