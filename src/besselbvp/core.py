@@ -111,15 +111,15 @@ class RadialGrid:
         nodes = np.asarray(self.nodes, dtype=float)
         weights = np.asarray(self.weights, dtype=float)
         if nodes.ndim != 1 or nodes.shape != weights.shape:
-            raise ValueError("nodes/weights must be matching 1-d arrays")
+            raise DomainError("nodes/weights must be matching 1-d arrays")
         if np.any(nodes <= 0) or np.any(nodes > self.x_max * (1 + 1e-12)):
-            raise ValueError("nodes must lie in (0, x_max]")
+            raise DomainError("nodes must lie in (0, x_max]")
         if np.any(np.diff(nodes) <= 0):
-            raise ValueError("nodes must be strictly increasing")
+            raise DomainError("nodes must be strictly increasing")
         if np.any(weights <= 0):
-            raise ValueError("weights must be positive")
+            raise DomainError("weights must be positive")
         if abs(weights.sum() - self.x_max) > 1e-10 * max(1.0, self.x_max):
-            raise ValueError("weights must integrate 1 to x_max")
+            raise DomainError("weights must integrate 1 to x_max")
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "weights", weights)
 
@@ -227,9 +227,6 @@ class BranchFunction:
             out.append((e - 1.0, e * p + Polynomial([0, 1]) * p.deriv()))
         return BranchFunction(out)
 
-    def times_x_power(self, r):
-        return BranchFunction([(e + r, p) for e, p in self.terms])
-
     def times_poly(self, q):
         q = q if isinstance(q, Polynomial) else Polynomial(np.atleast_1d(q))
         return BranchFunction([(e, p * q) for e, p in self.terms])
@@ -250,9 +247,6 @@ class BranchFunction:
             coef = p.coef * tau ** np.arange(p.coef.size)
             out.append((e, Polynomial(coef) * tau ** e))
         return BranchFunction(out)
-
-    def min_exponent(self):
-        return min((e for e, _ in self.terms), default=0.0)
 
 
 def branch_inner(f, g, x_max):
@@ -299,7 +293,7 @@ class GridFunction:
         self.grid = grid
         self.values = np.asarray(values, dtype=complex)
         if self.values.shape != grid.nodes.shape:
-            raise ValueError("values must match grid nodes")
+            raise DomainError("values must match grid nodes")
         self.fourier_index = (None if fourier_index is None
                               else np.atleast_1d(np.asarray(fourier_index, dtype=int)))
         self.pair = pair          # BranchFunction or None
@@ -308,7 +302,7 @@ class GridFunction:
             recon = pair(grid.nodes)
             scale = max(np.max(np.abs(self.values)), 1.0)
             if np.max(np.abs(recon - self.values)) > 1e-10 * scale:
-                raise ValueError("pair factors do not reproduce stored values")
+                raise DomainError("pair factors do not reproduce stored values")
 
     # -- constructors ------------------------------------------------------
 

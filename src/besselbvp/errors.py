@@ -9,8 +9,11 @@ class BesselBVPError(Exception):
     """Base class for all package errors."""
 
 
-class DomainError(BesselBVPError):
-    """Argument outside the mathematical domain of the operation."""
+class DomainError(BesselBVPError, ValueError):
+    """Argument outside the mathematical domain of the operation.
+
+    Also a ValueError, so callers that catch the built-in keep working.
+    """
 
 
 class OverflowSignalled(BesselBVPError):

@@ -32,7 +32,8 @@ half-width p (the degree) plus, with the seed, one border row and column
 (BorderedBand); solves cost O(n) through a banded LU and one Schur step.
 Count-limited eigensolves (mass_deflated_eig, pencil_eig with a count) run
 ARPACK shift-invert Lanczos/Arnoldi through the same factor, O(n) per
-Krylov step; dense companion QZ is kept for full-spectrum requests.
+Krylov step.  Full pencil spectra are dense: one n x n problem in
+mu = lam^2 when A1 = 0, companion QZ (real QZ for real operators) otherwise.
 """
 
 from __future__ import annotations
@@ -189,7 +190,7 @@ class BorderedBand:
 
     def __add__(self, other):
         if self.seeded != other.seeded:
-            raise ValueError("operators on different spaces")
+            raise DomainError("operators on different spaces")
         if not self.seeded:
             return BorderedBand(self.band + other.band)
         return BorderedBand(self.band + other.band, self.row + other.row,
@@ -373,15 +374,18 @@ class Space:
     # -- the DOF map ------------------------------------------------------------
 
     def _local_coeffs(self, coeffs):
-        """(K, p+1+s) coefficients of each cell's local functions (seed last)."""
+        """(K, p+1+s) coefficients of each cell's local functions (seed
+        last); an (n, k) coefficient matrix gives (K, k, p+1+s)."""
         c = np.asarray(coeffs, dtype=complex)
         p, K = self.degree, self.n_cells
         s = int(self.include_minus)
-        w = np.zeros(K * p + 1, dtype=complex)
+        w = np.zeros((K * p + 1,) + c.shape[1:], dtype=complex)
         w[:self.n - s] = c[s:]
-        local = w[p * np.arange(K)[:, None] + np.arange(p + 1)]
+        local = np.ascontiguousarray(np.moveaxis(
+            w[p * np.arange(K)[:, None] + np.arange(p + 1)], 1, -1))
         if s:
-            local = np.concatenate([local, np.full((K, 1), c[0])], axis=1)
+            seed = np.broadcast_to(c[0][..., None], local.shape[:-1] + (1,))
+            local = np.concatenate([local, seed], axis=-1)
         return local
 
     def _scatter(self, loc):
@@ -420,20 +424,31 @@ class Space:
     # -- pointwise evaluation -------------------------------------------------
 
     def eval_coeffs(self, coeffs, x):
-        """Evaluate sum_i c_i phi_i at arbitrary points in (0, X]."""
+        """Evaluate sum_i c_i phi_i at arbitrary points in (0, X].
+
+        ``coeffs`` of shape (n, k) evaluates k coefficient vectors at once
+        (shape x.shape + (k,)); the cell search and the Lagrange table are
+        shared, and each column equals its own one-vector evaluation.
+        """
         x = np.asarray(x, dtype=float)
+        c = np.asarray(coeffs)
+        batch = c.ndim - 1
         nuval = self.order.nu
         edges = self.edges
         cell = np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
                        self.n_cells - 1)
         t = (x - edges[cell]) / (edges[cell + 1] - edges[cell])
-        local = self._local_coeffs(coeffs)
+        local = self._local_coeffs(c)
         lag = np.moveaxis(polyval(t, self._lagrange), 0, -1)
-        out = x ** (0.5 + nuval) \
-            * np.sum(local[cell, :self.degree + 1] * lag, axis=-1)
-        if self.include_minus and coeffs[0] != 0:
-            out = out + coeffs[0] * x ** (0.5 - nuval) \
-                * np.where(x < self.rho.xc, self.seed_poly(x), 0.0)
+        if batch:
+            lag = lag[..., None, :]
+        xb = x[..., None] if batch else x
+        out = xb ** (0.5 + nuval) \
+            * np.sum(local[cell, ..., :self.degree + 1] * lag, axis=-1)
+        if self.include_minus and np.any(c[0] != 0):
+            seed = c[0] * xb ** (0.5 - nuval) \
+                * np.where(xb < self.rho.xc, self.seed_poly(xb), 0.0)
+            out = np.where(c[0] != 0, out + seed, out)
         return out
 
     # -- per-cell tables --------------------------------------------------------
@@ -754,15 +769,27 @@ def spectral_norm(A):
 def modulus_order(lam):
     """Indices that sort ``lam`` by modulus, in a canonical order within ties.
 
-    Moduli that agree within 1e-12 |lambda| (a +- pair, which rounding alone
-    would order) are sorted by real part ascending, so -n pi precedes n pi.
+    Moduli that agree within 1e-12 |lambda| form a tie (a +- or conjugate
+    pair, which rounding alone would order).  Inside a tie, real parts that
+    agree within the same 1e-12 |lambda| count as equal (the noise of an
+    imaginary-axis pair, or the two real parts of a conjugate pair from real
+    QZ); ties sort by real part, then imaginary part, ascending.  So -n pi
+    precedes n pi, -i j precedes i j and a - ib precedes a + ib, whichever
+    eigensolver produced them.
     """
     mod = np.abs(lam)
     idx = np.argsort(mod, kind="stable")
     m = mod[idx]
     tie = np.isfinite(m[1:]) & (m[1:] <= m[:-1] * (1.0 + 1e-12))
     group = np.cumsum(np.concatenate(([True], ~tie)))
-    return idx[np.lexsort((np.real(lam)[idx], group))]
+    re = np.real(lam)[idx]
+    by_re = np.lexsort((re, group))
+    with np.errstate(invalid="ignore"):
+        apart = np.diff(re[by_re]) > 1e-12 * m[by_re][1:]
+    cluster = np.cumsum(np.concatenate(
+        ([True], apart | (np.diff(group[by_re]) != 0))))
+    by_re = idx[by_re]
+    return by_re[np.lexsort((np.imag(lam)[by_re], cluster))]
 
 
 def mass_deflated_eig(K, M, count):
@@ -796,7 +823,8 @@ def mass_deflated_eig(K, M, count):
 def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
     """Eigenpairs of the pencil A0 + lam A1 + lam^2 A2 of BorderedBands.
 
-    Returns (eigenvalues, coefficient eigenvectors, effective dimension m).
+    Returns (eigenvalues, coefficient eigenvectors, effective dimension m),
+    the eigenvalues by modulus in the canonical order of modulus_order.
 
     With ``count``, the ``count + 2`` eigenvalues of least modulus (two
     spare, so a +- pair is never cut before the caller's sort): ARPACK
@@ -806,12 +834,29 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
     once about a small shift sigma (nearest eigenvalues to sigma).  Here m =
     n, and at most 2n - 2 eigenvalues are returned.
 
-    Without ``count``, every eigenvalue: dense companion QZ in deflated
-    scaled coordinates, nonfinite eigenvalues at infinity kept; a regular
-    reduced pencil contributes 2 m eigenvalues with multiplicity.
+    Without ``count``, every eigenvalue, nonfinite ones at infinity kept; a
+    regular pencil contributes 2 m eigenvalues with multiplicity.  The
+    dense solver follows the structure of the operators:
+
+    * A1 = 0 (no nonzero entry): the pencil is linear in mu = lam^2, and one
+      m x m problem A0 v = -mu A2 v replaces the companion (Tisseur &
+      Meerbergen, SIAM Rev. 43 (2001), sec. 3).  Hermitian A0 and A2 with
+      A0 definite go to eigh, m = n; otherwise eig in the deflated
+      coordinates of the companion path.  lam = +-sqrt(mu) share one
+      eigenvector, so each pair's Cauchy data (v, +-lam v) is exact.
+    * otherwise: companion QZ in deflated scaled coordinates, m the
+      deflated rank; real QZ when every operator is real.
     """
     if count is None:
-        return _companion_qz(A0.toarray(), A1.toarray(), A2.toarray(), cutoff)
+        dense = [A.toarray() for A in (A0, A1, A2)]
+        if _is_real(A0, A1, A2):
+            dense = [D.real for D in dense]
+        if np.any(dense[1]):
+            lam, vecs, m = _companion_qz(*dense, cutoff)
+        else:
+            lam, vecs, m = _even_eig(dense[0], dense[2], cutoff)
+        idx = modulus_order(lam)
+        return lam[idx], vecs[:, idx], m
     # imported here: scipy.sparse.linalg adds ~40 ms to the package import
     from scipy.sparse.linalg import LinearOperator, eigs
 
@@ -853,17 +898,52 @@ def _deflation(K, cutoff=RANK_CUTOFF):
     return U[:, keep], Dinv, Ks
 
 
+def _project(T, Dinv, A):
+    """T^H (D A D) T: A in the deflated scaled coordinates."""
+    return T.conj().T @ ((A * Dinv[None, :]) * Dinv[:, None]) @ T
+
+
+def _hermitian_part(A):
+    """(A + A^H) / 2 when A is Hermitian to rounding (1e-13 of its largest
+    entry), else None."""
+    H = 0.5 * (A + A.conj().T)
+    return H if np.max(np.abs(A - H)) <= 1e-13 * np.max(np.abs(A)) else None
+
+
+def _even_eig(A0, A2, cutoff):
+    """Every eigenpair of A0 + lam^2 A2 through mu = lam^2 (pencil_eig)."""
+    A0s, Dinv = _diag_scale(A0)
+    H0 = _hermitian_part(A0s)
+    H2 = _hermitian_part((A2 * Dinv[None, :]) * Dinv[:, None])
+    mu = None
+    if H0 is not None and H2 is not None:
+        try:
+            theta, V = la.eigh(H2, H0)        # A2 v = theta A0 v
+        except la.LinAlgError:                # A0 not definite
+            pass
+        else:
+            with np.errstate(divide="ignore"):
+                mu = -1.0 / theta
+            m = theta.size
+    if mu is None:
+        T, Dinv, A0s = _deflation(A0, cutoff)
+        mu, W = la.eig(T.conj().T @ A0s @ T, -_project(T, Dinv, A2))
+        keep = ~np.isnan(mu)
+        mu, V, m = mu[keep], T @ W[:, keep], T.shape[1]
+    lam = np.sqrt(np.asarray(mu, dtype=complex))
+    vecs = V * Dinv[:, None]
+    return (np.concatenate([lam, -lam]), np.concatenate([vecs, vecs], axis=1),
+            m)
+
+
 def _companion_qz(A0, A1, A2, cutoff):
     """Dense companion QZ of pencil_eig in deflated scaled coordinates."""
     T, Dinv, A0s = _deflation(A0, cutoff)
-    A1s = (A1 * Dinv[None, :]) * Dinv[:, None]
-    A2s = (A2 * Dinv[None, :]) * Dinv[:, None]
     A0p = T.conj().T @ A0s @ T
-    A1p = T.conj().T @ A1s @ T
-    A2p = T.conj().T @ A2s @ T
+    A1p, A2p = _project(T, Dinv, A1), _project(T, Dinv, A2)
     m = A0p.shape[0]
-    Z = np.zeros((m, m), dtype=complex)
-    Iden = np.eye(m, dtype=complex)
+    Z = np.zeros((m, m), dtype=A0p.dtype)
+    Iden = np.eye(m, dtype=A0p.dtype)
     C = np.block([[-A1p, -A0p], [Iden, Z]])
     D = np.block([[A2p, Z], [Z, Iden]])
     lam, V = la.eig(C, D)

@@ -6,7 +6,9 @@ eigenproblem is solved alongside, by shift-invert Lanczos for the modes
 asked for, and the per-mode discrepancy reported.  Quadratic pencils
 P(lambda) = P2 + lambda P1 + lambda^2 (with optionally lambda-linear
 boundary rows) are linearised to a companion eigenproblem: shift-invert
-Arnoldi when a mode count is given, dense QZ for the full spectrum.
+Arnoldi when a mode count is given.  The full spectrum is dense: an even
+pencil (P1 = 0, no lambda in the boundary row) is one linear problem in
+mu = lambda^2, any other goes through companion QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -134,10 +136,11 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     residuals = np.array([r[4] for r in records])
     eigenvectors = []
     cauchy_cols = []
-    for lamk, _, q, c, _ in records:
-        vals = space.eval_coeffs(c, grid.nodes)
-        nrm = np.max(np.abs(vals)) or 1.0
-        eigenvectors.append(GridFunction(grid, vals / nrm, fourier_index=q))
+    vals = space.eval_coeffs(np.array([r[3] for r in records]).T, grid.nodes)
+    for k, (lamk, _, q, c, _) in enumerate(records):
+        nrm = np.max(np.abs(vals[:, k])) or 1.0
+        eigenvectors.append(GridFunction(grid, vals[:, k] / nrm,
+                                         fourier_index=q))
         cauchy_cols.append(np.concatenate([c, lamk * c]))
 
     disc = np.abs(lams - closed) / np.abs(closed)
@@ -222,7 +225,9 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
 
     ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
     Arnoldi through the banded LU of P(0), O(n) per step.  Without it every
-    eigenvalue is computed by dense companion QZ.
+    eigenvalue is computed densely (fem.pencil_eig): as +-sqrt(mu) of one
+    linear problem in mu = lambda^2 when the pencil has no lambda-linear
+    term, by companion QZ otherwise.
     """
     order = as_order(nu)
     n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
@@ -236,7 +241,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     except (la.LinAlgError, SingularSystem) as exc:
         raise LinearizationSingular(str(exc)) from exc
     if lam.size == 0:
-        raise LinearizationSingular("all companion eigenvalues are infinite")
+        raise LinearizationSingular("every pencil eigenvalue is infinite")
 
     # residuals against the unlinearised pencil, scale-aware
     scale0, scale1, scale2 = (spectral_norm(A) for A in (A0, A1, A2))
@@ -268,20 +273,19 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
                              resid[:max_modes])
 
     grid = RadialGrid.build(1.0, n_nodes=min(n_nodes, 256), settings=settings)
-    eigenvectors = []
     cauchy = np.zeros((2 * n, lam.size), dtype=complex)
     for k in range(lam.size):
-        c = cvecs[:, k]
-        nrm = np.linalg.norm(c) or 1.0
-        c = c / nrm
+        nrm = np.linalg.norm(cvecs[:, k]) or 1.0
+        cvecs[:, k] = c = cvecs[:, k] / nrm
         if np.isfinite(lam[k]):
             scale = max(1.0, abs(lam[k]))
             cauchy[:n, k] = c / scale
             cauchy[n:, k] = lam[k] * c / scale
         else:
             cauchy[n:, k] = c     # pencil_eig returns the v2 data at infinity
-        vals = space.eval_coeffs(c, grid.nodes)
-        eigenvectors.append(GridFunction(grid, vals, fourier_index=q))
+    vals = space.eval_coeffs(cvecs, grid.nodes)
+    eigenvectors = [GridFunction(grid, vals[:, k], fourier_index=q)
+                    for k in range(lam.size)]
 
     constraint = None
     if bc is not None and any(s.lam != 0 for s in bc.t_plus + bc.t_minus):

@@ -16,6 +16,8 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi, roots_legendre
 
+from .errors import DomainError
+
 
 @lru_cache(maxsize=256)
 def _legendre(n):
@@ -27,7 +29,7 @@ def _legendre(n):
 def _jacobi01(beta, n):
     """Nodes/weights for int_0^1 t^beta f(t) dt, beta > -1."""
     if beta <= -1.0:
-        raise ValueError(f"Jacobi exponent must exceed -1, got {beta}")
+        raise DomainError(f"Jacobi exponent must exceed -1, got {beta}")
     if abs(beta) < 1e-14:
         x, w = _legendre(n)
         return (x + 1.0) / 2.0, w / 2.0
@@ -57,7 +59,7 @@ def graded_panels(x_max, n_panels, kind="geometric", floor=1e-10, ratio=None):
     """
     K = int(n_panels)
     if K < 1:
-        raise ValueError("need at least one panel")
+        raise DomainError("need at least one panel")
     if kind == "algebraic":
         edges = x_max * (np.arange(K + 1) / K) ** 3.0
     elif kind == "geometric":
@@ -70,7 +72,7 @@ def graded_panels(x_max, n_panels, kind="geometric", floor=1e-10, ratio=None):
         edges[0] = 0.0
         edges[1:] = x_max * ratio ** np.arange(K - 1, -1, -1)
     else:
-        raise ValueError(f"unknown grading kind {kind!r}")
+        raise DomainError(f"unknown grading kind {kind!r}")
     return edges
 
 

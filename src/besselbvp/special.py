@@ -52,9 +52,9 @@ class BesselZeroTable:
     def __post_init__(self):
         z = np.asarray(self.zeros, dtype=float)
         if z.ndim != 1 or z.size == 0:
-            raise ValueError("zero table must be a nonempty 1-d array")
+            raise DomainError("zero table must be a nonempty 1-d array")
         if np.any(z <= 0) or np.any(np.diff(z) <= 0):
-            raise ValueError("zeros must be positive and strictly increasing")
+            raise DomainError("zeros must be positive and strictly increasing")
         object.__setattr__(self, "zeros", z)
 
     def __len__(self):

@@ -129,10 +129,6 @@ class Sector:
         """{Re lambda > |Im lambda|}: the sector of the resolvent sweep."""
         return cls(((-math.pi / 4 + 1e-9, math.pi / 4 - 1e-9),))
 
-    @classmethod
-    def upper_half_plane(cls):
-        return cls(((0.0, math.pi),))
-
     def angles(self, n):
         """n representative angles spread over the intervals."""
         per = max(1, n // len(self.intervals))

@@ -12,8 +12,10 @@ import oracles
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.errors import DomainError, SingularSystem
-from besselbvp.fem import (BorderedBand, Space, _BorderedLU,
-                           mass_deflated_eig, pencil_eig, spectral_norm)
+from besselbvp.fem import (RANK_CUTOFF, BorderedBand, Space, _BorderedLU,
+                           _companion_qz, _diag_scale, _hermitian_part,
+                           _is_real, mass_deflated_eig, modulus_order,
+                           pencil_eig, spectral_norm)
 from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
                              embedding_singular_values, pencil_modes)
@@ -29,8 +31,8 @@ def laplace_pencil(nu):
                                                     0.0, 1.0))
 
 
-def kg_pencil(nu):
-    red = reduce(ModelMetric(3, np.diag([1.0, -1.0, -1.0]), None, 0.0),
+def kg_pencil(nu, e0=0.0):
+    red = reduce(ModelMetric(3, np.diag([1.0, -1.0, -1.0]), None, e0),
                  mass_of_order(nu, 3))
     return red.nu, red.bessel_op, (0, 0)
 
@@ -181,6 +183,79 @@ def test_targeted_pencil_modes_match_the_full_spectrum():
 def test_dirichlet_spectrum_large_order_matches_closed_form():
     ms = dirichlet_spectrum(10, n_max=6)
     assert np.all(ms.discrepancy < 1e-8)
+
+
+# --------------------------------------------------------------------------
+# full spectra by structure, against complex companion QZ
+# --------------------------------------------------------------------------
+
+def complex_qz(A0, A1, A2):
+    """The complex companion QZ oracle, eigenvalues in canonical order."""
+    lam, _, m = _companion_qz(A0.toarray(), A1.toarray(), A2.toarray(),
+                              RANK_CUTOFF)
+    return lam[modulus_order(lam)], m
+
+
+def assert_lower_half_agrees(lam, ref, m):
+    """The m finite eigenvalues of least modulus (the resolved half of the
+    2m) agree with the oracle's at 1e-10 relative, one by one."""
+    lam, ref = lam[np.isfinite(lam)][:m], ref[np.isfinite(ref)][:m]
+    for value in lam:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+    assert rel(np.abs(lam), np.abs(ref)) < 1e-10
+
+
+@pytest.mark.parametrize("nu", [0.4, 5.5])
+def test_even_dirichlet_pencil_matches_companion_qz(nu):
+    A0, A1, A2 = pencil_case(f"laplace {nu}")
+    assert not np.any(A1.toarray())
+    lam, vecs, m = pencil_eig(A0, A1, A2)
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref == A0.shape[0] and lam.size == 2 * m
+    assert_lower_half_agrees(lam, ref, m)
+    # +-sqrt(mu) share one eigenvector: every pair is exact
+    for k in range(0, 2 * m, 2):
+        assert lam[k] == -lam[k + 1]
+        assert np.array_equal(vecs[:, k], vecs[:, k + 1])
+
+
+def test_non_hermitian_even_pencil_solves_in_mu():
+    # the e0 term b = i e0 x makes the kg operators non-Hermitian, so the
+    # even pencil goes through eig in mu, not eigh
+    nu, op, q = kg_pencil(0.6, e0=0.5)
+    A0, A1, A2 = _pencil_matrices(nu, op, None, q, 160, DEFAULTS)[:3]
+    assert not np.any(A1.toarray())
+    assert _hermitian_part(_diag_scale(A0.toarray())[0]) is None
+    lam, _, m = pencil_eig(A0, A1, A2)
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref
+    assert_lower_half_agrees(lam, ref, m)
+
+
+def test_real_qz_matches_complex_qz():
+    A0, A1, A2 = pencil_case("robin 0.55")
+    assert np.any(A1.toarray()) and _is_real(A0, A1, A2)
+    lam, _, m = pencil_eig(A0, A1, A2)
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref
+    # the upper modes of a lambda-Robin pencil are ill-conditioned; the
+    # leading 16 pairs are resolved
+    for value in lam[:32]:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+
+
+@pytest.mark.parametrize("name", ["laplace 0.4", "robin 0.55", "kg0.5"])
+def test_pair_order_is_the_same_from_every_solver(name):
+    A0, A1, A2 = pencil_case(name)
+    some, _, _ = pencil_eig(A0, A1, A2, count=8)
+    full, _, _ = pencil_eig(A0, A1, A2)
+    # elementwise, so the order inside each +- or conjugate pair agrees
+    assert rel(some[:8], full[:8]) < 1e-9
+    first = full[:2]
+    if name.startswith("kg"):
+        assert first[0].real < 0 < first[1].real      # -pi, pi
+    else:
+        assert first[0].imag < 0 < first[1].imag      # -i j or a - ib first
 
 
 # --------------------------------------------------------------------------

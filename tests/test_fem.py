@@ -194,3 +194,42 @@ def test_modulus_ties_break_by_real_part():
     lam = np.array([np.inf, 2.0, -1.0 - 1e-9, 1.0])
     assert list(lam[modulus_order(lam)]) == [1.0, -1.0 - 1e-9, 2.0, np.inf]
 
+
+
+def test_modulus_ties_order_imaginary_and_conjugate_pairs():
+    j, eps = 3.0, 1e-15
+    # an imaginary-axis pair whose real parts are rounding noise: -i j first
+    for lam in (np.array([eps + 1j * j, -eps - 1j * j]),
+                np.array([-eps - 1j * j, eps + 1j * j])):
+        ordered = lam[modulus_order(lam)]
+        assert ordered[0].imag < 0 < ordered[1].imag
+    # a conjugate pair whose real parts differ by an ulp (real QZ divides
+    # each eigenvalue of a pair by its own beta): a - ib first
+    a = 0.5
+    up = np.nextafter(a, 1.0)
+    for lam in (np.array([up - 2j, a + 2j]), np.array([a + 2j, up - 2j])):
+        ordered = lam[modulus_order(lam)]
+        assert ordered[0].imag < 0 < ordered[1].imag
+    # the quadruple +-a +-ib of an even real pencil with complex mu
+    quad = np.array([a + 2j, -a - 2j, up - 2j, -up + 2j])
+    ordered = quad[modulus_order(quad)]
+    assert [(np.sign(z.real), np.sign(z.imag)) for z in ordered] == [
+        (-1, -1), (-1, 1), (1, -1), (1, 1)]
+
+
+@pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),
+                                        (1.5, False)])
+def test_eval_coeffs_batched_equals_columns(nu, seeded):
+    space = Space(Order(nu), 1.0, n_cells=12, include_minus=seeded)
+    rng = np.random.default_rng(5)
+    C = rng.standard_normal((space.n, 5)) + 1j * rng.standard_normal(
+        (space.n, 5))
+    C[0, 2] = 0.0             # a column without seed content
+    x = np.concatenate([np.geomspace(1e-9, 1.0, 200), space.edges[1:]])
+    batched = space.eval_coeffs(C, x)
+    assert batched.shape == (x.size, 5)
+    for k in range(5):
+        assert np.array_equal(batched[:, k], space.eval_coeffs(C[:, k], x))
+    real = C.real
+    assert np.array_equal(space.eval_coeffs(real, x)[:, 1],
+                          space.eval_coeffs(real[:, 1], x))
