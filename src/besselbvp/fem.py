@@ -838,12 +838,13 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
     regular pencil contributes 2 m eigenvalues with multiplicity.  The
     dense solver follows the structure of the operators:
 
-    * A1 = 0 (no nonzero entry): the pencil is linear in mu = lam^2, and one
-      m x m problem A0 v = -mu A2 v replaces the companion (Tisseur &
-      Meerbergen, SIAM Rev. 43 (2001), sec. 3).  Hermitian A0 and A2 with
-      A0 definite go to eigh, m = n; otherwise eig in the deflated
-      coordinates of the companion path.  lam = +-sqrt(mu) share one
-      eigenvector, so each pair's Cauchy data (v, +-lam v) is exact.
+    * A1 = 0 (no nonzero entry), the scaled A0 and A2 Hermitian and A0
+      positive definite with no direction below the deflation cutoff: the
+      pencil is linear in mu = lam^2, and one n x n eigh of A0 v = -mu A2 v
+      replaces the companion (Tisseur & Meerbergen, SIAM Rev. 43 (2001),
+      sec. 3).  m = n, the rank the companion path would deflate to.
+      lam = +-sqrt(mu) share one eigenvector, so each pair's Cauchy data
+      (v, +-lam v) is exact.
     * otherwise: companion QZ in deflated scaled coordinates, m the
       deflated rank; real QZ when every operator is real.
     """
@@ -851,10 +852,9 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
         dense = [A.toarray() for A in (A0, A1, A2)]
         if _is_real(A0, A1, A2):
             dense = [D.real for D in dense]
-        if np.any(dense[1]):
-            lam, vecs, m = _companion_qz(*dense, cutoff)
-        else:
-            lam, vecs, m = _even_eig(dense[0], dense[2], cutoff)
+        found = None if np.any(dense[1]) else _definite_even_eig(
+            dense[0], dense[2], cutoff)
+        lam, vecs, m = found or _companion_qz(*dense, cutoff)
         idx = modulus_order(lam)
         return lam[idx], vecs[:, idx], m
     # imported here: scipy.sparse.linalg adds ~40 ms to the package import
@@ -910,30 +910,24 @@ def _hermitian_part(A):
     return H if np.max(np.abs(A - H)) <= 1e-13 * np.max(np.abs(A)) else None
 
 
-def _even_eig(A0, A2, cutoff):
-    """Every eigenpair of A0 + lam^2 A2 through mu = lam^2 (pencil_eig)."""
+def _definite_even_eig(A0, A2, cutoff):
+    """Every eigenpair of A0 + lam^2 A2 through eigh in mu = lam^2, or None
+    unless the scaled A0 and A2 are Hermitian and A0 is positive definite
+    with every eigenvalue above ``cutoff`` of the largest (pencil_eig)."""
     A0s, Dinv = _diag_scale(A0)
     H0 = _hermitian_part(A0s)
     H2 = _hermitian_part((A2 * Dinv[None, :]) * Dinv[:, None])
-    mu = None
-    if H0 is not None and H2 is not None:
-        try:
-            theta, V = la.eigh(H2, H0)        # A2 v = theta A0 v
-        except la.LinAlgError:                # A0 not definite
-            pass
-        else:
-            with np.errstate(divide="ignore"):
-                mu = -1.0 / theta
-            m = theta.size
-    if mu is None:
-        T, Dinv, A0s = _deflation(A0, cutoff)
-        mu, W = la.eig(T.conj().T @ A0s @ T, -_project(T, Dinv, A2))
-        keep = ~np.isnan(mu)
-        mu, V, m = mu[keep], T @ W[:, keep], T.shape[1]
-    lam = np.sqrt(np.asarray(mu, dtype=complex))
+    if H0 is None or H2 is None:
+        return None
+    ev = la.eigvalsh(H0)        # the singular values _deflation ranks
+    if not ev[0] > cutoff * abs(ev[-1]):
+        return None
+    theta, V = la.eigh(H2, H0)  # A2 v = theta A0 v
+    with np.errstate(divide="ignore"):
+        lam = np.sqrt((-1.0 / theta).astype(complex))
     vecs = V * Dinv[:, None]
     return (np.concatenate([lam, -lam]), np.concatenate([vecs, vecs], axis=1),
-            m)
+            theta.size)
 
 
 def _companion_qz(A0, A1, A2, cutoff):

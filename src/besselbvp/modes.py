@@ -6,9 +6,9 @@ eigenproblem is solved alongside, by shift-invert Lanczos for the modes
 asked for, and the per-mode discrepancy reported.  Quadratic pencils
 P(lambda) = P2 + lambda P1 + lambda^2 (with optionally lambda-linear
 boundary rows) are linearised to a companion eigenproblem: shift-invert
-Arnoldi when a mode count is given.  The full spectrum is dense: an even
-pencil (P1 = 0, no lambda in the boundary row) is one linear problem in
-mu = lambda^2, any other goes through companion QZ.
+Arnoldi when a mode count is given.  The full spectrum is dense: a
+Hermitian definite even pencil (P1 = 0, no lambda in the boundary row) is
+one symmetric problem in mu = lambda^2, any other goes through companion QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -226,8 +226,9 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
     Arnoldi through the banded LU of P(0), O(n) per step.  Without it every
     eigenvalue is computed densely (fem.pencil_eig): as +-sqrt(mu) of one
-    linear problem in mu = lambda^2 when the pencil has no lambda-linear
-    term, by companion QZ otherwise.
+    Hermitian definite problem in mu = lambda^2 when the pencil has no
+    lambda-linear term and its operators allow it, by companion QZ
+    otherwise.
     """
     order = as_order(nu)
     n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)

@@ -9,6 +9,7 @@ import pytest
 from scipy import linalg as la
 
 import oracles
+from besselbvp import fem
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.errors import DomainError, SingularSystem
@@ -205,11 +206,25 @@ def assert_lower_half_agrees(lam, ref, m):
     assert rel(np.abs(lam), np.abs(ref)) < 1e-10
 
 
+def spy_companion_qz(monkeypatch):
+    """Record each call pencil_eig makes to the companion QZ."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return _companion_qz(*args)
+
+    monkeypatch.setattr(fem, "_companion_qz", spy)
+    return calls
+
+
 @pytest.mark.parametrize("nu", [0.4, 5.5])
-def test_even_dirichlet_pencil_matches_companion_qz(nu):
+def test_even_dirichlet_pencil_matches_companion_qz(nu, monkeypatch):
     A0, A1, A2 = pencil_case(f"laplace {nu}")
     assert not np.any(A1.toarray())
+    qz_calls = spy_companion_qz(monkeypatch)
     lam, vecs, m = pencil_eig(A0, A1, A2)
+    assert not qz_calls                               # solved by eigh in mu
     ref, m_ref = complex_qz(A0, A1, A2)
     assert m == m_ref == A0.shape[0] and lam.size == 2 * m
     assert_lower_half_agrees(lam, ref, m)
@@ -219,17 +234,41 @@ def test_even_dirichlet_pencil_matches_companion_qz(nu):
         assert np.array_equal(vecs[:, k], vecs[:, k + 1])
 
 
-def test_non_hermitian_even_pencil_solves_in_mu():
+def test_non_hermitian_even_pencil_takes_companion_qz(monkeypatch):
     # the e0 term b = i e0 x makes the kg operators non-Hermitian, so the
-    # even pencil goes through eig in mu, not eigh
+    # even pencil has no eigh in mu and goes through the companion QZ
     nu, op, q = kg_pencil(0.6, e0=0.5)
     A0, A1, A2 = _pencil_matrices(nu, op, None, q, 160, DEFAULTS)[:3]
     assert not np.any(A1.toarray())
     assert _hermitian_part(_diag_scale(A0.toarray())[0]) is None
+    qz_calls = spy_companion_qz(monkeypatch)
     lam, _, m = pencil_eig(A0, A1, A2)
+    assert len(qz_calls) == 1
     ref, m_ref = complex_qz(A0, A1, A2)
     assert m == m_ref
     assert_lower_half_agrees(lam, ref, m)
+
+
+@pytest.mark.parametrize("c, m_expected", [(0.5, 8), (1.0 - 1e-13, 4)])
+def test_even_pencil_m_is_the_deflation_rank(c, m_expected, monkeypatch):
+    # four 2 x 2 blocks [[1, c], [c, 1]], eigenvalues 1 +- c: at
+    # c = 1 - 1e-13 A0 is still positive definite (its Cholesky succeeds),
+    # but 1 - c lies below RANK_CUTOFF of 1 + c, so the companion path
+    # deflates those four directions; m must not depend on the solver
+    n = 8
+    band = np.zeros((3, n))
+    band[1] = 1.0
+    band[0, 1::2] = c                      # entries (2k, 2k + 1)
+    band[2, 0::2] = c                      # entries (2k + 1, 2k)
+    A0 = BorderedBand(band)
+    A1 = BorderedBand(np.zeros((3, n)))
+    A2 = BorderedBand(np.vstack([np.zeros(n), np.ones(n), np.zeros(n)]))
+    la.cholesky(A0.toarray())
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, _, m = pencil_eig(A0, A1, A2)
+    assert len(qz_calls) == int(m_expected < n)
+    assert m == complex_qz(A0, A1, A2)[1] == m_expected
+    assert lam.size == 2 * m
 
 
 def test_real_qz_matches_complex_qz():
