@@ -323,9 +323,7 @@ def _cmd_modes(conf, cfg, settings):
         payload["closed_form"] = [float(v) for v in ms.closed_form[:count]]
         payload["discrepancy"] = [float(v) for v in ms.discrepancy[:count]]
     elif pencil == "laplace_pencil":
-        op = BesselOperator(Order(nu), a_coeff=0.0,
-                            pencil_fourier=lambda qq: (float(np.dot(qq, qq)),
-                                                       0.0, 1.0))
+        op = BesselOperator(Order(nu))
         btype = _get(conf, "modes", "boundary", "dirichlet")
         bc = None if btype == "dirichlet" else \
             BoundaryOperator.lambda_robin(nu)
@@ -416,8 +414,7 @@ def _cmd_sweep(conf, cfg, settings):
     if sector is None:
         raise ConfigError(f"unknown sector {sector_name!r}")
     order = Order(nu)
-    op = BesselOperator(order, a_coeff=0.0,
-                        pencil_fourier=lambda q: (0.0, 0.0, 1.0))
+    op = BesselOperator(order)
     btype = _get(conf, "sweep", "boundary", "none")
     bc = _boundary_from(conf, nu) if btype != "none" \
         and order.needs_boundary_conditions else None

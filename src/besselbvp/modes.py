@@ -157,12 +157,7 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     """(A0, A1, A2, space): BorderedBands of A(lam) = A0 + lam A1 + lam^2 A2
     with the boundary row folded in."""
     order = as_order(nu)
-    if pencil_op.pencil_fourier is not None:
-        a2c, a1c, a0c = pencil_op.pencil_fourier(q if q is not None else 0)
-    else:
-        q2 = 0.0 if q is None else float(np.dot(np.atleast_1d(q),
-                                                np.atleast_1d(q)))
-        a2c, a1c, a0c = q2, 0.0, 1.0
+    a2c, a1c, a0c = pencil_op.mode_coefficients(q)
 
     essential = bc is None
     lam_plus = False
@@ -179,12 +174,7 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
                   include_minus=(order.regime is Regime.SUBCRITICAL
                                  and not essential),
                   settings=settings)
-    mats = space.matrices(a_fun=pencil_op.a_fun(),
-                          b_fun=pencil_op.b_fun())
-    base = mats["S"] + mats["A"]
-    if "B" in mats:
-        base = base + mats["B"]
-    M = mats["M"]
+    base, M = pencil_op.forms(space)
     A0 = base + a2c * M
     A1 = a1c * M
     A2 = a0c * M

@@ -89,19 +89,24 @@ class BesselOperator:
             if abs(complex(np.asarray(b(x0)).reshape(-1)[0])) > 1e-6:
                 raise DomainError("b_coeff must vanish at x = 0")
 
-    def a_fun(self, q=None, shift=0.0):
-        base = _as_callable(self.a_coeff)
-        extra = complex(shift)
-        if q is not None and self.fourier_symbol is not None:
-            extra += complex(self.fourier_symbol(q))
-        elif q is not None and self.pencil_fourier is not None:
-            extra += complex(self.pencil_fourier(q)[0])
-        elif q is not None:
-            extra += float(np.dot(np.atleast_1d(q), np.atleast_1d(q)))
-        return lambda x: np.asarray(base(x), dtype=complex) + extra
+    def mode_coefficients(self, q=None):
+        """(a2, a1, a0): mode q (None: 0) adds a2 + a1 lambda + a0 lambda^2
+        to a(x); pencil_fourier(q), else (fourier_symbol(q) or |q|^2, 0, 1)."""
+        q = 0 if q is None else q
+        if self.pencil_fourier is not None:
+            return tuple(self.pencil_fourier(q))
+        if self.fourier_symbol is not None:
+            return self.fourier_symbol(q), 0.0, 1.0
+        return float(np.dot(np.atleast_1d(q), np.atleast_1d(q))), 0.0, 1.0
 
-    def b_fun(self):
-        return _as_callable(self.b_coeff)
+    def forms(self, space):
+        """(S + A + B, M) on ``space``; a shift or mode value c adds c M."""
+        mats = space.matrices(a_fun=_as_callable(self.a_coeff),
+                              b_fun=_as_callable(self.b_coeff))
+        base = mats["S"] + mats["A"]
+        if "B" in mats:
+            base = base + mats["B"]
+        return base, mats["M"]
 
     def a_poly(self):
         """Polynomial form of a_coeff (constants only), for branch calculus."""
@@ -246,17 +251,14 @@ def _halfline_extent(a_eff, settings):
     return settings.halfline_decay_lengths / max(rate, 1e-8)
 
 
-def _solve_on_space(space, op, q, lam_shift, rhs, sing_exp, bc, g,
-                    settings):
-    """Core assembly + solve on a prepared space; returns (coeffs, cond, aux)."""
-    a_fun = op.a_fun(q=q, shift=lam_shift)
-    b_fun = op.b_fun()
-    mats = space.matrices(a_fun=a_fun, b_fun=b_fun)
-    A = mats["S"] + mats["A"]
-    if "B" in mats:
-        A = A + mats["B"]
-    f = _as_callable(rhs)
-    load = space.load_vector(f, singular_exponent=sing_exp)
+def _mode_value(op, c):
+    """a(0) + c: the zeroth-order value the regularity test reads."""
+    a0 = _as_callable(op.a_coeff)(np.array([1e-8]))
+    return complex(np.asarray(a0).reshape(-1)[0] + c)
+
+
+def _solve_on_space(space, A, load, bc, g):
+    """Solve the assembled A with the row of bc; returns (coeffs, cond, aux)."""
     aux = np.zeros(0)
     recover = None
 
@@ -294,19 +296,18 @@ def _discrete_traces(space, coeffs):
     return TraceData(gm, gp)
 
 
-def _residual(space, op, q, lam_shift, coeffs, rhs):
+def _residual(space, op, c, coeffs, rhs):
     """Relative strong residual ||P u_h - f|| over the resolved window.
 
     Normalised by ||f||, or for f = 0 by the L2 size of the operator terms
     |cu| + |a u| + |b d_nu u| (they cancel for a true solution, as in
     operator_residual), so the measure does not scale with the data.
     """
-    a_fun = op.a_fun(q=q, shift=lam_shift)
-    b_fun = op.b_fun()
+    a_fun, b_fun = _as_callable(op.a_coeff), _as_callable(op.b_coeff)
     f = _as_callable(rhs)
 
     def terms(xq, u, du):
-        au = np.asarray(a_fun(xq), dtype=complex) * u
+        au = (np.asarray(a_fun(xq), dtype=complex) + c) * u
         bdu = 0.0 if b_fun is None \
             else -1j * np.asarray(b_fun(xq), dtype=complex) * du
         return au, bdu
@@ -326,6 +327,25 @@ def _residual(space, op, q, lam_shift, coeffs, rhs):
     return rnorm / scale if scale > 0 else rnorm
 
 
+def _gated_solution(space, A, load, c, prob, grid):
+    """Solve prob with A = base + c M; gate the residual, sample on grid."""
+    coeffs, cond, aux = _solve_on_space(space, A, load, prob.bc0,
+                                        prob.boundary_data)
+    resid = _residual(space, prob.op, c, coeffs, prob.rhs)
+    if not np.isfinite(resid) or resid > 1e-2:
+        raise SingularSystem(
+            f"strong residual {resid:.2e}: the discrete problem did not "
+            "resolve this data")
+    u = GridFunction(grid, space.eval_coeffs(coeffs, grid.nodes),
+                     fourier_index=prob.fourier_index)
+    # gamma_-/gamma_+ of the discrete solution are exactly the enrichment
+    # coefficients (the piecewise part has a double zero at x = 0)
+    tr = _discrete_traces(space, coeffs) if space.include_minus else None
+    return Solution(u, tr, float(resid), float(cond),
+                    aux=aux if np.size(aux) else None,
+                    space=space, coeffs=coeffs)
+
+
 def solve_1d(prob, n_nodes=None, grid=None, monitor_truncation=None,
              settings=DEFAULTS):
     """Solve P u = f, T u = g on (0, 1) or the truncated half-line.
@@ -336,8 +356,8 @@ def solve_1d(prob, n_nodes=None, grid=None, monitor_truncation=None,
     """
     op = prob.op
     order = op.nu
-    q = prob.fourier_index
-    a_eff = complex(np.asarray(op.a_fun(q=q)(np.array([1e-8]))).reshape(-1)[0])
+    c = op.mode_coefficients(prob.fourier_index)[0]
+    a_eff = _mode_value(op, c)
     regularity_check(order, a_eff, prob.bc0)
 
     if prob.bc1 is CapCondition.DECAY:
@@ -346,45 +366,31 @@ def solve_1d(prob, n_nodes=None, grid=None, monitor_truncation=None,
         x_max = 1.0
     n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
 
-    def run(xm):
+    def assemble(xm):
         space = Space(order, xm, n_cells=max(4, n_nodes // settings.fem_degree),
                       dirichlet_cap=True,
                       outward=prob.bc1 is CapCondition.DECAY,
                       settings=settings)
-        coeffs, cond, aux = _solve_on_space(
-            space, op, q, 0.0, prob.rhs, prob.rhs_singular_exponent,
-            prob.bc0, prob.boundary_data, settings)
-        return space, coeffs, cond, aux
+        base, M = op.forms(space)
+        return space, base + c * M, space.load_vector(
+            _as_callable(prob.rhs), singular_exponent=prob.rhs_singular_exponent)
 
-    space, coeffs, cond, aux = run(x_max)
-    resid = _residual(space, op, q, 0.0, coeffs, prob.rhs)
-    if not np.isfinite(resid) or resid > 1e-2:
-        raise SingularSystem(
-            f"strong residual {resid:.2e}: the discrete problem did not "
-            "resolve this data")
+    space, A, load = assemble(x_max)
+    sol = _gated_solution(space, A, load, c, prob, grid or RadialGrid.build(
+        x_max, n_nodes=n_nodes, settings=settings))
 
-    trunc = None
     if monitor_truncation is None:
         monitor_truncation = prob.bc1 is CapCondition.DECAY
     if monitor_truncation and prob.bc1 is CapCondition.DECAY:
-        space2, coeffs2, *_ = run(2.0 * x_max)
+        space2, A2, load2 = assemble(2.0 * x_max)
+        coeffs2, *_ = _solve_on_space(space2, A2, load2, prob.bc0,
+                                      prob.boundary_data)
         probe = np.linspace(0.05 * x_max, 0.9 * x_max, 64)
-        diff = space2.eval_coeffs(coeffs2, probe) - space.eval_coeffs(coeffs, probe)
-        ref = np.max(np.abs(space.eval_coeffs(coeffs, probe)))
-        trunc = float(np.max(np.abs(diff)) / max(ref, 1e-300))
-
-    out_grid = grid or RadialGrid.build(x_max, n_nodes=n_nodes,
-                                        settings=settings)
-    u = GridFunction(out_grid, space.eval_coeffs(coeffs, out_grid.nodes),
-                     fourier_index=q)
-    tr = None
-    if order.regime is Regime.SUBCRITICAL:
-        # gamma_-/gamma_+ of the discrete solution are exactly the enrichment
-        # coefficients (the piecewise part has a double zero at x = 0)
-        tr = _discrete_traces(space, coeffs)
-    return Solution(u, tr, float(resid), float(cond),
-                    aux=aux if np.size(aux) else None,
-                    truncation_estimate=trunc, space=space, coeffs=coeffs)
+        near = space.eval_coeffs(sol.coeffs, probe)
+        diff = np.max(np.abs(space2.eval_coeffs(coeffs2, probe) - near))
+        sol = replace(sol, truncation_estimate=float(
+            diff / max(np.max(np.abs(near)), 1e-300)))
+    return sol
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +402,8 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
     """(Delta_nu + a) u = f with the twisted-Dirichlet form domain, per mode.
 
     ``rhs_modes`` maps the tangential mode q to a callable f_q(x); ``a`` must
-    avoid the cut (-inf, 0].
+    avoid the cut (-inf, 0].  Mode q solves S + (a + |q|^2) M, S and M
+    assembled once.
     """
     order = as_order(nu)
     a = complex(a)
@@ -406,13 +413,14 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
     space = Space(order, 1.0, n_cells=max(4, n_nodes // settings.fem_degree),
                   dirichlet_cap=True, include_minus=False, settings=settings)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
+    op = BesselOperator(order, a_coeff=a)
+    base, M = op.forms(space)
     out = {}
     for q, f in rhs_modes.items():
-        q2 = float(np.dot(np.atleast_1d(q), np.atleast_1d(q)))
-        op = BesselOperator(order, a_coeff=a + q2)
+        c = op.mode_coefficients(q)[0]
         coeffs, cond, _ = _solve_on_space(
-            space, op, None, 0.0, f, 0.0, None, 0.0, settings)
-        resid = _residual(space, op, None, 0.0, coeffs, f)
+            space, base + c * M, space.load_vector(_as_callable(f)), None, 0.0)
+        resid = _residual(space, op, c, coeffs, f)
         u = GridFunction(grid, space.eval_coeffs(coeffs, grid.nodes),
                          fourier_index=q)
         out[q] = Solution(u, None, float(resid), float(cond),
@@ -438,8 +446,7 @@ class SeparableSolution:
             qv = np.atleast_1d(q).astype(float)
             phase = np.exp(1j * qv[0] * y) if qv.size == 1 else \
                 np.exp(1j * np.tensordot(y, qv, axes=0).sum(-1))
-            space, coeffs = sol.space, sol.coeffs
-            out = out + space.eval_coeffs(coeffs, x) * phase
+            out = out + sol.space.eval_coeffs(sol.coeffs, x) * phase
         return out
 
 
@@ -448,26 +455,32 @@ def solve_separable(nu, op, bc0, rhs_modes, q_max=None, boundary_data=None,
     """Per-mode 1D solves of a separable problem; fails on the offending q.
 
     ``rhs_modes``: {q: callable}; modes beyond q_max are ignored.  Per-mode
-    condition estimates must stay within a bounded spread (reported).
+    condition estimates must stay within a bounded spread (reported).  The
+    operator is assembled once; mode q adds c M, c = A(q) (mode_coefficients).
     """
     order = as_order(nu)
+    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
+    space = Space(order, 1.0, n_cells=max(4, n_nodes // settings.fem_degree),
+                  dirichlet_cap=True, settings=settings)
+    base, M = op.forms(space)
+    grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     out = {}
-    conds = []
     for q, f in sorted(rhs_modes.items(), key=lambda kv: np.sum(np.square(kv[0]))):
         if q_max is not None and np.max(np.abs(q)) > q_max:
             continue
-        a_eff = complex(op.a_fun(q=q)(np.array([0.5]))[0])
+        c = op.mode_coefficients(q)[0]
         try:
-            regularity_check(order, a_eff, bc0)
+            regularity_check(order, _mode_value(op, c), bc0)
         except RegularityViolated as exc:
             raise RegularityViolated(f"mode q = {q}: {exc}",
                                      sample={"q": q}) from exc
         g = 0.0 if boundary_data is None else boundary_data.get(q, 0.0)
         prob = BVProblem(op=op, bc0=bc0, bc1=CapCondition.DIRICHLET,
                          rhs=f, boundary_data=g, fourier_index=q)
-        sol = solve_1d(prob, n_nodes=n_nodes, settings=settings)
-        out[q] = sol
-        conds.append(sol.condition_estimate)
+        out[q] = _gated_solution(space, base + c * M,
+                                 space.load_vector(_as_callable(f)), c, prob,
+                                 grid)
+    conds = [sol.condition_estimate for sol in out.values()]
     spread = float(max(conds) / max(min(conds), 1e-300)) if conds else 1.0
     return SeparableSolution(out, spread)
 
@@ -589,7 +602,8 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
 
     Reports the parameter-dependent ratio [[u]]_{H^2} / [[f]]_{H^0} per
     radius; a singular solve is reported in the row, not raised (that radius
-    is below the invertibility threshold).
+    is below the invertibility threshold).  The operator and load are
+    assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M.
     """
     order = op.nu
     theta = sector.intervals[0]
@@ -604,19 +618,16 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     f = _random_smooth_rhs(space.x_max, seed)
     x, w = composite_rule(space.edges, space.degree + 8)
     fnorm = np.sqrt(np.sum(w * np.abs(f(x)) ** 2))
+    base, M = op.forms(space)
+    load = space.load_vector(f)
+    a2, a1, a0 = op.mode_coefficients(q)
     rows = []
     for r in radii:
         lam = r * complex(np.cos(theta), np.sin(theta))
-        if op.pencil_fourier is not None and q is not None:
-            a2, a1, a0 = op.pencil_fourier(q)
-        else:
-            a2, a1, a0 = (0.0 if q is None else
-                          float(np.dot(np.atleast_1d(q), np.atleast_1d(q)))), \
-                0.0, 1.0
         shift = a2 + a1 * lam + a0 * lam * lam
         try:
-            coeffs, cond, _ = _solve_on_space(
-                space, op, None, shift, f, 0.0, bc, 0.0, settings)
+            coeffs, cond, _ = _solve_on_space(space, base + shift * M, load,
+                                              bc, 0.0)
             singular = cond > 1e12
         except SingularSystem:
             rows.append({"radius": float(r), "lambda": lam, "ratio": None,

@@ -115,6 +115,18 @@ def test_operator_storage_is_linear_in_dofs():
     assert stored[2048] < 10 * stored[256]
 
 
+@pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),
+                                        (0.8, True), (2.5, False)])
+def test_constant_coefficient_form_is_mass_multiple(nu, seeded):
+    """A(c) = c M, which lets the solvers add a shift or mode as c M."""
+    space = Space(Order(nu), 1.0, n_cells=20, include_minus=seeded)
+    c = 2.5 - 1.25j
+    mats = space.matrices(a_fun=lambda x: np.full(np.shape(x), c))
+    A, M = mats["A"].toarray(), mats["M"].toarray()
+    d = np.sqrt(np.abs(np.diag(M)))
+    assert np.max(np.abs(A - c * M) / np.outer(d, d)) <= 1e-14 * abs(c)
+
+
 def lagrange(p, i):
     """The i-th Lagrange polynomial on the degree-p Lobatto nodes of [0, 1]."""
     nodes = lobatto_nodes(p)

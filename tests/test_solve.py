@@ -16,6 +16,7 @@ from besselbvp.errors import (
     SingularSystem,
     SpectralParameterOnCut,
 )
+from besselbvp.fem import Space
 from besselbvp.solve import (
     BesselOperator,
     BVProblem,
@@ -332,15 +333,17 @@ def test_dirichlet_laplacian_rejects_cut():
 # --------------------------------------------------------------------------
 
 def test_separable_mode_zero_matches_1d():
+    # every mode of the shared Space matches its own solve_1d
     nu = 0.4
     op = BesselOperator(Order(nu), a_coeff=1.0)
     bc = BoundaryOperator.dirichlet(nu)
     f0 = lambda x: np.sin(np.pi * x)
-    sep = solve_separable(nu, op, bc, {0: f0}, n_nodes=128)
-    prob = BVProblem(op=op, bc0=bc, bc1=CapCondition.DIRICHLET, rhs=f0,
-                     fourier_index=0)
-    direct = solve_1d(prob, n_nodes=128)
-    assert np.max(np.abs(sep.modes[0].u.values - direct.u.values)) < 1e-12
+    sep = solve_separable(nu, op, bc, {q: f0 for q in (0, 1, 3)}, n_nodes=128)
+    for q in (0, 1, 3):
+        prob = BVProblem(op=op, bc0=bc, bc1=CapCondition.DIRICHLET, rhs=f0,
+                         fourier_index=q)
+        direct = solve_1d(prob, n_nodes=128)
+        assert np.max(np.abs(sep.modes[q].u.values - direct.u.values)) < 1e-12
 
 
 def test_separable_eigenfunction_mode():
@@ -483,3 +486,55 @@ def test_resolvent_sweep_zero_radius_plain_solve():
     rep = resolvent_sweep(pencil_op(0.5), None, Sector.elliptic_cone(),
                           [0.0, 4.0], n_nodes=96)
     assert not rep.rows[0]["singular"]
+
+
+def test_resolvent_sweep_reads_fourier_symbol():
+    # mode q = 1 of A(q) = q^2 + 3 is the q-free operator with a = 4
+    nu, radii = 0.3, [4.0, 8.0, 16.0]
+    bc = BoundaryOperator.dirichlet(nu)
+    sym = BesselOperator(Order(nu), fourier_symbol=lambda q: q * q + 3.0)
+    plain = BesselOperator(Order(nu), a_coeff=4.0)
+    got = resolvent_sweep(sym, bc, Sector.elliptic_cone(), radii, q=1,
+                          n_nodes=128)
+    want = resolvent_sweep(plain, bc, Sector.elliptic_cone(), radii,
+                           n_nodes=128)
+    for g, w in zip(got.rows, want.rows):
+        assert abs(g["ratio"] - w["ratio"]) <= 1e-12 * w["ratio"]
+        assert abs(g["condition"] - w["condition"]) <= 1e-12 * w["condition"]
+
+
+@pytest.fixture
+def assembly_counts(monkeypatch):
+    """Counts of Space constructions and Space.matrices calls."""
+    counts = {"Space": 0, "matrices": 0}
+    init, matrices = Space.__init__, Space.matrices
+
+    def counted_init(self, *args, **kwargs):
+        counts["Space"] += 1
+        init(self, *args, **kwargs)
+
+    def counted_matrices(self, *args, **kwargs):
+        counts["matrices"] += 1
+        return matrices(self, *args, **kwargs)
+
+    monkeypatch.setattr(Space, "__init__", counted_init)
+    monkeypatch.setattr(Space, "matrices", counted_matrices)
+    return counts
+
+
+@pytest.mark.parametrize("solver", ["resolvent_sweep", "solve_separable",
+                                    "solve_dirichlet_laplacian"])
+def test_operator_assembled_once_per_call(solver, assembly_counts):
+    nu = 0.4
+    bc = BoundaryOperator.dirichlet(nu)
+    f = lambda x: np.sin(np.pi * x)
+    if solver == "resolvent_sweep":
+        resolvent_sweep(pencil_op(nu), bc, Sector.elliptic_cone(),
+                        [4.0, 8.0, 16.0, 32.0], n_nodes=96)
+    elif solver == "solve_separable":
+        solve_separable(nu, BesselOperator(Order(nu), a_coeff=1.0), bc,
+                        {q: f for q in range(4)}, n_nodes=96)
+    else:
+        solve_dirichlet_laplacian(nu, 1.0, {q: f for q in range(3)},
+                                  n_nodes=96)
+    assert assembly_counts == {"Space": 1, "matrices": 1}
