@@ -32,8 +32,11 @@ half-width p (the degree) plus, with the seed, one border row and column
 (BorderedBand); solves cost O(n) through a banded LU and one Schur step.
 Count-limited eigensolves (mass_deflated_eig, pencil_eig with a count) run
 ARPACK shift-invert Lanczos/Arnoldi through the same factor, O(n) per
-Krylov step.  Full pencil spectra are dense: one n x n problem in
-mu = lam^2 when A1 = 0, companion QZ (real QZ for real operators) otherwise.
+Krylov step.  Full pencil spectra are dense.  When the scaled A0 and A2 are
+Hermitian and A0 is definite, one n x n eigh of (A2, A0) reduces the pencil:
+lam = +-sqrt(mu) in closed form when A1 = 0, else one standard 2n x 2n eig
+in 1 / lam.  Any other pencil goes through companion QZ (real QZ for real
+operators).
 """
 
 from __future__ import annotations
@@ -838,22 +841,29 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
     regular pencil contributes 2 m eigenvalues with multiplicity.  The
     dense solver follows the structure of the operators:
 
-    * A1 = 0 (no nonzero entry), the scaled A0 and A2 Hermitian and A0
-      positive definite with no direction below the deflation cutoff: the
-      pencil is linear in mu = lam^2, and one n x n eigh of A0 v = -mu A2 v
-      replaces the companion (Tisseur & Meerbergen, SIAM Rev. 43 (2001),
-      sec. 3).  m = n, the rank the companion path would deflate to.
-      lam = +-sqrt(mu) share one eigenvector, so each pair's Cauchy data
-      (v, +-lam v) is exact.
+    * the scaled A0 and A2 Hermitian and A0 positive definite with no
+      direction below the deflation cutoff (any A1): one n x n eigh of
+      A2 v = theta A0 v reduces the pencil to I + lam F + lam^2 Theta
+      (Tisseur & Meerbergen, SIAM Rev. 43 (2001), sec. 3).  m = n, the rank
+      the companion path would deflate to.  With A1 = 0 (no nonzero entry)
+      lam = +-sqrt(-1 / theta), and each pair shares one eigenvector, so its
+      Cauchy data (v, +-lam v) is exact.  Otherwise one standard eig of the
+      2n x 2n companion in 1 / lam, whose leading coefficient is the
+      identity: no deflation and no QZ, and real arithmetic for real
+      operators (the lambda-Robin pencils).
     * otherwise: companion QZ in deflated scaled coordinates, m the
-      deflated rank; real QZ when every operator is real.
+      deflated rank; real QZ when every operator is real.  This is left to
+      non-Hermitian operators (the kg pencil with an e0 term) and to the
+      lambda-linear gamma_+ rows of modes._pencil_matrices.
+
+    At an infinite eigenvalue the returned vector is the v2 = lam v block of
+    the Cauchy data.
     """
     if count is None:
         dense = [A.toarray() for A in (A0, A1, A2)]
         if _is_real(A0, A1, A2):
             dense = [D.real for D in dense]
-        found = None if np.any(dense[1]) else _definite_even_eig(
-            dense[0], dense[2], cutoff)
+        found = _definite_eig(*dense, cutoff)
         lam, vecs, m = found or _companion_qz(*dense, cutoff)
         idx = modulus_order(lam)
         return lam[idx], vecs[:, idx], m
@@ -910,10 +920,19 @@ def _hermitian_part(A):
     return H if np.max(np.abs(A - H)) <= 1e-13 * np.max(np.abs(A)) else None
 
 
-def _definite_even_eig(A0, A2, cutoff):
-    """Every eigenpair of A0 + lam^2 A2 through eigh in mu = lam^2, or None
-    unless the scaled A0 and A2 are Hermitian and A0 is positive definite
-    with every eigenvalue above ``cutoff`` of the largest (pencil_eig)."""
+def _definite_eig(A0, A1, A2, cutoff):
+    """Every eigenpair of A0 + lam A1 + lam^2 A2 through the definite
+    reduction, or None unless the scaled A0 and A2 are Hermitian and A0 is
+    positive definite with every eigenvalue above ``cutoff`` of the largest
+    (pencil_eig).
+
+    One eigh of (H2, H0) gives V with V^H H0 V = I and V^H H2 V = Theta.
+    With A1 = 0, lam = +-sqrt(-1 / theta).  Otherwise the pencil in V's
+    coordinates is I + lam F + lam^2 Theta, F = V^H (D A1 D) V, and in
+    s = 1 / lam its companion [[-F, -Theta], [I, 0]] has the identity as
+    leading coefficient: one standard eig, real for real operators.  Its
+    bottom block is the eigenvector, and at s = 0 (lam = inf) the v2 data.
+    """
     A0s, Dinv = _diag_scale(A0)
     H0 = _hermitian_part(A0s)
     H2 = _hermitian_part((A2 * Dinv[None, :]) * Dinv[:, None])
@@ -923,11 +942,20 @@ def _definite_even_eig(A0, A2, cutoff):
     if not ev[0] > cutoff * abs(ev[-1]):
         return None
     theta, V = la.eigh(H2, H0)  # A2 v = theta A0 v
-    with np.errstate(divide="ignore"):
-        lam = np.sqrt((-1.0 / theta).astype(complex))
-    vecs = V * Dinv[:, None]
-    return (np.concatenate([lam, -lam]), np.concatenate([vecs, vecs], axis=1),
-            theta.size)
+    n = theta.size
+    if not np.any(A1):
+        with np.errstate(divide="ignore"):
+            lam = np.sqrt((-1.0 / theta).astype(complex))
+        vecs = V * Dinv[:, None]
+        return (np.concatenate([lam, -lam]),
+                np.concatenate([vecs, vecs], axis=1), n)
+    F = V.conj().T @ ((A1 * Dinv[None, :]) * Dinv[:, None]) @ V
+    C = np.block([[-F, -np.diag(theta).astype(F.dtype)],
+                  [np.eye(n, dtype=F.dtype), np.zeros((n, n), F.dtype)]])
+    s, W = la.eig(C)            # s = 1 / lam
+    lam = np.full(s.shape, np.inf, dtype=complex)
+    lam[s != 0] = 1.0 / s[s != 0]
+    return lam, (V @ W[n:]) * Dinv[:, None], n
 
 
 def _companion_qz(A0, A1, A2, cutoff):

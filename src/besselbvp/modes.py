@@ -6,9 +6,12 @@ eigenproblem is solved alongside, by shift-invert Lanczos for the modes
 asked for, and the per-mode discrepancy reported.  Quadratic pencils
 P(lambda) = P2 + lambda P1 + lambda^2 (with optionally lambda-linear
 boundary rows) are linearised to a companion eigenproblem: shift-invert
-Arnoldi when a mode count is given.  The full spectrum is dense: a
-Hermitian definite even pencil (P1 = 0, no lambda in the boundary row) is
-one symmetric problem in mu = lambda^2, any other goes through companion QZ.
+Arnoldi when a mode count is given.  The full spectrum is dense: a pencil
+whose lambda-free and lambda^2 parts are Hermitian, the first definite, is
+reduced by one symmetric problem (+-sqrt(mu) of it when P1 = 0 and no
+lambda sits in the boundary row, one standard eigenproblem in 1 / lambda
+otherwise, as for the lambda-Robin row); any other goes through companion
+QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -93,6 +96,25 @@ class SingularValueReport:
         object.__setattr__(self, "s", s)
 
 
+def _dirichlet_pairs(K, M, n_max):
+    """(lambda, coeffs, residual) of the n_max eigenpairs of K u = lambda M u
+    nearest 0, residuals in the coordinates scaled by K's diagonal."""
+    lam, vec = mass_deflated_eig(K, M, n_max)
+    Ks, d = K.unit_diagonal()
+    Ms = M.scaled(d)
+    scale_k, scale_m = spectral_norm(Ks), spectral_norm(Ms)
+    out = []
+    for n in range(lam.size):
+        lamk = float(np.real(lam[n]))
+        c = vec[:, n]
+        z = c / d
+        r = Ks @ z - lamk * (Ms @ z)
+        resid = np.linalg.norm(r) / max(
+            (scale_k + abs(lamk) * scale_m) * np.linalg.norm(z), 1e-300)
+        out.append((lamk, c, resid))
+    return out
+
+
 def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     """Spectrum of Delta_nu + 1 on (0,1) x T^{n-1} restricted to |q| <= q_max.
 
@@ -111,22 +133,13 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     mats = space.matrices()
     S, M = mats["S"], mats["M"]
 
+    solved = {}                 # |q| -> [(lambda, coeffs, residual)]
     records = []
     for q in range(-q_max, q_max + 1):
         q2 = float(q * q)
-        K = S + (1.0 + q2) * M
-        lam, vec = mass_deflated_eig(K, M, n_max)
-        # residuals in the coordinates scaled by K's diagonal
-        Ks, d = K.unit_diagonal()
-        Ms = M.scaled(d)
-        scale_k, scale_m = spectral_norm(Ks), spectral_norm(Ms)
-        for n in range(lam.size):
-            lamk = float(np.real(lam[n]))
-            c = vec[:, n]
-            z = c / d
-            r = Ks @ z - lamk * (Ms @ z)
-            resid = np.linalg.norm(r) / max(
-                (scale_k + abs(lamk) * scale_m) * np.linalg.norm(z), 1e-300)
+        if abs(q) not in solved:
+            solved[abs(q)] = _dirichlet_pairs(S + (1.0 + q2) * M, M, n_max)
+        for n, (lamk, c, resid) in enumerate(solved[abs(q)]):
             closed = 1.0 + q2 + float(zeros.zeros[n]) ** 2
             records.append((lamk, closed, q, c, resid))
 
@@ -215,10 +228,12 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
 
     ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
     Arnoldi through the banded LU of P(0), O(n) per step.  Without it every
-    eigenvalue is computed densely (fem.pencil_eig): as +-sqrt(mu) of one
-    Hermitian definite problem in mu = lambda^2 when the pencil has no
-    lambda-linear term and its operators allow it, by companion QZ
-    otherwise.
+    eigenvalue is computed densely (fem.pencil_eig).  When the lambda-free
+    and lambda^2 operators are Hermitian and the first is definite (the
+    Laplace pencil with a Dirichlet, lambda-free or lambda-Robin row), one
+    symmetric eigh reduces the pencil: +-sqrt(mu), mu = lambda^2, without a
+    lambda-linear term, one standard eig in 1 / lambda with it.  Any other
+    pencil (an e0 term, a lambda-linear gamma_+ row) takes companion QZ.
     """
     order = as_order(nu)
     n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)

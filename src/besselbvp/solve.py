@@ -257,13 +257,14 @@ def _mode_value(op, c):
     return complex(np.asarray(a0).reshape(-1)[0] + c)
 
 
-def _solve_on_space(space, A, load, bc, g):
-    """Solve the assembled A with the row of bc; returns (coeffs, cond, aux)."""
+def _solve_on_space(space, A, load, bc, g, lam=0.0):
+    """Solve the assembled A with the row of bc evaluated at lam; returns
+    (coeffs, cond, aux)."""
     aux = np.zeros(0)
     recover = None
 
     if bc is not None:
-        alpha, beta, gamma, recover = _reduce_boundary_system(bc, g)
+        alpha, beta, gamma, recover = _reduce_boundary_system(bc, g, lam)
         im = space.idx_minus
         if im is None:
             raise DomainError("boundary conditions need the x^{1/2-nu} branch")
@@ -297,7 +298,8 @@ def _discrete_traces(space, coeffs):
 
 
 def _residual(space, op, c, coeffs, rhs):
-    """Relative strong residual ||P u_h - f|| over the resolved window.
+    """Relative strong residual ||P u_h - f|| over the resolved window; a
+    residual above 1e-2 (the data is not resolved) raises SingularSystem.
 
     Normalised by ||f||, or for f = 0 by the L2 size of the operator terms
     |cu| + |a u| + |b d_nu u| (they cancel for a true solution, as in
@@ -324,7 +326,12 @@ def _residual(space, op, c, coeffs, rhs):
     fn = space.strong_residual(np.zeros(space.n), lambda x, u, du, cu: 0 * u,
                                f=f)
     scale = fn if fn > 0 else space.strong_residual(coeffs, term_sizes)
-    return rnorm / scale if scale > 0 else rnorm
+    resid = rnorm / scale if scale > 0 else rnorm
+    if not np.isfinite(resid) or resid > 1e-2:
+        raise SingularSystem(
+            f"strong residual {resid:.2e}: the discrete problem did not "
+            "resolve this data")
+    return resid
 
 
 def _gated_solution(space, A, load, c, prob, grid):
@@ -332,10 +339,6 @@ def _gated_solution(space, A, load, c, prob, grid):
     coeffs, cond, aux = _solve_on_space(space, A, load, prob.bc0,
                                         prob.boundary_data)
     resid = _residual(space, prob.op, c, coeffs, prob.rhs)
-    if not np.isfinite(resid) or resid > 1e-2:
-        raise SingularSystem(
-            f"strong residual {resid:.2e}: the discrete problem did not "
-            "resolve this data")
     u = GridFunction(grid, space.eval_coeffs(coeffs, grid.nodes),
                      fourier_index=prob.fourier_index)
     # gamma_-/gamma_+ of the discrete solution are exactly the enrichment
@@ -403,7 +406,8 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
 
     ``rhs_modes`` maps the tangential mode q to a callable f_q(x); ``a`` must
     avoid the cut (-inf, 0].  Mode q solves S + (a + |q|^2) M, S and M
-    assembled once.
+    assembled once.  A mode whose strong residual exceeds 1e-2 raises
+    SingularSystem, as in solve_1d.
     """
     order = as_order(nu)
     a = complex(a)
@@ -603,7 +607,8 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     Reports the parameter-dependent ratio [[u]]_{H^2} / [[f]]_{H^0} per
     radius; a singular solve is reported in the row, not raised (that radius
     is below the invertibility threshold).  The operator and load are
-    assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M.
+    assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M, and
+    a lambda-dependent boundary row is evaluated at that lambda.
     """
     order = op.nu
     theta = sector.intervals[0]
@@ -627,7 +632,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
         shift = a2 + a1 * lam + a0 * lam * lam
         try:
             coeffs, cond, _ = _solve_on_space(space, base + shift * M, load,
-                                              bc, 0.0)
+                                              bc, 0.0, lam)
             singular = cond > 1e12
         except SingularSystem:
             rows.append({"radius": float(r), "lambda": lam, "ratio": None,

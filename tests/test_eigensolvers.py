@@ -1,6 +1,7 @@
-"""Targeted eigensolves: shift-invert Lanczos/Arnoldi through the banded LU,
-checked against dense references, plus the structural guard that the
-count-limited paths never densify an operator."""
+"""Targeted eigensolves (shift-invert Lanczos/Arnoldi through the banded LU)
+and full pencil spectra by structure, checked against dense references,
+plus structural guards: count-limited paths never densify an operator, and
+full lambda-Robin spectra never fall back to QZ."""
 
 import json
 
@@ -283,6 +284,98 @@ def test_real_qz_matches_complex_qz():
         assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
 
 
+@pytest.mark.parametrize("nu", [0.55, 0.7])
+def test_lambda_robin_pencil_takes_the_definite_reduction(nu, monkeypatch):
+    # lambda enters only the seed corner of A1; A0 and A2 are the symmetric
+    # base, so one eigh of (A2, A0) and one standard eig solve the pencil
+    A0, A1, A2 = pencil_case(f"robin {nu}")
+    assert np.count_nonzero(A1.toarray()) == 1
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, vecs, m = pencil_eig(A0, A1, A2)
+    assert not qz_calls
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref == A0.shape[0] and lam.size == 2 * m
+    for value in lam[:32]:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+    assert rel(np.abs(lam[:32]), np.abs(ref[:32])) < 1e-10
+    for k in range(32):
+        c = vecs[:, k] / np.linalg.norm(vecs[:, k])
+        r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
+        scale = sum(spectral_norm(A) * abs(lam[k]) ** i
+                    for i, A in enumerate((A0, A1, A2)))
+        assert np.linalg.norm(r) < 1e-12 * scale
+
+
+def tridiagonal(lower, diag, upper):
+    """BorderedBand of the tridiagonal matrix with these three diagonals."""
+    n = len(diag)
+    band = np.zeros((3, n), dtype=np.result_type(lower, diag, upper))
+    band[0, 1:], band[1], band[2, :-1] = upper, diag, lower
+    return BorderedBand(band)
+
+
+def test_gyroscopic_pencil_takes_the_definite_reduction(monkeypatch):
+    # Hermitian definite A0 and A2, skew-Hermitian A1 = i c M: the
+    # reduction needs only A0 and A2 Hermitian, A1 may be anything
+    n = 24
+    x = np.linspace(1.0, 3.0, n)
+    A0 = tridiagonal(-x[1:], 2.0 * x + 0.5, -x[1:])
+    M = tridiagonal(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1))
+    A2 = (1.0 / 6.0) * M
+    A1 = 0.75j * M
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, vecs, m = pencil_eig(A0, A1, A2)
+    assert not qz_calls
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref == n and lam.size == 2 * n
+    for value in lam:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+    assert rel(np.abs(lam), np.abs(ref)) < 1e-10
+    for k in range(2 * n):
+        c = vecs[:, k] / np.linalg.norm(vecs[:, k])
+        r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
+        assert np.linalg.norm(r) < 1e-12 * (1.0 + abs(lam[k])) ** 2
+
+
+def test_linear_pencil_puts_half_its_spectrum_at_infinity(monkeypatch):
+    # A2 = 0: Theta = 0, and the companion in 1 / lambda has n exact zeros;
+    # they come back as lambda = inf, the other n as the eigenvalues of the
+    # linear pencil A0 + lambda A1
+    n = 12
+    x = np.linspace(1.0, 3.0, n)
+    A0 = tridiagonal(-x[1:], 2.0 * x + 0.5, -x[1:])
+    A1 = tridiagonal(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1))
+    A2 = tridiagonal(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, _, m = pencil_eig(A0, A1, A2)
+    assert not qz_calls
+    assert m == n and lam.size == 2 * n
+    assert np.all(np.isinf(lam[n:])) and np.all(np.isfinite(lam[:n]))
+    ref = la.eigvals(A0.toarray(), -A1.toarray())
+    ref = ref[np.argsort(np.abs(ref))]
+    assert rel(lam[:n], ref) < 1e-12
+
+
+def test_real_non_hermitian_pencil_takes_real_qz(monkeypatch):
+    # a non-symmetric A0 fails the definite gate: the real operators go
+    # through the real QZ of the companion
+    n = 24
+    A0 = tridiagonal(np.full(n - 1, -0.5), np.full(n, 2.0),
+                     np.full(n - 1, -1.0))
+    A1 = tridiagonal(np.zeros(n - 1), np.linspace(0.1, 0.4, n),
+                     np.zeros(n - 1))
+    A2 = tridiagonal(np.ones(n - 1), np.full(n, 4.0), np.ones(n - 1))
+    assert _is_real(A0, A1, A2)
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, _, m = pencil_eig(A0, A1, A2)
+    assert len(qz_calls) == 1
+    assert all(np.isrealobj(D) for D in qz_calls[0][:3])
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref == n
+    for value in lam:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+
+
 @pytest.mark.parametrize("name", ["laplace 0.4", "robin 0.55", "kg0.5"])
 def test_pair_order_is_the_same_from_every_solver(name):
     A0, A1, A2 = pencil_case(name)
@@ -298,8 +391,21 @@ def test_pair_order_is_the_same_from_every_solver(name):
 
 
 # --------------------------------------------------------------------------
-# structural guard: count-limited paths never densify
+# structural guards: full lambda-Robin spectra never run QZ, count-limited
+# paths never densify
 # --------------------------------------------------------------------------
+
+def test_full_lambda_robin_spectrum_never_runs_qz(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a lambda-Robin spectrum fell back to QZ")
+
+    monkeypatch.setattr(fem, "_companion_qz", refuse)
+    monkeypatch.setattr(fem, "_deflation", refuse)
+    nu = 0.6
+    ms = pencil_modes(nu, laplace_pencil(nu),
+                      BoundaryOperator.lambda_robin(nu), q=0, n_nodes=128)
+    assert len(ms) == 2 * ms.dof
+
 
 def test_targeted_paths_never_call_toarray(monkeypatch, tmp_path):
     def refuse(self):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from besselbvp import modes
 from besselbvp.core import Order, RadialGrid, GridFunction
 from besselbvp.errors import IncompleteModeInput
 from besselbvp.modes import (
@@ -52,6 +53,32 @@ def test_dirichlet_spectrum_with_tangential_modes():
                   for q in range(-2, 3) for n in range(2))
     assert np.allclose(np.sort(ms.eigenvalues), want, rtol=1e-6)
     assert np.all(np.diff(np.abs(ms.eigenvalues)) > -1e-12)
+
+
+def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
+    # modes q and -q share K = S + (1 + q^2) M: one eigensolve and one pair
+    # of norm estimates per |q|, each record kept once per q
+    calls = {"eig": 0, "norm": 0}
+    eig, norm = modes.mass_deflated_eig, modes.spectral_norm
+
+    def counted_eig(*args):
+        calls["eig"] += 1
+        return eig(*args)
+
+    def counted_norm(*args):
+        calls["norm"] += 1
+        return norm(*args)
+
+    monkeypatch.setattr(modes, "mass_deflated_eig", counted_eig)
+    monkeypatch.setattr(modes, "spectral_norm", counted_norm)
+    ms = dirichlet_spectrum(0.4, q_max=2, n_max=2, n_nodes=160)
+    assert calls == {"eig": 3, "norm": 6}
+    assert len(ms) == 10
+    qs = np.concatenate([f.fourier_index for f in ms.eigenvectors])
+    assert sorted(qs) == sorted(q for q in range(-2, 3) for _ in range(2))
+    for q in (1, 2):
+        assert np.array_equal(ms.eigenvalues[qs == q],
+                              ms.eigenvalues[qs == -q])
 
 
 def test_dirichlet_eigenfunction_satisfies_ode():

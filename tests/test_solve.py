@@ -323,6 +323,14 @@ def test_dirichlet_laplacian_coercivity():
     assert val.real > 0
 
 
+def test_dirichlet_laplacian_gates_the_residual():
+    # sin(300 x) is far below the resolution of 32 nodes: the strong
+    # residual is about 0.9, and the solve must refuse it as solve_1d does
+    with pytest.raises(SingularSystem, match="strong residual"):
+        solve_dirichlet_laplacian(0.4, 1.0, {0: lambda x: np.sin(300 * x)},
+                                  n_nodes=32)
+
+
 def test_dirichlet_laplacian_rejects_cut():
     with pytest.raises(SpectralParameterOnCut):
         solve_dirichlet_laplacian(0.5, -3.0, {0: lambda x: x})
@@ -501,6 +509,25 @@ def test_resolvent_sweep_reads_fourier_symbol():
     for g, w in zip(got.rows, want.rows):
         assert abs(g["ratio"] - w["ratio"]) <= 1e-12 * w["ratio"]
         assert abs(g["condition"] - w["condition"]) <= 1e-12 * w["condition"]
+
+
+def test_resolvent_sweep_evaluates_lambda_rows_at_lambda():
+    # the row gamma_+ + c lambda gamma_- at radius r is the Robin row with
+    # beta = c lambda(r), not the Neumann row it reads as at lambda = 0
+    nu, c, radii = 0.3, 0.5, [4.0, 8.0, 16.0]
+    sector = Sector.elliptic_cone()
+    rep = resolvent_sweep(pencil_op(nu), BoundaryOperator.lambda_robin(nu, c),
+                          sector, radii, n_nodes=128)
+    neumann = resolvent_sweep(pencil_op(nu), BoundaryOperator.neumann(nu),
+                              sector, radii, n_nodes=128)
+    for row, nrow in zip(rep.rows, neumann.rows):
+        robin = BoundaryOperator.robin(nu, c * row["lambda"])
+        (want,) = resolvent_sweep(pencil_op(nu), robin, sector,
+                                  [row["radius"]], n_nodes=128).rows
+        assert want["lambda"] == row["lambda"]
+        for key in ("ratio", "condition"):
+            assert abs(row[key] - want[key]) <= 1e-12 * want[key]
+        assert abs(row["ratio"] - nrow["ratio"]) > 1e-6 * nrow["ratio"]
 
 
 @pytest.fixture
