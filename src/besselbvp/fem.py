@@ -30,6 +30,8 @@ convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
 in the first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
 (BorderedBand); solves cost O(n) through a banded LU and one Schur step.
+A BorderedBand multiplies a vector or an (n, k) block by the same strided
+sum over its diagonals, O(n k) per block.
 Count-limited eigensolves (mass_deflated_eig, pencil_eig with a count) run
 ARPACK shift-invert Lanczos/Arnoldi through the same factor, O(n) per
 Krylov step.  Full pencil spectra are dense.  When the scaled A0 and A2 are
@@ -163,6 +165,11 @@ class BorderedBand:
     A seeded space puts its seed first: ``row`` holds the entries
     (seed, w_j), ``col`` the entries (w_i, seed) and ``corner`` (seed, seed).
     Unseeded operators carry ``row = col = None``.
+
+    ``A @ x`` takes a vector or an (n, k) block.  The block columns ride
+    along as a trailing axis of the vector product, so each column of
+    ``A @ X`` equals ``A @ X[:, j]`` bitwise, except the seed row: there
+    ``row @ X`` and ``row @ x`` sum in different orders (rounding level).
     """
 
     band: np.ndarray
@@ -206,22 +213,26 @@ class BorderedBand:
                             c * self.corner)
 
     def __matmul__(self, x):
+        """A x for a vector x, or A X column by column for an (n, k) block."""
         x = np.asarray(x)
         xw = x[int(self.seeded):]
         p, m = self.p, self.band.shape[1]
+        block = x.shape[1:]                 # () for a vector, (k,) for a block
+        along = (...,) + (None,) * len(block)
         # prod[r, p + j] = A[j + r - p, j] x_j, so (A x)_i sums the slots
-        # prod[r, i + 2p - r]: a strided view walks those anti-diagonals
-        prod = np.zeros((2 * p + 1, m + 2 * p),
+        # prod[r, i + 2p - r]: a strided view walks those anti-diagonals,
+        # the block columns riding along as a trailing axis
+        prod = np.zeros((2 * p + 1, m + 2 * p) + block,
                         dtype=np.result_type(self.band, x))
-        np.multiply(self.band, xw, out=prod[:, p:p + m])
-        item = prod.itemsize
-        y = np.add.reduce(np.ndarray((2 * p + 1, m), prod.dtype, prod,
-                                     2 * p * item,
-                                     ((m + 2 * p - 1) * item, item)), axis=0)
+        np.multiply(self.band[along], xw, out=prod[:, p:p + m])
+        st = prod.strides
+        y = np.add.reduce(np.ndarray((2 * p + 1, m) + block, prod.dtype,
+                                     prod, 2 * p * st[1],
+                                     (st[0] - st[1],) + st[1:]), axis=0)
         if not self.seeded:
             return y
         return np.concatenate(([self.corner * x[0] + self.row @ xw],
-                               y + self.col * x[0]))
+                               y + self.col[along] * x[0]))
 
     def toarray(self):
         n = self.shape[0]

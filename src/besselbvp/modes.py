@@ -96,23 +96,25 @@ class SingularValueReport:
         object.__setattr__(self, "s", s)
 
 
+def _column_norms(X):
+    """The 2-norm of each column of X, one np.linalg.norm per column (a
+    single norm(axis=0) rounds differently)."""
+    return np.array([np.linalg.norm(x) for x in X.T])
+
+
 def _dirichlet_pairs(K, M, n_max):
-    """(lambda, coeffs, residual) of the n_max eigenpairs of K u = lambda M u
+    """(lambda, coeffs, residuals) of the n_max eigenpairs of K u = lambda M u
     nearest 0, residuals in the coordinates scaled by K's diagonal."""
     lam, vec = mass_deflated_eig(K, M, n_max)
+    lam = np.real(lam)
     Ks, d = K.unit_diagonal()
     Ms = M.scaled(d)
     scale_k, scale_m = spectral_norm(Ks), spectral_norm(Ms)
-    out = []
-    for n in range(lam.size):
-        lamk = float(np.real(lam[n]))
-        c = vec[:, n]
-        z = c / d
-        r = Ks @ z - lamk * (Ms @ z)
-        resid = np.linalg.norm(r) / max(
-            (scale_k + abs(lamk) * scale_m) * np.linalg.norm(z), 1e-300)
-        out.append((lamk, c, resid))
-    return out
+    Z = vec / d[:, None]
+    R = Ks @ Z - lam * (Ms @ Z)
+    resid = _column_norms(R) / np.maximum(
+        (scale_k + np.abs(lam) * scale_m) * _column_norms(Z), 1e-300)
+    return lam, vec, resid
 
 
 def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
@@ -133,15 +135,16 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     mats = space.matrices()
     S, M = mats["S"], mats["M"]
 
-    solved = {}                 # |q| -> [(lambda, coeffs, residual)]
+    solved = {}                 # |q| -> (lambda, coeffs, residuals)
     records = []
     for q in range(-q_max, q_max + 1):
         q2 = float(q * q)
         if abs(q) not in solved:
             solved[abs(q)] = _dirichlet_pairs(S + (1.0 + q2) * M, M, n_max)
-        for n, (lamk, c, resid) in enumerate(solved[abs(q)]):
+        lam, vec, resid = solved[abs(q)]
+        for n in range(lam.size):
             closed = 1.0 + q2 + float(zeros.zeros[n]) ** 2
-            records.append((lamk, closed, q, c, resid))
+            records.append((float(lam[n]), closed, q, vec[:, n], resid[n]))
 
     records.sort(key=lambda rec: abs(rec[0]))
     lams = np.array([r[0] for r in records])
@@ -221,9 +224,12 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
 
     Companion linearisation with the boundary row treated by elimination
     (lambda-free conditions) or as an augmented lambda-linear row; residuals
-    are checked against the unlinearised pencil.  By default modes above the
-    1e-7 residual budget are dropped; pass ``residual_cap=None`` to collect
-    every eigenvalue of the discrete pencil (with multiplicity), as the
+    are checked against the unlinearised pencil, for every mode at once:
+    with C the unit eigenvectors, R = A0 C + Lam (A1 C) + Lam^2 (A2 C) takes
+    one block product per operator (BorderedBand @ (n, k)), and the Cauchy
+    data are array operations on C.  By default modes above the 1e-7
+    residual budget are dropped; pass ``residual_cap=None`` to collect every
+    eigenvalue of the discrete pencil (with multiplicity), as the
     completeness check requires.
 
     ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
@@ -249,46 +255,38 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     if lam.size == 0:
         raise LinearizationSingular("every pencil eigenvalue is infinite")
 
-    # residuals against the unlinearised pencil, scale-aware
+    # residuals against the unlinearised pencil, scale-aware, for every
+    # mode at once: R = A0 C + Lam (A1 C) + Lam^2 (A2 C), C the unit columns
     scale0, scale1, scale2 = (spectral_norm(A) for A in (A0, A1, A2))
-    keep, resid = [], []
-    for k in range(lam.size):
-        c = cvecs[:, k]
-        nc = np.linalg.norm(c)
-        if nc == 0:
-            continue
-        c = c / nc
-        if not np.isfinite(lam[k]):
-            # eigenvalue at infinity: kept only for completeness collection
-            if residual_cap is None:
-                keep.append(k)
-                resid.append(0.0)
-            continue
-        r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
-        scale = scale0 + abs(lam[k]) * scale1 + abs(lam[k]) ** 2 * scale2
-        rel = np.linalg.norm(r) / max(scale, 1e-300)
-        if residual_cap is None or rel < residual_cap:
-            keep.append(k)
-            resid.append(rel)
-    lam, cvecs = lam[keep], cvecs[:, keep]
-    resid = np.array(resid)
-    idx = modulus_order(lam)
-    lam, cvecs, resid = lam[idx], cvecs[:, idx], resid[idx]
-    if max_modes is not None:
-        lam, cvecs, resid = (lam[:max_modes], cvecs[:, :max_modes],
-                             resid[:max_modes])
+    norms = _column_norms(cvecs)
+    finite = np.isfinite(lam)
+    live = finite & (norms != 0)
+    C, lam_c = cvecs[:, live] / norms[live], lam[live]
+    # lam^2 and |lam| as numpy scalars round them: the array loops of
+    # complex squares and np.abs differ from them in the last bit
+    lam2 = np.array([l ** 2 for l in lam_c], dtype=complex)
+    scale = np.array([scale0 + abs(l) * scale1 + abs(l) ** 2 * scale2
+                      for l in lam_c])
+    R = A0 @ C + lam_c * (A1 @ C) + lam2 * (A2 @ C)
+    resid = np.zeros(lam.size)
+    resid[live] = _column_norms(R) / np.maximum(scale, 1e-300)
+    if residual_cap is None:
+        # eigenvalues at infinity are kept only for completeness collection
+        keep = norms != 0
+    else:
+        keep = live & (resid < residual_cap)
+    idx = np.flatnonzero(keep)[modulus_order(lam[keep])[:max_modes]]
+    lam, resid = lam[idx], resid[idx]
+    cvecs = cvecs[:, idx] / norms[idx]
 
     grid = RadialGrid.build(1.0, n_nodes=min(n_nodes, 256), settings=settings)
+    finite = np.isfinite(lam)
+    scale = np.array([max(1.0, abs(l)) for l in lam[finite]])
     cauchy = np.zeros((2 * n, lam.size), dtype=complex)
-    for k in range(lam.size):
-        nrm = np.linalg.norm(cvecs[:, k]) or 1.0
-        cvecs[:, k] = c = cvecs[:, k] / nrm
-        if np.isfinite(lam[k]):
-            scale = max(1.0, abs(lam[k]))
-            cauchy[:n, k] = c / scale
-            cauchy[n:, k] = lam[k] * c / scale
-        else:
-            cauchy[n:, k] = c     # pencil_eig returns the v2 data at infinity
+    cauchy[:n, finite] = cvecs[:, finite] / scale
+    cauchy[n:, finite] = lam[finite] * cvecs[:, finite] / scale
+    # pencil_eig returns the v2 data at infinity
+    cauchy[n:, ~finite] = cvecs[:, ~finite]
     vals = space.eval_coeffs(cvecs, grid.nodes)
     eigenvectors = [GridFunction(grid, vals[:, k], fourier_index=q)
                     for k in range(lam.size)]

@@ -2,13 +2,15 @@
 
 These deliberately avoid the library's evaluation paths (scipy.special):
 ascending series summed to machine convergence, large-argument asymptotic
-expansions, plain adaptive quadrature, and a dense SVD least-squares solve
-of the assembled Galerkin system.  They exist so the dual-route checks
-compare two genuinely different computations.
+expansions, plain adaptive quadrature, a dense SVD least-squares solve
+of the assembled Galerkin system, and mpmath's hypergeometric 0F1 for the
+characteristic function of the lambda-Robin pencil.  They exist so the
+dual-route checks compare two genuinely different computations.
 """
 
 import math
 
+import mpmath
 import numpy as np
 from scipy import linalg as la
 from scipy.integrate import quad
@@ -174,6 +176,50 @@ def dense_companion_eigvals(A0, A1, A2):
                      np.block([[A2, Z], [Z, Iden]]))
     lam = lam[np.isfinite(lam)]
     return lam[np.argsort(np.abs(lam))]
+
+
+def band_matvec(A, x):
+    """A x for a BorderedBand A and a vector x, as BorderedBand.__matmul__
+    computed it before it took (n, k) blocks: the band products land in a
+    (2p+1, m+2p) buffer, and a strided view sums its anti-diagonals."""
+    x = np.asarray(x)
+    xw = x[int(A.seeded):]
+    p, m = A.p, A.band.shape[1]
+    prod = np.zeros((2 * p + 1, m + 2 * p), dtype=np.result_type(A.band, x))
+    np.multiply(A.band, xw, out=prod[:, p:p + m])
+    item = prod.itemsize
+    y = np.add.reduce(np.ndarray((2 * p + 1, m), prod.dtype, prod,
+                                 2 * p * item,
+                                 ((m + 2 * p - 1) * item, item)), axis=0)
+    if not A.seeded:
+        return y
+    return np.concatenate(([A.corner * x[0] + A.row @ xw],
+                           y + A.col * x[0]))
+
+
+def lambda_robin_characteristic(nu, c, lam):
+    """F(lam) = c lam 0F1(; nu+1; lam^2/4) - 2 nu 0F1(; 1-nu; lam^2/4).
+
+    The Laplace pencil |D_nu|^2 + lam^2 on (0, 1) with u(1) = 0 and
+    gamma_+ u + c lam gamma_- u = 0 has its eigenvalues at the zeros of F:
+    with z = lam^2/4 the solutions combine x^{1/2+nu} 0F1(; nu+1; z x^2)
+    (gamma_+ = 2 nu) and x^{1/2-nu} 0F1(; 1-nu; z x^2) (gamma_- = 1), and
+    u(1) = 0 fixes their ratio.  Evaluated at mpmath's working precision.
+    """
+    z = mpmath.mpc(lam) ** 2 / 4
+    return (c * lam * mpmath.hyp0f1(nu + 1, z)
+            - 2 * nu * mpmath.hyp0f1(1 - nu, z))
+
+
+def lambda_robin_eigenvalue(nu, c, guess):
+    """The zero of lambda_robin_characteristic nearest ``guess`` (secant
+    iteration at 30 digits)."""
+    with mpmath.workdps(30):
+        root = mpmath.findroot(
+            lambda lam: lambda_robin_characteristic(mpmath.mpf(nu),
+                                                    mpmath.mpf(c), lam),
+            mpmath.mpc(guess))
+    return complex(root)
 
 
 def fornberg_weights(z, x, m):

@@ -1,7 +1,8 @@
 """Targeted eigensolves (shift-invert Lanczos/Arnoldi through the banded LU)
 and full pencil spectra by structure, checked against dense references,
-plus structural guards: count-limited paths never densify an operator, and
-full lambda-Robin spectra never fall back to QZ."""
+plus structural guards: count-limited paths never densify an operator,
+full lambda-Robin spectra never fall back to QZ, and the residuals of a
+spectrum take a fixed number of operator products."""
 
 import json
 
@@ -10,7 +11,7 @@ import pytest
 from scipy import linalg as la
 
 import oracles
-from besselbvp import fem
+from besselbvp import fem, modes
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.errors import DomainError, SingularSystem
@@ -22,7 +23,7 @@ from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
                              embedding_singular_values, pencil_modes)
 from besselbvp.solve import BesselOperator
-from besselbvp.symbols import BoundaryOperator
+from besselbvp.symbols import BoundaryOperator, LinearSymbol
 
 from test_cli import run_cmd
 
@@ -273,6 +274,10 @@ def test_even_pencil_m_is_the_deflation_rank(c, m_expected, monkeypatch):
 
 
 def test_real_qz_matches_complex_qz():
+    """Since the definite reduction, this lambda-Robin pencil no longer
+    reaches real QZ: it checks the reduction against complex QZ.  Real QZ
+    on a library-built pencil is checked by
+    test_lambda_linear_gamma_plus_row_takes_real_qz."""
     A0, A1, A2 = pencil_case("robin 0.55")
     assert np.any(A1.toarray()) and _is_real(A0, A1, A2)
     lam, _, m = pencil_eig(A0, A1, A2)
@@ -280,6 +285,30 @@ def test_real_qz_matches_complex_qz():
     assert m == m_ref
     # the upper modes of a lambda-Robin pencil are ill-conditioned; the
     # leading 16 pairs are resolved
+    for value in lam[:32]:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+
+
+def test_lambda_linear_gamma_plus_row_takes_real_qz(monkeypatch):
+    # T = gamma_- + (0.5 + 0.5 lambda) gamma_+ replaces the seed's test row
+    # of A0 and A1 (modes._pencil_matrices, boundary_row), so the scaled A0
+    # is not Hermitian and the real operators go through one real QZ.
+    # BoundaryOperator.make admits no nu-order for a lambda in the gamma_+
+    # symbol; the pencil solver takes any scalar row, so the row is built
+    # directly
+    nu = 0.3
+    bc = BoundaryOperator((LinearSymbol(const=1.0),),
+                          (LinearSymbol(const=0.5, lam=0.5),), 1.0 + nu)
+    A0, A1, A2 = _pencil_matrices(nu, laplace_pencil(nu), bc, 0, 32,
+                                  DEFAULTS)[:3]
+    assert A0.seeded and np.any(A1.row) and _is_real(A0, A1, A2)
+    assert _hermitian_part(_diag_scale(A0.toarray())[0]) is None
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, _, m = pencil_eig(A0, A1, A2)
+    assert len(qz_calls) == 1
+    assert all(np.isrealobj(D) for D in qz_calls[0][:3])
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref
     for value in lam[:32]:
         assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
 
@@ -391,8 +420,8 @@ def test_pair_order_is_the_same_from_every_solver(name):
 
 
 # --------------------------------------------------------------------------
-# structural guards: full lambda-Robin spectra never run QZ, count-limited
-# paths never densify
+# structural guards: full lambda-Robin spectra never run QZ, residuals take
+# block products, count-limited paths never densify
 # --------------------------------------------------------------------------
 
 def test_full_lambda_robin_spectrum_never_runs_qz(monkeypatch):
@@ -405,6 +434,44 @@ def test_full_lambda_robin_spectrum_never_runs_qz(monkeypatch):
     ms = pencil_modes(nu, laplace_pencil(nu),
                       BoundaryOperator.lambda_robin(nu), q=0, n_nodes=128)
     assert len(ms) == 2 * ms.dof
+
+
+def test_post_processing_products_do_not_grow_with_the_mesh(monkeypatch):
+    # pencil_modes and dirichlet_spectrum form the residuals of all modes
+    # by block products; outside the Krylov products of spectral_norm and
+    # mass_deflated_eig, the count of BorderedBand products is the same at
+    # n = 32 and n = 128, so a per-mode loop fails here
+    counting, count = [True], [0]
+    matmul = BorderedBand.__matmul__
+
+    def spy(self, x):
+        count[0] += counting[0]
+        return matmul(self, x)
+
+    def uncounted(fun):
+        def run(*args, **kwargs):
+            counting[0] = False
+            try:
+                return fun(*args, **kwargs)
+            finally:
+                counting[0] = True
+        return run
+
+    monkeypatch.setattr(BorderedBand, "__matmul__", spy)
+    monkeypatch.setattr(modes, "spectral_norm", uncounted(spectral_norm))
+    monkeypatch.setattr(modes, "mass_deflated_eig",
+                        uncounted(mass_deflated_eig))
+    nu = 0.6
+    counts = []
+    for n in (32, 128):
+        count[0] = 0
+        ms = pencil_modes(nu, laplace_pencil(nu),
+                          BoundaryOperator.lambda_robin(nu), q=0, n_nodes=n)
+        assert len(ms) == 2 * ms.dof
+        ms = dirichlet_spectrum(0.4, q_max=1, n_max=n // 8, n_nodes=n)
+        assert len(ms) == 3 * (n // 8)
+        counts.append(count[0])
+    assert counts[0] == counts[1]
 
 
 def test_targeted_paths_never_call_toarray(monkeypatch, tmp_path):

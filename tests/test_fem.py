@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
+import oracles
 from besselbvp.core import BranchFunction, Order, branch_inner
 from besselbvp.errors import SingularSystem
 from besselbvp.fem import (BorderedBand, Space, galerkin_solve,
@@ -74,6 +75,68 @@ def test_band_product_adjoint_and_scalar_multiple(seeded):
     As, d = A.unit_diagonal()
     assert np.allclose(np.abs(As.diagonal()), 1.0, rtol=1e-14)
     assert np.allclose(As.toarray(), D * np.outer(d, d), rtol=1e-14)
+
+
+SEEDING = {False: "unseeded", True: "seeded"}
+
+
+def random_operator(p, dtype, seeded, m=40, seed=0):
+    """BorderedBand of half-bandwidth p on m Lagrange dofs (plus a seed)
+    with random entries of ``dtype``; band slots outside the matrix are 0."""
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if dtype is complex else x
+
+    band = draw(2 * p + 1, m)
+    rows = np.arange(m)[None, :] + np.arange(2 * p + 1)[:, None] - p
+    band[(rows < 0) | (rows >= m)] = 0.0
+    if not seeded:
+        return BorderedBand(band)
+    return BorderedBand(band, draw(m), draw(m), draw(1)[0])
+
+
+def operators_p1_to_p4():
+    """Every p = 1..4, real and complex, unseeded and seeded, and the
+    assembled (p = 5) operators of robin_system."""
+    ops = [pytest.param(random_operator(p, dtype, seeded, seed=p),
+                        id=f"p{p}-{dtype.__name__}-{SEEDING[seeded]}")
+           for p in (1, 2, 3, 4) for dtype in (float, complex)
+           for seeded in (False, True)]
+    return ops + [pytest.param(robin_system(0.3, 12, seeded)[1],
+                               id=f"assembled-{SEEDING[seeded]}")
+                  for seeded in (False, True)]
+
+
+@pytest.mark.parametrize("A", operators_p1_to_p4())
+def test_vector_product_is_the_strided_product(A):
+    # the block product kept the vector arithmetic: bitwise the oracle's
+    rng = np.random.default_rng(3)
+    n = A.shape[0]
+    for x in (rng.standard_normal(n),
+              rng.standard_normal(n) + 1j * rng.standard_normal(n)):
+        assert np.array_equal(A @ x, oracles.band_matvec(A, x))
+
+
+@pytest.mark.parametrize("A", operators_p1_to_p4())
+def test_block_product_equals_stacked_column_products(A):
+    rng = np.random.default_rng(4)
+    n, s = A.shape[0], int(A.seeded)
+    for k in (1, 7):
+        for X in (rng.standard_normal((n, k)),
+                  rng.standard_normal((n, k))
+                  + 1j * rng.standard_normal((n, k))):
+            Y = A @ X
+            cols = np.stack([oracles.band_matvec(A, X[:, j])
+                             for j in range(k)], axis=1)
+            assert Y.shape == (n, k)
+            assert np.array_equal(Y[s:], cols[s:])
+            if s:
+                # row @ X and row @ x sum the seed row in different orders
+                size = abs(A.corner) * np.abs(X[0]) + np.abs(A.row) @ np.abs(
+                    X[1:])
+                assert np.all(np.abs(Y[0] - cols[0]) <= 1e-15 * size)
 
 
 @pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),

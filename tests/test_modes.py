@@ -20,6 +20,8 @@ from besselbvp.symbols import BoundaryOperator
 
 import scipy.special as ss
 
+import oracles
+
 
 def laplace_pencil(nu):
     return BesselOperator(Order(nu), a_coeff=0.0,
@@ -133,7 +135,8 @@ def test_pencil_eigenvalue_count_with_multiplicity():
 
 
 def test_pencil_lambda_robin_regression():
-    # residual-certified fixtures; no external truth claimed
+    # residual-certified fixtures, each checked against the nearest zero of
+    # the closed-form characteristic function F(lambda) (mpmath)
     nu = 0.7
     bc = BoundaryOperator.lambda_robin(nu)
     ms = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=256)
@@ -143,6 +146,9 @@ def test_pencil_lambda_robin_regression():
             0.25751747 - 4.32747309j, 0.25751747 + 4.32747309j]
     for w in want:
         assert np.min(np.abs(lam - w)) < 1e-6 * abs(w)
+        exact = oracles.lambda_robin_eigenvalue(nu, 1.0, w)
+        assert abs(w - exact) < 1e-6 * abs(exact)
+        assert np.min(np.abs(lam - exact)) < 1e-6 * abs(exact)
 
 
 def test_self_adjoint_spectrum_real():
