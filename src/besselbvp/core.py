@@ -26,7 +26,6 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from .config import DEFAULTS
 from .errors import DomainError, GridTooCoarse, TraceFitError
@@ -99,13 +98,16 @@ class RadialGrid:
 
     Nodes exclude x = 0 exactly (the operator is singular there); the weights
     integrate polynomials panel-exactly, so sum(weights) == x_max at rounding
-    level.
+    level.  ``grid_derivative`` keeps the stencil weights it computes on
+    the grid, keyed by (width, deriv), so each set is computed once.
     """
 
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     x_max: float
     density_hint: DensityHint = DensityHint.GRADED_MESH
+    _stencils: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
@@ -159,6 +161,9 @@ class RadialGrid:
 class BranchFunction:
     """Finite sum of terms x^exponent * P(x) with polynomial P.
 
+    ``terms`` lists (exponent, coefficients) by exponent; the coefficients
+    of P are a complex ndarray in increasing powers of x, nonzero at both
+    ends (inputs may give P as a sequence or a numpy ``Polynomial``).
     Closed under d_nu, d_nu*, multiplication by polynomials and x^r; inner
     products over (0, X) reduce to Gauss-Jacobi integrals that the rules
     integrate exactly.
@@ -166,70 +171,41 @@ class BranchFunction:
 
     def __init__(self, terms):
         merged = {}
-        for e, p in terms:
-            p = p if isinstance(p, Polynomial) else Polynomial(np.atleast_1d(p))
-            e, p = self._normalize(float(e), p)
-            if p is None:
-                continue
-            key = round(e, 12)
-            merged[key] = merged[key] + p if key in merged else p
+        for e, c in terms:
+            c = np.atleast_1d(np.asarray(getattr(c, "coef", c), dtype=complex))
+            e, c = _normalize(float(e), c)
+            if c is not None:
+                key = round(e, 12)
+                merged[key] = _add(merged[key], c) if key in merged else c
         self.terms = []
-        for e, p in sorted(merged.items()):
-            e, p = self._normalize(e, p)
-            if p is not None:
-                self.terms.append((e, p))
-
-    @staticmethod
-    def _normalize(e, p):
-        """Shift vanishing leading coefficients into the exponent.
-
-        Exact cancellations in d_nu / d_nu* leave rounding fuzz in the
-        constant term; stripping at a relative tolerance keeps integrability
-        bookkeeping honest.
-        """
-        scale = np.max(np.abs(p.coef))
-        if scale == 0:
-            return e, None
-        coef = np.array(p.coef)
-        coef[np.abs(coef) <= 1e-12 * scale] = 0.0
-        coef = np.trim_zeros(coef, 'b')
-        if coef.size == 0:
-            return e, None
-        while coef.size > 1 and coef[0] == 0.0:
-            e += 1.0
-            coef = coef[1:]
-        return e, Polynomial(coef)
+        for e in sorted(merged):
+            e, c = _normalize(e, merged[e])
+            if c is not None:
+                self.terms.append((e, c))
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
         out = np.zeros(x.shape, dtype=complex)
-        for e, p in self.terms:
-            out += x ** e * p(x)
+        for e, c in self.terms:
+            out += x ** e * _horner(c, x)
         return out
 
     def d_nu(self, nu):
         """d_nu (x^e P) = x^{e-1} [(e + nu - 1/2) P + x P']."""
-        out = []
-        for e, p in self.terms:
-            out.append((e - 1.0, (e + nu - 0.5) * p + Polynomial([0, 1]) * p.deriv()))
-        return BranchFunction(out)
+        return BranchFunction([(e - 1.0, (e + nu - 0.5) * c + _xd(c))
+                               for e, c in self.terms])
 
     def d_nu_star(self, nu):
         """d_nu* (x^e P) = -x^{e-1} [(e + 1/2 - nu) P + x P']."""
-        out = []
-        for e, p in self.terms:
-            out.append((e - 1.0, -((e + 0.5 - nu) * p + Polynomial([0, 1]) * p.deriv())))
-        return BranchFunction(out)
+        return BranchFunction([(e - 1.0, -((e + 0.5 - nu) * c + _xd(c)))
+                               for e, c in self.terms])
 
     def d_x(self):
-        out = []
-        for e, p in self.terms:
-            out.append((e - 1.0, e * p + Polynomial([0, 1]) * p.deriv()))
-        return BranchFunction(out)
+        return BranchFunction([(e - 1.0, e * c + _xd(c)) for e, c in self.terms])
 
     def times_poly(self, q):
-        q = q if isinstance(q, Polynomial) else Polynomial(np.atleast_1d(q))
-        return BranchFunction([(e, p * q) for e, p in self.terms])
+        q = np.atleast_1d(np.asarray(getattr(q, "coef", q), dtype=complex))
+        return BranchFunction([(e, np.convolve(c, q)) for e, c in self.terms])
 
     def __add__(self, other):
         return BranchFunction(self.terms + other.terms)
@@ -238,15 +214,48 @@ class BranchFunction:
         return self + other.scale(-1.0)
 
     def scale(self, c):
-        return BranchFunction([(e, p * c) for e, p in self.terms])
+        # np.convolve rounds complex products as numpy.polynomial does
+        return self.times_poly(c)
 
     def dilate(self, tau):
         """x -> u(tau x): each branch picks up tau^e and a rescaled polynomial."""
-        out = []
-        for e, p in self.terms:
-            coef = p.coef * tau ** np.arange(p.coef.size)
-            out.append((e, Polynomial(coef) * tau ** e))
-        return BranchFunction(out)
+        return BranchFunction([(e, c * tau ** np.arange(c.size) * tau ** e)
+                               for e, c in self.terms])
+
+
+def _normalize(e, c):
+    """Shift vanishing leading coefficients into the exponent.
+
+    Exact cancellations in d_nu / d_nu* leave rounding fuzz in the constant
+    term; stripping at a relative tolerance keeps integrability bookkeeping
+    honest.  Returns (e, None) for a zero polynomial.
+    """
+    mag = np.abs(c)
+    c = np.where(mag <= 1e-12 * np.max(mag, initial=0.0), 0.0, c)
+    nz = np.flatnonzero(c)
+    if nz.size == 0:
+        return e, None
+    for _ in range(nz[0]):
+        e += 1.0          # one step at a time: e + k rounds differently
+    return e, c[nz[0]:nz[-1] + 1]
+
+
+def _add(a, b):
+    a, b = (a, b) if a.size >= b.size else (b, a)
+    return np.concatenate([a[:b.size] + b, a[b.size:]])
+
+
+def _xd(c):
+    """Coefficients of x P'(x): k c_k."""
+    return np.arange(c.size) * c
+
+
+def _horner(c, x):
+    """P(x) by Horner's rule, in the order of numpy's ``polyval``."""
+    y = c[-1] + x * 0
+    for a in c[-2::-1]:
+        y = a + y * x
+    return y
 
 
 def branch_inner(f, g, x_max):
@@ -256,15 +265,15 @@ def branch_inner(f, g, x_max):
     product polynomial in the monomial basis cancels.
     """
     total = 0.0 + 0.0j
-    for ef, pf in f.terms:
-        for eg, pg in g.terms:
+    for ef, cf in f.terms:
+        for eg, cg in g.terms:
             sigma = ef + eg
             if sigma <= -1.0:
                 raise DomainError(
                     f"branch product x^{sigma} is not integrable at 0")
-            npts = (pf.degree() + pg.degree()) // 2 + 2
+            npts = (cf.size - 1 + cg.size - 1) // 2 + 2
             x, w = jacobi_rule(sigma, npts, 0.0, x_max)
-            total += np.sum(w * pf(x) * np.conj(pg(x)))
+            total += np.sum(w * _horner(cf, x) * np.conj(_horner(cg, x)))
     return total
 
 
@@ -286,20 +295,24 @@ class GridFunction:
 
     ``fnupair`` functions store u = x^{1/2-nu} m(x^2) + x^{1/2+nu} p(x) with
     polynomial m (in x^2) and p (in x); the sampled values are reconstructed
-    from the factors, and all calculus on them is exact.
+    from the factors, and all calculus on them is exact.  Given a ``pair``
+    and no ``values``, the pair is evaluated on the grid once; values given
+    with a pair must reproduce it to 1e-10.
     """
 
-    def __init__(self, grid, values, fourier_index=None, pair=None, order=None):
+    def __init__(self, grid, values=None, fourier_index=None, pair=None,
+                 order=None):
         self.grid = grid
-        self.values = np.asarray(values, dtype=complex)
-        if self.values.shape != grid.nodes.shape:
-            raise DomainError("values must match grid nodes")
         self.fourier_index = (None if fourier_index is None
                               else np.atleast_1d(np.asarray(fourier_index, dtype=int)))
         self.pair = pair          # BranchFunction or None
         self.order = order        # Order used to build the pair
-        if pair is not None:
-            recon = pair(grid.nodes)
+        recon = None if pair is None else pair(grid.nodes)
+        self.values = np.asarray(recon if values is None else values,
+                                 dtype=complex)
+        if self.values.shape != grid.nodes.shape:
+            raise DomainError("values must match grid nodes")
+        if values is not None and recon is not None:
             scale = max(np.max(np.abs(self.values)), 1.0)
             if np.max(np.abs(recon - self.values)) > 1e-10 * scale:
                 raise DomainError("pair factors do not reproduce stored values")
@@ -316,19 +329,12 @@ class GridFunction:
                   fourier_index=None):
         """Build x^{1/2-nu} m(x^2) + x^{1/2+nu} p(x) from factor coefficients."""
         order = as_order(nu)
-        nu = order.nu
-        terms = []
         m = np.atleast_1d(np.asarray(minus_coeffs_in_x2, dtype=complex))
-        if m.size and np.any(m != 0):
-            coef = np.zeros(2 * m.size - 1, dtype=complex)
-            coef[::2] = m                      # m(x^2) as a polynomial in x
-            terms.append((0.5 - nu, Polynomial(coef)))
-        p = np.atleast_1d(np.asarray(plus_coeffs_in_x, dtype=complex))
-        if p.size and np.any(p != 0):
-            terms.append((0.5 + nu, Polynomial(p)))
-        pair = BranchFunction(terms)
-        return cls(grid, pair(grid.nodes), fourier_index=fourier_index,
-                   pair=pair, order=order)
+        coef = np.zeros(2 * m.size, dtype=complex)
+        coef[::2] = m                          # m(x^2) as a polynomial in x
+        pair = BranchFunction([(0.5 - order.nu, coef),
+                               (0.5 + order.nu, plus_coeffs_in_x)])
+        return cls(grid, fourier_index=fourier_index, pair=pair, order=order)
 
     # -- basic structure ----------------------------------------------------
 
@@ -382,12 +388,14 @@ def grid_derivative(grid, values, deriv=1, width=None, settings=DEFAULTS,
                     check=True):
     """Derivative of sampled values by sliding local polynomial stencils.
 
-    The stencil error is estimated by re-running two orders lower; a
+    Node i uses the ``width`` nodes centred on it, shifted inwards at the
+    ends; the Fornberg weights of each (width, deriv) are computed on the
+    first call and kept on the grid.  The stencil error is estimated by re-running two orders lower; a
     grid-too-coarse diagnostic is raised when the estimate exceeds the
     configured relative tolerance.
     """
     width = settings.stencil_width if width is None else int(width)
-    x = grid.nodes
+    x, memo = grid.nodes, grid._stencils
     values = np.asarray(values)
     n = x.size
     width = min(width, n)
@@ -397,11 +405,15 @@ def grid_derivative(grid, values, deriv=1, width=None, settings=DEFAULTS,
     def sweep(w):
         # every node's stencil from one gather; a batched (1, w) @ (w, 1)
         # product takes the same BLAS dot per node, on the same memory
-        # layout (hence copy=False), as np.dot on one stencil
+        # layout (hence copy=False, and a strided view kept on the grid), as
+        # np.dot on one stencil
         idx = np.clip(np.arange(n) - w // 2, 0, n - w)[:, None] + np.arange(w)
-        wts = _fornberg(x, x[idx], deriv)[:, None, :, deriv]
+        wts = memo.get((w, deriv))
+        if wts is None:
+            wts = memo[w, deriv] = _fornberg(x, x[idx], deriv)[..., deriv]
+            wts.flags.writeable = False
         vals = values[idx][:, :, None]
-        wts = wts.astype(np.result_type(wts, vals), copy=False)
+        wts = wts[:, None, :].astype(np.result_type(wts, vals), copy=False)
         return (wts @ vals)[:, 0, 0].astype(complex, copy=False)
 
     result = sweep(width)
@@ -432,10 +444,8 @@ def d_nu(u, nu, settings=DEFAULTS):
     """Twisted derivative d_nu u = x^{1/2-nu} d/dx (x^{nu-1/2} u)."""
     order = as_order(nu)
     if u.rep == "fnupair":
-        der = u.pair.d_nu(order.nu)
-        return GridFunction(u.grid, der(u.grid.nodes),
-                            fourier_index=u.fourier_index, pair=der,
-                            order=order)
+        return GridFunction(u.grid, fourier_index=u.fourier_index,
+                            pair=u.pair.d_nu(order.nu), order=order)
     du = grid_derivative(u.grid, u.values, settings=settings)
     vals = du + (order.nu - 0.5) * u.values / u.grid.nodes
     return u.with_values(vals)
@@ -445,10 +455,8 @@ def d_nu_star(u, nu, settings=DEFAULTS):
     """Formal adjoint d_nu* u = -x^{nu-1/2} d/dx (x^{1/2-nu} u)."""
     order = as_order(nu)
     if u.rep == "fnupair":
-        der = u.pair.d_nu_star(order.nu)
-        return GridFunction(u.grid, der(u.grid.nodes),
-                            fourier_index=u.fourier_index, pair=der,
-                            order=order)
+        return GridFunction(u.grid, fourier_index=u.fourier_index,
+                            pair=u.pair.d_nu_star(order.nu), order=order)
     du = grid_derivative(u.grid, u.values, settings=settings)
     vals = -du + (order.nu - 0.5) * u.values / u.grid.nodes
     return u.with_values(vals)
@@ -458,10 +466,8 @@ def bessel_schroedinger_apply(u, nu, settings=DEFAULTS):
     """|D_nu|^2 u = -u'' + (nu^2 - 1/4) x^{-2} u (one second-derivative pass)."""
     order = as_order(nu)
     if u.rep == "fnupair":
-        comp = u.pair.d_nu(order.nu).d_nu_star(order.nu)
-        return GridFunction(u.grid, comp(u.grid.nodes),
-                            fourier_index=u.fourier_index, pair=comp,
-                            order=order)
+        return GridFunction(u.grid, fourier_index=u.fourier_index,
+                            pair=u.pair.d_nu(order.nu).d_nu_star(order.nu), order=order)
     d2 = grid_derivative(u.grid, u.values, deriv=2, settings=settings)
     vals = -d2 + (order.nu ** 2 - 0.25) * u.values / u.grid.nodes ** 2
     return u.with_values(vals)
@@ -521,11 +527,8 @@ def dilate(u, tau, grid=None):
     """
     if u.rep != "fnupair":
         raise DomainError("dilate requires a pair-represented function")
-    scaled = u.pair.dilate(tau)
-    grid = grid or u.grid
-    return GridFunction(grid, scaled(grid.nodes),
-                        fourier_index=u.fourier_index, pair=scaled,
-                        order=u.order)
+    return GridFunction(grid or u.grid, fourier_index=u.fourier_index,
+                        pair=u.pair.dilate(tau), order=u.order)
 
 
 def traces(u, nu, window_fraction=0.02, corrections=4, settings=DEFAULTS):
@@ -545,11 +548,11 @@ def traces(u, nu, window_fraction=0.02, corrections=4, settings=DEFAULTS):
     nu = order.nu
     if u.rep == "fnupair":
         gm = gp = 0.0 + 0.0j
-        for e, p in u.pair.terms:
+        for e, c in u.pair.terms:
             if abs(e - (0.5 - nu)) < 1e-9:
-                gm = complex(p(0.0))
+                gm = complex(c[0])
             elif abs(e - (0.5 + nu)) < 1e-9:
-                gp = 2.0 * nu * complex(p(0.0))
+                gp = 2.0 * nu * complex(c[0])
             else:
                 raise DomainError(f"unexpected branch exponent {e}")
         return TraceData(gm, gp, 0.0)
@@ -601,26 +604,23 @@ def traces(u, nu, window_fraction=0.02, corrections=4, settings=DEFAULTS):
 def _operator_branches(op, u, nu):
     """P u for a pair-represented u: |D_nu|^2 u + b (D_nu u) + a u with
     polynomial a, b pulled from the operator's coefficients."""
-    a_poly = op.a_poly()
-    b_poly = op.b_poly()
+    a_poly, b_poly = op.a_poly(), op.b_poly()
     f = u.pair
-    out = f.d_nu(nu).d_nu_star(nu)
-    out = out + f.times_poly(a_poly)
+    df = f.d_nu(nu)
+    out = df.d_nu_star(nu) + f.times_poly(a_poly)
     if b_poly is not None:
         # B D_nu u = -i b d_nu u
-        out = out + f.d_nu(nu).times_poly(b_poly).scale(-1.0j)
+        out = out + df.times_poly(b_poly).scale(-1.0j)
     return out
 
 
 def _adjoint_branches(op, v, nu):
     """P* v = |D_nu|^2 v + i d_nu*(conj(b) v) + conj(a) v."""
-    a_poly = op.a_poly()
-    b_poly = op.b_poly()
+    a_poly, b_poly = op.a_poly(), op.b_poly()
     f = v.pair
-    out = f.d_nu(nu).d_nu_star(nu)
-    out = out + f.times_poly(Polynomial(np.conj(a_poly.coef)))
+    out = f.d_nu(nu).d_nu_star(nu) + f.times_poly(np.conj(a_poly.coef))
     if b_poly is not None:
-        bbar = Polynomial(np.conj(b_poly.coef))
+        bbar = np.conj(b_poly.coef)
         out = out + f.times_poly(bbar).d_nu_star(nu).scale(1.0j)
     return out
 

@@ -6,6 +6,12 @@ expansions, plain adaptive quadrature, a dense SVD least-squares solve
 of the assembled Galerkin system, and mpmath's hypergeometric 0F1 for the
 characteristic function of the lambda-Robin pencil.  They exist so the
 dual-route checks compare two genuinely different computations.
+
+Two oracles are references for bitwise equality instead: the scalar
+Fornberg recurrence behind ``core.grid_derivative`` and the
+``numpy.polynomial.Polynomial`` form of the pair calculus behind
+``core.BranchFunction``.  They run the library's arithmetic one object or
+one node at a time, so the vectorised code must reproduce them exactly.
 """
 
 import math
@@ -13,6 +19,7 @@ import math
 import mpmath
 import numpy as np
 from scipy import linalg as la
+from numpy.polynomial import Polynomial
 from scipy.integrate import quad
 
 
@@ -276,3 +283,166 @@ def stencil_error_estimate(x, values, deriv, width):
     inner = slice(width, max(len(x) - width, width + 1))
     scale = np.max(np.abs(fine[inner])) or 1.0
     return np.max(np.abs(fine[inner] - rough[inner])) / scale
+
+
+# ---------------------------------------------------------------------------
+# pair calculus with one Polynomial object per branch term
+# ---------------------------------------------------------------------------
+
+class PolyBranchFunction:
+    """Sum of terms x^exponent * P(x), each P a numpy ``Polynomial``.
+
+    Every operation goes through Polynomial arithmetic (``polyadd``,
+    ``polymul``, ``polyder``, ``polyval``); ``core.BranchFunction`` keeps
+    the coefficients as arrays and must agree with this bit for bit.
+    """
+
+    def __init__(self, terms):
+        merged = {}
+        for e, p in terms:
+            p = p if isinstance(p, Polynomial) else Polynomial(np.atleast_1d(p))
+            e, p = self._normalize(float(e), p)
+            if p is None:
+                continue
+            key = round(e, 12)
+            merged[key] = merged[key] + p if key in merged else p
+        self.terms = []
+        for e, p in sorted(merged.items()):
+            e, p = self._normalize(e, p)
+            if p is not None:
+                self.terms.append((e, p))
+
+    @staticmethod
+    def _normalize(e, p):
+        scale = np.max(np.abs(p.coef))
+        if scale == 0:
+            return e, None
+        coef = np.array(p.coef)
+        coef[np.abs(coef) <= 1e-12 * scale] = 0.0
+        coef = np.trim_zeros(coef, 'b')
+        if coef.size == 0:
+            return e, None
+        while coef.size > 1 and coef[0] == 0.0:
+            e += 1.0
+            coef = coef[1:]
+        return e, Polynomial(coef)
+
+    def __call__(self, x):
+        x = np.asarray(x, dtype=float)
+        out = np.zeros(x.shape, dtype=complex)
+        for e, p in self.terms:
+            out += x ** e * p(x)
+        return out
+
+    def d_nu(self, nu):
+        return PolyBranchFunction(
+            [(e - 1.0, (e + nu - 0.5) * p + Polynomial([0, 1]) * p.deriv())
+             for e, p in self.terms])
+
+    def d_nu_star(self, nu):
+        return PolyBranchFunction(
+            [(e - 1.0, -((e + 0.5 - nu) * p + Polynomial([0, 1]) * p.deriv()))
+             for e, p in self.terms])
+
+    def d_x(self):
+        return PolyBranchFunction(
+            [(e - 1.0, e * p + Polynomial([0, 1]) * p.deriv())
+             for e, p in self.terms])
+
+    def times_poly(self, q):
+        q = q if isinstance(q, Polynomial) else Polynomial(np.atleast_1d(q))
+        return PolyBranchFunction([(e, p * q) for e, p in self.terms])
+
+    def __add__(self, other):
+        return PolyBranchFunction(self.terms + other.terms)
+
+    def scale(self, c):
+        return PolyBranchFunction([(e, p * c) for e, p in self.terms])
+
+    def dilate(self, tau):
+        out = []
+        for e, p in self.terms:
+            coef = p.coef * tau ** np.arange(p.coef.size)
+            out.append((e, Polynomial(coef) * tau ** e))
+        return PolyBranchFunction(out)
+
+
+def poly_pair(nu, minus_coeffs_in_x2=(), plus_coeffs_in_x=()):
+    """x^{1/2-nu} m(x^2) + x^{1/2+nu} p(x) as a PolyBranchFunction."""
+    terms = []
+    m = np.atleast_1d(np.asarray(minus_coeffs_in_x2, dtype=complex))
+    if m.size and np.any(m != 0):
+        coef = np.zeros(2 * m.size - 1, dtype=complex)
+        coef[::2] = m
+        terms.append((0.5 - nu, Polynomial(coef)))
+    p = np.atleast_1d(np.asarray(plus_coeffs_in_x, dtype=complex))
+    if p.size and np.any(p != 0):
+        terms.append((0.5 + nu, Polynomial(p)))
+    return PolyBranchFunction(terms)
+
+
+def poly_branch_inner(f, g, x_max):
+    """int_0^xmax f conj(g) dx, one Gauss-Jacobi rule per branch pair."""
+    from besselbvp.quadrature import jacobi_rule
+
+    total = 0.0 + 0.0j
+    for ef, pf in f.terms:
+        for eg, pg in g.terms:
+            npts = (pf.degree() + pg.degree()) // 2 + 2
+            x, w = jacobi_rule(ef + eg, npts, 0.0, x_max)
+            total += np.sum(w * pf(x) * np.conj(pg(x)))
+    return total
+
+
+def poly_traces(f, nu):
+    """(gamma_-, gamma_+) of a pair: the constant terms of its two factors."""
+    gm = gp = 0.0 + 0.0j
+    for e, p in f.terms:
+        if abs(e - (0.5 - nu)) < 1e-9:
+            gm = complex(p(0.0))
+        elif abs(e - (0.5 + nu)) < 1e-9:
+            gp = 2.0 * nu * complex(p(0.0))
+    return gm, gp
+
+
+def poly_twisted_norm(f, s, nu, x_max, q_norm_sq=0.0):
+    """Per-mode twisted H^s norm of a pair, s in {0, 1, 2}."""
+    l2 = np.real(poly_branch_inner(f, f, x_max))
+    if s == 0:
+        return float(np.sqrt(max(l2, 0.0)))
+    df = f.d_nu(nu)
+    h1 = np.real(poly_branch_inner(df, df, x_max)) + (1.0 + q_norm_sq) * l2
+    if s == 1:
+        return float(np.sqrt(max(h1, 0.0)))
+    cf = df.d_nu_star(nu)
+    h2 = np.real(poly_branch_inner(cf, cf, x_max)) + (1.0 + q_norm_sq) * h1
+    return float(np.sqrt(max(h2, 0.0)))
+
+
+def poly_green_defect(op, f, g, nu, x_max):
+    """|<Pf, g> - <f, P*g> - boundary pairing| for an operator with
+    polynomial ``op.a_poly()`` and ``op.b_poly()``."""
+    a_poly, b_poly = op.a_poly(), op.b_poly()
+    pf = f.d_nu(nu).d_nu_star(nu) + f.times_poly(a_poly)
+    if b_poly is not None:
+        pf = pf + f.d_nu(nu).times_poly(b_poly).scale(-1.0j)
+    pg = g.d_nu(nu).d_nu_star(nu) \
+        + g.times_poly(Polynomial(np.conj(a_poly.coef)))
+    if b_poly is not None:
+        bbar = Polynomial(np.conj(b_poly.coef))
+        pg = pg + g.times_poly(bbar).d_nu_star(nu).scale(1.0j)
+    lhs = poly_branch_inner(pf, g, x_max)
+    rhs = poly_branch_inner(f, pg, x_max)
+    boundary = 0.0 + 0.0j
+    if nu < 1.0:
+        fm, fp = poly_traces(f, nu)
+        gm, gp = poly_traces(g, nu)
+        boundary = fp * np.conj(gm) - fm * np.conj(gp)
+    return float(abs(lhs - rhs - boundary))
+
+
+def poly_hardy_sides(f, nu, x_max):
+    """(||f'||^2, ||d_nu f||^2) of a pair."""
+    dx, dn = f.d_x(), f.d_nu(nu)
+    return (float(np.real(poly_branch_inner(dx, dx, x_max))),
+            float(np.real(poly_branch_inner(dn, dn, x_max))))

@@ -6,6 +6,7 @@ import pytest
 import sympy as sp
 from numpy.polynomial import Polynomial
 
+from besselbvp import core
 from besselbvp.core import (
     BranchFunction,
     DensityHint,
@@ -30,10 +31,16 @@ from besselbvp.core import (
 from besselbvp.config import DEFAULTS
 from besselbvp.errors import DomainError, GridTooCoarse, TraceFitError
 from besselbvp.fem import lobatto_nodes
-from besselbvp.solve import BesselOperator
+from besselbvp.solve import BesselOperator, operator_residual
 
 from oracles import (
     fornberg_weights,
+    poly_branch_inner,
+    poly_green_defect,
+    poly_hardy_sides,
+    poly_pair,
+    poly_traces,
+    poly_twisted_norm,
     quad_0_1,
     stencil_derivative,
     stencil_error_estimate,
@@ -433,3 +440,244 @@ def test_branch_inner_multiplies_the_factors_at_the_nodes():
         exact = float(sum(c[i] * c[j] / (e + i + j)
                           for i in range(6) for j in range(6)))
     assert abs(branch_inner(f, f, 1.0) - exact) <= 1e-11 * exact
+
+
+# --------------------------------------------------------------------------
+# pair calculus against the Polynomial oracle, bit for bit
+# --------------------------------------------------------------------------
+
+REGIMES = {"subcritical": (0.2, 0.8, True), "supercritical": (1.1, 1.9, False)}
+
+
+def _complex(rng, n):
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+
+
+def _draws(regime, count=6, seed=0):
+    """(nu, minus factor in x^2, plus factor) with complex coefficients and
+    double zeros at x = 1; the minus branch only below nu = 1."""
+    lo, hi, minus = REGIMES[regime]
+    rng = np.random.default_rng([seed, lo > 1.0])
+    out = []
+    for _ in range(count):
+        nu = rng.uniform(lo, hi)
+        m = (Polynomial(_complex(rng, 2))
+             * Polynomial([1.0, -1.0]) ** 2).coef if minus else []
+        p = (Polynomial(_complex(rng, 3))
+             * Polynomial([1.0, 0.0, -1.0]) ** 2).coef
+        out.append((nu, m, p))
+    return out
+
+
+def _same(f, want, x):
+    """Same exponents and coefficients as the oracle, and the same samples."""
+    assert [e for e, _ in f.terms] == [e for e, _ in want.terms]
+    for (_, c), (_, p) in zip(f.terms, want.terms):
+        assert np.array_equal(c, p.coef)
+    assert np.array_equal(f(x), want(x))
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_pair_algebra_bitwise_equal_polynomial_oracle(regime):
+    g = grid(128)
+    x = g.nodes
+    rng = np.random.default_rng(5)
+    draws = _draws(regime)
+    for (nu, m, p), (_, m2, p2) in zip(draws, draws[::-1]):
+        f = GridFunction.from_pair(g, nu, m, p).pair
+        h = GridFunction.from_pair(g, nu, m2, p2).pair
+        of, oh = poly_pair(nu, m, p), poly_pair(nu, m2, p2)
+        q = _complex(rng, 3)
+        c = complex(*rng.standard_normal(2))
+        tau = rng.uniform(0.5, 2.0)
+        pairs = [
+            (f, of),
+            (f.d_nu(nu), of.d_nu(nu)),
+            (f.d_nu_star(nu), of.d_nu_star(nu)),
+            (f.d_nu(nu).d_nu_star(nu), of.d_nu(nu).d_nu_star(nu)),
+            (f.d_x(), of.d_x()),
+            (f.times_poly(q), of.times_poly(q)),
+            (f.times_poly(Polynomial([0.0, 1.0, -1.0])),
+             of.times_poly(Polynomial([0.0, 1.0, -1.0]))),
+            (f.scale(c), of.scale(c)),
+            (f.scale(-1.0j), of.scale(-1.0j)),
+            (f.dilate(tau), of.dilate(tau)),
+            (f + h, of + oh),
+            (f - h, of + oh.scale(-1.0)),
+        ]
+        for got, want in pairs:
+            _same(got, want, x)
+            if got.terms[0][0] + h.terms[0][0] > -1.0:   # integrable at 0
+                assert branch_inner(got, h, 1.0) \
+                    == poly_branch_inner(want, oh, 1.0)
+        assert branch_inner(f, f, 1.0) == poly_branch_inner(of, of, 1.0)
+
+
+@pytest.mark.parametrize("regime", sorted(REGIMES))
+def test_pair_checks_bitwise_equal_polynomial_oracle(regime):
+    g = grid(128)
+    stretched = grid(128, xmax=2.0)
+    draws = _draws(regime, seed=1)
+    for (nu, m, p), (_, m2, p2) in zip(draws, draws[::-1]):
+        u = GridFunction.from_pair(g, nu, m, p, fourier_index=[2])
+        v = GridFunction.from_pair(g, nu, m2, p2)
+        ou, ov = poly_pair(nu, m, p), poly_pair(nu, m2, p2)
+        if nu < 1.0:
+            t = traces(u, nu)
+            assert (t.gamma_minus, t.gamma_plus) == poly_traces(ou, nu)
+        for s in (0, 1, 2):
+            assert twisted_norm(u, s, nu) == poly_twisted_norm(ou, s, nu, 1.0,
+                                                               4.0)
+        w = dilate(u, 0.5, grid=stretched)
+        _same(w.pair, ou.dilate(0.5), stretched.nodes)
+        assert twisted_norm(w, 2, nu) == poly_twisted_norm(ou.dilate(0.5), 2,
+                                                           nu, 2.0, 4.0)
+        for op in (BesselOperator(Order(nu), a_coeff=1.0),
+                   BesselOperator(Order(nu), a_coeff=0.5 + 0.2j,
+                                  b_coeff=Polynomial([0.0, 1.0, -1.0]))):
+            assert green_defect(op, u, v) == poly_green_defect(op, ou, ov, nu,
+                                                               1.0)
+        # the minus branch has no finite ||u'||: Hardy takes the plus factor
+        h = GridFunction.from_pair(g, nu, [], p)
+        lhs, rhs, _ = hardy_check(h, nu)
+        n_dx, n_dn = poly_hardy_sides(poly_pair(nu, [], p), nu, 1.0)
+        assert lhs == (4.0 * nu ** 2 * n_dx if nu < 0.5 else n_dx)
+        assert rhs == n_dn
+
+
+def test_green_defect_builds_only_the_operator_polynomials(monkeypatch):
+    # the pair calculus runs on coefficient arrays: the only Polynomial
+    # objects one green_defect builds are those a_poly / b_poly return
+    built, returned = [0], [0]
+    init = Polynomial.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built[0] += 1
+        init(self, *args, **kwargs)
+
+    def counted(method):
+        def run(self):
+            before = built[0]
+            out = method(self)
+            returned[0] += built[0] - before
+            return out
+        return run
+
+    nu = 0.4
+    g = grid(128)
+    rng = np.random.default_rng(23)
+    u, v = damped_pair(rng, g, nu), damped_pair(rng, g, nu)
+    monkeypatch.setattr(Polynomial, "__init__", counting_init)
+    monkeypatch.setattr(BesselOperator, "a_poly",
+                        counted(BesselOperator.a_poly))
+    monkeypatch.setattr(BesselOperator, "b_poly",
+                        counted(BesselOperator.b_poly))
+    b = Polynomial([0.0, 1.0, -1.0])
+    for op in (BesselOperator(Order(nu), a_coeff=1.0),
+               BesselOperator(Order(nu), a_coeff=0.5 + 0.2j, b_coeff=b)):
+        built[0] = returned[0] = 0
+        assert green_defect(op, u, v) < 1e-7
+        assert returned[0] == 2
+        assert built[0] == returned[0]
+
+
+# --------------------------------------------------------------------------
+# stencil weights once per grid
+# --------------------------------------------------------------------------
+
+def _spy_fornberg(monkeypatch):
+    calls = []
+    fornberg = core._fornberg
+
+    def spy(z, x, m):
+        calls.append((x.shape[-1], m))
+        return fornberg(z, x, m)
+
+    monkeypatch.setattr(core, "_fornberg", spy)
+    return calls
+
+
+def test_stencil_weights_computed_once_per_grid(monkeypatch):
+    calls = _spy_fornberg(monkeypatch)
+    g = RadialGrid.uniform(1.0, 1024)
+    u = GridFunction.from_callable(g, lambda x: np.sin(3 * x) * x ** 0.8)
+    first = operator_residual(u, 0.3, 1.0)
+    for q in range(1, 17):
+        assert operator_residual(u, 0.3, 1.0) == first
+        operator_residual(u, 0.3, q * q + 1.0)
+    assert calls == [(9, 2)]
+
+    # check=True runs widths 9 and 7, once each per grid
+    values = np.exp(g.nodes) + 0j
+    d1 = grid_derivative(g, values, deriv=1)
+    assert calls[1:] == [(9, 1), (7, 1)]
+    assert np.array_equal(grid_derivative(g, values, deriv=1), d1)
+    assert len(calls) == 3
+
+    # a second grid on the same nodes computes its own
+    twin = RadialGrid(g.nodes, g.weights, g.x_max)
+    assert np.array_equal(grid_derivative(twin, values, deriv=1), d1)
+    assert calls[3:] == [(9, 1), (7, 1)]
+
+
+@pytest.mark.parametrize("kind", sorted(STENCIL_GRIDS))
+def test_interleaved_derivatives_bitwise_equal_fresh_grids(kind):
+    g = STENCIL_GRIDS[kind]()
+    x = g.nodes
+    samples = [np.sin(3 * x) + 1j * x ** 0.3 * np.cos(x), np.exp(x)]
+    for deriv, width in [(1, 9), (2, 9), (1, 7), (2, 5), (1, 9), (2, 9)]:
+        for values in samples:
+            got = grid_derivative(g, values, deriv=deriv, width=width,
+                                  check=False)
+            fresh = STENCIL_GRIDS[kind]()
+            want = grid_derivative(fresh, values, deriv=deriv, width=width,
+                                   check=False)
+            assert np.array_equal(got, want)
+            assert np.array_equal(
+                got, stencil_derivative(x, values, deriv, width))
+
+
+def test_stencil_memo_is_private_and_read_only():
+    g = RadialGrid.build(1.0, 64)
+    grid_derivative(g, np.exp(g.nodes), deriv=2, check=False)
+    assert "_stencils" not in repr(g)
+    (wts,) = g._stencils.values()
+    assert wts.shape == (g.size, 9) and not wts.flags.writeable
+
+
+# --------------------------------------------------------------------------
+# pair-backed grid functions evaluate the pair once
+# --------------------------------------------------------------------------
+
+def test_pair_paths_evaluate_the_pair_once(monkeypatch):
+    calls = [0]
+    call = BranchFunction.__call__
+
+    def spy(self, x):
+        calls[0] += 1
+        return call(self, x)
+
+    monkeypatch.setattr(BranchFunction, "__call__", spy)
+    nu = 0.4
+    g = grid(128)
+    u = GridFunction.from_pair(g, nu, [1.0, 0.5], [0.3, -0.2, 0.1])
+    assert calls == [1]
+    for op in (lambda w: d_nu(w, nu), lambda w: d_nu_star(w, nu),
+               lambda w: bessel_schroedinger_apply(w, nu),
+               lambda w: dilate(w, 0.5)):
+        calls[0] = 0
+        out = op(u)
+        assert calls == [1]
+        assert np.array_equal(out.values, call(out.pair, g.nodes))
+
+
+def test_supplied_values_must_reproduce_the_pair():
+    nu = 0.4
+    g = grid(128)
+    u = GridFunction.from_pair(g, nu, [1.0, 0.5], [0.3, -0.2, 0.1])
+    same = GridFunction(g, u.values, pair=u.pair)
+    assert np.array_equal(same.values, u.values)
+    with pytest.raises(DomainError):
+        GridFunction(g, u.values * (1 + 1e-8), pair=u.pair)
+    with pytest.raises(DomainError):
+        GridFunction(g)
