@@ -25,7 +25,8 @@ consumer integrates these tables.  Cells away from the origin multiply them
 by x^power and use Gauss-Legendre, vectorised over cells.  On the origin
 cell the entries of a form are grouped by their product power beta and each
 group is integrated exactly by the 24-point Gauss-Jacobi rule for x^beta,
-one einsum per form (first_cell_inner).  Matrix
+one einsum per form (first_cell_inner), the rules of a whole call tabulated
+in one pass (Space._first_rules).  Matrix
 convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
 in the first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
@@ -44,7 +45,7 @@ operators).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -67,6 +68,17 @@ def lobatto_nodes(p):
         return np.array([0.0, 1.0])
     inner = Legendre.basis(p).deriv().roots()
     return np.concatenate(([0.0], (np.real(inner) + 1.0) / 2.0, [1.0]))
+
+
+@lru_cache(maxsize=None)
+def _lagrange_tables(p):
+    """Read-only t-monomial coefficients of the Lobatto Lagrange functions
+    (column i for function i) and of their first two derivatives."""
+    lag = np.linalg.inv(np.vander(lobatto_nodes(p), p + 1, increasing=True))
+    tables = (lag, polyder(lag), polyder(lag, 2))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
 
 
 def solver_mesh(x_max, n_cells, floor=1e-8, geo_ratio=0.25, outward=False):
@@ -370,10 +382,7 @@ class Space:
         self.idx_minus = 0 if include_minus else None
         self.idx_w0 = seeds
         self.n = seeds + self.n_cells * p + (0 if self.dirichlet_cap else 1)
-        # column i: monomial coefficients (in t) of the i-th local Lagrange
-        # function on the Lobatto nodes
-        self._lagrange = np.linalg.inv(
-            np.vander(lobatto_nodes(p), p + 1, increasing=True))
+        self._lagrange = _lagrange_tables(p)
         # the branch power of each local function's value, d_nu and
         # |D_nu|^2 images: x^{1/2+nu} W_h gives nu+1/2, nu-1/2, nu-1/2 and
         # the seed x^{1/2-nu} r gives 1/2-nu, 3/2-nu, 1/2-nu
@@ -453,7 +462,7 @@ class Space:
                        self.n_cells - 1)
         t = (x - edges[cell]) / (edges[cell + 1] - edges[cell])
         local = self._local_coeffs(c)
-        lag = np.moveaxis(polyval(t, self._lagrange), 0, -1)
+        lag = np.moveaxis(polyval(t, self._lagrange[0]), 0, -1)
         if batch:
             lag = lag[..., None, :]
         xb = x[..., None] if batch else x
@@ -478,16 +487,16 @@ class Space:
         """
         nuval = self.order.nu
         t = (x - a) / h
-        L = polyval(t, self._lagrange)
-        L1 = polyval(t, polyder(self._lagrange)) / h
-        L2 = polyval(t, polyder(self._lagrange, 2)) / h ** 2
+        L, L1, L2 = (polyval(t, c) for c in self._lagrange)
+        L1, L2 = L1 / h, L2 / h ** 2
         # d_nu (x^{1/2+nu} L) = x^{nu-1/2} (x L' + 2 nu L)
         # |D_nu|^2 (x^{1/2+nu} L) = x^{nu-1/2} (-x L'' - (1+2nu) L')
         tables = [L, x * L1 + 2.0 * nuval * L,
                   -x * L2 - (1.0 + 2.0 * nuval) * L1]
         if self.include_minus:
             live = x < self.rho.xc
-            tables = [np.concatenate([tab, np.where(live, r(x), 0.0)[None]])
+            tables = [np.concatenate([tab, np.where(live, polyval(x, r.coef),
+                                                     0.0)[None]])
                       for tab, r in zip(tables, self._seed_factors)]
         return {key: np.moveaxis(tab, 0, -2).astype(complex)
                 for key, tab in zip("vdc", tables)}
@@ -506,24 +515,32 @@ class Space:
                   for key, tab in self._images(xq, a, b - a).items()}
         return xq, wq, tables
 
-    def _first_rule(self, beta):
-        """(x, w, tables) of the 24-point Gauss-Jacobi rule for x^beta on
-        cell 0, the image tables evaluated once per Space."""
-        if beta not in self._rules:
-            h = self.edges[1]
-            x, w = jacobi_rule(beta, 24, 0.0, h)
-            self._rules[beta] = (x, w, self._images(x, 0.0, h))
-        return self._rules[beta]
+    def _first_rules(self, betas):
+        """Stacked (x, w, tables) of the 24-point Gauss-Jacobi rules for
+        x^beta on cell 0, one per distinct beta, ascending.  Rules not yet
+        cached get one _images pass on their stacked nodes, bitwise as one
+        by one (_images is elementwise in x)."""
+        betas = np.unique(betas)
+        new = [b for b in betas if b not in self._rules]
+        if new:
+            x, w = map(np.array, zip(*(jacobi_rule(b, 24, 0.0, self.edges[1])
+                                       for b in new)))
+            tabs = self._images(x, 0.0, self.edges[1])
+            self._rules.update(zip(new, zip(x, w, *(tabs[k] for k in "vdc"))))
+        x, w, *tabs = map(np.array, zip(*(self._rules[b] for b in betas)))
+        return x, w, dict(zip("vdc", tabs))
+
+    def _beta(self, trial, test):
+        """Product powers beta[j, i] of <trial image i, test image j>."""
+        return np.add.outer(self._powers[test], self._powers[trial])
 
     def _first_cell(self, trial, test):
         """first_cell_inner's (x, w, f, g, mask) for <trial image, test
         image>: one rule per product power beta[j, i] of the entries."""
-        beta = np.add.outer(self._powers[test], self._powers[trial])
+        beta = self._beta(trial, test)
         betas = np.unique(beta)
-        x, w, tabs = zip(*(self._first_rule(b) for b in betas))
-        return (np.array(x), np.array(w), np.array([t[trial] for t in tabs]),
-                np.array([t[test] for t in tabs]),
-                beta == betas[:, None, None])
+        x, w, tabs = self._first_rules(betas)
+        return x, w, tabs[trial], tabs[test], beta == betas[:, None, None]
 
     # -- assembly ---------------------------------------------------------------
 
@@ -537,6 +554,7 @@ class Space:
         if b_fun is not None:
             forms["B"] = ("d", "v", b_fun, -1j)
 
+        self._first_rules([self._beta(*form[:2]) for form in forms.values()])
         n_loc = self._powers["v"].size
         xq, wq, tables = self._bulk
         mats = {}
@@ -554,11 +572,11 @@ class Space:
         """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0."""
         power = self._powers["v"]
         loc = np.zeros((self.n_cells, power.size), dtype=complex)
-        for e in np.unique(power):
-            x, w, images = self._first_rule(e + singular_exponent)
-            smooth_f = _at(f, x) / x ** singular_exponent
+        x, w, images = self._first_rules(np.unique(power) + singular_exponent)
+        for r, e in enumerate(np.unique(power)):
+            smooth_f = _at(f, x[r]) / x[r] ** singular_exponent
             own = power == e
-            loc[0, own] = np.conj(images["v"][own]) @ (w * smooth_f)
+            loc[0, own] = np.conj(images["v"][r, own]) @ (w[r] * smooth_f)
         xq, wq, tables = self._bulk
         loc[1:] = np.einsum("kq,kiq->ki", wq * _at(f, xq),
                             np.conj(tables["v"]))
@@ -606,6 +624,7 @@ class Space:
         local = self._local_coeffs(coeffs)
         heads = [0, self.degree + 1][:1 + int(self.include_minus)]
         xq, wq, tables = self._bulk
+        self._first_rules([self._beta(key, key) for key in "vdc"])
         sq = []
         for key in ("v", "d", "c"):
             x, w, f, _, mask = self._first_cell(key, key)

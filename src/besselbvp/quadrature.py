@@ -78,9 +78,5 @@ def graded_panels(x_max, n_panels, kind="geometric", floor=1e-10, ratio=None):
 
 def composite_rule(edges, order):
     """Composite Gauss-Legendre nodes/weights over the given panel edges."""
-    xs, ws = [], []
-    for a, b in zip(edges[:-1], edges[1:]):
-        x, w = legendre_rule(order, a, b)
-        xs.append(x)
-        ws.append(w)
-    return np.concatenate(xs), np.concatenate(ws)
+    x, w = legendre_rule(order, edges[:-1, None], edges[1:, None])
+    return x.ravel(), w.ravel()

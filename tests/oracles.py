@@ -7,11 +7,14 @@ of the assembled Galerkin system, and mpmath's hypergeometric 0F1 for the
 characteristic function of the lambda-Robin pencil.  They exist so the
 dual-route checks compare two genuinely different computations.
 
-Two oracles are references for bitwise equality instead: the scalar
-Fornberg recurrence behind ``core.grid_derivative`` and the
+Some oracles are references for bitwise equality instead: the scalar
+Fornberg recurrence behind ``core.grid_derivative``, the
 ``numpy.polynomial.Polynomial`` form of the pair calculus behind
-``core.BranchFunction``.  They run the library's arithmetic one object or
-one node at a time, so the vectorised code must reproduce them exactly.
+``core.BranchFunction``, the per-beta origin-cell tabulation behind
+``fem.Space`` (``PerBetaAssembly``) and the panel-by-panel composite
+Gauss-Legendre rule.  They run the library's arithmetic one object, one
+node, one rule or one panel at a time, so the vectorised code must
+reproduce them exactly.
 """
 
 import math
@@ -20,6 +23,7 @@ import mpmath
 import numpy as np
 from scipy import linalg as la
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyval
 from scipy.integrate import quad
 
 
@@ -446,3 +450,124 @@ def poly_hardy_sides(f, nu, x_max):
     dx, dn = f.d_x(), f.d_nu(nu)
     return (float(np.real(poly_branch_inner(dx, dx, x_max))),
             float(np.real(poly_branch_inner(dn, dn, x_max))))
+
+
+def loop_composite_rule(edges, order):
+    """Composite Gauss-Legendre nodes/weights, one panel at a time."""
+    from besselbvp.quadrature import legendre_rule
+    xs, ws = [], []
+    for a, b in zip(edges[:-1], edges[1:]):
+        x, w = legendre_rule(order, a, b)
+        xs.append(x)
+        ws.append(w)
+    return np.concatenate(xs), np.concatenate(ws)
+
+
+class PerBetaAssembly:
+    """S, M, A, B, load vectors and norms of a ``fem.Space``, with the origin
+    cell tabulated one Gauss-Jacobi rule at a time.
+
+    Each rule for a product power beta gets its own image tables, from the
+    Lagrange coefficients and their ``polyder``s formed afresh and the seed
+    factors evaluated as ``Polynomial``s.  Only the space's mesh, powers,
+    DOF map and assembly helpers are shared.
+    """
+
+    def __init__(self, space):
+        from besselbvp import fem
+        self.space, self.fem = space, fem
+        p = space.degree
+        self.lagrange = np.linalg.inv(
+            np.vander(fem.lobatto_nodes(p), p + 1, increasing=True))
+        seed_poly = space.seed_poly
+        r1_x = Polynomial(seed_poly.deriv().coef[1:])
+        self.seed_factors = (seed_poly, r1_x, -seed_poly.deriv(2)
+                             - (1.0 - 2.0 * space.order.nu) * r1_x)
+        self.rules = {}
+        a, b = space.edges[1:-1, None], space.edges[2:, None]
+        xq, wq = fem.legendre_rule(p + 8, a, b)
+        self.bulk = xq, wq, {
+            key: tab * xq[:, None, :] ** space._powers[key][:, None]
+            for key, tab in self.images(xq, a, b - a).items()}
+
+    def images(self, x, a, h):
+        nuval = self.space.order.nu
+        t = (x - a) / h
+        L = polyval(t, self.lagrange)
+        L1 = polyval(t, polyder(self.lagrange)) / h
+        L2 = polyval(t, polyder(self.lagrange, 2)) / h ** 2
+        tables = [L, x * L1 + 2.0 * nuval * L,
+                  -x * L2 - (1.0 + 2.0 * nuval) * L1]
+        if self.space.include_minus:
+            live = x < self.space.rho.xc
+            tables = [np.concatenate([tab, np.where(live, r(x), 0.0)[None]])
+                      for tab, r in zip(tables, self.seed_factors)]
+        return {key: np.moveaxis(tab, 0, -2).astype(complex)
+                for key, tab in zip("vdc", tables)}
+
+    def first_rule(self, beta):
+        if beta not in self.rules:
+            h = self.space.edges[1]
+            x, w = self.fem.jacobi_rule(beta, 24, 0.0, h)
+            self.rules[beta] = (x, w, self.images(x, 0.0, h))
+        return self.rules[beta]
+
+    def first_cell(self, trial, test):
+        powers = self.space._powers
+        beta = np.add.outer(powers[test], powers[trial])
+        betas = np.unique(beta)
+        x, w, tabs = zip(*(self.first_rule(b) for b in betas))
+        return (np.array(x), np.array(w), np.array([t[trial] for t in tabs]),
+                np.array([t[test] for t in tabs]),
+                beta == betas[:, None, None])
+
+    def matrices(self, a_fun=None, b_fun=None):
+        space, fem = self.space, self.fem
+        forms = {"S": ("d", "d", None, 1.0), "M": ("v", "v", None, 1.0)}
+        if a_fun is not None:
+            forms["A"] = ("v", "v", a_fun, 1.0)
+        if b_fun is not None:
+            forms["B"] = ("d", "v", b_fun, -1j)
+        n_loc = space._powers["v"].size
+        xq, wq, tables = self.bulk
+        mats = {}
+        for name, (trial, test, coeff, factor) in forms.items():
+            loc = np.empty((space.n_cells, n_loc, n_loc), dtype=complex)
+            loc[0] = factor * fem.first_cell_inner(
+                *self.first_cell(trial, test), coeff=coeff)
+            wk = wq if coeff is None else wq * fem._at(coeff, xq)
+            loc[1:] = factor * np.einsum("kq,kiq,kjq->kji", wk,
+                                         tables[trial], np.conj(tables[test]))
+            mats[name] = space._assemble(loc)
+        return mats
+
+    def load_vector(self, f, singular_exponent=0.0):
+        space, fem = self.space, self.fem
+        power = space._powers["v"]
+        loc = np.zeros((space.n_cells, power.size), dtype=complex)
+        for e in np.unique(power):
+            x, w, images = self.first_rule(e + singular_exponent)
+            smooth_f = fem._at(f, x) / x ** singular_exponent
+            own = power == e
+            loc[0, own] = np.conj(images["v"][own]) @ (w * smooth_f)
+        xq, wq, tables = self.bulk
+        loc[1:] = np.einsum("kq,kiq->ki", wq * fem._at(f, xq),
+                            np.conj(tables["v"]))
+        return space._assemble_vector(loc)
+
+    def norms(self, coeffs, q2=0.0):
+        space = self.space
+        local = space._local_coeffs(coeffs)
+        heads = [0, space.degree + 1][:1 + int(space.include_minus)]
+        xq, wq, tables = self.bulk
+        sq = []
+        for key in ("v", "d", "c"):
+            x, w, f, _, mask = self.first_cell(key, key)
+            parts = np.add.reduceat(local[0, :, None] * f, heads, axis=1)
+            first = self.fem.first_cell_inner(x, w, parts, parts,
+                                              mask[:, heads][:, :, heads])
+            image = np.einsum("ki,kiq->kq", local[1:], tables[key])
+            sq.append(float(np.real(first.sum()))
+                      + float(np.sum(wq * np.abs(image) ** 2)))
+        h1sq = sq[1] + (1.0 + q2) * sq[0]
+        return sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq

@@ -31,10 +31,12 @@ from besselbvp.core import (
 from besselbvp.config import DEFAULTS
 from besselbvp.errors import DomainError, GridTooCoarse, TraceFitError
 from besselbvp.fem import lobatto_nodes
+from besselbvp.quadrature import composite_rule, graded_panels
 from besselbvp.solve import BesselOperator, operator_residual
 
 from oracles import (
     fornberg_weights,
+    loop_composite_rule,
     poly_branch_inner,
     poly_green_defect,
     poly_hardy_sides,
@@ -79,6 +81,18 @@ def test_grid_invariants():
         assert np.all(np.diff(g.nodes) > 0)
         assert np.all(g.weights > 0)
         assert abs(g.weights.sum() - 2.5) < 1e-10
+
+
+@pytest.mark.parametrize("edges", [
+    graded_panels(2.5, 40), graded_panels(2.5, 40, kind="algebraic"),
+    np.linspace(0.0, 1.0, 17), graded_panels(1.0, 1)],
+    ids=["geometric", "algebraic", "uniform", "one-panel"])
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_composite_rule_bitwise_equals_panel_loop(edges, order):
+    for got, want in zip(composite_rule(edges, order),
+                         loop_composite_rule(edges, order)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------------------------

@@ -10,8 +10,9 @@ from numpy.polynomial import Polynomial
 import oracles
 from besselbvp.core import BranchFunction, Order, branch_inner
 from besselbvp.errors import SingularSystem
-from besselbvp.fem import (BorderedBand, Space, galerkin_solve,
-                           lobatto_nodes, modulus_order)
+from besselbvp import fem
+from besselbvp.fem import (BorderedBand, Space, frobenius_minus_series,
+                           galerkin_solve, lobatto_nodes, modulus_order)
 from besselbvp.solve import BesselOperator, BVProblem, solve_1d
 from besselbvp.symbols import BoundaryOperator
 
@@ -308,3 +309,113 @@ def test_eval_coeffs_batched_equals_columns(nu, seeded):
     real = C.real
     assert np.array_equal(space.eval_coeffs(real, x)[:, 1],
                           space.eval_coeffs(real[:, 1], x))
+
+
+# --------------------------------------------------------------------------
+# the origin cell: tabulated once per assembly call, bitwise equal to one
+# rule at a time
+# --------------------------------------------------------------------------
+
+def same_bits(got, want):
+    """Bitwise equality of arrays, scalars, BorderedBands and their
+    dicts and tuples."""
+    if isinstance(got, dict):
+        return got.keys() == want.keys() and all(
+            same_bits(got[k], want[k]) for k in got)
+    if isinstance(got, (tuple, list)):
+        return len(got) == len(want) and all(map(same_bits, got, want))
+    if isinstance(got, BorderedBand):
+        return all(same_bits(getattr(got, name), getattr(want, name))
+                   for name in ("band", "row", "col", "corner"))
+    if got is None or want is None:
+        return got is want
+    got, want = np.asarray(got), np.asarray(want)
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+TABULATED = {
+    "seeded": (0.3, {}),
+    "seeded-series": (0.3, {"seed_series": frobenius_minus_series(
+        0.3, 2.0 - 0.5j)}),
+    "unseeded": (0.3, {"include_minus": False}),
+    "seeded-outward": (0.85, {"outward": True}),
+    "supercritical": (1.6, {}),
+}
+
+
+@pytest.mark.parametrize("calls", ["MLN", "NLM"])
+@pytest.mark.parametrize("case", list(TABULATED))
+def test_origin_cell_bitwise_equals_per_beta_oracle(case, calls):
+    # the rules a call tabulates depend on what earlier calls cached, so
+    # both call orders are checked
+    nu, kwargs = TABULATED[case]
+    space = Space(Order(nu), 1.0, n_cells=24, **kwargs)
+    ref = oracles.PerBetaAssembly(space)
+    rng = np.random.default_rng(8)
+    c = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
+
+    def a_fun(x):
+        return 1.0 + (0.3 - 0.2j) * x ** 2
+
+    def b_fun(x):
+        return x * (1.0 - x)
+
+    def f(x):
+        return np.cos(3.0 * x) + 0.5j * x
+
+    def g(x):
+        return x ** (nu - 0.5) * f(x)
+
+    steps = {
+        "M": lambda s: (s.matrices(), s.matrices(a_fun=a_fun),
+                        s.matrices(a_fun, b_fun)),
+        "L": lambda s: (s.load_vector(f),
+                        s.load_vector(g, singular_exponent=nu - 0.5)),
+        "N": lambda s: (s.norms(c), s.norms(c, q2=1.0)),
+    }
+    assert space.include_minus == ("unseeded" not in case and nu < 1)
+    for step in calls:
+        assert same_bits(steps[step](space), steps[step](ref)), step
+
+
+def test_seeded_solve_tabulates_each_space_three_times(monkeypatch):
+    # bulk, matrices and load: one _images pass each; a b term adds forms
+    # but no pass, and every Gauss-Jacobi rule is computed once per Space
+    images, rules = {}, []
+    tabulate, jacobi = Space._images, fem.jacobi_rule
+
+    def spy_images(self, x, a, h):
+        images[id(self)] = images.get(id(self), 0) + 1
+        return tabulate(self, x, a, h)
+
+    def spy_jacobi(beta, n, a=0.0, b=1.0):
+        rules.append((float(beta), b))
+        return jacobi(beta, n, a, b)
+
+    monkeypatch.setattr(Space, "_images", spy_images)
+    monkeypatch.setattr(fem, "jacobi_rule", spy_jacobi)
+    for b_coeff in (None, Polynomial([0.0, 1.0, -1.0])):
+        images.clear()
+        rules.clear()
+        prob = BVProblem(
+            op=BesselOperator(Order(0.35), a_coeff=1.0, b_coeff=b_coeff),
+            bc0=BoundaryOperator.robin(0.35, 1.0), rhs=np.cos,
+            boundary_data=0.5)
+        space = solve_1d(prob, n_nodes=128).space
+        assert space.include_minus
+        assert images == {id(space): 3}
+        h = space.edges[1]
+        assert sorted(rules) == sorted((float(b), h) for b in space._rules)
+
+
+def test_spaces_of_one_degree_share_read_only_lagrange_tables():
+    first = Space(Order(0.3), 1.0, n_cells=12)
+    second = Space(Order(1.6), 2.0, n_cells=30, include_minus=False)
+    other = Space(Order(0.3), 1.0, n_cells=12, degree=first.degree + 1)
+    assert len(first._lagrange) == 3
+    assert all(a is b for a, b in zip(first._lagrange, second._lagrange))
+    assert other._lagrange[0].shape != first._lagrange[0].shape
+    for tab in first._lagrange:
+        with pytest.raises(ValueError):
+            tab[0, 0] = 1.0
