@@ -45,7 +45,7 @@ import argparse
 import configparser
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +73,9 @@ __all__ = ["RunConfig", "run", "main"]
 # deterministic JSON with 17-significant-digit floats
 # ---------------------------------------------------------------------------
 
-def _fmt(x):
+def dumps(x):
+    """``x`` as deterministic JSON: sorted keys, no whitespace, 17-digit
+    floats, complex numbers as {"re", "im"} objects."""
     if isinstance(x, float):
         if x != x:
             return "NaN"
@@ -89,24 +91,20 @@ def _fmt(x):
     if isinstance(x, str):
         return json.dumps(x)
     if isinstance(x, complex):
-        return _fmt({"re": float(x.real), "im": float(x.imag)})
+        return dumps({"re": float(x.real), "im": float(x.imag)})
     if isinstance(x, dict):
-        inner = ",".join(f"{json.dumps(str(k))}:{_fmt(v)}"
+        inner = ",".join(f"{json.dumps(str(k))}:{dumps(v)}"
                          for k, v in sorted(x.items()))
         return "{" + inner + "}"
     if isinstance(x, np.ndarray):
-        return _fmt(x.tolist())
+        return dumps(x.tolist())
     if isinstance(x, (list, tuple)):
-        return "[" + ",".join(_fmt(v) for v in x) + "]"
+        return "[" + ",".join(dumps(v) for v in x) + "]"
     if isinstance(x, np.floating):
-        return _fmt(float(x))
+        return dumps(float(x))
     if isinstance(x, np.complexfloating):
-        return _fmt(complex(x))
+        return dumps(complex(x))
     raise TypeError(f"cannot serialise {type(x)}")
-
-
-def dumps(obj):
-    return _fmt(obj)
 
 
 # ---------------------------------------------------------------------------
@@ -156,7 +154,6 @@ class RunConfig:
     format: str = "json"
     seed: int = 0
     quiet: bool = False
-    tolerance_overrides: dict = field(default_factory=dict)
 
 
 def _load_config(cfg):
@@ -195,22 +192,37 @@ def _get(conf, section, key, default=None, typ=str):
         if typ is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return typ(raw)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
 
 
-def _settings_from(conf, cfg):
-    overrides = dict(conf.get("tolerances", {}))
-    overrides.update({k: str(v) for k, v in cfg.tolerance_overrides.items()})
+def _int(raw):
+    """An integer written as any number, e.g. 1e3 (a ``typ`` for _get)."""
+    return int(float(raw))
+
+
+def _floats(raw):
+    """Whitespace-separated numbers (a ``typ`` for _get)."""
+    return [float(v) for v in raw.split()]
+
+
+def _matrix(raw):
+    """Rows split by ';' of whitespace-separated numbers, None when blank
+    (a ``typ`` for _get)."""
+    rows = [_floats(r) for r in raw.split(";") if r.strip()]
+    return np.array(rows) if rows else None
+
+
+def _settings_from(conf):
+    overrides = conf.get("tolerances", {})
     if not overrides:
         return DEFAULTS
     kw = {}
-    for key, value in overrides.items():
+    for key in overrides:
         if not hasattr(DEFAULTS, key):
             raise ConfigError(f"unknown tolerance override {key!r}")
-        current = getattr(DEFAULTS, key)
-        kw[key] = type(current)(float(value)) if not isinstance(current, int) \
-            else int(float(value))
+        typ = _int if isinstance(getattr(DEFAULTS, key), int) else float
+        kw[key] = _get(conf, "tolerances", key, typ=typ)
     return DEFAULTS.with_overrides(**kw)
 
 
@@ -225,12 +237,12 @@ def _boundary_from(conf, nu, dim_eta=1):
     if btype == "robin":
         return BoundaryOperator.robin(nu, beta)
     if btype == "oblique":
-        er = _get(conf, "boundary", "eta_re", "1", str)
-        ei = _get(conf, "boundary", "eta_im", "0", str)
-        re = [float(v) for v in er.split()]
-        im = [float(v) for v in ei.split()]
+        re = _get(conf, "boundary", "eta_re", "1", _floats)
+        im = _get(conf, "boundary", "eta_im", " ".join(["0"] * len(re)),
+                  _floats)
         if len(im) != len(re):
-            im = [0.0] * len(re)
+            raise ConfigError("oblique eta_im must have as many entries as "
+                              "eta_re")
         coeffs = [complex(a, b) for a, b in zip(re, im)]
         if len(coeffs) != dim_eta:
             raise ConfigError("oblique eta coefficients must match dim_eta")
@@ -253,7 +265,7 @@ def _cmd_solve(conf, cfg, settings):
     b = Polynomial([0.0, 1j * b1]) if b1 else None
     order = Order(nu)
     op = BesselOperator(order, a_coeff=a, b_coeff=b)
-    nodes = int(_get(conf, "grid", "nodes", "256", float))
+    nodes = _get(conf, "grid", "nodes", "256", _int)
     cap = _get(conf, "grid", "cap", "dirichlet")
     bc = _boundary_from(conf, nu) if order.needs_boundary_conditions else None
     g = complex(_get(conf, "boundary", "data_re", "0", float),
@@ -307,19 +319,23 @@ def _cmd_solve(conf, cfg, settings):
     return payload, rows
 
 
+def _eigen_rows(lams, residuals):
+    return [{"re": float(l.real), "im": float(l.imag), "residual": float(r)}
+            for l, r in zip(lams, residuals)]
+
+
 def _cmd_modes(conf, cfg, settings):
     nu = _get(conf, "operator", "nu", typ=float)
-    q = int(_get(conf, "modes", "q", "0", float))
-    count = int(_get(conf, "modes", "count", "10", float))
-    nodes = int(_get(conf, "grid", "nodes", "256", float))
+    q = _get(conf, "modes", "q", "0", _int)
+    count = _get(conf, "modes", "count", "10", _int)
+    nodes = _get(conf, "grid", "nodes", "256", _int)
     pencil = _get(conf, "modes", "pencil", "none")
     payload = {"nu": nu, "q": q}
     if pencil == "none":
         ms = dirichlet_spectrum(nu, q_max=abs(q), n_max=count, n_nodes=nodes,
                                 settings=settings)
-        payload["eigenvalues"] = [
-            {"re": float(l.real), "im": float(l.imag), "residual": float(r)}
-            for l, r in zip(ms.eigenvalues[:count], ms.residuals[:count])]
+        payload["eigenvalues"] = _eigen_rows(ms.eigenvalues[:count],
+                                             ms.residuals[:count])
         payload["closed_form"] = [float(v) for v in ms.closed_form[:count]]
         payload["discrepancy"] = [float(v) for v in ms.discrepancy[:count]]
     elif pencil == "laplace_pencil":
@@ -329,23 +345,14 @@ def _cmd_modes(conf, cfg, settings):
             BoundaryOperator.lambda_robin(nu)
         ms = pencil_modes(nu, op, bc, q=q, n_nodes=nodes,
                           max_modes=2 * count, settings=settings)
-        payload["eigenvalues"] = [
-            {"re": float(l.real), "im": float(l.imag), "residual": float(r)}
-            for l, r in zip(ms.eigenvalues, ms.residuals)]
+        payload["eigenvalues"] = _eigen_rows(ms.eigenvalues, ms.residuals)
         if _get(conf, "modes", "completeness", "false", bool):
-            dof = int(_get(conf, "modes", "completeness_dof", "32", float))
+            dof = _get(conf, "modes", "completeness_dof", "32", _int)
             all_ms = pencil_modes(nu, op, bc, q=q,
                                   n_nodes=dof * settings.fem_degree,
                                   residual_cap=None, settings=settings)
-            rep = completeness_check(all_ms, settings=settings)
-            payload["completeness"] = {
-                "ambient_dim": rep.ambient_dim,
-                "numerical_rank": rep.numerical_rank,
-                "smallest_retained_singular_value":
-                    rep.smallest_retained_singular_value,
-                "verdict": rep.verdict,
-                "note": rep.note,
-            }
+            payload["completeness"] = asdict(
+                completeness_check(all_ms, settings=settings))
     else:
         raise ConfigError(f"unknown pencil {pencil!r}")
     return payload, None
@@ -354,7 +361,7 @@ def _cmd_modes(conf, cfg, settings):
 def _cmd_lopatinskii(conf, cfg, settings):
     nu = _get(conf, "operator", "nu", typ=float)
     kind = _get(conf, "symbol", "kind", "laplace")
-    dim_eta = int(_get(conf, "symbol", "dim_eta", "2", float))
+    dim_eta = _get(conf, "symbol", "dim_eta", "2", _int)
     sym = {"laplace": BoundarySymbol.laplace,
            "wave": BoundarySymbol.wave,
            "laplace_pencil": BoundarySymbol.laplace_pencil}.get(kind)
@@ -362,7 +369,7 @@ def _cmd_lopatinskii(conf, cfg, settings):
         raise ConfigError(f"unknown symbol kind {kind!r}")
     sym = sym(dim_eta)
     bc = _boundary_from(conf, nu, dim_eta)
-    samples = int(_get(conf, "sweep", "samples", "64", float))
+    samples = _get(conf, "sweep", "samples", "64", _int)
     sector_name = _get(conf, "sweep", "sector", "none")
     sector = {"none": None,
               "imaginary_axis": Sector.imaginary_axis(),
@@ -392,7 +399,7 @@ def _cmd_expand(conf, cfg, settings):
     lo = _get(conf, "fit", "window_lo", "-1", float)
     hi = _get(conf, "fit", "window_hi", "-1", float)
     window = (lo, hi) if lo > 0 and hi > 0 else None
-    corrections = int(_get(conf, "fit", "corrections", "2", float))
+    corrections = _get(conf, "fit", "corrections", "2", _int)
     fit = fit_expansion(u, nu, window=window, corrections=corrections,
                         settings=settings)
     return {
@@ -406,8 +413,8 @@ def _cmd_expand(conf, cfg, settings):
 
 def _cmd_sweep(conf, cfg, settings):
     nu = _get(conf, "operator", "nu", typ=float)
-    radii = [float(v) for v in _get(conf, "sweep", "radii", "4 8 16 32").split()]
-    nodes = int(_get(conf, "sweep", "nodes", "128", float))
+    radii = _get(conf, "sweep", "radii", "4 8 16 32", _floats)
+    nodes = _get(conf, "sweep", "nodes", "128", _int)
     sector_name = _get(conf, "sweep", "sector", "elliptic_cone")
     sector = {"imaginary_axis": Sector.imaginary_axis(),
               "elliptic_cone": Sector.elliptic_cone()}.get(sector_name)
@@ -431,16 +438,10 @@ def _cmd_sweep(conf, cfg, settings):
 
 
 def _cmd_kg(conf, cfg, settings):
-    n = int(_get(conf, "metric", "n", typ=float))
+    n = _get(conf, "metric", "n", typ=_int)
     mass = _get(conf, "metric", "mass", typ=float)
-
-    def parse_matrix(text):
-        rows = [r.strip() for r in text.split(";") if r.strip()]
-        return np.array([[float(v) for v in r.split()] for r in rows])
-
-    gamma0 = parse_matrix(_get(conf, "metric", "gamma0"))
-    gamma1_raw = _get(conf, "metric", "gamma1", "", str)
-    gamma1 = parse_matrix(gamma1_raw) if gamma1_raw else None
+    gamma0 = _get(conf, "metric", "gamma0", typ=_matrix)
+    gamma1 = _get(conf, "metric", "gamma1", "", _matrix)
     e0 = _get(conf, "metric", "e0", "0", float)
     metric = ModelMetric(n, gamma0, gamma1, e0)
     red = kg_reduce(metric, mass, settings=settings)
@@ -454,16 +455,14 @@ def _cmd_kg(conf, cfg, settings):
         "parameter_elliptic_sectors": red.parameter_elliptic_sectors,
     }
     if "modes" in conf and red.bessel_op is not None:
-        qraw = _get(conf, "modes", "q", "0", str)
-        q = tuple(int(float(v)) for v in qraw.split())
+        q = _get(conf, "modes", "q", "0",
+                 lambda raw: tuple(map(_int, raw.split())))
         if len(q) != n - 1:
             raise ConfigError(f"q must have {n - 1} components")
-        count = int(_get(conf, "modes", "count", "6", float))
+        count = _get(conf, "modes", "count", "6", _int)
         ms = pencil_modes(red.nu, red.bessel_op, None, q=q, n_nodes=160,
                           max_modes=2 * count, settings=settings)
-        payload["normal_modes"] = [
-            {"re": float(l.real), "im": float(l.imag), "residual": float(r)}
-            for l, r in zip(ms.eigenvalues, ms.residuals)]
+        payload["normal_modes"] = _eigen_rows(ms.eigenvalues, ms.residuals)
     return payload, None
 
 
@@ -481,7 +480,7 @@ def run(cfg):
     """Execute one command; writes artifacts, returns the exit status."""
     try:
         conf = _load_config(cfg)
-        settings = _settings_from(conf, cfg)
+        settings = _settings_from(conf)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,6 @@ branch, and the log term in the resonant case.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +29,6 @@ __all__ = [
     "indicial",
     "fit_expansion",
     "expansion_consistency",
-    "expansion_to_json",
 ]
 
 
@@ -173,13 +171,3 @@ def expansion_consistency(sol, nu, settings=DEFAULTS):
                                                           settings=settings)
     return float(max(abs(fit.g_minus - tr.gamma_minus),
                      abs(2.0 * order.nu * fit.g_plus - tr.gamma_plus)))
-
-
-def expansion_to_json(fit):
-    return json.dumps({
-        "g_minus": [fit.g_minus.real, fit.g_minus.imag],
-        "g_plus": [fit.g_plus.real, fit.g_plus.imag],
-        "g_log": [fit.g_log.real, fit.g_log.imag],
-        "residual": fit.fit_residual,
-        "window": list(fit.window),
-    }, indent=2, sort_keys=True)

@@ -140,22 +140,6 @@ class _Rho:
         self.poly = Polynomial([1.0, 0.0, -1.0 / self.xc ** 2]) ** 4
 
 
-def frobenius_minus_series(nu, a_value, terms=4):
-    """Coefficients c_k of the minus-branch series x^{1/2-nu} sum c_k x^{2k}.
-
-    For P = |D_nu|^2 + a the indicial recursion is elementary:
-    c_{k+1} = a c_k / (4 (k+1)(k+1-nu)), c_0 = 1.  Seeding the trial space
-    with the truncated series pushes the unresolved fractional content from
-    x^{2-2nu} to x^{2 terms + 2 - 2nu}, restoring the convergence rate of
-    solves with gamma_- data.
-    """
-    nuval = as_order(nu).nu
-    c = [1.0 + 0.0j]
-    for k in range(terms):
-        c.append(complex(a_value) * c[-1] / (4.0 * (k + 1) * (k + 1 - nuval)))
-    return c
-
-
 def _at(fun, x):
     """fun at the points x (called on the flattened array), shaped like x."""
     flat = np.ravel(x)
@@ -311,21 +295,16 @@ class BorderedBand:
 class Space:
     """Substituted-variable space x^{1/2+nu} W_h (+ minus seed) on (0, X).
 
-    ``seed_series`` feeds the minus-branch carrier: coefficients c_k of an
-    even polynomial sum c_k x^{2k} multiplying x^{1/2-nu} rho(x) (default
-    just 1), normally the truncated Frobenius series of the operator at hand.
-
     DOF map: the seed (when present) is dof 0; cell k owns the Lagrange dofs
     s + k p + (0..p), s the seed count, neighbouring cells sharing their edge
     dof.  A Dirichlet cap drops the dof of the last edge.
     """
 
-    def __init__(self, nu, x_max, n_cells=None, degree=None,
-                 dirichlet_cap=True, include_minus=None, seed_series=None,
-                 seed_cutoff=None, outward=False, settings=DEFAULTS):
+    def __init__(self, nu, x_max, n_cells=None, dirichlet_cap=True,
+                 include_minus=None, outward=False, settings=DEFAULTS):
         self.order = as_order(nu)
         self.settings = settings
-        self.degree = settings.fem_degree if degree is None else int(degree)
+        self.degree = int(settings.fem_degree)
         if self.degree < 2:
             raise DomainError("fem degree must be at least 2")
         n_cells = n_cells or max(8, settings.default_nodes // self.degree)
@@ -356,19 +335,13 @@ class Space:
         self.edges = solver_mesh(x_max, n_cells, floor=floor,
                                  outward=outward)
 
-        # the cutoff scale of the minus-branch seed: at most half the domain,
-        # and within the useful radius of a supplied Frobenius factor
-        target = self.x_max / 2.0 if seed_cutoff is None \
-            else min(seed_cutoff, self.x_max / 2.0)
-        cut_idx = int(np.searchsorted(self.edges, target, side="right") - 1)
+        # the cutoff scale of the minus-branch seed: the last edge at or
+        # below half the domain
+        cut_idx = int(np.searchsorted(self.edges, self.x_max / 2.0,
+                                      side="right") - 1)
         self.rho = _Rho(self.edges[max(cut_idx, 1)])
-
-        seed_poly = Polynomial(self.rho.poly.coef.astype(complex))
-        if seed_series is not None:
-            even = np.zeros(2 * len(seed_series) - 1, dtype=complex)
-            even[::2] = np.asarray(seed_series, dtype=complex)
-            seed_poly = seed_poly * Polynomial(even)
-        self.seed_poly = seed_poly
+        self.seed_poly = seed_poly = Polynomial(
+            self.rho.poly.coef.astype(complex))
         # the seed's image factors r, r'/x and -r'' - (1-2nu) r'/x, formed in
         # x (r is even, so r' = x (r'/x)): pushing the cancellation through
         # t = x/h would lose the h^2 structure of r(h t) on a ~1e-9 cell
@@ -853,7 +826,7 @@ def mass_deflated_eig(K, M, count):
     return lam[idx], Z[:, idx] * d[:, None]
 
 
-def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
+def pencil_eig(A0, A1, A2, count=None):
     """Eigenpairs of the pencil A0 + lam A1 + lam^2 A2 of BorderedBands.
 
     Returns (eigenvalues, coefficient eigenvectors, effective dimension m),
@@ -893,8 +866,7 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
         dense = [A.toarray() for A in (A0, A1, A2)]
         if _is_real(A0, A1, A2):
             dense = [D.real for D in dense]
-        found = _definite_eig(*dense, cutoff)
-        lam, vecs, m = found or _companion_qz(*dense, cutoff)
+        lam, vecs, m = _definite_eig(*dense) or _companion_qz(*dense)
         idx = modulus_order(lam)
         return lam[idx], vecs[:, idx], m
     # imported here: scipy.sparse.linalg adds ~40 ms to the package import
@@ -930,11 +902,11 @@ def pencil_eig(A0, A1, A2, count=None, cutoff=RANK_CUTOFF):
     return lam[idx], vecs[:, idx], n
 
 
-def _deflation(K, cutoff=RANK_CUTOFF):
+def _deflation(K):
     """(T, Dinv, Ks): orthonormal basis of the content of the scaled K."""
     Ks, Dinv = _diag_scale(K)
     U, sv, _ = la.svd(0.5 * (Ks + Ks.conj().T))
-    keep = sv > cutoff * sv[0]
+    keep = sv > RANK_CUTOFF * sv[0]
     return U[:, keep], Dinv, Ks
 
 
@@ -950,10 +922,10 @@ def _hermitian_part(A):
     return H if np.max(np.abs(A - H)) <= 1e-13 * np.max(np.abs(A)) else None
 
 
-def _definite_eig(A0, A1, A2, cutoff):
+def _definite_eig(A0, A1, A2):
     """Every eigenpair of A0 + lam A1 + lam^2 A2 through the definite
     reduction, or None unless the scaled A0 and A2 are Hermitian and A0 is
-    positive definite with every eigenvalue above ``cutoff`` of the largest
+    positive definite with every eigenvalue above RANK_CUTOFF of the largest
     (pencil_eig).
 
     One eigh of (H2, H0) gives V with V^H H0 V = I and V^H H2 V = Theta.
@@ -969,7 +941,7 @@ def _definite_eig(A0, A1, A2, cutoff):
     if H0 is None or H2 is None:
         return None
     ev = la.eigvalsh(H0)        # the singular values _deflation ranks
-    if not ev[0] > cutoff * abs(ev[-1]):
+    if not ev[0] > RANK_CUTOFF * abs(ev[-1]):
         return None
     theta, V = la.eigh(H2, H0)  # A2 v = theta A0 v
     n = theta.size
@@ -988,9 +960,9 @@ def _definite_eig(A0, A1, A2, cutoff):
     return lam, (V @ W[n:]) * Dinv[:, None], n
 
 
-def _companion_qz(A0, A1, A2, cutoff):
+def _companion_qz(A0, A1, A2):
     """Dense companion QZ of pencil_eig in deflated scaled coordinates."""
-    T, Dinv, A0s = _deflation(A0, cutoff)
+    T, Dinv, A0s = _deflation(A0)
     A0p = T.conj().T @ A0s @ T
     A1p, A2p = _project(T, Dinv, A1), _project(T, Dinv, A2)
     m = A0p.shape[0]

@@ -19,7 +19,6 @@ statement.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -43,7 +42,6 @@ __all__ = [
     "pencil_modes",
     "completeness_check",
     "embedding_singular_values",
-    "modeset_to_json",
 ]
 
 
@@ -354,29 +352,3 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     j = np.arange(1, s.size + 1)
     slope, intercept = np.polyfit(np.log(j), np.log(s), 1)
     return SingularValueReport(s, float(slope), float(np.exp(intercept)))
-
-
-def modeset_to_json(modes, completeness=None):
-    body = {
-        "nu": modes.nu,
-        "q": (None if modes.fourier_index is None
-              else np.asarray(modes.fourier_index).tolist()),
-        "eigenvalues": [
-            {"re": float(l.real), "im": float(l.imag),
-             "residual": float(r)}
-            for l, r in zip(modes.eigenvalues, modes.residuals)
-        ],
-    }
-    if modes.closed_form is not None:
-        body["closed_form"] = [float(v) for v in modes.closed_form]
-        body["discrepancy"] = [float(v) for v in modes.discrepancy]
-    if completeness is not None:
-        body["completeness"] = {
-            "ambient_dim": completeness.ambient_dim,
-            "numerical_rank": completeness.numerical_rank,
-            "smallest_retained_singular_value":
-                completeness.smallest_retained_singular_value,
-            "verdict": completeness.verdict,
-            "note": completeness.note,
-        }
-    return json.dumps(body, indent=2, sort_keys=True)

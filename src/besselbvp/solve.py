@@ -65,6 +65,12 @@ def _as_callable(c):
     return lambda x: np.full(np.shape(x), value, dtype=complex)
 
 
+def _q_squared(q):
+    """|q|^2 of a tangential mode index, an int or a tuple (None: 0)."""
+    q = 0 if q is None else q
+    return float(np.dot(np.atleast_1d(q), np.atleast_1d(q)))
+
+
 @dataclass(frozen=True)
 class BesselOperator:
     """|D_nu|^2 + b(x) D_nu + a(x) (+ A(q) per tangential mode).
@@ -97,7 +103,7 @@ class BesselOperator:
             return tuple(self.pencil_fourier(q))
         if self.fourier_symbol is not None:
             return self.fourier_symbol(q), 0.0, 1.0
-        return float(np.dot(np.atleast_1d(q), np.atleast_1d(q))), 0.0, 1.0
+        return _q_squared(q), 0.0, 1.0
 
     def forms(self, space):
         """(S + A + B, M) on ``space``; a shift or mode value c adds c M."""
@@ -605,8 +611,9 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     """Solve P(lambda) u = f along the sector bisector at growing |lambda|.
 
     Reports the parameter-dependent ratio [[u]]_{H^2} / [[f]]_{H^0} per
-    radius; a singular solve is reported in the row, not raised (that radius
-    is below the invertibility threshold).  The operator and load are
+    radius, the norm taken for mode q (Space.norms with q2 = |q|^2); a
+    singular solve is reported in the row, not raised (that radius is below
+    the invertibility threshold).  The operator and load are
     assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M, and
     a lambda-dependent boundary row is evaluated at that lambda.
     """
@@ -626,6 +633,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     base, M = op.forms(space)
     load = space.load_vector(f)
     a2, a1, a0 = op.mode_coefficients(q)
+    q2 = _q_squared(q)
     rows = []
     for r in radii:
         lam = r * complex(np.cos(theta), np.sin(theta))
@@ -638,7 +646,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
             rows.append({"radius": float(r), "lambda": lam, "ratio": None,
                          "singular": True, "condition": np.inf})
             continue
-        h0, h1, h2 = space.norms(coeffs)
+        h0, h1, h2 = space.norms(coeffs, q2=q2)
         al = abs(lam)
         u_param = np.sqrt(al ** 4 * h0 + al ** 2 * h1 + h2)
         rows.append({"radius": float(r), "lambda": lam,

@@ -17,7 +17,6 @@ from zero relative to the row scales.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -491,23 +490,6 @@ class SweepReport:
     samples: tuple           # of dicts
     min_abs_det: float
     all_pass: bool
-
-    def to_json(self):
-        body = {
-            "samples": [
-                {
-                    "eta": list(s["eta"]),
-                    "lambda": [s["lambda"].real, s["lambda"].imag],
-                    "det_re": s["det"].real,
-                    "det_im": s["det"].imag,
-                    "pass": s["pass"],
-                }
-                for s in self.samples
-            ],
-            "summary": {"min_abs_det": self.min_abs_det,
-                        "all_pass": self.all_pass},
-        }
-        return json.dumps(body, indent=2, sort_keys=True)
 
 
 def lopatinskii_sweep(nu, sym, bc, sphere_samples=64, sector=None,

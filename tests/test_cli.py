@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from besselbvp.cli import main
-from besselbvp.core import Order
+from besselbvp.core import (GridFunction, Order, RadialGrid,
+                            gridfunction_to_csv)
 from besselbvp.modes import (dirichlet_spectrum, embedding_singular_values,
                              pencil_modes)
 from besselbvp.solve import BesselOperator
@@ -27,6 +28,10 @@ def run_cmd(command, fixture, out, fmt="json", seed=0):
 def test_modes_fixture(tmp_path):
     assert run_cmd("modes", "dirichlet_nu05.cfg", tmp_path) == 0
     body = json.loads((tmp_path / "modes_dirichlet_nu05.json").read_text())
+    assert set(body) == {"nu", "q", "eigenvalues", "closed_form",
+                         "discrepancy"}
+    assert all(set(e) == {"re", "im", "residual"}
+               for e in body["eigenvalues"])
     want = [1.0 + (n * math.pi) ** 2 for n in range(1, 7)]
     got = [e["re"] for e in body["eigenvalues"]]
     assert np.allclose(got, want, rtol=1e-8)
@@ -39,6 +44,10 @@ def test_modes_fixture(tmp_path):
 def test_lopatinskii_oblique_fixture(tmp_path):
     assert run_cmd("lopatinskii", "oblique_fail.cfg", tmp_path) == 0
     body = json.loads((tmp_path / "lopatinskii_oblique_fail.json").read_text())
+    assert set(body) == {"samples", "summary"}
+    assert set(body["summary"]) == {"min_abs_det", "all_pass"}
+    assert all(set(s) == {"eta", "lambda", "det_re", "det_im", "pass"}
+               for s in body["samples"])
     assert body["summary"]["all_pass"] is False
     fails = [s for s in body["samples"] if not s["pass"]]
     assert len(fails) == 2
@@ -87,24 +96,33 @@ def test_kg_fixture(tmp_path):
     assert np.allclose(got, want, rtol=1e-9)
 
 
-def test_expand_roundtrip(tmp_path):
-    # write a grid function, then run the expand command on it
-    from besselbvp.core import GridFunction, RadialGrid, gridfunction_to_csv
+def write_expand_case(directory):
+    """A grid function with g_- = 3, g_+ = 5 at nu = 0.3 and an expand
+    config that reads it."""
     g = RadialGrid.build(1.0, 256)
     u = GridFunction.from_pair(g, 0.3, [3.0], [5.0])
-    csv = tmp_path / "field.csv"
+    csv = directory / "field.csv"
     gridfunction_to_csv(GridFunction(g, u.values), str(csv))
-    cfg = tmp_path / "expand_case.cfg"
+    cfg = directory / "expand_case.cfg"
     cfg.write_text(f"[input]\ncsv = {csv}\nnu = 0.3\n")
+    return cfg
+
+
+def test_expand_roundtrip(tmp_path):
+    cfg = write_expand_case(tmp_path)
     code = main(["expand", "--config", str(cfg), "--out", str(tmp_path),
                  "--quiet"])
     assert code == 0
     body = json.loads((tmp_path / "expand_expand_case.json").read_text())
+    assert set(body) == {"g_minus", "g_plus", "g_log", "residual", "window"}
     assert abs(body["g_minus"]["re"] - 3.0) < 1e-8
     assert abs(body["g_plus"]["re"] - 5.0) < 1e-8
 
 
 EIGEN_FIXTURES = [("modes", "dirichlet_nu05"), ("kg", "ads_static")]
+ALL_FIXTURES = EIGEN_FIXTURES + [
+    ("solve", "manufactured"), ("lopatinskii", "lambda_robin"),
+    ("lopatinskii", "oblique_fail"), ("sweep", "resolvent")]
 
 
 def artifacts(command, stem, out):
@@ -114,10 +132,16 @@ def artifacts(command, stem, out):
 
 def test_byte_identical_reruns(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
-    for command, stem in EIGEN_FIXTURES:
-        run_cmd(command, f"{stem}.cfg", a, seed=3)
-        run_cmd(command, f"{stem}.cfg", b, seed=3)
+    expand_cfg = write_expand_case(tmp_path)
+    for command, stem in ALL_FIXTURES:
+        assert run_cmd(command, f"{stem}.cfg", a, seed=3) == 0
+        assert run_cmd(command, f"{stem}.cfg", b, seed=3) == 0
         assert artifacts(command, stem, a) == artifacts(command, stem, b)
+    for out in (a, b):
+        assert main(["expand", "--config", str(expand_cfg), "--out", str(out),
+                     "--seed", "3", "--quiet"]) == 0
+    assert artifacts("expand", "expand_case", a) \
+        == artifacts("expand", "expand_case", b)
 
 
 @pytest.mark.parametrize("command, stem", EIGEN_FIXTURES)
@@ -179,3 +203,70 @@ def test_tolerance_override_section(tmp_path):
                    "[tolerances]\nsolver_residual_tol = 1e-5\n")
     assert main(["modes", "--config", str(cfg), "--out", str(tmp_path),
                  "--quiet"]) == 0
+
+
+BAD_VALUES = {
+    "tolerance": ("modes", "[operator]\nnu = 0.5\n\n[modes]\nq = 0\n"
+                  "count = 2\n\n[tolerances]\nsolver_residual_tol = abc\n"),
+    "integer tolerance": ("modes", "[operator]\nnu = 0.5\n\n"
+                          "[tolerances]\nfem_degree = inf\n"),
+    "nodes": ("modes", "[operator]\nnu = 0.5\n\n[grid]\nnodes = inf\n"),
+    "radii": ("sweep", "[operator]\nnu = 0.3\n\n[sweep]\nradii = 4 eight\n"),
+    "eta_re": ("lopatinskii", "[symbol]\ndim_eta = 2\n\n[operator]\n"
+               "nu = 0.3\n\n[boundary]\ntype = oblique\neta_re = 1 i\n"),
+    # zeros stand in for eta_im only when it is absent
+    "eta_im length": ("lopatinskii", "[symbol]\ndim_eta = 2\n\n[operator]\n"
+                      "nu = 0.3\n\n[boundary]\ntype = oblique\n"
+                      "eta_re = 0 0\neta_im = 1\n"),
+    "gamma0": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
+               "gamma0 = 1 0 0; 0 -1 x; 0 0 -1\n"),
+    "ragged gamma0": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
+                      "gamma0 = 1 0 0; 0 -1; 0 0 -1\n"),
+    "kg q": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
+             "gamma0 = 1 0 0; 0 -1 0; 0 0 -1\n\n[modes]\nq = 0 nan\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_VALUES))
+def test_bad_value_is_config_error(case, tmp_path, capsys):
+    command, text = BAD_VALUES[case]
+    cfg = tmp_path / "bad_value.cfg"
+    cfg.write_text(text)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / f"{command}_bad_value.json").exists()
+
+
+def oblique_cfg(directory, name, eta_lines):
+    cfg = directory / f"{name}.cfg"
+    cfg.write_text("[symbol]\nkind = laplace\ndim_eta = 2\n\n"
+                   "[operator]\nnu = 0.3\n\n"
+                   f"[boundary]\ntype = oblique\n{eta_lines}\n\n"
+                   "[sweep]\nsamples = 16\nsector = none\n")
+    return cfg
+
+
+def test_oblique_eta_im_absent_reads_zeros(tmp_path):
+    absent = oblique_cfg(tmp_path, "absent", "eta_re = 1 0.5")
+    zeros = oblique_cfg(tmp_path, "zeros", "eta_re = 1 0.5\neta_im = 0 0")
+    for cfg in (absent, zeros):
+        assert main(["lopatinskii", "--config", str(cfg),
+                     "--out", str(tmp_path), "--quiet"]) == 0
+    assert (tmp_path / "lopatinskii_absent.json").read_bytes() \
+        == (tmp_path / "lopatinskii_zeros.json").read_bytes()
+
+
+def test_modes_completeness_artifact(tmp_path):
+    cfg = tmp_path / "complete.cfg"
+    cfg.write_text("[operator]\nnu = 0.3\n\n"
+                   "[modes]\nq = 1\ncount = 4\npencil = laplace_pencil\n"
+                   "boundary = lambda_robin\ncompleteness = true\n"
+                   "completeness_dof = 16\n\n[grid]\nnodes = 96\n")
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 0
+    body = json.loads((tmp_path / "modes_complete.json").read_text())
+    assert set(body) == {"nu", "q", "eigenvalues", "completeness"}
+    assert set(body["completeness"]) == {
+        "ambient_dim", "numerical_rank", "smallest_retained_singular_value",
+        "verdict", "note"}

@@ -15,10 +15,10 @@ from besselbvp import fem, modes
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.errors import DomainError, SingularSystem
-from besselbvp.fem import (RANK_CUTOFF, BorderedBand, Space, _BorderedLU,
-                           _companion_qz, _diag_scale, _hermitian_part,
-                           _is_real, mass_deflated_eig, modulus_order,
-                           pencil_eig, spectral_norm)
+from besselbvp.fem import (BorderedBand, Space, _BorderedLU, _companion_qz,
+                           _diag_scale, _hermitian_part, _is_real,
+                           mass_deflated_eig, modulus_order, pencil_eig,
+                           spectral_norm)
 from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
                              embedding_singular_values, pencil_modes)
@@ -194,8 +194,7 @@ def test_dirichlet_spectrum_large_order_matches_closed_form():
 
 def complex_qz(A0, A1, A2):
     """The complex companion QZ oracle, eigenvalues in canonical order."""
-    lam, _, m = _companion_qz(A0.toarray(), A1.toarray(), A2.toarray(),
-                              RANK_CUTOFF)
+    lam, _, m = _companion_qz(A0.toarray(), A1.toarray(), A2.toarray())
     return lam[modulus_order(lam)], m
 
 

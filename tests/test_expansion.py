@@ -5,7 +5,6 @@ from besselbvp.core import GridFunction, Order, RadialGrid
 from besselbvp.errors import DomainError, IllConditionedFit
 from besselbvp.expansion import (
     expansion_consistency,
-    expansion_to_json,
     fit_expansion,
     indicial,
 )
@@ -134,13 +133,3 @@ def test_expansion_consistency_zero():
                      bc1=CapCondition.DIRICHLET, rhs=0.0, boundary_data=0.0)
     sol = solve_1d(prob, n_nodes=128)
     assert expansion_consistency(sol, nu) < 1e-12
-
-
-def test_expansion_json():
-    import json
-    nu = 0.3
-    g = RadialGrid.build(1.0, 128)
-    u = GridFunction.from_pair(g, nu, [1.0], [2.0])
-    fit = fit_expansion(GridFunction(g, u.values), nu)
-    body = json.loads(expansion_to_json(fit))
-    assert set(body) == {"g_minus", "g_plus", "g_log", "residual", "window"}

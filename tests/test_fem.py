@@ -8,11 +8,12 @@ import pytest
 from numpy.polynomial import Polynomial
 
 import oracles
+from besselbvp.config import DEFAULTS
 from besselbvp.core import BranchFunction, Order, branch_inner
 from besselbvp.errors import SingularSystem
 from besselbvp import fem
-from besselbvp.fem import (BorderedBand, Space, frobenius_minus_series,
-                           galerkin_solve, lobatto_nodes, modulus_order)
+from besselbvp.fem import (BorderedBand, Space, galerkin_solve, lobatto_nodes,
+                           modulus_order)
 from besselbvp.solve import BesselOperator, BVProblem, solve_1d
 from besselbvp.symbols import BoundaryOperator
 
@@ -336,8 +337,6 @@ def same_bits(got, want):
 
 TABULATED = {
     "seeded": (0.3, {}),
-    "seeded-series": (0.3, {"seed_series": frobenius_minus_series(
-        0.3, 2.0 - 0.5j)}),
     "unseeded": (0.3, {"include_minus": False}),
     "seeded-outward": (0.85, {"outward": True}),
     "supercritical": (1.6, {}),
@@ -412,7 +411,8 @@ def test_seeded_solve_tabulates_each_space_three_times(monkeypatch):
 def test_spaces_of_one_degree_share_read_only_lagrange_tables():
     first = Space(Order(0.3), 1.0, n_cells=12)
     second = Space(Order(1.6), 2.0, n_cells=30, include_minus=False)
-    other = Space(Order(0.3), 1.0, n_cells=12, degree=first.degree + 1)
+    other = Space(Order(0.3), 1.0, n_cells=12,
+                  settings=DEFAULTS.with_overrides(fem_degree=first.degree + 1))
     assert len(first._lagrange) == 3
     assert all(a is b for a, b in zip(first._lagrange, second._lagrange))
     assert other._lagrange[0].shape != first._lagrange[0].shape

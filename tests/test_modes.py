@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,6 @@ from besselbvp.modes import (
     completeness_check,
     dirichlet_spectrum,
     embedding_singular_values,
-    modeset_to_json,
     pencil_modes,
 )
 from besselbvp.solve import BesselOperator, operator_residual
@@ -89,14 +86,6 @@ def test_dirichlet_eigenfunction_satisfies_ode():
     grid = RadialGrid.uniform(1.0, 1024)
     u = GridFunction(grid, np.sqrt(grid.nodes) * ss.jv(nu, j1 * grid.nodes))
     assert operator_residual(u, nu, -j1 ** 2) < 1e-7
-
-
-def test_modeset_json():
-    ms = dirichlet_spectrum(0.5, q_max=0, n_max=2, n_nodes=128)
-    body = json.loads(modeset_to_json(ms))
-    assert body["nu"] == 0.5
-    assert len(body["eigenvalues"]) == 2
-    assert "closed_form" in body
 
 
 # --------------------------------------------------------------------------

@@ -496,19 +496,28 @@ def test_resolvent_sweep_zero_radius_plain_solve():
     assert not rep.rows[0]["singular"]
 
 
-def test_resolvent_sweep_reads_fourier_symbol():
-    # mode q = 1 of A(q) = q^2 + 3 is the q-free operator with a = 4
+def test_resolvent_sweep_reads_fourier_symbol(monkeypatch):
+    # mode q = 1 of A(q) = q^2 + 3 is the q-free operator with a = 4, and
+    # its norm weighs H^1 and H^2 by 1 + |q|^2 = 2: the q-free sweep solves
+    # the same systems, and reads the same ratios once its norm is
+    # evaluated at q2 = 1
     nu, radii = 0.3, [4.0, 8.0, 16.0]
     bc = BoundaryOperator.dirichlet(nu)
     sym = BesselOperator(Order(nu), fourier_symbol=lambda q: q * q + 3.0)
     plain = BesselOperator(Order(nu), a_coeff=4.0)
     got = resolvent_sweep(sym, bc, Sector.elliptic_cone(), radii, q=1,
                           n_nodes=128)
+    at_q0 = resolvent_sweep(plain, bc, Sector.elliptic_cone(), radii,
+                            n_nodes=128)
+    norms = Space.norms
+    monkeypatch.setattr(Space, "norms",
+                        lambda self, coeffs, q2=0.0: norms(self, coeffs, 1.0))
     want = resolvent_sweep(plain, bc, Sector.elliptic_cone(), radii,
                            n_nodes=128)
-    for g, w in zip(got.rows, want.rows):
+    for g, w, w0 in zip(got.rows, want.rows, at_q0.rows):
         assert abs(g["ratio"] - w["ratio"]) <= 1e-12 * w["ratio"]
-        assert abs(g["condition"] - w["condition"]) <= 1e-12 * w["condition"]
+        assert abs(g["condition"] - w0["condition"]) <= 1e-12 * w0["condition"]
+        assert g["ratio"] > (1.0 + 1e-6) * w0["ratio"]
 
 
 def test_resolvent_sweep_evaluates_lambda_rows_at_lambda():

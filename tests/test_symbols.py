@@ -1,4 +1,3 @@
-import json
 import math
 import time
 
@@ -263,14 +262,3 @@ def test_sweep_fail_fast():
     rep = lopatinskii_sweep(0.3, sym, bc, sphere_samples=64, fail_fast=True)
     assert not rep.all_pass
     assert len(rep.samples) < 64
-
-
-def test_sweep_json_schema():
-    sym = BoundarySymbol.laplace(2)
-    bc = BoundaryOperator.dirichlet(0.25)
-    rep = lopatinskii_sweep(0.25, sym, bc, sphere_samples=16)
-    body = json.loads(rep.to_json())
-    assert set(body) == {"samples", "summary"}
-    assert set(body["summary"]) == {"min_abs_det", "all_pass"}
-    assert set(body["samples"][0]) == {"eta", "lambda", "det_re", "det_im",
-                                       "pass"}
