@@ -53,7 +53,7 @@ import numpy as np
 from . import __version__
 from .config import DEFAULTS
 from .core import Order, gridfunction_from_csv
-from .errors import BesselBVPError, ConfigError
+from .errors import BesselBVPError, ConfigError, DomainError
 from .expansion import fit_expansion
 from .kg import ModelMetric, ellipticity_verdicts, reduce as kg_reduce
 from .modes import completeness_check, dirichlet_spectrum, pencil_modes
@@ -223,7 +223,10 @@ def _settings_from(conf):
             raise ConfigError(f"unknown tolerance override {key!r}")
         typ = _int if isinstance(getattr(DEFAULTS, key), int) else float
         kw[key] = _get(conf, "tolerances", key, typ=typ)
-    return DEFAULTS.with_overrides(**kw)
+    try:
+        return DEFAULTS.with_overrides(**kw)
+    except DomainError as exc:
+        raise ConfigError(f"bad [tolerances]: {exc}") from exc
 
 
 def _boundary_from(conf, nu, dim_eta=1):

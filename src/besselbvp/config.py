@@ -6,6 +6,8 @@ sweep or a CLI run can override tolerances in one place.
 
 from dataclasses import dataclass, replace
 
+from .errors import DomainError
+
 
 @dataclass(frozen=True)
 class Settings:
@@ -37,6 +39,10 @@ class Settings:
     solver_residual_tol: float = 1e-7
     rank_rel_tol: float = 1e-8
     halfline_decay_lengths: float = 40.0
+
+    def __post_init__(self):
+        if self.fem_degree < 2:
+            raise DomainError("fem degree must be at least 2")
 
     def with_overrides(self, **kw):
         return replace(self, **kw)

@@ -462,17 +462,6 @@ def d_nu_star(u, nu, settings=DEFAULTS):
     return u.with_values(vals)
 
 
-def bessel_schroedinger_apply(u, nu, settings=DEFAULTS):
-    """|D_nu|^2 u = -u'' + (nu^2 - 1/4) x^{-2} u (one second-derivative pass)."""
-    order = as_order(nu)
-    if u.rep == "fnupair":
-        return GridFunction(u.grid, fourier_index=u.fourier_index,
-                            pair=u.pair.d_nu(order.nu).d_nu_star(order.nu), order=order)
-    d2 = grid_derivative(u.grid, u.values, deriv=2, settings=settings)
-    vals = -d2 + (order.nu ** 2 - 0.25) * u.values / u.grid.nodes ** 2
-    return u.with_values(vals)
-
-
 def _mode_weight_sq(u):
     return 1.0 + u.q_norm_sq
 

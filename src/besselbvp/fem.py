@@ -60,6 +60,7 @@ from .errors import DomainError, SingularSystem
 from .quadrature import jacobi_rule, legendre_rule
 
 RANK_CUTOFF = 1e-11
+MIN_CELLS = 6           # fewest mesh cells a Space accepts
 
 
 def lobatto_nodes(p):
@@ -89,16 +90,16 @@ def solver_mesh(x_max, n_cells, floor=1e-8, geo_ratio=0.25, outward=False):
     unknown contains.  The bulk is uniform by default (oscillatory interval
     eigenfunctions); with ``outward`` the bulk cells grow geometrically, the
     right layout for exponentially decaying half-line solutions whose
-    structure concentrates at x = O(1).
+    structure concentrates at x = O(1).  ``n_cells`` is at least MIN_CELLS
+    (Space refuses fewer); an outward mesh gets one cell more.
     """
-    n_cells = max(int(n_cells), 6)
     h_target = x_max / n_cells if not outward \
         else x_max / (12.0 * n_cells)
     n_tail = int(np.ceil(np.log(h_target / (floor * x_max))
                          / np.log(1.0 / geo_ratio)))
     n_tail = min(max(n_tail, 1), max(n_cells // 2, min(n_cells - 4, 40)))
     tail = h_target * geo_ratio ** np.arange(n_tail, 0, -1)
-    n_bulk = max(n_cells - n_tail, 2)
+    n_bulk = n_cells - n_tail
     if not outward:
         bulk = np.linspace(h_target, x_max, n_bulk)
     else:
@@ -295,19 +296,28 @@ class BorderedBand:
 class Space:
     """Substituted-variable space x^{1/2+nu} W_h (+ minus seed) on (0, X).
 
+    The node count selects the mesh: ``n_nodes // degree`` cells of degree
+    ``settings.fem_degree`` (see solver_mesh), ``n_nodes`` defaulting to
+    ``settings.default_nodes``.  Fewer than MIN_CELLS cells raise
+    DomainError.
+
     DOF map: the seed (when present) is dof 0; cell k owns the Lagrange dofs
     s + k p + (0..p), s the seed count, neighbouring cells sharing their edge
     dof.  A Dirichlet cap drops the dof of the last edge.
     """
 
-    def __init__(self, nu, x_max, n_cells=None, dirichlet_cap=True,
+    def __init__(self, nu, x_max, n_nodes=None, dirichlet_cap=True,
                  include_minus=None, outward=False, settings=DEFAULTS):
         self.order = as_order(nu)
         self.settings = settings
         self.degree = int(settings.fem_degree)
-        if self.degree < 2:
-            raise DomainError("fem degree must be at least 2")
-        n_cells = n_cells or max(8, settings.default_nodes // self.degree)
+        if n_nodes is None:
+            n_nodes = settings.default_nodes
+        n_cells = int(n_nodes) // self.degree
+        if n_cells < MIN_CELLS:
+            raise DomainError(
+                f"{n_nodes} nodes give {n_cells} cells of degree "
+                f"{self.degree}; at least {MIN_CELLS} are needed")
         self.x_max = float(x_max)
         self.dirichlet_cap = bool(dirichlet_cap)
 

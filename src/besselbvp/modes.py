@@ -26,7 +26,7 @@ import numpy as np
 from scipy import linalg as la
 
 from .config import DEFAULTS
-from .core import GridFunction, RadialGrid, Regime, as_order
+from .core import Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
 from .fem import (Space, mass_deflated_eig, modulus_order, pencil_eig,
@@ -52,12 +52,17 @@ class ModeSource(Enum):
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Eigenvalues sorted by |lambda|, with eigenvectors and Cauchy data."""
+    """Eigenvalues sorted by |lambda|, with eigenvectors and Cauchy data.
+
+    Mode k is ``space.eval_coeffs(coeffs[:, k], x)``.  ``fourier_index`` is
+    the pencil's q, or for a Dirichlet spectrum the q of each mode.
+    """
 
     nu: float
     fourier_index: object
     eigenvalues: np.ndarray = field(repr=False)
-    eigenvectors: tuple = field(repr=False)
+    space: Space = field(repr=False)
+    coeffs: np.ndarray = field(repr=False)
     cauchy_data: np.ndarray = field(repr=False)
     residuals: np.ndarray = field(repr=False)
     source: ModeSource = ModeSource.LINEAR_EVP
@@ -123,44 +128,33 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     table and ``discrepancy`` the per-mode relative difference.
     """
     order = as_order(nu)
-    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
-    zeros = bessel_zeros(order.nu, n_max, settings=settings)
-    grid = RadialGrid.build(1.0, n_nodes=min(n_nodes, 256), settings=settings)
-
-    space = Space(order, 1.0,
-                  n_cells=max(4, n_nodes // settings.fem_degree),
-                  dirichlet_cap=True, include_minus=False, settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+                  include_minus=False, settings=settings)
+    zeros = bessel_zeros(order.nu, n_max, settings=settings).zeros
     mats = space.matrices()
     S, M = mats["S"], mats["M"]
 
-    solved = {}                 # |q| -> (lambda, coeffs, residuals)
-    records = []
-    for q in range(-q_max, q_max + 1):
-        q2 = float(q * q)
-        if abs(q) not in solved:
-            solved[abs(q)] = _dirichlet_pairs(S + (1.0 + q2) * M, M, n_max)
-        lam, vec, resid = solved[abs(q)]
-        for n in range(lam.size):
-            closed = 1.0 + q2 + float(zeros.zeros[n]) ** 2
-            records.append((float(lam[n]), closed, q, vec[:, n], resid[n]))
+    pairs = [_dirichlet_pairs(S + (1.0 + q * q) * M, M, n_max)
+             for q in range(q_max + 1)]         # (lambda, coeffs, resid)
+    qs = np.arange(-q_max, q_max + 1)
+    lam_q, vec_q, resid_q = zip(*(pairs[abs(q)] for q in qs))
+    lams = np.concatenate(lam_q)
+    # float_power squares through libm pow, as a Python float ** 2 does;
+    # np.square rounds some zeros differently in the last bit
+    closed = np.concatenate([1.0 + float(q * q)
+                             + np.float_power(zeros[:lam.size], 2)
+                             for q, lam in zip(qs, lam_q)])
+    fourier = np.repeat(qs, [lam.size for lam in lam_q])
+    vecs = np.concatenate(vec_q, axis=1)
+    residuals = np.concatenate(resid_q)
 
-    records.sort(key=lambda rec: abs(rec[0]))
-    lams = np.array([r[0] for r in records])
-    closed = np.array([r[1] for r in records])
-    residuals = np.array([r[4] for r in records])
-    eigenvectors = []
-    cauchy_cols = []
-    vals = space.eval_coeffs(np.array([r[3] for r in records]).T, grid.nodes)
-    for k, (lamk, _, q, c, _) in enumerate(records):
-        nrm = np.max(np.abs(vals[:, k])) or 1.0
-        eigenvectors.append(GridFunction(grid, vals[:, k] / nrm,
-                                         fourier_index=q))
-        cauchy_cols.append(np.concatenate([c, lamk * c]))
-
+    idx = np.argsort(np.abs(lams), kind="stable")
+    lams, closed, vecs = lams[idx], closed[idx], vecs[:, idx]
     disc = np.abs(lams - closed) / np.abs(closed)
-    return ModeSet(order.nu, None, lams, tuple(eigenvectors),
-                   np.array(cauchy_cols).T, residuals, ModeSource.LINEAR_EVP,
-                   closed_form=closed, discrepancy=disc, dof=space.n)
+    return ModeSet(order.nu, fourier[idx], lams, space, vecs,
+                   np.concatenate([vecs, lams * vecs]), residuals[idx],
+                   ModeSource.LINEAR_EVP, closed_form=closed,
+                   discrepancy=disc, dof=space.n)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +176,7 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
         if bc.n_aux:
             raise DomainError("pencil solver supports scalar boundary rows")
 
-    space = Space(order, 1.0,
-                  n_cells=max(4, n_nodes // settings.fem_degree),
-                  dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
                   include_minus=(order.regime is Regime.SUBCRITICAL
                                  and not essential),
                   settings=settings)
@@ -240,7 +232,6 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     pencil (an e0 term, a lambda-linear gamma_+ row) takes companion QZ.
     """
     order = as_order(nu)
-    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
     if residual_cap == "default":
         residual_cap = settings.solver_residual_tol
     A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
@@ -277,7 +268,6 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     lam, resid = lam[idx], resid[idx]
     cvecs = cvecs[:, idx] / norms[idx]
 
-    grid = RadialGrid.build(1.0, n_nodes=min(n_nodes, 256), settings=settings)
     finite = np.isfinite(lam)
     scale = np.array([max(1.0, abs(l)) for l in lam[finite]])
     cauchy = np.zeros((2 * n, lam.size), dtype=complex)
@@ -285,9 +275,6 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     cauchy[n:, finite] = lam[finite] * cvecs[:, finite] / scale
     # pencil_eig returns the v2 data at infinity
     cauchy[n:, ~finite] = cvecs[:, ~finite]
-    vals = space.eval_coeffs(cvecs, grid.nodes)
-    eigenvectors = [GridFunction(grid, vals[:, k], fourier_index=q)
-                    for k in range(lam.size)]
 
     constraint = None
     if bc is not None and any(s.lam != 0 for s in bc.t_plus + bc.t_minus):
@@ -297,7 +284,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
         t0 = bc.t_minus[0].lam * gm + bc.t_plus[0].lam * gp
         constraint = np.concatenate([t1, t0])   # T1 v1 + T0 v2 = 0
 
-    return ModeSet(order.nu, q, lam, tuple(eigenvectors), cauchy, resid,
+    return ModeSet(order.nu, q, lam, space, cvecs, cauchy, resid,
                    ModeSource.QUADRATIC_PENCIL, constraint=constraint,
                    dof=m_eff)
 
@@ -339,12 +326,10 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     s_j against j estimates the decay exponent (continuum value -1 at n = 1).
     """
     order = as_order(nu)
-    degree = settings.fem_degree
     # resolve well past `dof` modes: the trailing eigenvalues of a spectral
     # discretisation overshoot, and the embedding's leading dof singular
     # values are the desk-scale surrogate being certified
-    n_cells = max(8, (4 * int(dof)) // degree)
-    space = Space(order, 1.0, n_cells=n_cells, dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=4 * int(dof), dirichlet_cap=True,
                   include_minus=False, settings=settings)
     mats = space.matrices()
     lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof)

@@ -373,11 +373,9 @@ def solve_1d(prob, n_nodes=None, grid=None, monitor_truncation=None,
         x_max = _halfline_extent(a_eff, settings)
     else:
         x_max = 1.0
-    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
 
     def assemble(xm):
-        space = Space(order, xm, n_cells=max(4, n_nodes // settings.fem_degree),
-                      dirichlet_cap=True,
+        space = Space(order, xm, n_nodes=n_nodes, dirichlet_cap=True,
                       outward=prob.bc1 is CapCondition.DECAY,
                       settings=settings)
         base, M = op.forms(space)
@@ -419,9 +417,8 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
     a = complex(a)
     if a.imag == 0 and a.real <= 1e-12:
         raise SpectralParameterOnCut(f"a = {a} lies on (-inf, 0]")
-    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
-    space = Space(order, 1.0, n_cells=max(4, n_nodes // settings.fem_degree),
-                  dirichlet_cap=True, include_minus=False, settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+                  include_minus=False, settings=settings)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     op = BesselOperator(order, a_coeff=a)
     base, M = op.forms(space)
@@ -469,9 +466,8 @@ def solve_separable(nu, op, bc0, rhs_modes, q_max=None, boundary_data=None,
     operator is assembled once; mode q adds c M, c = A(q) (mode_coefficients).
     """
     order = as_order(nu)
-    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
-    space = Space(order, 1.0, n_cells=max(4, n_nodes // settings.fem_degree),
-                  dirichlet_cap=True, settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+                  settings=settings)
     base, M = op.forms(space)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     out = {}
@@ -620,10 +616,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     order = op.nu
     theta = sector.intervals[0]
     theta = 0.5 * (theta[0] + theta[1])
-    n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
-    space = Space(order, 1.0,
-                  n_cells=max(4, n_nodes // settings.fem_degree),
-                  dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
                   include_minus=(bc is not None
                                  and order.regime is Regime.SUBCRITICAL),
                   settings=settings)

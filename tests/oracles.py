@@ -289,6 +289,20 @@ def stencil_error_estimate(x, values, deriv, width):
     return np.max(np.abs(fine[inner] - rough[inner])) / scale
 
 
+def bessel_schroedinger_apply(u, nu):
+    """|D_nu|^2 u = -u'' + (nu^2 - 1/4) x^{-2} u (one second-derivative pass),
+    the Schroedinger form that d_nu* d_nu must reproduce."""
+    from besselbvp.core import GridFunction, as_order, grid_derivative
+    order = as_order(nu)
+    if u.rep == "fnupair":
+        return GridFunction(u.grid, fourier_index=u.fourier_index,
+                            pair=u.pair.d_nu(order.nu).d_nu_star(order.nu),
+                            order=order)
+    d2 = grid_derivative(u.grid, u.values, deriv=2)
+    vals = -d2 + (order.nu ** 2 - 0.25) * u.values / u.grid.nodes ** 2
+    return u.with_values(vals)
+
+
 # ---------------------------------------------------------------------------
 # pair calculus with one Polynomial object per branch term
 # ---------------------------------------------------------------------------

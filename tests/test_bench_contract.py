@@ -13,6 +13,7 @@ import numpy as np
 
 import besselbvp
 import besselbvp.cli  # noqa: F401  (traced, and not imported by the package)
+from besselbvp.config import DEFAULTS
 from besselbvp.fem import Space
 
 # appended, so that tests/oracles.py keeps precedence over perfbench's
@@ -27,7 +28,7 @@ def test_benchmark_tracer_installs_and_uninstalls():
     tracer = layers.watch(Tracer())
     with tracer:
         assert besselbvp.fem.first_cell_inner is not original
-        space = Space(0.3, 1.0, n_cells=12)
+        space = Space(0.3, 1.0, n_nodes=12 * DEFAULTS.fem_degree)
         mats = space.matrices(a_fun=lambda x: np.ones_like(x),
                               b_fun=lambda x: x)
     assert besselbvp.fem.first_cell_inner is original

@@ -191,6 +191,16 @@ def test_numerical_failure_exit_code(tmp_path):
                  "--quiet"]) == 2
 
 
+def test_too_few_nodes_is_a_numerical_failure(tmp_path, capsys):
+    cfg = tmp_path / "few.cfg"
+    cfg.write_text("[operator]\nnu = 0.3\n\n[modes]\nq = 0\ncount = 10\n\n"
+                   "[grid]\nnodes = -5\n")
+    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 2
+    assert "cells" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
 def test_missing_config_file(tmp_path):
     assert main(["modes", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path), "--quiet"]) == 1
@@ -210,6 +220,8 @@ BAD_VALUES = {
                   "count = 2\n\n[tolerances]\nsolver_residual_tol = abc\n"),
     "integer tolerance": ("modes", "[operator]\nnu = 0.5\n\n"
                           "[tolerances]\nfem_degree = inf\n"),
+    "fem_degree": ("modes", "[operator]\nnu = 0.5\n\n"
+                   "[tolerances]\nfem_degree = 1\n"),
     "nodes": ("modes", "[operator]\nnu = 0.5\n\n[grid]\nnodes = inf\n"),
     "radii": ("sweep", "[operator]\nnu = 0.3\n\n[sweep]\nradii = 4 eight\n"),
     "eta_re": ("lopatinskii", "[symbol]\ndim_eta = 2\n\n[operator]\n"

@@ -21,7 +21,6 @@ from besselbvp.core import (
     gridfunction_from_csv,
     gridfunction_to_csv,
     hardy_check,
-    bessel_schroedinger_apply,
     branch_inner,
     grid_derivative,
     traces,
@@ -35,6 +34,7 @@ from besselbvp.quadrature import composite_rule, graded_panels
 from besselbvp.solve import BesselOperator, operator_residual
 
 from oracles import (
+    bessel_schroedinger_apply,
     fornberg_weights,
     loop_composite_rule,
     poly_branch_inner,

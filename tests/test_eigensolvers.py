@@ -56,8 +56,8 @@ PENCILS = ["laplace 0.4", "laplace 0.75", "robin 0.55", "laplace 5.5",
 
 
 def dirichlet_operators(nu, q, n_nodes=256):
-    space = Space(Order(nu), 1.0, n_cells=n_nodes // DEFAULTS.fem_degree,
-                  dirichlet_cap=True, include_minus=False)
+    space = Space(Order(nu), 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+                  include_minus=False)
     mats = space.matrices()
     return mats["S"] + (1.0 + q * q) * mats["M"], mats["M"]
 
@@ -166,7 +166,7 @@ def test_requests_beyond_arpack_limits_return_what_fits():
     assert lam.size == n - 1
     ref, _, _ = oracles.dense_hermitian_eig(K, M)
     assert rel(lam[:8], ref[:8]) < 1e-10
-    A0, A1, A2 = _pencil_matrices(0.5, laplace_pencil(0.5), None, 0, 20,
+    A0, A1, A2 = _pencil_matrices(0.5, laplace_pencil(0.5), None, 0, 30,
                                   DEFAULTS)[:3]
     n = A0.shape[0]
     lam, _, _ = pencil_eig(A0, A1, A2, count=4 * n)

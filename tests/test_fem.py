@@ -10,12 +10,15 @@ from numpy.polynomial import Polynomial
 import oracles
 from besselbvp.config import DEFAULTS
 from besselbvp.core import BranchFunction, Order, branch_inner
-from besselbvp.errors import SingularSystem
+from besselbvp.errors import DomainError, SingularSystem
 from besselbvp import fem
 from besselbvp.fem import (BorderedBand, Space, galerkin_solve, lobatto_nodes,
                            modulus_order)
-from besselbvp.solve import BesselOperator, BVProblem, solve_1d
-from besselbvp.symbols import BoundaryOperator
+from besselbvp.modes import dirichlet_spectrum, pencil_modes
+from besselbvp.solve import (BesselOperator, BVProblem, CapCondition,
+                             resolvent_sweep, solve_1d,
+                             solve_dirichlet_laplacian, solve_separable)
+from besselbvp.symbols import BoundaryOperator, Sector
 
 
 def scaled_dense(A):
@@ -28,7 +31,8 @@ def scaled_dense(A):
 
 def robin_system(nu, n_cells, seeded):
     """Assembled operator with a and b terms (and a Robin corner) plus a load."""
-    space = Space(Order(nu), 1.0, n_cells=n_cells, include_minus=seeded)
+    space = Space(Order(nu), 1.0, n_nodes=n_cells * DEFAULTS.fem_degree,
+                  include_minus=seeded)
     mats = space.matrices(a_fun=lambda x: 1.0 + 0.5j * x,
                           b_fun=lambda x: x * (1.0 - x))
     A = mats["S"] + mats["A"] + mats["B"]
@@ -174,7 +178,7 @@ def test_zero_schur_pivot_raises():
 def test_operator_storage_is_linear_in_dofs():
     stored = {}
     for n in (256, 2048):
-        space = Space(Order(0.1), 1.0, n_cells=n // 5)
+        space = Space(Order(0.1), 1.0, n_nodes=n)
         mats = space.matrices(a_fun=lambda x: np.ones_like(x))
         stored[n] = (mats["S"] + mats["A"]).nbytes
     assert stored[2048] < 10 * stored[256]
@@ -184,7 +188,8 @@ def test_operator_storage_is_linear_in_dofs():
                                         (0.8, True), (2.5, False)])
 def test_constant_coefficient_form_is_mass_multiple(nu, seeded):
     """A(c) = c M, which lets the solvers add a shift or mode as c M."""
-    space = Space(Order(nu), 1.0, n_cells=20, include_minus=seeded)
+    space = Space(Order(nu), 1.0, n_nodes=20 * DEFAULTS.fem_degree,
+                  include_minus=seeded)
     c = 2.5 - 1.25j
     mats = space.matrices(a_fun=lambda x: np.full(np.shape(x), c))
     A, M = mats["A"].toarray(), mats["M"].toarray()
@@ -212,7 +217,8 @@ def test_first_cell_entries_match_branch_calculus(nu, seeded):
     on cell 0 alone are compared (the edge function and the seed span more
     cells).
     """
-    space = Space(Order(nu), 1.0, n_cells=12, include_minus=seeded)
+    space = Space(Order(nu), 1.0, n_nodes=12 * DEFAULTS.fem_degree,
+                  include_minus=seeded)
     a, b = 1.7, Polynomial([0.0, 1.0, -1.0])           # b(x) = x (1 - x)
     mats = space.matrices(a_fun=lambda x: np.full(np.shape(x), a), b_fun=b)
     h, p, s = space.edges[1], space.degree, int(seeded)
@@ -297,7 +303,8 @@ def test_modulus_ties_order_imaginary_and_conjugate_pairs():
 @pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),
                                         (1.5, False)])
 def test_eval_coeffs_batched_equals_columns(nu, seeded):
-    space = Space(Order(nu), 1.0, n_cells=12, include_minus=seeded)
+    space = Space(Order(nu), 1.0, n_nodes=12 * DEFAULTS.fem_degree,
+                  include_minus=seeded)
     rng = np.random.default_rng(5)
     C = rng.standard_normal((space.n, 5)) + 1j * rng.standard_normal(
         (space.n, 5))
@@ -349,7 +356,7 @@ def test_origin_cell_bitwise_equals_per_beta_oracle(case, calls):
     # the rules a call tabulates depend on what earlier calls cached, so
     # both call orders are checked
     nu, kwargs = TABULATED[case]
-    space = Space(Order(nu), 1.0, n_cells=24, **kwargs)
+    space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
     ref = oracles.PerBetaAssembly(space)
     rng = np.random.default_rng(8)
     c = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
@@ -409,13 +416,50 @@ def test_seeded_solve_tabulates_each_space_three_times(monkeypatch):
 
 
 def test_spaces_of_one_degree_share_read_only_lagrange_tables():
-    first = Space(Order(0.3), 1.0, n_cells=12)
-    second = Space(Order(1.6), 2.0, n_cells=30, include_minus=False)
-    other = Space(Order(0.3), 1.0, n_cells=12,
-                  settings=DEFAULTS.with_overrides(fem_degree=first.degree + 1))
+    p = DEFAULTS.fem_degree
+    first = Space(Order(0.3), 1.0, n_nodes=12 * p)
+    second = Space(Order(1.6), 2.0, n_nodes=30 * p, include_minus=False)
+    other = Space(Order(0.3), 1.0, n_nodes=12 * (p + 1),
+                  settings=DEFAULTS.with_overrides(fem_degree=p + 1))
     assert len(first._lagrange) == 3
     assert all(a is b for a, b in zip(first._lagrange, second._lagrange))
     assert other._lagrange[0].shape != first._lagrange[0].shape
     for tab in first._lagrange:
         with pytest.raises(ValueError):
             tab[0, 0] = 1.0
+
+
+def _node_count_entry_points(nu=0.4):
+    """Each public entry point that builds a Space, as n_nodes -> result."""
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    pencil = BesselOperator(Order(nu), a_coeff=0.0,
+                            pencil_fourier=lambda q: (0.0, 0.0, 1.0))
+    bc = BoundaryOperator.dirichlet(nu)
+    f = lambda x: np.sin(np.pi * x)
+    prob = BVProblem(op=op, bc0=bc, bc1=CapCondition.DIRICHLET, rhs=f,
+                     boundary_data=0.0)
+    return {
+        "solve_1d": lambda n: solve_1d(prob, n_nodes=n),
+        "solve_separable": lambda n: solve_separable(nu, op, bc, {0: f},
+                                                     n_nodes=n),
+        "solve_dirichlet_laplacian": lambda n: solve_dirichlet_laplacian(
+            nu, 1.0, {0: f}, n_nodes=n),
+        "resolvent_sweep": lambda n: resolvent_sweep(
+            pencil, bc, Sector.elliptic_cone(), [4.0], n_nodes=n),
+        "dirichlet_spectrum": lambda n: dirichlet_spectrum(nu, n_max=3,
+                                                           n_nodes=n),
+        "pencil_modes": lambda n: pencil_modes(nu, pencil, None, n_nodes=n),
+    }
+
+
+@pytest.mark.parametrize("n_nodes", [-5, 0, 3, 29, 30])
+@pytest.mark.parametrize("entry", list(_node_count_entry_points()))
+def test_node_count_below_six_cells_raises(entry, n_nodes):
+    # degree 5: 30 nodes are the 6 cells of the minimum, 29 nodes are 5
+    assert DEFAULTS.fem_degree * fem.MIN_CELLS == 30
+    call = _node_count_entry_points()[entry]
+    if n_nodes < 30:
+        with pytest.raises(DomainError, match="cells"):
+            call(n_nodes)
+    else:
+        assert call(n_nodes) is not None

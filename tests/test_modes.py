@@ -15,6 +15,7 @@ from besselbvp.solve import BesselOperator, operator_residual
 from besselbvp.special import bessel_zeros
 from besselbvp.symbols import BoundaryOperator
 
+import mpmath
 import scipy.special as ss
 
 import oracles
@@ -73,11 +74,25 @@ def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
     ms = dirichlet_spectrum(0.4, q_max=2, n_max=2, n_nodes=160)
     assert calls == {"eig": 3, "norm": 6}
     assert len(ms) == 10
-    qs = np.concatenate([f.fourier_index for f in ms.eigenvectors])
+    qs = ms.fourier_index
     assert sorted(qs) == sorted(q for q in range(-2, 3) for _ in range(2))
     for q in (1, 2):
         assert np.array_equal(ms.eigenvalues[qs == q],
                               ms.eigenvalues[qs == -q])
+
+
+def test_dirichlet_modes_evaluate_on_demand():
+    # each mode is its coefficient column, evaluated in the ModeSet's space
+    nu = 0.4
+    ms = dirichlet_spectrum(nu, n_max=4, n_nodes=256)
+    x = np.linspace(0.05, 1.0, 200)
+    for k in range(4):
+        j = float(mpmath.besseljzero(nu, k + 1))
+        want = np.sqrt(x) * ss.jv(nu, j * x)
+        got = ms.space.eval_coeffs(ms.coeffs[:, k], x)
+        scale = np.vdot(want, got) / np.vdot(want, want)
+        assert np.max(np.abs(got - scale * want)) \
+            < 1e-8 * np.max(np.abs(scale * want))
 
 
 def test_dirichlet_eigenfunction_satisfies_ode():
