@@ -21,12 +21,15 @@ The value, d_nu and |D_nu|^2 images of every local function are x^power
 times a polynomial, with one of four branch powers (nu +- 1/2 for the
 Lagrange functions, 1/2 - nu and 3/2 - nu for the seed).  One helper,
 Space._images, tabulates the polynomial factors at any points; every
-consumer integrates these tables.  Cells away from the origin multiply them
-by x^power and use Gauss-Legendre, vectorised over cells.  On the origin
-cell the entries of a form are grouped by their product power beta and each
-group is integrated exactly by the 24-point Gauss-Jacobi rule for x^beta,
-one einsum per form (first_cell_inner), the rules of a whole call tabulated
-in one pass (Space._first_rules).  Matrix
+consumer integrates these tables.  The tables are real (so are the Lagrange
+and seed polynomials): S and M are contracted in real arithmetic, and
+complex numbers enter only with a complex coefficient, load or coefficient
+vector.  The assembled operators are complex.  Cells away from the origin
+multiply the tables by x^power and use Gauss-Legendre, vectorised over
+cells.  On the origin cell the entries of a form are grouped by their
+product power beta and each group is integrated exactly by the 24-point
+Gauss-Jacobi rule for x^beta, one einsum per form (first_cell_inner), the
+rules of a whole call tabulated in one pass (Space._first_rules).  Matrix
 convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
 in the first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
@@ -258,6 +261,11 @@ class BorderedBand:
         return BorderedBand(band, np.conj(self.col), np.conj(self.row),
                             np.conj(self.corner))
 
+    def any(self):
+        """True when some stored entry is nonzero."""
+        return bool(np.any(self.band) or self.seeded and (
+            np.any(self.row) or np.any(self.col) or self.corner != 0))
+
     def diagonal(self):
         d = self.band[self.p]
         return np.concatenate(([self.corner], d)) if self.seeded else d.copy()
@@ -350,8 +358,7 @@ class Space:
         cut_idx = int(np.searchsorted(self.edges, self.x_max / 2.0,
                                       side="right") - 1)
         self.rho = _Rho(self.edges[max(cut_idx, 1)])
-        self.seed_poly = seed_poly = Polynomial(
-            self.rho.poly.coef.astype(complex))
+        self.seed_poly = seed_poly = self.rho.poly
         # the seed's image factors r, r'/x and -r'' - (1-2nu) r'/x, formed in
         # x (r is even, so r' = x (r'/x)): pushing the cancellation through
         # t = x/h would lose the h^2 structure of r(h t) on a ~1e-9 cell
@@ -410,22 +417,24 @@ class Space:
         return np.concatenate(([loc[:, self.degree + 1].sum()], w))
 
     def _assemble(self, loc):
-        """BorderedBand from per-cell matrices loc[k, j, i] (seed last)."""
+        """BorderedBand from per-cell matrices loc[k, j, i] (seed last),
+        summed in loc's dtype and stored complex."""
         p, K = self.degree, self.n_cells
         j, i = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
-        blocks = np.zeros((2 * p + 1, K, p + 1), dtype=complex)
+        blocks = np.zeros((2 * p + 1, K, p + 1), dtype=loc.dtype)
         blocks[p + j - i, :, i] = np.moveaxis(loc[:, j, i], 0, -1)
-        band = np.zeros((2 * p + 1, K * p + 1), dtype=complex)
+        band = np.zeros((2 * p + 1, K * p + 1), dtype=loc.dtype)
         band[:, :K * p] += blocks[:, :, :p].reshape(2 * p + 1, -1)
         band[:, p::p] += blocks[:, :, p]
         m = self.n - int(self.include_minus)
-        band = band[:, :m]
+        band = band[:, :m].astype(complex)
         band[_band_rows(p, m) >= m] = 0.0      # couplings to a capped dof
         if not self.include_minus:
             return BorderedBand(band)
         s = p + 1
         return BorderedBand(band, self._scatter(loc[:, s]),
-                            self._scatter(loc[:, :, s]), loc[:, s, s].sum())
+                            self._scatter(loc[:, :, s]),
+                            loc[:, s, s].astype(complex).sum())
 
     # -- pointwise evaluation -------------------------------------------------
 
@@ -481,8 +490,7 @@ class Space:
             tables = [np.concatenate([tab, np.where(live, polyval(x, r.coef),
                                                      0.0)[None]])
                       for tab, r in zip(tables, self._seed_factors)]
-        return {key: np.moveaxis(tab, 0, -2).astype(complex)
-                for key, tab in zip("vdc", tables)}
+        return {key: np.moveaxis(tab, 0, -2) for key, tab in zip("vdc", tables)}
 
     @cached_property
     def _bulk(self):
@@ -494,7 +502,10 @@ class Space:
         """
         a, b = self.edges[1:-1, None], self.edges[2:, None]
         xq, wq = legendre_rule(self.degree + 8, a, b)
-        tables = {key: tab * xq[:, None, :] ** self._powers[key][:, None]
+        # x^e once per distinct branch power e, not once per local function
+        exps = np.unique(np.concatenate(list(self._powers.values())))
+        xpow = xq[:, None, :] ** exps[:, None]
+        tables = {key: tab * xpow[:, np.searchsorted(exps, self._powers[key])]
                   for key, tab in self._images(xq, a, b - a).items()}
         return xq, wq, tables
 
@@ -538,17 +549,16 @@ class Space:
             forms["B"] = ("d", "v", b_fun, -1j)
 
         self._first_rules([self._beta(*form[:2]) for form in forms.values()])
-        n_loc = self._powers["v"].size
         xq, wq, tables = self._bulk
         mats = {}
         for name, (trial, test, coeff, factor) in forms.items():
-            loc = np.empty((self.n_cells, n_loc, n_loc), dtype=complex)
-            loc[0] = factor * first_cell_inner(*self._first_cell(trial, test),
-                                               coeff=coeff)
+            # real for S and M: the tables are real
+            first = factor * first_cell_inner(*self._first_cell(trial, test),
+                                              coeff=coeff)
             wk = wq if coeff is None else wq * _at(coeff, xq)
-            loc[1:] = factor * np.einsum("kq,kiq,kjq->kji", wk,
-                                         tables[trial], np.conj(tables[test]))
-            mats[name] = self._assemble(loc)
+            bulk = factor * np.einsum("kq,kiq,kjq->kji", wk, tables[trial],
+                                      np.conj(tables[test]))
+            mats[name] = self._assemble(np.concatenate([first[None], bulk]))
         return mats
 
     def load_vector(self, f, singular_exponent=0.0):
@@ -578,22 +588,33 @@ class Space:
         h_target = self.x_max / max(self.edges.size - 1, 6)
         return int(np.searchsorted(self.edges, 0.999 * h_target))
 
-    def strong_residual(self, coeffs, op_values, f=None):
-        """||P u_h - f||_{L2} over the resolved window (see resolved_start).
+    def strong_residual(self, coeffs, terms, f=None):
+        """(||P u_h - f||, scale) in L2 over the resolved window (see
+        resolved_start), from one evaluation of the images and of f.
 
-        ``op_values(xq, u, du, cu)`` combines the tables into P u_h at the
-        quadrature points.
+        ``terms(xq, u, du, cu)`` returns the terms of P u_h at the
+        quadrature points, which sum to P u_h.  ``scale`` is ||f||, or when
+        f vanishes on the window (or is None) the L2 norm of the summed term
+        moduli: they cancel for a true solution, so the ratio does not scale
+        with the data.
         """
         lo = max(self.resolved_start, 1)
         xq, wq, tables = self._bulk
         local = self._local_coeffs(coeffs)[lo:]
         u, du, cu = (np.einsum("ki,kiq->kq", local, tables[key][lo - 1:])
                      .reshape(-1) for key in ("v", "d", "c"))
-        x = xq[lo - 1:].reshape(-1)
-        r = op_values(x, u, du, cu)
+        x, w = xq[lo - 1:].reshape(-1), wq[lo - 1:].reshape(-1)
+        parts = terms(x, u, du, cu)
+        r = sum(parts[1:], parts[0])
+        scale = 0.0
         if f is not None:
-            r = r - _at(f, x)
-        return float(np.sqrt(np.sum(wq[lo - 1:].reshape(-1) * np.abs(r) ** 2)))
+            fx = _at(f, x)
+            r = r - fx
+            scale = float(np.sqrt(np.sum(w * np.abs(fx) ** 2)))
+        if scale == 0.0:
+            size = sum(map(np.abs, parts[1:]), np.abs(parts[0]))
+            scale = float(np.sqrt(np.sum(w * size ** 2)))
+        return float(np.sqrt(np.sum(w * np.abs(r) ** 2))), scale
 
     def norms(self, coeffs, q2=0.0):
         """(H0^2, H1^2, H2^2) of a coefficient vector for tangential mode q.

@@ -76,8 +76,9 @@ class BesselOperator:
     """|D_nu|^2 + b(x) D_nu + a(x) (+ A(q) per tangential mode).
 
     ``a_coeff``/``b_coeff`` may be constants or callables; b must vanish at
-    x = 0.  ``fourier_symbol`` gives the lambda-free zeroth-order value A(q)
-    per mode; ``pencil_fourier`` returns (a2, a1, a0) with
+    x = 0, so the only constant b is 0, which means no b term (it is stored
+    as None).  ``fourier_symbol`` gives the lambda-free zeroth-order value
+    A(q) per mode; ``pencil_fourier`` returns (a2, a1, a0) with
     A(q, lambda) = a2 + a1 lambda + a0 lambda^2 for pencil problems.
     """
 
@@ -90,10 +91,14 @@ class BesselOperator:
     def __post_init__(self):
         object.__setattr__(self, "nu", as_order(self.nu))
         b = self.b_coeff
-        if b is not None and callable(b):
-            x0 = 1e-9
-            if abs(complex(np.asarray(b(x0)).reshape(-1)[0])) > 1e-6:
+        if b is None:
+            return
+        if not callable(b):
+            if complex(b) != 0:
                 raise DomainError("b_coeff must vanish at x = 0")
+            object.__setattr__(self, "b_coeff", None)
+        elif abs(complex(np.asarray(b(1e-9)).reshape(-1)[0])) > 1e-6:
+            raise DomainError("b_coeff must vanish at x = 0")
 
     def mode_coefficients(self, q=None):
         """(a2, a1, a0): mode q (None: 0) adds a2 + a1 lambda + a0 lambda^2
@@ -106,10 +111,20 @@ class BesselOperator:
         return _q_squared(q), 0.0, 1.0
 
     def forms(self, space):
-        """(S + A + B, M) on ``space``; a shift or mode value c adds c M."""
-        mats = space.matrices(a_fun=_as_callable(self.a_coeff),
-                              b_fun=_as_callable(self.b_coeff))
-        base = mats["S"] + mats["A"]
+        """(S + A + B, M) on ``space``; a shift or mode value c adds c M.
+
+        A constant a enters as a M, and not at all when a = 0, just as a
+        shift does: ``space.matrices`` assembles S and M (and B) only.  A
+        callable a, a Polynomial included, is integrated as its own form A.
+        """
+        a = self.a_coeff
+        mats = space.matrices(a_fun=a if callable(a) else None,
+                              b_fun=self.b_coeff)
+        base = mats["S"]
+        if callable(a):
+            base = base + mats["A"]
+        elif complex(a) != 0:
+            base = base + complex(a) * mats["M"]
         if "B" in mats:
             base = base + mats["B"]
         return base, mats["M"]
@@ -311,27 +326,15 @@ def _residual(space, op, c, coeffs, rhs):
     |cu| + |a u| + |b d_nu u| (they cancel for a true solution, as in
     operator_residual), so the measure does not scale with the data.
     """
-    a_fun, b_fun = _as_callable(op.a_coeff), _as_callable(op.b_coeff)
-    f = _as_callable(rhs)
+    a_fun, b_fun = _as_callable(op.a_coeff), op.b_coeff
 
-    def terms(xq, u, du):
+    def terms(xq, u, du, cu):
         au = (np.asarray(a_fun(xq), dtype=complex) + c) * u
-        bdu = 0.0 if b_fun is None \
-            else -1j * np.asarray(b_fun(xq), dtype=complex) * du
-        return au, bdu
+        if b_fun is None:
+            return cu, au
+        return cu, au, -1j * np.asarray(b_fun(xq), dtype=complex) * du
 
-    def op_values(xq, u, du, cu):
-        au, bdu = terms(xq, u, du)
-        return cu + au + bdu
-
-    def term_sizes(xq, u, du, cu):
-        au, bdu = terms(xq, u, du)
-        return np.abs(cu) + np.abs(au) + np.abs(bdu)
-
-    rnorm = space.strong_residual(coeffs, op_values, f=f)
-    fn = space.strong_residual(np.zeros(space.n), lambda x, u, du, cu: 0 * u,
-                               f=f)
-    scale = fn if fn > 0 else space.strong_residual(coeffs, term_sizes)
+    rnorm, scale = space.strong_residual(coeffs, terms, f=_as_callable(rhs))
     resid = rnorm / scale if scale > 0 else rnorm
     if not np.isfinite(resid) or resid > 1e-2:
         raise SingularSystem(

@@ -11,10 +11,11 @@ Some oracles are references for bitwise equality instead: the scalar
 Fornberg recurrence behind ``core.grid_derivative``, the
 ``numpy.polynomial.Polynomial`` form of the pair calculus behind
 ``core.BranchFunction``, the per-beta origin-cell tabulation behind
-``fem.Space`` (``PerBetaAssembly``) and the panel-by-panel composite
-Gauss-Legendre rule.  They run the library's arithmetic one object, one
-node, one rule or one panel at a time, so the vectorised code must
-reproduce them exactly.
+``fem.Space`` (``PerBetaAssembly``), the panel-by-panel composite
+Gauss-Legendre rule and the three-pass relative strong residual
+(``multipass_residual``).  They run the library's arithmetic one object,
+one node, one rule, one panel or one pass at a time, so the vectorised
+code must reproduce them exactly.
 """
 
 import math
@@ -585,3 +586,48 @@ class PerBetaAssembly:
                       + float(np.sum(wq * np.abs(image) ** 2)))
         h1sq = sq[1] + (1.0 + q2) * sq[0]
         return sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq
+
+
+def _window_residual(space, coeffs, op_values, f=None):
+    """||op_values - f||_{L2} over the resolved window of ``space``, with the
+    images of ``coeffs`` and f evaluated afresh on each call."""
+    from besselbvp import fem
+    lo = max(space.resolved_start, 1)
+    xq, wq, tables = space._bulk
+    local = space._local_coeffs(coeffs)[lo:]
+    u, du, cu = (np.einsum("ki,kiq->kq", local, tables[key][lo - 1:])
+                 .reshape(-1) for key in ("v", "d", "c"))
+    x = xq[lo - 1:].reshape(-1)
+    r = op_values(x, u, du, cu)
+    if f is not None:
+        r = r - fem._at(f, x)
+    return float(np.sqrt(np.sum(wq[lo - 1:].reshape(-1) * np.abs(r) ** 2)))
+
+
+def multipass_residual(space, op, c, coeffs, rhs):
+    """Relative strong residual of ``solve._residual`` in separate passes:
+    ||P u_h - f|| on ``coeffs``, ||f|| on a zero coefficient vector, and
+    for f = 0 the term sizes |cu| + |a u| + |b d_nu u| on ``coeffs``."""
+    from besselbvp.solve import _as_callable
+    a_fun, b_fun = _as_callable(op.a_coeff), _as_callable(op.b_coeff)
+    f = _as_callable(rhs)
+
+    def terms(xq, u, du):
+        au = (np.asarray(a_fun(xq), dtype=complex) + c) * u
+        bdu = 0.0 if b_fun is None \
+            else -1j * np.asarray(b_fun(xq), dtype=complex) * du
+        return au, bdu
+
+    def op_values(xq, u, du, cu):
+        au, bdu = terms(xq, u, du)
+        return cu + au + bdu
+
+    def term_sizes(xq, u, du, cu):
+        au, bdu = terms(xq, u, du)
+        return np.abs(cu) + np.abs(au) + np.abs(bdu)
+
+    rnorm = _window_residual(space, coeffs, op_values, f=f)
+    fn = _window_residual(space, np.zeros(space.n),
+                          lambda x, u, du, cu: 0 * u, f=f)
+    scale = fn if fn > 0 else _window_residual(space, coeffs, term_sizes)
+    return rnorm / scale if scale > 0 else rnorm

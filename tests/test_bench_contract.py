@@ -10,11 +10,16 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+from numpy.polynomial import Polynomial
 
 import besselbvp
 import besselbvp.cli  # noqa: F401  (traced, and not imported by the package)
 from besselbvp.config import DEFAULTS
+from besselbvp.core import Order
 from besselbvp.fem import Space
+from besselbvp.solve import BesselOperator, BVProblem, solve_1d
+from besselbvp.symbols import BoundaryOperator
 
 # appended, so that tests/oracles.py keeps precedence over perfbench's
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
@@ -37,3 +42,25 @@ def test_benchmark_tracer_installs_and_uninstalls():
     assert names.count("fem.Space.matrices") == 1
     assert names.count("fem.first_cell_inner") == len(mats) == 4
     assert len(tracer.data["mesh_keys"]) == 1
+
+
+@pytest.mark.parametrize("b_coeff, forms", [(None, 2),
+                                            (Polynomial([0.0, 1.0, -1.0]), 3)])
+def test_constant_a_solve_assembles_and_gates_once(b_coeff, forms):
+    # a constant a enters as a M: Space.matrices integrates S and M (and B)
+    # on cell 0, and the residual gate reads its window in one call
+    nu = 0.35
+    prob = BVProblem(op=BesselOperator(Order(nu), a_coeff=1.3,
+                                       b_coeff=b_coeff),
+                     bc0=BoundaryOperator.robin(nu, 0.7), rhs=np.cos,
+                     boundary_data=0.5)
+    with layers.watch(Tracer()) as tracer:
+        solve_1d(prob, n_nodes=128)
+    spans = tracer.spans
+    names = [s.name for s in spans]
+    assert names.count("fem.Space.matrices") == 1
+    assert names.count("fem.Space.strong_residual") == 1
+    assembly = names.index("fem.Space.matrices")
+    cell0 = [s for s in spans if s.name == "fem.first_cell_inner"]
+    assert len(cell0) == forms
+    assert all(s.parent == assembly for s in cell0)

@@ -385,6 +385,22 @@ def test_origin_cell_bitwise_equals_per_beta_oracle(case, calls):
         assert same_bits(steps[step](space), steps[step](ref)), step
 
 
+@pytest.mark.parametrize("case", list(TABULATED))
+def test_image_tables_are_real_and_results_complex(case):
+    nu, kwargs = TABULATED[case]
+    space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
+    assert space.seed_poly.coef.dtype == np.float64
+    x = np.linspace(0.0, space.edges[2], 7)
+    tabs = [space._images(x, 0.0, space.edges[1]), space._bulk[2],
+            space._first_rules([space._beta("d", "v")])[2]]
+    assert all(tab.dtype == np.float64 for t in tabs for tab in t.values())
+    mats = space.matrices(b_fun=lambda x: x)
+    for A in mats.values():
+        parts = (A.band, A.row, A.col, A.corner) if A.seeded else (A.band,)
+        assert all(np.asarray(part).dtype == complex for part in parts)
+    assert space.load_vector(np.cos).dtype == complex
+
+
 def test_seeded_solve_tabulates_each_space_three_times(monkeypatch):
     # bulk, matrices and load: one _images pass each; a b term adds forms
     # but no pass, and every Gauss-Jacobi rule is computed once per Space

@@ -17,6 +17,7 @@ from besselbvp.errors import (
     SpectralParameterOnCut,
 )
 from besselbvp.fem import Space
+from besselbvp.modes import dirichlet_spectrum
 from besselbvp.solve import (
     BesselOperator,
     BVProblem,
@@ -34,6 +35,7 @@ from besselbvp.symbols import BoundaryOperator, Sector, mode_solution, mode_trac
 
 import scipy.special as ss
 
+import oracles
 from oracles import dense_galerkin_solve, robin_interval
 
 
@@ -287,6 +289,110 @@ def test_subcritical_requires_bc():
 def test_b_coefficient_must_vanish_at_origin():
     with pytest.raises(DomainError):
         BesselOperator(Order(0.5), b_coeff=lambda x: np.ones_like(x))
+    for b in (0.5, -1e-3j, np.float64(2.0)):
+        with pytest.raises(DomainError, match="vanish"):
+            BesselOperator(Order(0.3), a_coeff=1.0, b_coeff=b)
+
+
+@pytest.mark.parametrize("zero", [0, 0.0, 0j, np.float64(0.0)])
+def test_zero_constant_b_is_no_b_term(zero, monkeypatch):
+    nu = 0.35
+    op = BesselOperator(Order(nu), a_coeff=1.0, b_coeff=zero)
+    assert op.b_coeff is None and op.b_poly() is None
+    forms = []
+    matrices = Space.matrices
+
+    def spy(self, a_fun=None, b_fun=None):
+        forms.append(b_fun)
+        return matrices(self, a_fun, b_fun)
+
+    monkeypatch.setattr(Space, "matrices", spy)
+    sols = [solve_1d(BVProblem(op=o, bc0=BoundaryOperator.robin(nu, 0.7),
+                               rhs=np.cos, boundary_data=0.5), n_nodes=128)
+            for o in (op, BesselOperator(Order(nu), a_coeff=1.0))]
+    assert forms == [None, None]
+    assert np.array_equal(sols[0].coeffs, sols[1].coeffs)
+    assert sols[0].residual_norm == sols[1].residual_norm
+    assert sols[0].traces == sols[1].traces
+
+
+def spy_matrices(monkeypatch):
+    """(calls, results) of Space.matrices: its (a_fun, b_fun), its dicts."""
+    calls, results = [], []
+    matrices = Space.matrices
+
+    def spy(self, a_fun=None, b_fun=None):
+        calls.append((a_fun, b_fun))
+        results.append(matrices(self, a_fun, b_fun))
+        return results[-1]
+
+    monkeypatch.setattr(Space, "matrices", spy)
+    return calls, results
+
+
+def same_operator(A, B):
+    return A.toarray().tobytes() == B.toarray().tobytes()
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+@pytest.mark.parametrize("a", [0.0, 1.3, 0.5 - 0.2j])
+def test_constant_a_enters_as_mass_multiple(a, seeded, monkeypatch):
+    space = Space(Order(0.3), 1.0, n_nodes=96, include_minus=seeded)
+    calls, results = spy_matrices(monkeypatch)
+    base, M = BesselOperator(Order(0.3), a_coeff=a).forms(space)
+    assert calls == [(None, None)]
+    mats = results[0]
+    assert sorted(mats) == ["M", "S"] and M is mats["M"]
+    assert base is mats["S"] if a == 0 else \
+        same_operator(base, mats["S"] + a * mats["M"])
+
+
+@pytest.mark.parametrize("a", [Polynomial([1.0, 0.5]),
+                               lambda x: 1.0 + 0.5j * x])
+def test_callable_a_keeps_its_quadrature_form(a, monkeypatch):
+    space = Space(Order(0.3), 1.0, n_nodes=96)
+    b = Polynomial([0.0, 1.0, -1.0])
+    calls, results = spy_matrices(monkeypatch)
+    base, _ = BesselOperator(Order(0.3), a_coeff=a, b_coeff=b).forms(space)
+    assert len(calls) == 1 and calls[0][0] is a and calls[0][1] is b
+    mats = results[0]
+    assert sorted(mats) == ["A", "B", "M", "S"]
+    assert same_operator(base, mats["S"] + mats["A"] + mats["B"])
+
+
+def residual_cases():
+    """(name, op, c, space, coeffs, rhs) of solved problems on seeded and
+    unseeded spaces, with and without f and a b term."""
+    b = Polynomial([0.0, 1.0, -1.0])
+    for nu, bc in ((0.35, BoundaryOperator.robin(0.35, 0.7)), (1.5, None)):
+        tag = "seeded" if bc else "unseeded"
+        for rhs, b_coeff in ((np.cos, None), (np.cos, b), (0.0, None),
+                             (0.0, b)):
+            if rhs == 0.0 and bc is None:
+                continue            # the solution would be 0
+            op = BesselOperator(Order(nu), a_coeff=1.3, b_coeff=b_coeff)
+            sol = solve_1d(BVProblem(op=op, bc0=bc, rhs=rhs,
+                                     boundary_data=0.5 if bc else 0.0,
+                                     fourier_index=1), n_nodes=128)
+            assert sol.space.include_minus == (bc is not None)
+            name = f"{tag}-f{'=0' if rhs == 0.0 else ''}-b{b_coeff is b}"
+            yield name, op, 1.0, sol.space, sol.coeffs, rhs
+    # f = 0 on an unseeded space: a Dirichlet eigenvector, (|D|^2 + 1 -
+    # lam) u = 0
+    for nu in (0.35, 1.5):
+        modes = dirichlet_spectrum(nu, n_max=2, n_nodes=128)
+        assert not modes.space.include_minus
+        yield (f"unseeded-eigvec-{nu}", BesselOperator(Order(nu), a_coeff=1.0),
+               -modes.eigenvalues[0], modes.space, modes.coeffs[:, 0], 0.0)
+
+
+@pytest.mark.parametrize("case", list(residual_cases()), ids=lambda c: c[0])
+def test_one_pass_residual_equals_multipass_oracle(case):
+    _, op, c, space, coeffs, rhs = case
+    got = besselbvp.solve._residual(space, op, c, coeffs, rhs)
+    want = oracles.multipass_residual(space, op, c, coeffs, rhs)
+    assert 0.0 < got < 1e-2
+    assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 # --------------------------------------------------------------------------
