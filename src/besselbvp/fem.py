@@ -261,11 +261,6 @@ class BorderedBand:
         return BorderedBand(band, np.conj(self.col), np.conj(self.row),
                             np.conj(self.corner))
 
-    def any(self):
-        """True when some stored entry is nonzero."""
-        return bool(np.any(self.band) or self.seeded and (
-            np.any(self.row) or np.any(self.col) or self.corner != 0))
-
     def diagonal(self):
         d = self.band[self.p]
         return np.concatenate(([self.corner], d)) if self.seeded else d.copy()
@@ -358,12 +353,12 @@ class Space:
         cut_idx = int(np.searchsorted(self.edges, self.x_max / 2.0,
                                       side="right") - 1)
         self.rho = _Rho(self.edges[max(cut_idx, 1)])
-        self.seed_poly = seed_poly = self.rho.poly
         # the seed's image factors r, r'/x and -r'' - (1-2nu) r'/x, formed in
         # x (r is even, so r' = x (r'/x)): pushing the cancellation through
         # t = x/h would lose the h^2 structure of r(h t) on a ~1e-9 cell
-        r1_x = Polynomial(seed_poly.deriv().coef[1:])
-        self._seed_factors = (seed_poly, r1_x, -seed_poly.deriv(2)
+        r = self.rho.poly
+        r1_x = Polynomial(r.deriv().coef[1:])
+        self._seed_factors = (r, r1_x, -r.deriv(2)
                               - (1.0 - 2.0 * self.order.nu) * r1_x)
 
         p = self.degree
@@ -462,7 +457,7 @@ class Space:
             * np.sum(local[cell, ..., :self.degree + 1] * lag, axis=-1)
         if self.include_minus and np.any(c[0] != 0):
             seed = c[0] * xb ** (0.5 - nuval) \
-                * np.where(xb < self.rho.xc, self.seed_poly(xb), 0.0)
+                * np.where(xb < self.rho.xc, self.rho.poly(xb), 0.0)
             out = np.where(c[0] != 0, out + seed, out)
         return out
 

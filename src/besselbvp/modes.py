@@ -216,8 +216,8 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     (lambda-free conditions) or as an augmented lambda-linear row; residuals
     are checked against the unlinearised pencil, for every mode at once:
     with C the unit eigenvectors, R = A0 C + Lam (A1 C) + Lam^2 (A2 C) takes
-    one block product per nonzero operator (BorderedBand @ (n, k)), and the
-    Cauchy data are array operations on C.  By default modes above the 1e-7
+    one block product per operator (BorderedBand @ (n, k)), and the Cauchy
+    data are array operations on C.  By default modes above the 1e-7
     residual budget are dropped; pass ``residual_cap=None`` to collect every
     eigenvalue of the discrete pencil (with multiplicity), as the
     completeness check requires.
@@ -245,11 +245,8 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
         raise LinearizationSingular("every pencil eigenvalue is infinite")
 
     # residuals against the unlinearised pencil, scale-aware, for every
-    # mode at once: R = A0 C + Lam (A1 C) + Lam^2 (A2 C), C the unit columns,
-    # without the A1 terms when A1 = 0 (every Laplace pencil at q = 0)
-    linear = A1.any()
-    scale0, scale2 = spectral_norm(A0), spectral_norm(A2)
-    scale1 = spectral_norm(A1) if linear else 0.0
+    # mode at once: R = A0 C + Lam (A1 C) + Lam^2 (A2 C), C the unit columns
+    scale0, scale1, scale2 = (spectral_norm(A) for A in (A0, A1, A2))
     norms = _column_norms(cvecs)
     finite = np.isfinite(lam)
     live = finite & (norms != 0)
@@ -259,10 +256,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     lam2 = np.array([l ** 2 for l in lam_c], dtype=complex)
     scale = np.array([scale0 + abs(l) * scale1 + abs(l) ** 2 * scale2
                       for l in lam_c])
-    R = A0 @ C
-    if linear:
-        R = R + lam_c * (A1 @ C)
-    R = R + lam2 * (A2 @ C)
+    R = A0 @ C + lam_c * (A1 @ C) + lam2 * (A2 @ C)
     resid = np.zeros(lam.size)
     resid[live] = _column_norms(R) / np.maximum(scale, 1e-300)
     if residual_cap is None:

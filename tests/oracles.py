@@ -494,7 +494,7 @@ class PerBetaAssembly:
         p = space.degree
         self.lagrange = np.linalg.inv(
             np.vander(fem.lobatto_nodes(p), p + 1, increasing=True))
-        seed_poly = space.seed_poly
+        seed_poly = space.rho.poly
         r1_x = Polynomial(seed_poly.deriv().coef[1:])
         self.seed_factors = (seed_poly, r1_x, -seed_poly.deriv(2)
                              - (1.0 - 2.0 * space.order.nu) * r1_x)

@@ -389,7 +389,7 @@ def test_origin_cell_bitwise_equals_per_beta_oracle(case, calls):
 def test_image_tables_are_real_and_results_complex(case):
     nu, kwargs = TABULATED[case]
     space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
-    assert space.seed_poly.coef.dtype == np.float64
+    assert space.rho.poly.coef.dtype == np.float64
     x = np.linspace(0.0, space.edges[2], 7)
     tabs = [space._images(x, 0.0, space.edges[1]), space._bulk[2],
             space._first_rules([space._beta("d", "v")])[2]]

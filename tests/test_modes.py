@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from besselbvp import fem, modes
-from besselbvp.config import DEFAULTS
+from besselbvp import modes
 from besselbvp.core import Order, RadialGrid, GridFunction
 from besselbvp.errors import IncompleteModeInput
 from besselbvp.modes import (
@@ -137,31 +136,6 @@ def test_pencil_eigenvalue_count_with_multiplicity():
     ms = pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
                       residual_cap=None)
     assert len(ms.eigenvalues) == 2 * ms.dof
-
-
-@pytest.mark.parametrize("row", [None, "dirichlet", "robin", "lambda_robin"])
-def test_pencil_residuals_take_no_product_with_a_zero_operator(row,
-                                                               monkeypatch):
-    # the Laplace pencil has A1 = 0 unless the boundary row holds lambda
-    nu = 0.7
-    bc = {None: None, "dirichlet": BoundaryOperator.dirichlet(nu),
-          "robin": BoundaryOperator.robin(nu, 1.0),
-          "lambda_robin": BoundaryOperator.lambda_robin(nu)}[row]
-    A1 = modes._pencil_matrices(nu, laplace_pencil(nu), bc, 0, 64,
-                                DEFAULTS)[1]
-    assert A1.any() == (row == "lambda_robin")
-    zero_products = []
-    matmul = fem.BorderedBand.__matmul__
-
-    def spy(self, x):
-        if not self.any():
-            zero_products.append(np.shape(x))
-        return matmul(self, x)
-
-    monkeypatch.setattr(fem.BorderedBand, "__matmul__", spy)
-    ms = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=64)
-    assert zero_products == []
-    assert len(ms) > 0 and np.all(ms.residuals < 1e-7)
 
 
 def test_pencil_lambda_robin_regression():
