@@ -12,7 +12,6 @@ the Klein-Gordon-to-Bessel reduction.
 from .config import DEFAULTS, Settings
 from .core import (
     BranchFunction,
-    DensityHint,
     GridFunction,
     Order,
     RadialGrid,
@@ -49,7 +48,7 @@ from .solve import (
     solve_dirichlet_laplacian,
     solve_separable,
 )
-from .special import BesselEval, BesselZeroTable, bessel_zeros, eval_I, eval_J, eval_K
+from .special import BesselZeroTable, bessel_zeros, eval_I, eval_J, eval_K
 from .symbols import (
     BoundaryOperator,
     BoundarySymbol,
@@ -59,7 +58,6 @@ from .symbols import (
     Sector,
     elliptic_roots,
     halfline_grid,
-    lopatinskii_det,
     lopatinskii_sweep,
     lopatinskii_verdict,
     mode_solution,

@@ -25,7 +25,7 @@ Config schema (sections and keys per command):
   lopatinskii: [symbol]   kind = laplace|wave|laplace_pencil, dim_eta
                [operator] nu
                [boundary] type = dirichlet|neumann|robin|oblique|lambda_robin,
-                          beta_re?, beta_im?, eta_re?, eta_im?, nu_order?
+                          beta_re?, beta_im?, eta_re?, eta_im?
                [sweep]    samples?, sector = none|imaginary_axis|elliptic_cone
   expand:      [input]    csv, nu
                [fit]      window_lo?, window_hi?, corrections?
@@ -127,8 +127,7 @@ _SCHEMAS = {
     "lopatinskii": {
         "symbol": {"kind", "dim_eta"},
         "operator": {"nu"},
-        "boundary": {"type", "beta_re", "beta_im", "eta_re", "eta_im",
-                     "nu_order"},
+        "boundary": {"type", "beta_re", "beta_im", "eta_re", "eta_im"},
         "sweep": {"samples", "sector"},
     },
     "expand": {

@@ -87,11 +87,6 @@ def as_order(nu):
 # grids
 # ---------------------------------------------------------------------------
 
-class DensityHint(Enum):
-    GAUSS_JACOBI = "gauss_jacobi"   # algebraic clustering, Jacobi-like density
-    GRADED_MESH = "graded_mesh"     # geometric panels toward x = 0
-
-
 @dataclass(frozen=True)
 class RadialGrid:
     """Quadrature grid on (0, x_max] for the plain Lebesgue measure dx.
@@ -105,7 +100,6 @@ class RadialGrid:
     nodes: np.ndarray = field(repr=False)
     weights: np.ndarray = field(repr=False)
     x_max: float
-    density_hint: DensityHint = DensityHint.GRADED_MESH
     _stencils: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
@@ -126,16 +120,13 @@ class RadialGrid:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def build(cls, x_max, n_nodes=None, hint=DensityHint.GRADED_MESH,
-              settings=DEFAULTS):
+    def build(cls, x_max, n_nodes=None, settings=DEFAULTS):
         n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
         order = min(settings.panel_order, max(4, n_nodes))
         n_panels = max(2, int(round(n_nodes / order)))
-        kind = "geometric" if hint is DensityHint.GRADED_MESH else "algebraic"
-        edges = graded_panels(x_max, n_panels, kind=kind,
-                              floor=settings.grading_floor)
+        edges = graded_panels(x_max, n_panels, floor=settings.grading_floor)
         nodes, weights = composite_rule(edges, order)
-        return cls(nodes, weights, float(x_max), hint)
+        return cls(nodes, weights, float(x_max))
 
     @classmethod
     def uniform(cls, x_max, n_nodes, settings=DEFAULTS):
@@ -144,7 +135,7 @@ class RadialGrid:
         n_panels = max(2, int(round(n_nodes / order)))
         edges = np.linspace(0.0, x_max, n_panels + 1)
         nodes, weights = composite_rule(edges, order)
-        return cls(nodes, weights, float(x_max), DensityHint.GRADED_MESH)
+        return cls(nodes, weights, float(x_max))
 
     @property
     def size(self):
@@ -384,17 +375,16 @@ def _fornberg(z, x, m):
     return c
 
 
-def grid_derivative(grid, values, deriv=1, width=None, settings=DEFAULTS,
-                    check=True):
+def grid_derivative(grid, values, deriv=1, settings=DEFAULTS, check=True):
     """Derivative of sampled values by sliding local polynomial stencils.
 
-    Node i uses the ``width`` nodes centred on it, shifted inwards at the
-    ends; the Fornberg weights of each (width, deriv) are computed on the
-    first call and kept on the grid.  The stencil error is estimated by re-running two orders lower; a
-    grid-too-coarse diagnostic is raised when the estimate exceeds the
-    configured relative tolerance.
+    Node i uses the ``settings.stencil_width`` nodes centred on it, shifted
+    inwards at the ends; the Fornberg weights of each (width, deriv) are
+    computed on the first call and kept on the grid.  The stencil error is
+    estimated by re-running two orders lower; a grid-too-coarse diagnostic
+    is raised when the estimate exceeds the configured relative tolerance.
     """
-    width = settings.stencil_width if width is None else int(width)
+    width = settings.stencil_width
     x, memo = grid.nodes, grid._stencils
     values = np.asarray(values)
     n = x.size
@@ -520,14 +510,14 @@ def dilate(u, tau, grid=None):
                         pair=u.pair.dilate(tau), order=u.order)
 
 
-def traces(u, nu, window_fraction=0.02, corrections=4, settings=DEFAULTS):
+def traces(u, nu, settings=DEFAULTS):
     """Weighted traces (gamma_- u, gamma_+ u) at x = 0.
 
     gamma_- u = x^{nu-1/2} u|_0 and gamma_+ u = x^{1-2nu} d/dx (x^{nu-1/2} u)|_0.
     Exact for pair-represented functions.  Plain samples are fit against the
-    two branch powers with x^2-tail correction regressors per branch over a
-    window reaching from the innermost nodes out to ``window_fraction`` of
-    the domain: the wide lever arm is what separates the branch exponents
+    two branch powers with four x^2-tail correction regressors per branch
+    over a window reaching from the innermost nodes out to 2% of the
+    domain: the wide lever arm is what separates the branch exponents
     when 2 nu approaches an even integer (a bare two-term fit on the
     innermost nodes cannot see the x^{1/2+nu} signal in double precision).
     """
@@ -547,6 +537,7 @@ def traces(u, nu, window_fraction=0.02, corrections=4, settings=DEFAULTS):
         return TraceData(gm, gp, 0.0)
 
     x = u.grid.nodes
+    corrections = 4
     n_min = 2 * (corrections + 1) + 4
 
     def fit(mask):
@@ -566,7 +557,7 @@ def traces(u, nu, window_fraction=0.02, corrections=4, settings=DEFAULTS):
     # shrink the window until the expansion model fits; the innermost nodes
     # alone cannot separate the branches, so never go below n_min nodes
     best = None
-    frac = window_fraction
+    frac = 0.02
     for _ in range(12):
         mask = x <= frac * u.grid.x_max
         if np.sum(mask) < n_min:
@@ -614,14 +605,14 @@ def _adjoint_branches(op, v, nu):
     return out
 
 
-def green_defect(op, u, v, nu=None, settings=DEFAULTS):
+def green_defect(op, u, v, settings=DEFAULTS):
     """|<Pu, v> - <u, P*v> - boundary pairing| for pair-represented u, v.
 
     The boundary pairing is gamma_+u conj(gamma_-v) - gamma_-u conj(gamma_+v)
     for 0 < nu < 1 and empty for nu >= 1; small defects certify both the
     quadrature and the trace normalisation.
     """
-    order = as_order(op.nu if nu is None else nu)
+    order = op.nu
     if u.rep != "fnupair" or v.rep != "fnupair":
         raise DomainError("green_defect requires pair-represented inputs")
     X = u.grid.x_max

@@ -85,10 +85,10 @@ def _lagrange_tables(p):
     return tables
 
 
-def solver_mesh(x_max, n_cells, floor=1e-8, geo_ratio=0.25, outward=False):
+def solver_mesh(x_max, n_cells, floor=1e-8, outward=False):
     """Graded mesh: a geometric tail into x = 0, then uniform or growing cells.
 
-    The geometric tail (ratio ``geo_ratio`` down to ``floor * x_max``)
+    The geometric tail (ratio 1/4 down to ``floor * x_max``)
     resolves the fractional powers x^{3/2-nu}, x^{2-2nu} that the substituted
     unknown contains.  The bulk is uniform by default (oscillatory interval
     eigenfunctions); with ``outward`` the bulk cells grow geometrically, the
@@ -99,9 +99,9 @@ def solver_mesh(x_max, n_cells, floor=1e-8, geo_ratio=0.25, outward=False):
     h_target = x_max / n_cells if not outward \
         else x_max / (12.0 * n_cells)
     n_tail = int(np.ceil(np.log(h_target / (floor * x_max))
-                         / np.log(1.0 / geo_ratio)))
+                         / np.log(4.0)))
     n_tail = min(max(n_tail, 1), max(n_cells // 2, min(n_cells - 4, 40)))
-    tail = h_target * geo_ratio ** np.arange(n_tail, 0, -1)
+    tail = h_target * 0.25 ** np.arange(n_tail, 0, -1)
     n_bulk = n_cells - n_tail
     if not outward:
         bulk = np.linspace(h_target, x_max, n_bulk)
@@ -882,8 +882,8 @@ def pencil_eig(A0, A1, A2, count=None):
       operators (the lambda-Robin pencils).
     * otherwise: companion QZ in deflated scaled coordinates, m the
       deflated rank; real QZ when every operator is real.  This is left to
-      non-Hermitian operators (the kg pencil with an e0 term) and to the
-      lambda-linear gamma_+ rows of modes._pencil_matrices.
+      non-Hermitian operators (the kg pencil with an e0 term) and to an
+      indefinite A0 (a Laplace pencil shifted below its least eigenvalue).
 
     At an infinite eigenvalue the returned vector is the v2 = lam v block of
     the Cauchy data.

@@ -4,14 +4,14 @@ The interval Dirichlet spectrum has the closed form 1 + |q|^2 + j_{nu,n}^2
 with eigenfunctions sqrt(x) J_nu(j_{nu,n} x); the discrete Galerkin
 eigenproblem is solved alongside, by shift-invert Lanczos for the modes
 asked for, and the per-mode discrepancy reported.  Quadratic pencils
-P(lambda) = P2 + lambda P1 + lambda^2 (with optionally lambda-linear
-boundary rows) are linearised to a companion eigenproblem: shift-invert
-Arnoldi when a mode count is given.  The full spectrum is dense: a pencil
-whose lambda-free and lambda^2 parts are Hermitian, the first definite, is
-reduced by one symmetric problem (+-sqrt(mu) of it when P1 = 0 and no
-lambda sits in the boundary row, one standard eigenproblem in 1 / lambda
-otherwise, as for the lambda-Robin row); any other goes through companion
-QZ.
+P(lambda) = P2 + lambda P1 + lambda^2 (lambda may enter the gamma_- term
+of the boundary row) are linearised to a companion eigenproblem:
+shift-invert Arnoldi when a mode count is given.  The full spectrum is
+dense: a pencil whose lambda-free and lambda^2 parts are Hermitian, the
+first definite, is reduced by one symmetric problem (+-sqrt(mu) of it when
+P1 = 0 and no lambda sits in the boundary row, one standard eigenproblem in
+1 / lambda otherwise, as for the lambda-Robin row); any other goes through
+companion QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -163,18 +163,14 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
 
 def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     """(A0, A1, A2, space): BorderedBands of A(lam) = A0 + lam A1 + lam^2 A2
-    with the boundary row folded in."""
+    with the boundary row, read at eta = q, folded in."""
     order = as_order(nu)
     a2c, a1c, a0c = pencil_op.mode_coefficients(q)
 
-    essential = bc is None
-    lam_plus = False
-    if bc is not None:
-        if all(s.const == 0 and s.lam == 0 for s in bc.t_plus):
-            essential = True            # Dirichlet-type row: gamma_- u = 0
-        lam_plus = any(s.lam != 0 for s in bc.t_plus)
-        if bc.n_aux:
-            raise DomainError("pencil solver supports scalar boundary rows")
+    if bc is not None and bc.n_aux:
+        raise DomainError("pencil solver supports scalar boundary rows")
+    # no row, or a Dirichlet-type one (gamma_- u = 0), is essential
+    essential = bc is None or all(s.const == 0 for s in bc.t_plus)
 
     space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
                   include_minus=(order.regime is Regime.SUBCRITICAL
@@ -186,25 +182,12 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     A2 = a0c * M
 
     if bc is not None and not essential and order.regime is Regime.SUBCRITICAL:
-        # the seed is dof 0: its test row is the border row plus the corner
+        # natural substitution gamma_+ u = -(t_-(q, lam)/t_+) gamma_- u in
+        # the boundary term of <P(lam) u, phi> on the seed's test row (dof 0)
         tmc, tpc = bc.t_minus[0], bc.t_plus[0]
-        if lam_plus:
-            # bordered lambda-linear boundary row replaces the gamma_- test row
-            gm = space.gamma_minus_vector()
-            gp = space.gamma_plus_vector()
-
-            def boundary_row(A, cm, cp):
-                t = cm * gm + cp * gp
-                return replace(A, row=t[1:], corner=t[0])
-
-            A0 = boundary_row(A0, tmc.const, tpc.const)
-            A1 = boundary_row(A1, tmc.lam, tpc.lam)
-            A2 = boundary_row(A2, 0.0, 0.0)
-        else:
-            # natural substitution gamma_+ u = -(t_-(lam)/t_+) gamma_- u in
-            # the boundary term of <P(lam) u, phi> on the gamma_- test row
-            A0 = replace(A0, corner=A0.corner - tmc.const / tpc.const)
-            A1 = replace(A1, corner=A1.corner - tmc.lam / tpc.const)
+        t0 = tmc.const_at(bc.mode_eta(q))
+        A0 = replace(A0, corner=A0.corner - t0 / tpc.const)
+        A1 = replace(A1, corner=A1.corner - tmc.lam / tpc.const)
     return A0, A1, A2, space
 
 
@@ -212,8 +195,8 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
                  max_modes=None, settings=DEFAULTS):
     """Eigenvalues of P(lambda) = P2 + lambda P1 + lambda^2 at a fixed mode.
 
-    Companion linearisation with the boundary row treated by elimination
-    (lambda-free conditions) or as an augmented lambda-linear row; residuals
+    Companion linearisation with the boundary row, read at eta = q, folded
+    into the seed corner (a lambda in its gamma_- term enters P1); residuals
     are checked against the unlinearised pencil, for every mode at once:
     with C the unit eigenvectors, R = A0 C + Lam (A1 C) + Lam^2 (A2 C) takes
     one block product per operator (BorderedBand @ (n, k)), and the Cauchy
@@ -229,7 +212,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     Laplace pencil with a Dirichlet, lambda-free or lambda-Robin row), one
     symmetric eigh reduces the pencil: +-sqrt(mu), mu = lambda^2, without a
     lambda-linear term, one standard eig in 1 / lambda with it.  Any other
-    pencil (an e0 term, a lambda-linear gamma_+ row) takes companion QZ.
+    pencil (an e0 term, an indefinite A0) takes companion QZ.
     """
     order = as_order(nu)
     if residual_cap == "default":
@@ -277,30 +260,30 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     cauchy[n:, ~finite] = cvecs[:, ~finite]
 
     constraint = None
-    if bc is not None and any(s.lam != 0 for s in bc.t_plus + bc.t_minus):
+    if bc is not None and any(s.lam != 0 for s in bc.t_minus):
         gm = space.gamma_minus_vector()
         gp = space.gamma_plus_vector()
-        t1 = bc.t_minus[0].const * gm + bc.t_plus[0].const * gp
-        t0 = bc.t_minus[0].lam * gm + bc.t_plus[0].lam * gp
-        constraint = np.concatenate([t1, t0])   # T1 v1 + T0 v2 = 0
+        tm = bc.t_minus[0]
+        t1 = tm.const_at(bc.mode_eta(q)) * gm + bc.t_plus[0].const * gp
+        constraint = np.concatenate([t1, tm.lam * gm])   # T1 v1 + T0 v2 = 0
 
     return ModeSet(order.nu, q, lam, space, cvecs, cauchy, resid,
                    ModeSource.QUADRATIC_PENCIL, constraint=constraint,
                    dof=m_eff)
 
 
-def completeness_check(modes, dof=None, settings=DEFAULTS):
+def completeness_check(modes, settings=DEFAULTS):
     """Numerical rank of the stacked Cauchy data against the ambient space.
 
-    The ambient space is C^{2 dof}, restricted to the lambda-dependent
-    boundary constraint subspace when the mode set carries one; the verdict
+    The ambient space is C^{2 dof} (the mode set's dof), restricted to the
+    lambda-dependent boundary constraint subspace when the mode set carries
+    one; the verdict
     is full numerical rank at the 1e-8 relative singular-value threshold.
     """
     D = modes.cauchy_data
     if D.size == 0:
         raise IncompleteModeInput("mode set carries no Cauchy data")
-    dof = modes.dof if dof is None else int(dof)
-    ambient = 2 * dof
+    ambient = 2 * modes.dof
     constraint = modes.constraint
     if constraint is not None:
         ambient -= 1

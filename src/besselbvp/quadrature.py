@@ -51,28 +51,21 @@ def legendre_rule(n, a, b):
     return mid + half * x, w * half
 
 
-def graded_panels(x_max, n_panels, kind="geometric", floor=1e-10, ratio=None):
+def graded_panels(x_max, n_panels, floor=1e-10):
     """Panel edges 0 = e_0 < e_1 < ... < e_K = x_max refined toward 0.
 
-    ``geometric``: e_k = x_max * r^(K-k) with r fixed by the floor;
-    ``algebraic``: e_k = x_max * (k/K)^3, mimicking Jacobi node clustering.
+    Geometric: e_k = x_max * r^(K-k), the ratio r = floor^(1/(K-1)) clipped
+    to [0.05, 0.75].
     """
     K = int(n_panels)
     if K < 1:
         raise DomainError("need at least one panel")
-    if kind == "algebraic":
-        edges = x_max * (np.arange(K + 1) / K) ** 3.0
-    elif kind == "geometric":
-        if K == 1:
-            return np.array([0.0, x_max])
-        if ratio is None:
-            ratio = floor ** (1.0 / (K - 1))
-            ratio = min(max(ratio, 0.05), 0.75)
-        edges = np.empty(K + 1)
-        edges[0] = 0.0
-        edges[1:] = x_max * ratio ** np.arange(K - 1, -1, -1)
-    else:
-        raise DomainError(f"unknown grading kind {kind!r}")
+    if K == 1:
+        return np.array([0.0, x_max])
+    ratio = min(max(floor ** (1.0 / (K - 1)), 0.05), 0.75)
+    edges = np.empty(K + 1)
+    edges[0] = 0.0
+    edges[1:] = x_max * ratio ** np.arange(K - 1, -1, -1)
     return edges
 
 

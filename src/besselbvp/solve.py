@@ -77,15 +77,14 @@ class BesselOperator:
 
     ``a_coeff``/``b_coeff`` may be constants or callables; b must vanish at
     x = 0, so the only constant b is 0, which means no b term (it is stored
-    as None).  ``fourier_symbol`` gives the lambda-free zeroth-order value
-    A(q) per mode; ``pencil_fourier`` returns (a2, a1, a0) with
-    A(q, lambda) = a2 + a1 lambda + a0 lambda^2 for pencil problems.
+    as None).  ``pencil_fourier`` returns (a2, a1, a0) with
+    A(q, lambda) = a2 + a1 lambda + a0 lambda^2 per tangential mode q; the
+    default is (|q|^2, 0, 1).
     """
 
     nu: Order
     a_coeff: object = 0.0
     b_coeff: object = None
-    fourier_symbol: object = None
     pencil_fourier: object = None
 
     def __post_init__(self):
@@ -102,12 +101,10 @@ class BesselOperator:
 
     def mode_coefficients(self, q=None):
         """(a2, a1, a0): mode q (None: 0) adds a2 + a1 lambda + a0 lambda^2
-        to a(x); pencil_fourier(q), else (fourier_symbol(q) or |q|^2, 0, 1)."""
+        to a(x); pencil_fourier(q), else (|q|^2, 0, 1)."""
         q = 0 if q is None else q
         if self.pencil_fourier is not None:
             return tuple(self.pencil_fourier(q))
-        if self.fourier_symbol is not None:
-            return self.fourier_symbol(q), 0.0, 1.0
         return _q_squared(q), 0.0, 1.0
 
     def forms(self, space):
@@ -195,21 +192,22 @@ def _decaying_root(a_eff):
     return root
 
 
-def _boundary_matrix(nu, bc, xi, lam=0.0):
-    """[T_k u_+ | C] with the full (non-principal) boundary coefficients."""
+def _boundary_matrix(nu, bc, xi, q=None):
+    """[T_k u_+ | C] with the full boundary coefficients at eta = q."""
     tr = mode_traces(nu, xi)
-    rows = bc.evaluate_full(np.zeros(1), lam)
+    eta = bc.mode_eta(q)
+    rows = bc.evaluate_full(eta, 0.0)
     J = bc.n_aux
     M = np.zeros((J + 1, J + 1), dtype=complex)
     for k, (tm, tp) in enumerate(rows):
         M[k, 0] = tm * tr.gamma_minus + tp * tr.gamma_plus
     if J:
-        M[:, 1:] = bc.c_values(np.zeros(1), lam)
+        M[:, 1:] = bc.c_values(eta, 0.0)
     return M, tr
 
 
-def regularity_check(nu, a_eff, bc, lam=0.0):
-    """Raise RegularityViolated unless {P, T, C} is regular (Prop 5.5 sense)."""
+def regularity_check(nu, a_eff, bc, q=None):
+    """Raise RegularityViolated unless {P, T, C} is regular at mode q."""
     order = as_order(nu)
     xi = _decaying_root(a_eff)
     if xi is None:
@@ -218,7 +216,7 @@ def regularity_check(nu, a_eff, bc, lam=0.0):
             "the operator is not regular", sample={"a": a_eff})
     if order.regime is not Regime.SUBCRITICAL:
         return xi
-    M, _ = _boundary_matrix(order, bc, xi, lam)
+    M, _ = _boundary_matrix(order, bc, xi, q)
     det = np.linalg.det(M)
     scale = float(np.prod(np.maximum(
         np.sum(np.abs(M), axis=1), 1e-300)))
@@ -229,14 +227,15 @@ def regularity_check(nu, a_eff, bc, lam=0.0):
     return xi
 
 
-def _reduce_boundary_system(bc, g, lam=0.0):
+def _reduce_boundary_system(bc, g, q=None, lam=0.0):
     """Eliminate the auxiliary unknowns: returns (alpha, beta, gamma, recover).
 
-    The J+1 boundary rows T u + C u_ = g reduce generically to one relation
-    alpha gamma_-(u) + beta gamma_+(u) = gamma; ``recover(gm, gp)`` then
-    returns u_.
+    The J+1 boundary rows T u + C u_ = g, read at (eta, lambda) = (q, lam),
+    reduce generically to one relation alpha gamma_-(u) + beta gamma_+(u) =
+    gamma; ``recover(gm, gp)`` then returns u_.
     """
-    rows = bc.evaluate_full(np.zeros(1), lam)
+    eta = bc.mode_eta(q)
+    rows = bc.evaluate_full(eta, lam)
     tvec = np.array(rows, dtype=complex)          # (J+1, 2)
     g = np.atleast_1d(np.asarray(g, dtype=complex))
     J = bc.n_aux
@@ -244,15 +243,15 @@ def _reduce_boundary_system(bc, g, lam=0.0):
         if g.size != 1:
             raise DomainError("scalar boundary data expected")
         return tvec[0, 0], tvec[0, 1], g[0], lambda gm, gp: np.zeros(0)
-    C = np.asarray(bc.c_values(np.zeros(1), lam), dtype=complex)
+    C = np.asarray(bc.c_values(eta, lam), dtype=complex)
     if g.size != J + 1:
         raise DomainError(f"boundary data must have length {J + 1}")
-    # orthonormal basis of the complement of range(C)
+    # unit vector spanning the complement of range(C)
     Q, _ = np.linalg.qr(C, mode="complete")
-    w = Q[:, J:]                                  # (J+1, 1)
-    alpha = complex(w.conj().T @ tvec[:, 0])
-    beta = complex(w.conj().T @ tvec[:, 1])
-    gamma = complex(w.conj().T @ g)
+    w = Q[:, J].conj()
+    alpha = complex(w @ tvec[:, 0])
+    beta = complex(w @ tvec[:, 1])
+    gamma = complex(w @ g)
 
     def recover(gm, gp):
         resid = g - gm * tvec[:, 0] - gp * tvec[:, 1]
@@ -278,14 +277,14 @@ def _mode_value(op, c):
     return complex(np.asarray(a0).reshape(-1)[0] + c)
 
 
-def _solve_on_space(space, A, load, bc, g, lam=0.0):
-    """Solve the assembled A with the row of bc evaluated at lam; returns
-    (coeffs, cond, aux)."""
+def _solve_on_space(space, A, load, bc, g, q=None, lam=0.0):
+    """Solve the assembled A with the row of bc evaluated at (eta, lambda) =
+    (q, lam); returns (coeffs, cond, aux)."""
     aux = np.zeros(0)
     recover = None
 
     if bc is not None:
-        alpha, beta, gamma, recover = _reduce_boundary_system(bc, g, lam)
+        alpha, beta, gamma, recover = _reduce_boundary_system(bc, g, q, lam)
         im = space.idx_minus
         if im is None:
             raise DomainError("boundary conditions need the x^{1/2-nu} branch")
@@ -346,7 +345,7 @@ def _residual(space, op, c, coeffs, rhs):
 def _gated_solution(space, A, load, c, prob, grid):
     """Solve prob with A = base + c M; gate the residual, sample on grid."""
     coeffs, cond, aux = _solve_on_space(space, A, load, prob.bc0,
-                                        prob.boundary_data)
+                                        prob.boundary_data, prob.fourier_index)
     resid = _residual(space, prob.op, c, coeffs, prob.rhs)
     u = GridFunction(grid, space.eval_coeffs(coeffs, grid.nodes),
                      fourier_index=prob.fourier_index)
@@ -358,43 +357,38 @@ def _gated_solution(space, A, load, c, prob, grid):
                     space=space, coeffs=coeffs)
 
 
-def solve_1d(prob, n_nodes=None, grid=None, monitor_truncation=None,
-             settings=DEFAULTS):
+def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
     """Solve P u = f, T u = g on (0, 1) or the truncated half-line.
 
-    The pair (P, T) is checked for regularity first (RegularityViolated
-    refusal otherwise); the discrete solution, its fitted traces, the
-    relative strong residual and a condition estimate are returned.
+    The pair (P, T), the row read at eta = fourier_index, is checked for
+    regularity first (RegularityViolated refusal otherwise); the discrete
+    solution, its fitted traces, the relative strong residual, a condition
+    estimate and, for DECAY, the change when x_max doubles are returned.
     """
     op = prob.op
     order = op.nu
     c = op.mode_coefficients(prob.fourier_index)[0]
     a_eff = _mode_value(op, c)
-    regularity_check(order, a_eff, prob.bc0)
+    regularity_check(order, a_eff, prob.bc0, prob.fourier_index)
 
-    if prob.bc1 is CapCondition.DECAY:
-        x_max = _halfline_extent(a_eff, settings)
-    else:
-        x_max = 1.0
+    decay = prob.bc1 is CapCondition.DECAY
+    x_max = _halfline_extent(a_eff, settings) if decay else 1.0
 
     def assemble(xm):
         space = Space(order, xm, n_nodes=n_nodes, dirichlet_cap=True,
-                      outward=prob.bc1 is CapCondition.DECAY,
-                      settings=settings)
+                      outward=decay, settings=settings)
         base, M = op.forms(space)
         return space, base + c * M, space.load_vector(
             _as_callable(prob.rhs), singular_exponent=prob.rhs_singular_exponent)
 
     space, A, load = assemble(x_max)
-    sol = _gated_solution(space, A, load, c, prob, grid or RadialGrid.build(
+    sol = _gated_solution(space, A, load, c, prob, RadialGrid.build(
         x_max, n_nodes=n_nodes, settings=settings))
 
-    if monitor_truncation is None:
-        monitor_truncation = prob.bc1 is CapCondition.DECAY
-    if monitor_truncation and prob.bc1 is CapCondition.DECAY:
+    if decay:
         space2, A2, load2 = assemble(2.0 * x_max)
         coeffs2, *_ = _solve_on_space(space2, A2, load2, prob.bc0,
-                                      prob.boundary_data)
+                                      prob.boundary_data, prob.fourier_index)
         probe = np.linspace(0.05 * x_max, 0.9 * x_max, 64)
         near = space.eval_coeffs(sol.coeffs, probe)
         diff = np.max(np.abs(space2.eval_coeffs(coeffs2, probe) - near))
@@ -460,13 +454,14 @@ class SeparableSolution:
         return out
 
 
-def solve_separable(nu, op, bc0, rhs_modes, q_max=None, boundary_data=None,
+def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
                     n_nodes=None, settings=DEFAULTS):
     """Per-mode 1D solves of a separable problem; fails on the offending q.
 
-    ``rhs_modes``: {q: callable}; modes beyond q_max are ignored.  Per-mode
-    condition estimates must stay within a bounded spread (reported).  The
-    operator is assembled once; mode q adds c M, c = A(q) (mode_coefficients).
+    ``rhs_modes``: {q: callable}, ``boundary_data``: {q: g} (default 0);
+    mode q reads the row at eta = q.  Per-mode condition estimates must stay
+    within a bounded spread (reported).  The operator is assembled once;
+    mode q adds c M, c = A(q) (mode_coefficients).
     """
     order = as_order(nu)
     space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
@@ -475,11 +470,9 @@ def solve_separable(nu, op, bc0, rhs_modes, q_max=None, boundary_data=None,
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     out = {}
     for q, f in sorted(rhs_modes.items(), key=lambda kv: np.sum(np.square(kv[0]))):
-        if q_max is not None and np.max(np.abs(q)) > q_max:
-            continue
         c = op.mode_coefficients(q)[0]
         try:
-            regularity_check(order, _mode_value(op, c), bc0)
+            regularity_check(order, _mode_value(op, c), bc0, q)
         except RegularityViolated as exc:
             raise RegularityViolated(f"mode q = {q}: {exc}",
                                      sample={"q": q}) from exc
@@ -554,20 +547,21 @@ def poisson_lift(nu, which, phi_modes, grid=None, n_nodes=None,
     return out
 
 
-def operator_residual(u, nu, a_value, window=(0.05, 0.95), settings=DEFAULTS):
-    """Relative residual of (|D_nu|^2 + a) u on an interior window.
+def operator_residual(u, nu, a_value, settings=DEFAULTS):
+    """Relative residual of (|D_nu|^2 + a) u on the window (0.05, 0.95) x_max.
 
     Differentiates the sampled values with local stencils.  The residual is
     normalised by the interior magnitude of the individual operator terms
     (which cancel for a true solution), so it measures how well the samples
-    satisfy the ODE independently of how large those terms are.
+    satisfy the ODE independently of how large those terms are.  A (CSV)
+    grid with no node in the window raises DomainError.
     """
     order = as_order(nu)
     x = u.grid.nodes
-    lo, hi = window[0] * u.grid.x_max, window[1] * u.grid.x_max
+    lo, hi = 0.05 * u.grid.x_max, 0.95 * u.grid.x_max
     mask = (x >= lo) & (x <= hi)
     if not np.any(mask):
-        raise DomainError(f"residual window {tuple(window)} holds no grid node")
+        raise DomainError("no grid node in the residual window")
     d2 = grid_derivative(u.grid, u.values, deriv=2, settings=settings,
                          check=False)
     centrifugal = (order.nu ** 2 - 0.25) * u.values / x ** 2
@@ -614,7 +608,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     singular solve is reported in the row, not raised (that radius is below
     the invertibility threshold).  The operator and load are
     assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M, and
-    a lambda-dependent boundary row is evaluated at that lambda.
+    the boundary row is read at (eta, lambda) = (q, lambda).
     """
     order = op.nu
     theta = sector.intervals[0]
@@ -636,7 +630,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
         shift = a2 + a1 * lam + a0 * lam * lam
         try:
             coeffs, cond, _ = _solve_on_space(space, base + shift * M, load,
-                                              bc, 0.0, lam)
+                                              bc, 0.0, q, lam)
             singular = cond > 1e12
         except SingularSystem:
             rows.append({"radius": float(r), "lambda": lam, "ratio": None,

@@ -22,7 +22,6 @@ from .config import DEFAULTS
 from .errors import DomainError, OverflowSignalled, ZeroSearchError
 
 __all__ = [
-    "BesselEval",
     "BesselZeroTable",
     "eval_K",
     "eval_I",
@@ -30,16 +29,6 @@ __all__ = [
     "bessel_zeros",
     "sqrtx_K",
 ]
-
-
-@dataclass(frozen=True)
-class BesselEval:
-    """One evaluation record: value and derivative at a point."""
-
-    order: float
-    argument: complex
-    value: complex
-    derivative: complex
 
 
 @dataclass(frozen=True)
@@ -78,12 +67,11 @@ def _guard(value, what, nu, z):
     return value
 
 
-def eval_K(nu, z, derivative=False):
+def eval_K(nu, z):
     """Modified Bessel function K_nu(z), Re z > 0.
 
-    Returns K_nu(z), or a BesselEval carrying K_nu'(z) as well.  Overflow is
-    raised as OverflowSignalled rather than returned as inf; arguments in the
-    closed left half plane are a domain error (principal branch only).
+    Overflow raises OverflowSignalled rather than returning inf; Re z <= 0
+    is a domain error (principal branch only).
     """
     nu = _check_order(nu)
     zarr = np.asarray(z, dtype=complex)
@@ -91,22 +79,16 @@ def eval_K(nu, z, derivative=False):
         raise DomainError("eval_K requires Re z > 0 (principal branch)")
     zin = zarr if np.iscomplexobj(np.asarray(z)) or zarr.imag.any() else zarr.real
     val = _guard(_sp.kv(nu, zin), "K", nu, z)
-    if not derivative:
-        return val if np.ndim(z) else complex(val)
-    der = _guard(_sp.kvp(nu, zin), "K'", nu, z)
-    return BesselEval(nu, complex(zarr), complex(val), complex(der))
+    return val if np.ndim(z) else complex(val)
 
 
-def eval_I(nu, z, derivative=False):
+def eval_I(nu, z):
     """Modified Bessel function I_nu(z); small-z behaviour (z/2)^nu / Gamma(1+nu)."""
     nu = _check_order(nu)
     zarr = np.asarray(z, dtype=complex)
     zin = zarr if np.iscomplexobj(np.asarray(z)) or zarr.imag.any() else zarr.real
     val = _guard(_sp.iv(nu, zin), "I", nu, z)
-    if not derivative:
-        return val if np.ndim(z) else complex(val)
-    der = _guard(_sp.ivp(nu, zin), "I'", nu, z)
-    return BesselEval(nu, complex(zarr), complex(val), complex(der))
+    return val if np.ndim(z) else complex(val)
 
 
 def eval_J(nu, x):

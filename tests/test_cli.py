@@ -1,3 +1,4 @@
+import ast
 import json
 import math
 import os
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from besselbvp import cli
 from besselbvp.cli import main
 from besselbvp.core import (GridFunction, Order, RadialGrid,
                             gridfunction_to_csv)
@@ -201,6 +203,20 @@ def test_too_few_nodes_is_a_numerical_failure(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == [cfg]
 
 
+def test_every_schema_key_is_read():
+    # a key the schema accepts but no _get(conf, section, key, ...) reads
+    # would be silently ignored
+    tree = ast.parse(Path(cli.__file__).read_text())
+    read = {(call.args[1].value, call.args[2].value)
+            for call in ast.walk(tree)
+            if isinstance(call, ast.Call)
+            and getattr(call.func, "id", None) == "_get"
+            and all(isinstance(a, ast.Constant) for a in call.args[1:3])}
+    accepted = {(section, key) for schema in cli._SCHEMAS.values()
+                for section, keys in schema.items() for key in keys}
+    assert accepted - read == set()
+
+
 def test_missing_config_file(tmp_path):
     assert main(["modes", "--config", str(tmp_path / "nope.cfg"),
                  "--out", str(tmp_path), "--quiet"]) == 1
@@ -230,6 +246,9 @@ BAD_VALUES = {
     "eta_im length": ("lopatinskii", "[symbol]\ndim_eta = 2\n\n[operator]\n"
                       "nu = 0.3\n\n[boundary]\ntype = oblique\n"
                       "eta_re = 0 0\neta_im = 1\n"),
+    # accepted once, but never read: the row kept its minimal nu-order
+    "nu_order": ("lopatinskii", (FIXTURES / "oblique_fail.cfg").read_text()
+                 .replace("[boundary]\n", "[boundary]\nnu_order = 1.3\n")),
     "gamma0": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
                "gamma0 = 1 0 0; 0 -1 x; 0 0 -1\n"),
     "ragged gamma0": ("kg", "[metric]\nn = 3\nmass = -2.0\n"

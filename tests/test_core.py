@@ -9,7 +9,6 @@ from numpy.polynomial import Polynomial
 from besselbvp import core
 from besselbvp.core import (
     BranchFunction,
-    DensityHint,
     GridFunction,
     Order,
     RadialGrid,
@@ -75,16 +74,15 @@ def test_order_regimes():
 
 
 def test_grid_invariants():
-    for hint in DensityHint:
-        g = RadialGrid.build(2.5, 200, hint=hint)
-        assert g.nodes[0] > 0
-        assert np.all(np.diff(g.nodes) > 0)
-        assert np.all(g.weights > 0)
-        assert abs(g.weights.sum() - 2.5) < 1e-10
+    g = RadialGrid.build(2.5, 200)
+    assert g.nodes[0] > 0
+    assert np.all(np.diff(g.nodes) > 0)
+    assert np.all(g.weights > 0)
+    assert abs(g.weights.sum() - 2.5) < 1e-10
 
 
 @pytest.mark.parametrize("edges", [
-    graded_panels(2.5, 40), graded_panels(2.5, 40, kind="algebraic"),
+    graded_panels(2.5, 40), 2.5 * (np.arange(41) / 40) ** 3.0,
     np.linspace(0.0, 1.0, 17), graded_panels(1.0, 1)],
     ids=["geometric", "algebraic", "uniform", "one-panel"])
 @pytest.mark.parametrize("order", [4, 8, 16])
@@ -215,6 +213,7 @@ def test_grid_derivative_bitwise_equal_per_node_oracle(kind, width, deriv,
                                                        check):
     g = STENCIL_GRIDS[kind]()
     x = g.nodes
+    settings = DEFAULTS.with_overrides(stencil_width=width)
     samples = [np.sin(3 * x) + 1j * x ** 0.3 * np.cos(x), np.exp(x)]
     for values in samples:
         want = stencil_derivative(x, values, deriv, width)
@@ -223,10 +222,10 @@ def test_grid_derivative_bitwise_equal_per_node_oracle(kind, width, deriv,
                       and estimate > DEFAULTS.derivative_check_tol)
         if too_coarse:
             with pytest.raises(GridTooCoarse):
-                grid_derivative(g, values, deriv=deriv, width=width,
+                grid_derivative(g, values, deriv=deriv, settings=settings,
                                 check=check)
             continue
-        got = grid_derivative(g, values, deriv=deriv, width=width,
+        got = grid_derivative(g, values, deriv=deriv, settings=settings,
                               check=check)
         assert got.dtype == complex
         assert np.array_equal(got, want)
@@ -641,11 +640,12 @@ def test_interleaved_derivatives_bitwise_equal_fresh_grids(kind):
     samples = [np.sin(3 * x) + 1j * x ** 0.3 * np.cos(x), np.exp(x)]
     for deriv, width in [(1, 9), (2, 9), (1, 7), (2, 5), (1, 9), (2, 9)]:
         for values in samples:
-            got = grid_derivative(g, values, deriv=deriv, width=width,
+            settings = DEFAULTS.with_overrides(stencil_width=width)
+            got = grid_derivative(g, values, deriv=deriv, settings=settings,
                                   check=False)
             fresh = STENCIL_GRIDS[kind]()
-            want = grid_derivative(fresh, values, deriv=deriv, width=width,
-                                   check=False)
+            want = grid_derivative(fresh, values, deriv=deriv,
+                                   settings=settings, check=False)
             assert np.array_equal(got, want)
             assert np.array_equal(
                 got, stencil_derivative(x, values, deriv, width))

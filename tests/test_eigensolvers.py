@@ -23,7 +23,7 @@ from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
                              embedding_singular_values, pencil_modes)
 from besselbvp.solve import BesselOperator
-from besselbvp.symbols import BoundaryOperator, LinearSymbol
+from besselbvp.symbols import BoundaryOperator
 
 from test_cli import run_cmd
 
@@ -276,7 +276,7 @@ def test_real_qz_matches_complex_qz():
     """Since the definite reduction, this lambda-Robin pencil no longer
     reaches real QZ: it checks the reduction against complex QZ.  Real QZ
     on a library-built pencil is checked by
-    test_lambda_linear_gamma_plus_row_takes_real_qz."""
+    test_real_non_hermitian_pencil_takes_real_qz."""
     A0, A1, A2 = pencil_case("robin 0.55")
     assert np.any(A1.toarray()) and _is_real(A0, A1, A2)
     lam, _, m = pencil_eig(A0, A1, A2)
@@ -284,30 +284,6 @@ def test_real_qz_matches_complex_qz():
     assert m == m_ref
     # the upper modes of a lambda-Robin pencil are ill-conditioned; the
     # leading 16 pairs are resolved
-    for value in lam[:32]:
-        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
-
-
-def test_lambda_linear_gamma_plus_row_takes_real_qz(monkeypatch):
-    # T = gamma_- + (0.5 + 0.5 lambda) gamma_+ replaces the seed's test row
-    # of A0 and A1 (modes._pencil_matrices, boundary_row), so the scaled A0
-    # is not Hermitian and the real operators go through one real QZ.
-    # BoundaryOperator.make admits no nu-order for a lambda in the gamma_+
-    # symbol; the pencil solver takes any scalar row, so the row is built
-    # directly
-    nu = 0.3
-    bc = BoundaryOperator((LinearSymbol(const=1.0),),
-                          (LinearSymbol(const=0.5, lam=0.5),), 1.0 + nu)
-    A0, A1, A2 = _pencil_matrices(nu, laplace_pencil(nu), bc, 0, 32,
-                                  DEFAULTS)[:3]
-    assert A0.seeded and np.any(A1.row) and _is_real(A0, A1, A2)
-    assert _hermitian_part(_diag_scale(A0.toarray())[0]) is None
-    qz_calls = spy_companion_qz(monkeypatch)
-    lam, _, m = pencil_eig(A0, A1, A2)
-    assert len(qz_calls) == 1
-    assert all(np.isrealobj(D) for D in qz_calls[0][:3])
-    ref, m_ref = complex_qz(A0, A1, A2)
-    assert m == m_ref
     for value in lam[:32]:
         assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
 
@@ -402,6 +378,24 @@ def test_real_non_hermitian_pencil_takes_real_qz(monkeypatch):
     assert m == m_ref == n
     for value in lam:
         assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+
+    # so does a library pencil whose symmetric A0 is indefinite: the
+    # lambda-free value -30 puts the least eigenvalue of S - 30 M below 0
+    nu = 0.3
+    op = BesselOperator(Order(nu), pencil_fourier=lambda q: (-30.0, 0.0, 1.0))
+    for bc in (None, BoundaryOperator.lambda_robin(nu)):
+        A0, A1, A2 = _pencil_matrices(nu, op, bc, 0, 64, DEFAULTS)[:3]
+        assert _is_real(A0, A1, A2)
+        assert np.any(A1.toarray()) == (bc is not None)
+        del qz_calls[:]
+        lam, _, m = pencil_eig(A0, A1, A2)
+        assert len(qz_calls) == 1
+        assert all(np.isrealobj(D) for D in qz_calls[0][:3])
+        ref, m_ref = complex_qz(A0, A1, A2)
+        assert m == m_ref
+        # the top modes are ill-conditioned; the leading 16 pairs resolve
+        for value in lam[:32]:
+            assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
 
 
 @pytest.mark.parametrize("name", ["laplace 0.4", "robin 0.55", "kg0.5"])

@@ -3,7 +3,7 @@ import pytest
 
 from besselbvp import modes
 from besselbvp.core import Order, RadialGrid, GridFunction
-from besselbvp.errors import IncompleteModeInput
+from besselbvp.errors import DomainError, IncompleteModeInput
 from besselbvp.modes import (
     ModeSource,
     completeness_check,
@@ -13,7 +13,7 @@ from besselbvp.modes import (
 )
 from besselbvp.solve import BesselOperator, operator_residual
 from besselbvp.special import bessel_zeros
-from besselbvp.symbols import BoundaryOperator
+from besselbvp.symbols import BoundaryOperator, LinearSymbol
 
 import mpmath
 import scipy.special as ss
@@ -153,6 +153,31 @@ def test_pencil_lambda_robin_regression():
         exact = oracles.lambda_robin_eigenvalue(nu, 1.0, w)
         assert abs(w - exact) < 1e-6 * abs(exact)
         assert np.min(np.abs(lam - exact)) < 1e-6 * abs(exact)
+
+
+def test_pencil_reads_eta_row_at_q():
+    # T(lambda) = gamma_+ + (i eta_1 - i eta_2 + lambda) gamma_- at eta =
+    # q = (3, 1) is the lambda-Robin row with constant 2i: the same corner,
+    # the same modes and the same constraint
+    nu, q = 0.3, (3, 1)
+
+    def row(t_minus):
+        return BoundaryOperator.make(nu, t_minus, LinearSymbol(const=1.0))
+
+    got = pencil_modes(nu, laplace_pencil(nu),
+                       row(LinearSymbol(eta=(1j, -1j), lam=1.0)), q=q,
+                       n_nodes=96, max_modes=6)
+    want = pencil_modes(nu, laplace_pencil(nu),
+                        row(LinearSymbol(const=2j, lam=1.0)), q=q,
+                        n_nodes=96, max_modes=6)
+    assert len(got) == len(want) > 0
+    assert np.max(np.abs(got.eigenvalues - want.eigenvalues)) \
+        <= 1e-12 * np.max(np.abs(want.eigenvalues))
+    assert np.max(np.abs(got.constraint - want.constraint)) \
+        <= 1e-12 * np.max(np.abs(want.constraint))
+    with pytest.raises(DomainError):
+        pencil_modes(nu, laplace_pencil(nu), BoundaryOperator.oblique(
+            nu, (1j, -1j)), q=3, n_nodes=96, max_modes=6)
 
 
 def test_self_adjoint_spectrum_real():

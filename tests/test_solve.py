@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -7,6 +9,7 @@ from besselbvp.core import (
     GridFunction,
     Order,
     RadialGrid,
+    gridfunction_from_csv,
     traces,
     twisted_norm,
 )
@@ -31,7 +34,15 @@ from besselbvp.solve import (
     solve_separable,
 )
 from besselbvp.special import bessel_zeros
-from besselbvp.symbols import BoundaryOperator, Sector, mode_solution, mode_traces
+from besselbvp.symbols import (
+    BoundaryOperator,
+    BoundarySymbol,
+    LinearSymbol,
+    Sector,
+    lopatinskii_sweep,
+    mode_solution,
+    mode_traces,
+)
 
 import scipy.special as ss
 
@@ -76,7 +87,7 @@ def test_halfline_dirichlet_matches_bessel_oracle():
     op = BesselOperator(Order(nu), a_coeff=1.0)
     prob = BVProblem(op=op, bc0=BoundaryOperator.dirichlet(nu),
                      bc1=CapCondition.DECAY, rhs=0.0, boundary_data=1.0)
-    sol = solve_1d(prob, n_nodes=768, monitor_truncation=False)
+    sol = solve_1d(prob, n_nodes=768)
     oracle = mode_solution(nu, -1.0j, grid=sol.u.grid)
     assert h1_error(sol, oracle.profile.values, nu) < 1e-7
     assert np.max(np.abs(sol.u.values - oracle.profile.values)) < 1e-8
@@ -143,7 +154,7 @@ def test_robin_halfline_matches_scaled_mode():
     op = BesselOperator(Order(nu), a_coeff=1.0)
     prob = BVProblem(op=op, bc0=BoundaryOperator.robin(nu, beta),
                      bc1=CapCondition.DECAY, rhs=0.0, boundary_data=g)
-    sol = solve_1d(prob, n_nodes=1024, monitor_truncation=False)
+    sol = solve_1d(prob, n_nodes=1024)
     closed = mode_traces(nu, -1.0j)
     c = g / (closed.gamma_plus + beta)
     oracle = mode_solution(nu, -1.0j, grid=sol.u.grid)
@@ -231,10 +242,10 @@ def test_solve_matches_dense_oracle(name, prob, monkeypatch):
     # values on the output grid and traces agree; raw coefficients of the
     # graded tail may legitimately differ between the two solvers.  n = 128
     # is the smallest size at which every case passes the residual gate.
-    sol = solve_1d(prob, n_nodes=128, monitor_truncation=False)
+    sol = solve_1d(prob, n_nodes=128)
     monkeypatch.setattr(besselbvp.solve, "galerkin_solve",
                         dense_galerkin_solve)
-    ref = solve_1d(prob, n_nodes=128, monitor_truncation=False)
+    ref = solve_1d(prob, n_nodes=128)
     scale = np.max(np.abs(ref.u.values))
     assert np.max(np.abs(sol.u.values - ref.u.values)) <= 1e-10 * scale
     if ref.traces is not None:
@@ -499,7 +510,7 @@ def test_separable_manufactured_two_modes():
 def test_separable_reports_offending_mode():
     nu = 0.4
     op = BesselOperator(Order(nu), a_coeff=0.0,
-                        fourier_symbol=lambda q: float(q * q) - 4.0)
+                        pencil_fourier=lambda q: (q * q - 4.0, 0.0, 1.0))
     bc = BoundaryOperator.dirichlet(nu)
     with pytest.raises(RegularityViolated) as err:
         solve_separable(nu, op, bc, {q: (lambda x: x) for q in (0, 1, 2, 3)})
@@ -513,6 +524,114 @@ def test_separable_condition_uniformity():
     rhs = {q: (lambda x: np.sin(np.pi * x)) for q in (0, 1, 2, 4, 8, 16, 32, 64)}
     sep = solve_separable(nu, op, bc, rhs, n_nodes=96)
     assert sep.condition_spread < 10.0
+
+
+# --------------------------------------------------------------------------
+# rows with auxiliary unknowns, and rows read at eta = q
+# --------------------------------------------------------------------------
+
+def aux_row(nu):
+    """T u + C u_ = g with the rows 0.7 gamma_- + gamma_+ + u_ = g_0 and
+    gamma_- - u_ = g_1: their sum is the Robin row 1.7 gamma_- + gamma_+ =
+    g_0 + g_1, and u_ = gamma_- - g_1."""
+    return BoundaryOperator.make(
+        nu, (LinearSymbol(const=0.7), LinearSymbol(const=1.0)),
+        (LinearSymbol(const=1.0), LinearSymbol()), C=[[1.0], [-1.0]])
+
+
+def assert_same_traces(got, want, tol=1e-12):
+    for a, b in ((got.gamma_minus, want.gamma_minus),
+                 (got.gamma_plus, want.gamma_plus)):
+        assert abs(a - b) <= tol * max(1.0, abs(b))
+
+
+def assert_aux_fits_both_rows(sol, g1, g=0.7):
+    # u_ fits both rows in least squares: u_ = gamma_- - g_1 - d / 2, d the
+    # defect of the discrete traces in the reduced (natural) Robin row
+    gm, gp = sol.traces.gamma_minus, sol.traces.gamma_plus
+    d = 1.7 * gm + gp - g
+    assert abs(d) < 1e-6
+    assert abs(sol.aux[0] - (gm - g1 - d / 2)) < 1e-12
+
+
+def test_auxiliary_row_solve_equals_reduced_robin():
+    nu = 0.3
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    sol = solve_1d(BVProblem(op=op, bc0=aux_row(nu), rhs=0.0,
+                             boundary_data=(0.5, 0.2)))
+    ref = solve_1d(BVProblem(op=op, bc0=BoundaryOperator.robin(nu, 1.7),
+                             rhs=0.0, boundary_data=0.7))
+    assert_same_traces(sol.traces, ref.traces)
+    assert sol.aux.shape == (1,)
+    assert_aux_fits_both_rows(sol, 0.2)
+    for dim_eta in (1, 2):
+        sym = BoundarySymbol.laplace(dim_eta)
+        assert lopatinskii_sweep(nu, sym, aux_row(nu)).all_pass
+
+
+def test_auxiliary_row_separable_reads_boundary_data_per_mode():
+    nu = 0.3
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    rhs = {q: (lambda x: np.sin(np.pi * x)) for q in (0, 2)}
+    data = {0: (0.5, 0.2), 2: (1.0, -0.3)}
+    sep = solve_separable(nu, op, aux_row(nu), rhs, boundary_data=data)
+    ref = solve_separable(nu, op, BoundaryOperator.robin(nu, 1.7), rhs,
+                          boundary_data={q: sum(g) for q, g in data.items()})
+    for q, (g0, g1) in data.items():
+        sol = sep.modes[q]
+        assert_same_traces(sol.traces, ref.modes[q].traces)
+        assert_aux_fits_both_rows(sol, g1, g0 + g1)
+
+
+# gamma_+ + sum_j c_j eta_j gamma_- read at eta = q is the Robin row with
+# beta = c . q; read at eta = 0 it would be the Neumann row
+OBLIQUE_AT_Q = [((1j,), (3.0,), 3j), ((1j, -1j), (3.0, 1.0), 2j)]
+
+
+@pytest.mark.parametrize("coeffs, q, beta", OBLIQUE_AT_Q)
+def test_oblique_row_is_read_at_eta_q(coeffs, q, beta):
+    nu = 0.3
+    oblique = BoundaryOperator.oblique(nu, coeffs)
+    robin = BoundaryOperator.robin(nu, beta)
+    op = BesselOperator(Order(nu))
+
+    def decay(bc):
+        return solve_1d(BVProblem(op=op, bc0=bc, bc1=CapCondition.DECAY,
+                                  rhs=0.0, boundary_data=1.0,
+                                  fourier_index=q), n_nodes=256)
+
+    got, want = decay(oblique), decay(robin)
+    assert_same_traces(got.traces, want.traces)
+    neumann = decay(BoundaryOperator.neumann(nu))
+    assert abs(got.traces.gamma_minus - neumann.traces.gamma_minus) > 0.1
+
+    rhs = {q: (lambda x: np.sin(np.pi * x))}
+    got = solve_separable(nu, op, oblique, rhs, n_nodes=128)
+    want = solve_separable(nu, op, robin, rhs, n_nodes=128)
+    assert_same_traces(got.modes[q].traces, want.modes[q].traces)
+
+    sweep = [resolvent_sweep(op, bc, Sector.elliptic_cone(), [4.0, 8.0],
+                             q=q, n_nodes=128) for bc in (oblique, robin)]
+    for g, w in zip(*(rep.rows for rep in sweep)):
+        assert abs(g["ratio"] - w["ratio"]) <= 1e-12 * w["ratio"]
+
+
+def test_eta_row_without_matching_q_raises_domain_error():
+    nu = 0.3
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    rhs = lambda x: np.sin(np.pi * x)  # noqa: E731
+    for coeffs, q in (((1j,), None), ((1j, -1j), None),
+                      ((1j, -1j), (3.0,)), ((1j,), (3.0, 1.0))):
+        bc = BoundaryOperator.oblique(nu, coeffs)
+        with pytest.raises(DomainError):
+            solve_1d(BVProblem(op=op, bc0=bc, rhs=rhs, fourier_index=q),
+                     n_nodes=128)
+        with pytest.raises(DomainError):
+            resolvent_sweep(op, bc, Sector.elliptic_cone(), [4.0], q=q,
+                            n_nodes=128)
+        if q is not None:
+            with pytest.raises(DomainError):
+                solve_separable(nu, op, bc, {q: rhs}, n_nodes=128)
 
 
 # --------------------------------------------------------------------------
@@ -532,10 +651,12 @@ def test_poisson_lift_residuals_and_interpolation():
 
 
 def test_operator_residual_empty_window_raises_domain_error():
-    grid = RadialGrid.uniform(1.0, 64)
-    gf = poisson_lift(0.3, "at_zero", {0: 1.0}, grid=grid)[0]
+    # a CSV grid with no node in the window (0.05, 0.95) x_max
+    rows = "x,value_re,value_im\n" + "".join(
+        f"{x},1.0,0.0\n" for x in (0.01, 0.02, 0.98, 0.99))
+    gf = gridfunction_from_csv(io.StringIO(rows))
     with pytest.raises(DomainError):
-        operator_residual(gf, 0.3, 1.0, window=(0.5, 0.5001))
+        operator_residual(gf, 0.3, 1.0)
 
 
 def test_poisson_lift_at_one():
@@ -609,7 +730,8 @@ def test_resolvent_sweep_reads_fourier_symbol(monkeypatch):
     # evaluated at q2 = 1
     nu, radii = 0.3, [4.0, 8.0, 16.0]
     bc = BoundaryOperator.dirichlet(nu)
-    sym = BesselOperator(Order(nu), fourier_symbol=lambda q: q * q + 3.0)
+    sym = BesselOperator(Order(nu),
+                         pencil_fourier=lambda q: (q * q + 3.0, 0.0, 1.0))
     plain = BesselOperator(Order(nu), a_coeff=4.0)
     got = resolvent_sweep(sym, bc, Sector.elliptic_cone(), radii, q=1,
                           n_nodes=128)

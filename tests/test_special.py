@@ -138,17 +138,6 @@ def test_zero_table_invariants():
         bessel_zeros(0.5, 0)
 
 
-def test_wronskian_random():
-    rng = np.random.default_rng(3)
-    for _ in range(100):
-        nu = rng.uniform(0.0, 2.0)
-        z = complex(rng.uniform(0.1, 20.0), rng.uniform(-5.0, 5.0))
-        i0 = eval_I(nu, z, derivative=True)
-        k0 = eval_K(nu, z, derivative=True)
-        w = i0.value * k0.derivative - i0.derivative * k0.value
-        assert abs(w + 1.0 / z) * abs(z) < 1e-12
-
-
 def test_connection_formula_noninteger():
     rng = np.random.default_rng(5)
     for _ in range(40):

@@ -16,7 +16,6 @@ from besselbvp.symbols import (
     Sector,
     elliptic_roots,
     halfline_grid,
-    lopatinskii_det,
     lopatinskii_sweep,
     lopatinskii_verdict,
     mode_solution,
@@ -129,6 +128,13 @@ def test_nu_order_validation():
         # order-1 T^+ is never admissible
         BoundaryOperator.make(0.4, LinearSymbol(const=1.0),
                               LinearSymbol(eta=(1.0,)))
+    # nor is a lambda in T^+, at any nu and any nu-order
+    lam_plus = LinearSymbol(const=0.5, lam=0.5)
+    for nu in (0.1, 0.5, 0.9):
+        for mu in (None, 1.0 - nu, 2.0 - nu, 1.0 + nu):
+            with pytest.raises(DomainError):
+                BoundaryOperator.make(nu, LinearSymbol(const=1.0), lam_plus,
+                                      nu_order=mu)
     bc = BoundaryOperator.robin(0.4, 2.0)
     assert abs(bc.nu_order - 1.4) < 1e-12
     bc = BoundaryOperator.dirichlet(0.4)
@@ -157,7 +163,7 @@ def test_dirichlet_det_is_one():
     sym = BoundarySymbol.laplace(2)
     bc = BoundaryOperator.dirichlet(0.4)
     for eta in ([1.0, 0.0], [0.3, 0.9]):
-        det = lopatinskii_det(0.4, sym, bc, eta)
+        det = lopatinskii_verdict(0.4, sym, bc, eta)[1]
         assert abs(det - 1.0) < 1e-14
 
 
@@ -166,7 +172,7 @@ def test_robin_det_nonzero_half_order():
     sym = BoundarySymbol.laplace(2)
     bc = BoundaryOperator.robin(nu, 3.0)
     eta = np.array([0.6, -0.8])
-    det = lopatinskii_det(nu, sym, bc, eta)
+    det = lopatinskii_verdict(nu, sym, bc, eta)[1]
     # principal selection keeps only gamma_+, whose trace is -i xi = -|eta|
     xi = elliptic_roots(sym, eta)[0]
     assert abs(det - mode_traces(nu, xi).gamma_plus) < 1e-12
@@ -179,7 +185,7 @@ def test_oblique_det_vanishes_on_diagonal():
     sym = BoundarySymbol.laplace(2)
     bc = BoundaryOperator.oblique(nu, (1j, -1j))
     eta = np.array([1.0, 1.0]) / math.sqrt(2.0)
-    det = lopatinskii_det(nu, sym, bc, eta)
+    det = lopatinskii_verdict(nu, sym, bc, eta)[1]
     assert abs(det) < 1e-15
     holds, _, _ = lopatinskii_verdict(nu, sym, bc, eta)
     assert not holds
@@ -194,8 +200,8 @@ def test_det_homogeneity_and_scale_invariance():
     bc = BoundaryOperator.robin(nu, 1.5)
     eta = np.array([0.8, -0.6])
     lam = 0.4 + 0.2j
-    d1 = lopatinskii_det(nu, sym, bc, eta, lam)
-    d2 = lopatinskii_det(nu, sym, bc, 2.0 * eta, 2.0 * lam)
+    d1 = lopatinskii_verdict(nu, sym, bc, eta, lam)[1]
+    d2 = lopatinskii_verdict(nu, sym, bc, 2.0 * eta, 2.0 * lam)[1]
     # gamma_+ of the mode scales like |xi|^{2 nu}: weight 2 nu
     assert abs(d2 / d1 - 2.0 ** (2 * nu)) < 1e-12
     v1, _, _ = lopatinskii_verdict(nu, sym, bc, eta, lam)
@@ -254,11 +260,3 @@ def test_sweep_lambda_robin_on_imaginary_axis():
     rep = lopatinskii_sweep(nu, sym, bc, sphere_samples=64,
                             sector=Sector.imaginary_axis())
     assert rep.all_pass
-
-
-def test_sweep_fail_fast():
-    sym = BoundarySymbol.laplace(2)
-    bc = BoundaryOperator.oblique(0.3, (1j, -1j))
-    rep = lopatinskii_sweep(0.3, sym, bc, sphere_samples=64, fail_fast=True)
-    assert not rep.all_pass
-    assert len(rep.samples) < 64
