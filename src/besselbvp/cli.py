@@ -326,10 +326,17 @@ def _eigen_rows(lams, residuals):
             for l, r in zip(lams, residuals)]
 
 
+def _mode_count(conf, default):
+    count = _get(conf, "modes", "count", default, _int)
+    if count < 1:
+        raise ConfigError(f"[modes] count must be at least 1, got {count}")
+    return count
+
+
 def _cmd_modes(conf, cfg, settings):
     nu = _get(conf, "operator", "nu", typ=float)
     q = _get(conf, "modes", "q", "0", _int)
-    count = _get(conf, "modes", "count", "10", _int)
+    count = _mode_count(conf, "10")
     nodes = _get(conf, "grid", "nodes", "256", _int)
     pencil = _get(conf, "modes", "pencil", "none")
     payload = {"nu": nu, "q": q}
@@ -461,7 +468,7 @@ def _cmd_kg(conf, cfg, settings):
                  lambda raw: tuple(map(_int, raw.split())))
         if len(q) != n - 1:
             raise ConfigError(f"q must have {n - 1} components")
-        count = _get(conf, "modes", "count", "6", _int)
+        count = _mode_count(conf, "6")
         ms = pencil_modes(red.nu, red.bessel_op, None, q=q, n_nodes=160,
                           max_modes=2 * count, settings=settings)
         payload["normal_modes"] = _eigen_rows(ms.eigenvalues, ms.residuals)

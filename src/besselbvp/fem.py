@@ -156,6 +156,43 @@ def _band_rows(p, m):
     return np.arange(m)[None, :] + np.arange(2 * p + 1)[:, None] - p
 
 
+def _blas_layout(x):
+    """(y, t): a column-major y with x = y (t = 0) or x = y.T (t = 1), read
+    as numpy's matmul reads x (row-major when its last stride is one item)."""
+    return (x.T, 1) if x.strides[-1] == x.itemsize else (x, 0)
+
+
+def _matmul(a, b):
+    """``a @ b`` of 1-D and 2-D arrays (not both 1-D) in scipy's BLAS.
+
+    The numpy and scipy wheels each bundle their own OpenBLAS with its own
+    pool of worker threads.  A numpy product large enough to thread wakes
+    numpy's pool, whose spinning workers then contend with the pool that
+    runs scipy's LAPACK and ARPACK calls.  So the dense products of the
+    eigensolvers run here, in scipy's BLAS, and one pool serves them all.
+    Each call passes the layout and transposition flags numpy's matmul
+    passes its BLAS, so on one thread the kernels sum in numpy's order.
+    """
+    dtype = np.result_type(a, b)
+    # numpy casts an operand into a C-ordered copy
+    a, b = (x if x.dtype == dtype else np.ascontiguousarray(x, dtype)
+            for x in (np.asarray(a), np.asarray(b)))
+    if a.size == 0 or b.size == 0:      # no BLAS call in numpy either
+        return a @ b
+    if a.ndim == 1:                     # x @ B = B^T x
+        a, b = b.T, a
+    if b.ndim == 1:
+        if a.shape[0] == 1:     # one entry: numpy's own unthreaded dot
+            return a @ b
+        gemv = la.blas.get_blas_funcs("gemv", dtype=dtype)
+        y, t = _blas_layout(a)
+        return gemv(1.0, y, b, trans=t)
+    # (a b)^T = b^T a^T in column-major storage, as numpy's row-major gemm
+    gemm = la.blas.get_blas_funcs("gemm", dtype=dtype)
+    (y, ty), (z, tz) = _blas_layout(b.T), _blas_layout(a.T)
+    return gemm(1.0, y, z, trans_a=ty, trans_b=tz).T
+
+
 @dataclass(frozen=True)
 class BorderedBand:
     """Square operator on a Space's dofs in band-plus-border storage.
@@ -168,8 +205,9 @@ class BorderedBand:
 
     ``A @ x`` takes a vector or an (n, k) block.  The block columns ride
     along as a trailing axis of the vector product, so each column of
-    ``A @ X`` equals ``A @ X[:, j]`` bitwise, except the seed row: there
-    ``row @ X`` and ``row @ x`` sum in different orders (rounding level).
+    ``A @ X`` equals ``A @ X[:, j]`` bitwise, except the seed row: a block
+    sums ``row @ X`` through scipy's gemv (_matmul), a vector ``row @ x``
+    through numpy's dot, in different orders (rounding level).
     """
 
     band: np.ndarray
@@ -231,7 +269,8 @@ class BorderedBand:
                                      (st[0] - st[1],) + st[1:]), axis=0)
         if not self.seeded:
             return y
-        return np.concatenate(([self.corner * x[0] + self.row @ xw],
+        seed = _matmul(self.row, xw) if block else self.row @ xw
+        return np.concatenate(([self.corner * x[0] + seed],
                                y + self.col[along] * x[0]))
 
     def toarray(self):
@@ -783,7 +822,7 @@ def spectral_norm(A):
         w = w.real if real else w
         alpha[k] = np.real(Qh[k] @ w)
         for _ in range(2):
-            w = w - (Qh[:k + 1] @ w) @ Q[:k + 1]
+            w = w - _matmul(_matmul(Qh[:k + 1], w), Q[:k + 1])
         beta[k] = np.linalg.norm(w)
         # a vanishing beta means the Krylov space is invariant: the Ritz
         # values are exact, and w is rounding noise that must not be used
@@ -938,7 +977,8 @@ def _deflation(K):
 
 def _project(T, Dinv, A):
     """T^H (D A D) T: A in the deflated scaled coordinates."""
-    return T.conj().T @ ((A * Dinv[None, :]) * Dinv[:, None]) @ T
+    return _matmul(_matmul(T.conj().T, (A * Dinv[None, :]) * Dinv[:, None]),
+                   T)
 
 
 def _hermitian_part(A):
@@ -977,19 +1017,19 @@ def _definite_eig(A0, A1, A2):
         vecs = V * Dinv[:, None]
         return (np.concatenate([lam, -lam]),
                 np.concatenate([vecs, vecs], axis=1), n)
-    F = V.conj().T @ ((A1 * Dinv[None, :]) * Dinv[:, None]) @ V
+    F = _matmul(_matmul(V.conj().T, (A1 * Dinv[None, :]) * Dinv[:, None]), V)
     C = np.block([[-F, -np.diag(theta).astype(F.dtype)],
                   [np.eye(n, dtype=F.dtype), np.zeros((n, n), F.dtype)]])
     s, W = la.eig(C)            # s = 1 / lam
     lam = np.full(s.shape, np.inf, dtype=complex)
     lam[s != 0] = 1.0 / s[s != 0]
-    return lam, (V @ W[n:]) * Dinv[:, None], n
+    return lam, _matmul(V, W[n:]) * Dinv[:, None], n
 
 
 def _companion_qz(A0, A1, A2):
     """Dense companion QZ of pencil_eig in deflated scaled coordinates."""
     T, Dinv, A0s = _deflation(A0)
-    A0p = T.conj().T @ A0s @ T
+    A0p = _matmul(_matmul(T.conj().T, A0s), T)
     A1p, A2p = _project(T, Dinv, A1), _project(T, Dinv, A2)
     m = A0p.shape[0]
     Z = np.zeros((m, m), dtype=A0p.dtype)
@@ -1002,5 +1042,5 @@ def _companion_qz(A0, A1, A2):
     # an eigenvalue beyond double range is reported inf by QZ; its Cauchy
     # data degenerates to (0, v) (top block of the companion vector)
     vecs = np.where(np.isfinite(lam)[None, :], V[m:, :], V[:m, :])
-    vecs = (T @ vecs) * Dinv[:, None]
+    vecs = _matmul(T, vecs) * Dinv[:, None]
     return lam, vecs, m

@@ -29,8 +29,8 @@ from .config import DEFAULTS
 from .core import Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
-from .fem import (Space, mass_deflated_eig, modulus_order, pencil_eig,
-                  spectral_norm)
+from .fem import (Space, _matmul, mass_deflated_eig, modulus_order,
+                  pencil_eig, spectral_norm)
 from .special import bessel_zeros
 
 __all__ = [
@@ -128,6 +128,8 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     table and ``discrepancy`` the per-mode relative difference.
     """
     order = as_order(nu)
+    if q_max < 0:
+        raise DomainError(f"q_max must be >= 0, got {q_max}")
     space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     zeros = bessel_zeros(order.nu, n_max, settings=settings).zeros
@@ -215,6 +217,8 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     pencil (an e0 term, an indefinite A0) takes companion QZ.
     """
     order = as_order(nu)
+    if max_modes is not None and max_modes < 1:
+        raise DomainError(f"max_modes must be >= 1, got {max_modes}")
     if residual_cap == "default":
         residual_cap = settings.solver_residual_tol
     A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
@@ -293,7 +297,7 @@ def completeness_check(modes, settings=DEFAULTS):
     cols = D / np.maximum(np.linalg.norm(D, axis=0, keepdims=True), 1e-300)
     if constraint is not None:
         w = constraint / max(np.linalg.norm(constraint), 1e-300)
-        cols = cols - np.outer(w, w.conj() @ cols)
+        cols = cols - np.outer(w, _matmul(w.conj(), cols))
     s = la.svdvals(cols)
     thresh = settings.rank_rel_tol * s[0] if s.size else 0.0
     rank = int(np.sum(s > thresh))

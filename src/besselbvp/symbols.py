@@ -377,10 +377,15 @@ class BoundaryOperator:
             raise DomainError("a boundary row with an eta term needs the "
                               "tangential mode q")
         eta = np.atleast_1d(np.asarray(0.0 if q is None else q, dtype=float))
-        if eta.ndim != 1 or {len(s.eta) for s in syms if s.eta} - {eta.size}:
+        if eta.ndim != 1 or self._eta_mismatch(eta.size):
             raise DomainError(f"tangential mode q = {q} and the eta terms of "
                               "the boundary row differ in dimension")
         return eta
+
+    def _eta_mismatch(self, dim):
+        """True when a row's eta term has a dimension other than ``dim``."""
+        return bool({len(s.eta) for s in self.t_minus + self.t_plus
+                     if s.eta} - {dim})
 
     def c_values(self, eta, lam):
         if self.C is None:
@@ -503,6 +508,9 @@ def lopatinskii_sweep(nu, sym, bc, sphere_samples=64, sector=None,
     """
     if sphere_samples < 8:
         raise DomainError("sphere_samples must be at least 8")
+    if bc._eta_mismatch(sym.dim_eta):
+        raise DomainError(f"the symbol's dim_eta = {sym.dim_eta} and the eta "
+                          "terms of the boundary row differ in dimension")
     samples = []
     if sector is None:
         for eta in _eta_directions(sym.dim_eta, sphere_samples):

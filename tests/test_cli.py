@@ -255,6 +255,13 @@ BAD_VALUES = {
                       "gamma0 = 1 0 0; 0 -1; 0 0 -1\n"),
     "kg q": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
              "gamma0 = 1 0 0; 0 -1 0; 0 0 -1\n\n[modes]\nq = 0 nan\n"),
+    # once exit 0 with an empty eigenvalue list
+    "pencil count": ("modes", "[operator]\nnu = 0.5\n\n[modes]\ncount = 0\n"
+                     "pencil = laplace_pencil\n"),
+    "count": ("modes", "[operator]\nnu = 0.5\n\n[modes]\ncount = -2\n"),
+    "kg count": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
+                 "gamma0 = 1 0 0; 0 -1 0; 0 0 -1\n\n[modes]\nq = 0 0\n"
+                 "count = 0\n"),
 }
 
 

@@ -5,6 +5,7 @@ full lambda-Robin spectra never fall back to QZ, and the residuals of a
 spectrum take a fixed number of operator products."""
 
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -465,6 +466,51 @@ def test_post_processing_products_do_not_grow_with_the_mesh(monkeypatch):
         assert len(ms) == 3 * (n // 8)
         counts.append(count[0])
     assert counts[0] == counts[1]
+
+
+def test_dense_products_run_in_scipy_blas(monkeypatch):
+    # every dense product of the eigensolver path goes through fem._matmul,
+    # so the products and scipy's LAPACK and ARPACK calls share one BLAS
+    # thread pool; a numpy product brought back at one of these sites fails
+    callers = {}
+    matmul = fem._matmul
+
+    def spy(a, b):
+        name = sys._getframe(1).f_code.co_name
+        callers[name] = callers.get(name, 0) + 1
+        return matmul(a, b)
+
+    monkeypatch.setattr(fem, "_matmul", spy)
+    monkeypatch.setattr(modes, "_matmul", spy)
+
+    nu = 0.6
+    ms = pencil_modes(nu, laplace_pencil(nu),
+                      BoundaryOperator.lambda_robin(nu), q=0, n_nodes=128,
+                      residual_cap=None)
+    # F = V^H (D A1 D) V and V W[n:], the seed rows of the three residual
+    # block products, and the re-orthogonalisation pair of each Lanczos step
+    assert callers.pop("_definite_eig") == 3
+    assert callers.pop("__matmul__") == 3
+    assert callers.pop("spectral_norm") > 0
+    assert not callers
+
+    K, M = dirichlet_operators(0.4, 1)
+    _, d = K.unit_diagonal()
+    spectral_norm(M.scaled(d))          # the clustered top runs all 60 steps
+    assert callers.pop("spectral_norm") == 60 * 2 * 2
+    assert not callers
+
+    modes.completeness_check(ms)
+    assert callers.pop("completeness_check") == 1
+    assert not callers
+
+    # companion QZ: the three projections and the eigenvector product
+    nu, op, q = kg_pencil(0.3, e0=0.5)
+    A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64, DEFAULTS)
+    pencil_eig(A0, A1, A2)
+    assert callers.pop("_project") == 2 * 2
+    assert callers.pop("_companion_qz") == 2 + 1
+    assert not callers
 
 
 def test_targeted_paths_never_call_toarray(monkeypatch, tmp_path):

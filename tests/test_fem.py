@@ -145,6 +145,39 @@ def test_block_product_equals_stacked_column_products(A):
                 assert np.all(np.abs(Y[0] - cols[0]) <= 1e-15 * size)
 
 
+def _layouts(rng, shape, complex_):
+    """Random arrays of ``shape``: C-ordered, F-ordered, the transposed view
+    of a C-ordered array, and slices of larger C- and F-ordered arrays (rows
+    or columns spaced wider than their length)."""
+    def draw(shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    views = [draw(shape), np.asfortranarray(draw(shape))]
+    if len(shape) == 2:
+        m, n = shape
+        views += [draw((n, m)).T, draw((m, n + 3))[:, 1:-2],
+                  np.asfortranarray(draw((m + 3, n)))[2:-1]]
+    return views
+
+
+@pytest.mark.parametrize("shapes", [((1, 5), (5, 4)), ((40,), (40, 23)),
+                                    ((23, 40), (40,)), ((7, 1), (1,)),
+                                    ((31, 40), (40, 23)), ((0, 5), (5, 3)),
+                                    ((120, 130), (130, 90))])
+def test_scipy_blas_product_equals_numpy(shapes):
+    rng = np.random.default_rng(5)
+    for ca in (False, True):
+        for cb in (False, True):
+            for a in _layouts(rng, shapes[0], ca):
+                for b in _layouts(rng, shapes[1], cb):
+                    got, want = fem._matmul(a, b), a @ b
+                    assert got.shape == want.shape
+                    assert got.dtype == want.dtype
+                    size = np.abs(a) @ np.abs(b)
+                    assert np.all(np.abs(got - want) <= 1e-15 * size)
+
+
 @pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),
                                         (0.8, True), (1.5, False)])
 def test_condition_estimate_within_10x_of_dense(nu, seeded):

@@ -55,6 +55,12 @@ def test_dirichlet_spectrum_with_tangential_modes():
     assert np.all(np.diff(np.abs(ms.eigenvalues)) > -1e-12)
 
 
+def test_dirichlet_spectrum_refuses_negative_q_max():
+    # once a raw ValueError from unpacking an empty list of spectra
+    with pytest.raises(DomainError, match="q_max"):
+        dirichlet_spectrum(0.4, q_max=-1)
+
+
 def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
     # modes q and -q share K = S + (1 + q^2) M: one eigensolve and one pair
     # of norm estimates per |q|, each record kept once per q
@@ -119,6 +125,15 @@ def test_pencil_dirichlet_matches_zero_table():
         assert abs(pair[0] + pair[1]) < 1e-8 * jz[k]   # +- pairing
         assert abs(pair[0].real) < 1e-8 * jz[k]
     assert np.all(ms.residuals < 1e-7)
+
+
+@pytest.mark.parametrize("max_modes", [-3, 0])
+def test_pencil_refuses_a_mode_count_below_one(max_modes):
+    # -3 once reached ARPACK's raw ValueError, 0 an empty ModeSet
+    nu = 0.4
+    with pytest.raises(DomainError, match="max_modes"):
+        pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
+                     max_modes=max_modes)
 
 
 def test_even_pencil_spectrum_symmetry():

@@ -253,6 +253,15 @@ def test_sweep_oblique_fails_on_diagonal_samples():
         assert abs(s["eta"][0] - s["eta"][1]) < 1e-12
 
 
+@pytest.mark.parametrize("dim_eta, eta_coeffs", [(1, (1j, -1j)), (2, (1j,))])
+def test_sweep_refuses_a_row_of_another_eta_dimension(dim_eta, eta_coeffs):
+    # the first raised IndexError, the second dropped eta_2 and answered
+    sym = BoundarySymbol.laplace(dim_eta)
+    bc = BoundaryOperator.oblique(0.3, eta_coeffs)
+    with pytest.raises(DomainError, match="dim_eta"):
+        lopatinskii_sweep(0.3, sym, bc)
+
+
 def test_sweep_lambda_robin_on_imaginary_axis():
     nu = 0.7
     sym = BoundarySymbol.wave(2)
