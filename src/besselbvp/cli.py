@@ -55,6 +55,7 @@ from .config import DEFAULTS
 from .core import Order, gridfunction_from_csv
 from .errors import BesselBVPError, ConfigError, DomainError
 from .expansion import fit_expansion
+from .fem import MIN_CELLS
 from .kg import ModelMetric, ellipticity_verdicts, reduce as kg_reduce
 from .modes import completeness_check, dirichlet_spectrum, pencil_modes
 from .solve import (
@@ -357,6 +358,9 @@ def _cmd_modes(conf, cfg, settings):
         payload["eigenvalues"] = _eigen_rows(ms.eigenvalues, ms.residuals)
         if _get(conf, "modes", "completeness", "false", bool):
             dof = _get(conf, "modes", "completeness_dof", "32", _int)
+            if dof < MIN_CELLS:     # dof * degree nodes make dof cells
+                raise ConfigError(f"[modes] completeness_dof must be at "
+                                  f"least {MIN_CELLS}, got {dof}")
             all_ms = pencil_modes(nu, op, bc, q=q,
                                   n_nodes=dof * settings.fem_degree,
                                   residual_cap=None, settings=settings)
@@ -408,7 +412,9 @@ def _cmd_expand(conf, cfg, settings):
     lo = _get(conf, "fit", "window_lo", "-1", float)
     hi = _get(conf, "fit", "window_hi", "-1", float)
     window = (lo, hi) if lo > 0 and hi > 0 else None
-    corrections = _get(conf, "fit", "corrections", "2", _int)
+    # absent: None, so that [tolerances] tail_corrections sets the default
+    corrections = _get(conf, "fit", "corrections", typ=_int) \
+        if "corrections" in conf.get("fit", {}) else None
     fit = fit_expansion(u, nu, window=window, corrections=corrections,
                         settings=settings)
     return {

@@ -9,7 +9,8 @@ one-dimensional singular operator
 Functions near the singular end are handled in two representations:
 
 * ``plain``: complex samples on a radial grid; derivatives use local
-  polynomial stencils, traces use a two-term power fit at the innermost nodes;
+  polynomial stencils, traces use the windowed boundary-expansion fit that
+  ``expansion.fit_expansion`` shares;
 * ``fnupair``: u = x^{1/2-nu} m(x^2) + x^{1/2+nu} p(x) with polynomial smooth
   factors.  Everything (derivatives, traces, inner products) is then exact:
   products of branches are x^sigma * polynomial and are integrated by
@@ -28,7 +29,8 @@ from enum import Enum
 import numpy as np
 
 from .config import DEFAULTS
-from .errors import DomainError, GridTooCoarse, TraceFitError
+from .errors import (DomainError, GridTooCoarse, IllConditionedFit,
+                     TraceFitError)
 from .quadrature import composite_rule, graded_panels, jacobi_rule
 
 __all__ = [
@@ -166,11 +168,13 @@ class BranchFunction:
             c = np.atleast_1d(np.asarray(getattr(c, "coef", c), dtype=complex))
             e, c = _normalize(float(e), c)
             if c is not None:
-                key = round(e, 12)
-                merged[key] = _add(merged[key], c) if key in merged else c
+                key = round(e, 12)      # merges; each term keeps its own e
+                if key in merged:
+                    e, c = merged[key][0], _add(merged[key][1], c)
+                merged[key] = (e, c)
         self.terms = []
-        for e in sorted(merged):
-            e, c = _normalize(e, merged[e])
+        for key in sorted(merged):
+            e, c = _normalize(*merged[key])
             if c is not None:
                 self.terms.append((e, c))
 
@@ -279,6 +283,18 @@ class TraceData:
     gamma_minus: complex
     gamma_plus: complex
     fit_residual: float = 0.0
+
+
+@dataclass(frozen=True)
+class ExpansionFit:
+    """Leading coefficients of a boundary-expansion fit on plain samples,
+    with the fit's relative residual and the window (lo, hi) it used."""
+
+    g_minus: complex
+    g_plus: complex
+    g_log: complex
+    fit_residual: float
+    window: tuple
 
 
 class GridFunction:
@@ -510,16 +526,89 @@ def dilate(u, tau, grid=None):
                         pair=u.pair.dilate(tau), order=u.order)
 
 
+_FIT_MIN_NODES = 12      # fewest nodes a boundary-expansion fit accepts
+
+
+def _fit_branches(u, order, window=None, corrections=None, step=2, log=False,
+                  settings=DEFAULTS):
+    """Least-squares fit of u = x^{1/2-nu} u_- + x^{1/2+nu} u_+ to samples,
+    shared by ``traces`` and ``expansion.fit_expansion`` (whose docstrings
+    state the window rule).
+
+    Columns: x^{1/2-nu+step k} (only for nu < 1) and x^{1/2+nu+step k},
+    k = 0..``corrections`` (default ``settings.tail_corrections``), and
+    x^{1/2+nu} log x when ``log``.  One SVD of the column-scaled design per
+    window gives both the Gram condition, refused above
+    ``settings.fit_condition_cap`` with IllConditionedFit, and the solution.
+    On the ladder, a refused window after the first returns the fit before.
+    """
+    x, vals = u.grid.nodes, u.values
+    ks = step * np.arange(1 + (settings.tail_corrections if corrections is None
+                               else int(corrections)))
+    minus = order.regime is Regime.SUBCRITICAL
+    exps = np.concatenate([0.5 - order.nu + ks if minus else [],
+                           0.5 + order.nu + ks])
+
+    def fit(keep, lo, hi):
+        xw, vw = x[keep], vals[keep]
+        if xw.size < _FIT_MIN_NODES:
+            raise DomainError(
+                f"fit window must contain at least {_FIT_MIN_NODES} nodes")
+        A = xw[:, None] ** exps
+        if log:
+            A = np.column_stack([A, xw ** (0.5 + order.nu) * np.log(xw)])
+        scale = np.linalg.norm(A, axis=0)
+        scale[scale == 0] = 1.0
+        As = A / scale
+        U, s, Vh = np.linalg.svd(As, full_matrices=False)
+        gram_cond = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
+        if gram_cond > settings.fit_condition_cap:
+            raise IllConditionedFit(
+                f"fit Gram condition {gram_cond:.2e} exceeds "
+                f"{settings.fit_condition_cap:.2e}; shrink the window or "
+                "raise nu")
+        z = Vh.T @ ((U.T @ vw) / s)
+        resid = np.linalg.norm(As @ z - vw) / max(np.linalg.norm(vw), 1e-300)
+        coef = z / scale
+        return ExpansionFit(complex(coef[0]) if minus else 0j,
+                            complex(coef[ks.size if minus else 0]),
+                            complex(coef[-1]) if log else 0j,
+                            float(resid), (float(lo), float(hi)))
+
+    if window is not None:
+        lo, hi = window
+        return fit((x >= lo) & (x <= hi), lo, hi)
+    innermost = x[min(_FIT_MIN_NODES, x.size) - 1]
+    hi = max(0.1 * u.grid.x_max, innermost)
+    prev = None
+    while True:
+        try:
+            cur = fit(slice(np.searchsorted(x, hi, side="right")), x[0], hi)
+        except IllConditionedFit:
+            if prev is None:
+                raise
+            return prev
+        if hi == innermost or (
+                prev is not None
+                and cur.fit_residual < settings.trace_fit_residual
+                and cur.fit_residual > 0.5 * prev.fit_residual):
+            return cur
+        prev, hi = cur, max(hi / 4.0, innermost)
+
+
 def traces(u, nu, settings=DEFAULTS):
     """Weighted traces (gamma_- u, gamma_+ u) at x = 0.
 
     gamma_- u = x^{nu-1/2} u|_0 and gamma_+ u = x^{1-2nu} d/dx (x^{nu-1/2} u)|_0.
-    Exact for pair-represented functions.  Plain samples are fit against the
-    two branch powers with four x^2-tail correction regressors per branch
-    over a window reaching from the innermost nodes out to 2% of the
-    domain: the wide lever arm is what separates the branch exponents
-    when 2 nu approaches an even integer (a bare two-term fit on the
-    innermost nodes cannot see the x^{1/2+nu} signal in double precision).
+    Exact for pair-represented functions.  Plain samples go through the
+    boundary-expansion fit that ``expansion.fit_expansion`` also uses: the
+    two branch powers with ``settings.tail_corrections`` x^2-tail
+    corrections each, on a window that starts at (x_0, 0.1 x_max) and
+    shrinks its upper end by 4 per step down to the innermost 12 nodes,
+    stopping once the relative residual is below
+    ``settings.trace_fit_residual`` and no longer halves (the data's own
+    rounding floor).  A final residual above ``settings.trace_fit_residual``
+    raises TraceFitError.
     """
     order = as_order(nu)
     if order.regime is not Regime.SUBCRITICAL:
@@ -536,45 +625,12 @@ def traces(u, nu, settings=DEFAULTS):
                 raise DomainError(f"unexpected branch exponent {e}")
         return TraceData(gm, gp, 0.0)
 
-    x = u.grid.nodes
-    corrections = 4
-    n_min = 2 * (corrections + 1) + 4
-
-    def fit(mask):
-        xw, vw = x[mask], u.values[mask]
-        cols = []
-        for k in range(corrections + 1):
-            cols.append(xw ** (0.5 - nu + 2 * k))
-            cols.append(xw ** (0.5 + nu + 2 * k))
-        A = np.stack(cols, axis=1)
-        scale = np.linalg.norm(A, axis=0)
-        scale[scale == 0] = 1.0
-        coef, *_ = np.linalg.lstsq(A / scale, vw, rcond=None)
-        coef = coef / scale
-        rel = np.linalg.norm(A @ coef - vw) / max(np.linalg.norm(vw), 1e-300)
-        return coef, rel
-
-    # shrink the window until the expansion model fits; the innermost nodes
-    # alone cannot separate the branches, so never go below n_min nodes
-    best = None
-    frac = 0.02
-    for _ in range(12):
-        mask = x <= frac * u.grid.x_max
-        if np.sum(mask) < n_min:
-            mask = np.zeros(x.size, dtype=bool)
-            mask[:min(x.size, n_min)] = True
-        coef, rel = fit(mask)
-        if best is None or rel < best[1]:
-            best = (coef, rel)
-        if rel < 1e-12 or np.sum(mask) <= n_min:
-            break
-        frac /= 2.0
-    coef, rel = best
-    if rel > settings.trace_fit_residual:
+    fit = _fit_branches(u, order, settings=settings)
+    if fit.fit_residual > settings.trace_fit_residual:
         raise TraceFitError(
-            f"power fit residual {rel:.2e} exceeds "
+            f"power fit residual {fit.fit_residual:.2e} exceeds "
             f"{settings.trace_fit_residual:.2e}")
-    return TraceData(complex(coef[0]), 2.0 * nu * complex(coef[1]), float(rel))
+    return TraceData(fit.g_minus, 2.0 * nu * fit.g_plus, fit.fit_residual)
 
 
 # ---------------------------------------------------------------------------

@@ -10,18 +10,17 @@ in and a x^{1/2+nu} log x term appears.
 The extraction here is a windowed power-basis regression (better conditioned
 at desk scale than a numerical Mellin transform, and it tests the same
 claim): regressors are the two branch powers, x^2-tail corrections per
-branch, and the log term in the resonant case.
+branch, and the log term in the resonant case.  The fit lives in ``core``,
+where ``traces`` extracts gamma_-+ of plain samples with it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .config import DEFAULTS
-from .core import Regime, as_order, traces
-from .errors import DomainError, IllConditionedFit
+from .core import ExpansionFit, Regime, _fit_branches, as_order
+from .errors import DomainError
 
 __all__ = [
     "IndicialData",
@@ -50,63 +49,6 @@ def indicial(nu, settings=DEFAULTS):
                         bool(resonant))
 
 
-@dataclass(frozen=True)
-class ExpansionFit:
-    g_minus: complex
-    g_plus: complex
-    g_log: complex
-    fit_residual: float
-    window: tuple
-
-
-def _fit_once(u, order, window, corrections, parity, settings):
-    nuval = order.nu
-    x = u.grid.nodes
-    lo, hi = window
-    mask = (x >= lo) & (x <= hi)
-    if np.sum(mask) < 12:
-        raise DomainError("fit window must contain at least 12 nodes")
-    xw, vw = x[mask], u.values[mask]
-    ind = indicial(order, settings=settings)
-    step = 2 if parity == "even" else 1
-
-    cols, labels = [], []
-    if order.regime is Regime.SUBCRITICAL:
-        for k in range(corrections + 1):
-            cols.append(xw ** (0.5 - nuval + step * k))
-            labels.append(("minus", k))
-    for k in range(corrections + 1):
-        cols.append(xw ** (0.5 + nuval + step * k))
-        labels.append(("plus", k))
-    if ind.resonant:
-        cols.append(xw ** (0.5 + nuval) * np.log(xw))
-        labels.append(("log", 0))
-
-    A = np.stack(cols, axis=1)
-    scale = np.linalg.norm(A, axis=0)
-    scale[scale == 0] = 1.0
-    As = A / scale
-    gram_cond = np.linalg.cond(As.conj().T @ As)
-    if gram_cond > settings.fit_condition_cap:
-        raise IllConditionedFit(
-            f"fit Gram condition {gram_cond:.2e} exceeds "
-            f"{settings.fit_condition_cap:.2e}; shrink the window or raise nu")
-    coef, *_ = np.linalg.lstsq(As, vw, rcond=None)
-    coef = coef / scale
-    resid = np.linalg.norm(A @ coef - vw) / max(np.linalg.norm(vw), 1e-300)
-
-    g_minus = g_plus = g_log = 0.0 + 0.0j
-    for c, lbl in zip(coef, labels):
-        if lbl == ("minus", 0):
-            g_minus = complex(c)
-        elif lbl == ("plus", 0):
-            g_plus = complex(c)
-        elif lbl == ("log", 0):
-            g_log = complex(c)
-    return ExpansionFit(g_minus, g_plus, g_log, float(resid),
-                        (float(lo), float(hi)))
-
-
 def fit_expansion(u, nu, window=None, corrections=None, parity="even",
                   settings=DEFAULTS):
     """Windowed least-squares fit of the two-branch boundary expansion.
@@ -119,55 +61,39 @@ def fit_expansion(u, nu, window=None, corrections=None, parity="even",
     nu >= 1 the x^{1/2-nu} branch is not square integrable and is excluded;
     g_minus is then reported as 0.
 
-    An explicit ``window`` is honoured exactly.  When omitted, the default
-    anchor (grid node 3, 0.1 x_max) is shrunk on a ladder and the
-    best-residual fit returned: the expansion is asymptotic, so the model
-    error sets the usable window for each input.
+    ``core.traces`` runs the same fit on plain samples.  An explicit
+    ``window`` is honoured exactly.  When omitted, the window starts at
+    (x_0, 0.1 x_max) and its upper end is divided by 4 per step, down to the
+    innermost 12 nodes: the expansion is asymptotic, so the model error sets
+    the usable window for each input.  The ladder stops at the first fit
+    whose relative residual is below ``settings.trace_fit_residual`` and no
+    longer halves, i.e. has reached the rounding floor of the data, and
+    returns that fit.
     """
     order = as_order(nu)
-    corrections = settings.tail_corrections if corrections is None \
-        else int(corrections)
     if parity not in ("even", "general"):
         raise DomainError("parity must be 'even' or 'general'")
-    if window is not None:
-        return _fit_once(u, order, window, corrections, parity, settings)
-
-    x = u.grid.nodes
-    lo = x[min(2, x.size - 1)]
-    hi = 0.1 * u.grid.x_max
-    best = None
-    err = None
-    for _ in range(10):
-        if np.sum((x >= lo) & (x <= hi)) < 12:
-            break
-        try:
-            fit = _fit_once(u, order, (lo, hi), corrections, parity, settings)
-        except IllConditionedFit as exc:
-            err = exc
-            break
-        if best is None or fit.fit_residual < best.fit_residual:
-            best = fit
-        if fit.fit_residual < 1e-13:
-            break
-        hi /= 2.0
-    if best is None:
-        raise err if err is not None else DomainError(
-            "fit window must contain at least 12 nodes")
-    return best
+    return _fit_branches(u, order, window=window, corrections=corrections,
+                         step=2 if parity == "even" else 1,
+                         log=indicial(order, settings=settings).resonant,
+                         settings=settings)
 
 
 def expansion_consistency(sol, nu, settings=DEFAULTS):
     """max(|g_- - gamma_- u|, |2 nu g_+ - gamma_+ u|) for a solve output.
 
-    Compares the windowed expansion fit with the trace extraction on the same
-    discrete solution; both should identify the boundary data of the
-    continuum expansion for smooth interior data.
+    Compares the windowed expansion fit of the sampled solution with the
+    traces the solver read off its discrete solution; both should identify
+    the boundary data of the continuum expansion for smooth interior data.
+    A solution without discrete traces raises DomainError: ``core.traces``
+    of the samples is the same fit, so comparing with it shows nothing.
     """
     order = as_order(nu)
     if order.regime is not Regime.SUBCRITICAL:
         raise DomainError("trace comparison requires 0 < nu < 1")
+    tr = sol.traces
+    if tr is None:
+        raise DomainError("solution carries no discrete traces to compare")
     fit = fit_expansion(sol.u, order, settings=settings)
-    tr = sol.traces if sol.traces is not None else traces(sol.u, order,
-                                                          settings=settings)
     return float(max(abs(fit.g_minus - tr.gamma_minus),
                      abs(2.0 * order.nu * fit.g_plus - tr.gamma_plus)))

@@ -19,6 +19,7 @@ statement.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -128,8 +129,9 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     table and ``discrepancy`` the per-mode relative difference.
     """
     order = as_order(nu)
-    if q_max < 0:
-        raise DomainError(f"q_max must be >= 0, got {q_max}")
+    if (isinstance(q_max, bool) or not isinstance(q_max, numbers.Integral)
+            or q_max < 0):
+        raise DomainError(f"q_max must be an integer >= 0, got {q_max!r}")
     space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     zeros = bessel_zeros(order.nu, n_max, settings=settings).zeros

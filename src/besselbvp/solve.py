@@ -28,7 +28,6 @@ from .core import (
     TraceData,
     as_order,
     grid_derivative,
-    traces,
 )
 from .errors import (
     DomainError,

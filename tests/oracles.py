@@ -324,10 +324,12 @@ class PolyBranchFunction:
             if p is None:
                 continue
             key = round(e, 12)
-            merged[key] = merged[key] + p if key in merged else p
+            if key in merged:
+                e, p = merged[key][0], merged[key][1] + p
+            merged[key] = (e, p)
         self.terms = []
-        for e, p in sorted(merged.items()):
-            e, p = self._normalize(e, p)
+        for key in sorted(merged):
+            e, p = self._normalize(*merged[key])
             if p is not None:
                 self.terms.append((e, p))
 

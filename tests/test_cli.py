@@ -121,6 +121,20 @@ def test_expand_roundtrip(tmp_path):
     assert abs(body["g_plus"]["re"] - 5.0) < 1e-8
 
 
+def test_expand_corrections_default_to_tail_corrections(tmp_path):
+    base = write_expand_case(tmp_path).read_text()
+    bodies = {}
+    for name, extra in (("default", ""),
+                        ("tolerance", "[tolerances]\ntail_corrections = 1\n"),
+                        ("fit", "[fit]\ncorrections = 1\n")):
+        cfg = tmp_path / f"{name}.cfg"
+        cfg.write_text(f"{base}\n{extra}")
+        assert main(["expand", "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 0
+        bodies[name] = (tmp_path / f"expand_{name}.json").read_text()
+    assert bodies["tolerance"] == bodies["fit"] != bodies["default"]
+
+
 EIGEN_FIXTURES = [("modes", "dirichlet_nu05"), ("kg", "ads_static")]
 ALL_FIXTURES = EIGEN_FIXTURES + [
     ("solve", "manufactured"), ("lopatinskii", "lambda_robin"),
@@ -259,6 +273,11 @@ BAD_VALUES = {
     "pencil count": ("modes", "[operator]\nnu = 0.5\n\n[modes]\ncount = 0\n"
                      "pencil = laplace_pencil\n"),
     "count": ("modes", "[operator]\nnu = 0.5\n\n[modes]\ncount = -2\n"),
+    # once exit 2, "numerical failure", from the 0-cell completeness mesh
+    "completeness_dof": ("modes", "[operator]\nnu = 0.5\n\n[modes]\n"
+                         "count = 2\npencil = laplace_pencil\n"
+                         "completeness = true\ncompleteness_dof = 0\n\n"
+                         "[grid]\nnodes = 96\n"),
     "kg count": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
                  "gamma0 = 1 0 0; 0 -1 0; 0 0 -1\n\n[modes]\nq = 0 0\n"
                  "count = 0\n"),

@@ -8,7 +8,13 @@ from besselbvp.expansion import (
     fit_expansion,
     indicial,
 )
-from besselbvp.solve import BesselOperator, BVProblem, CapCondition, solve_1d
+from besselbvp.solve import (
+    BesselOperator,
+    BVProblem,
+    CapCondition,
+    solve_1d,
+    solve_dirichlet_laplacian,
+)
 from besselbvp.symbols import BoundaryOperator, mode_solution, mode_traces
 
 
@@ -28,10 +34,14 @@ def test_resonance_flag_threshold():
     assert not indicial(1.5 + 6e-9).resonant
 
 
-def test_fit_exact_basis_members():
-    nu = 0.3
+# 0.3207 and 0.4657 are orders whose exponents 1/2 +- nu do not survive
+# rounding to 12 decimals
+@pytest.mark.parametrize("nu", [0.3, 0.32065554546143155, 0.465747239934316,
+                                0.482], ids=["0.3", "0.3207", "0.4657", "0.482"])
+def test_fit_exact_basis_members(nu):
     g = RadialGrid.build(1.0, 256)
     u = GridFunction.from_pair(g, nu, [3.0], [5.0])
+    assert [e for e, _ in u.pair.terms] == [0.5 - nu, 0.5 + nu]
     fit = fit_expansion(GridFunction(g, u.values), nu)
     assert abs(fit.g_minus - 3.0) < 1e-10
     assert abs(fit.g_plus - 5.0) < 1e-10
@@ -133,3 +143,13 @@ def test_expansion_consistency_zero():
                      bc1=CapCondition.DIRICHLET, rhs=0.0, boundary_data=0.0)
     sol = solve_1d(prob, n_nodes=128)
     assert expansion_consistency(sol, nu) < 1e-12
+
+
+def test_expansion_consistency_needs_discrete_traces():
+    # a fit of u compared with traces(u) would compare the one fit with itself
+    nu = 0.4
+    sols = solve_dirichlet_laplacian(
+        nu, 1.0, {0: lambda x: x ** (0.5 + nu) * (1 - x)}, n_nodes=128)
+    assert sols[0].traces is None
+    with pytest.raises(DomainError, match="discrete traces"):
+        expansion_consistency(sols[0], nu)

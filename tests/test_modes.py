@@ -61,6 +61,13 @@ def test_dirichlet_spectrum_refuses_negative_q_max():
         dirichlet_spectrum(0.4, q_max=-1)
 
 
+@pytest.mark.parametrize("q_max", [1.5, True])
+def test_dirichlet_spectrum_refuses_non_integer_q_max(q_max):
+    # 1.5 once raised a bare TypeError and True ran as q_max = 1
+    with pytest.raises(DomainError, match="q_max"):
+        dirichlet_spectrum(0.4, q_max=q_max)
+
+
 def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
     # modes q and -q share K = S + (1 + q^2) M: one eigensolve and one pair
     # of norm estimates per |q|, each record kept once per q
