@@ -415,6 +415,9 @@ def _cmd_expand(conf, cfg, settings):
     # absent: None, so that [tolerances] tail_corrections sets the default
     corrections = _get(conf, "fit", "corrections", typ=_int) \
         if "corrections" in conf.get("fit", {}) else None
+    if corrections is not None and corrections < 0:
+        raise ConfigError(
+            f"[fit] corrections must be at least 0, got {corrections}")
     fit = fit_expansion(u, nu, window=window, corrections=corrections,
                         settings=settings)
     return {

@@ -43,6 +43,12 @@ class Settings:
     def __post_init__(self):
         if self.fem_degree < 2:
             raise DomainError("fem degree must be at least 2")
+        if not 0 < self.solver_residual_tol < float("inf"):
+            raise DomainError("solver_residual_tol must be finite and > 0, "
+                              f"got {self.solver_residual_tol}")
+        if self.tail_corrections < 0:
+            raise DomainError("tail_corrections must be at least 0, got "
+                              f"{self.tail_corrections}")
 
     def with_overrides(self, **kw):
         return replace(self, **kw)

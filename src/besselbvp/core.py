@@ -542,6 +542,8 @@ def _fit_branches(u, order, window=None, corrections=None, step=2, log=False,
     ``settings.fit_condition_cap`` with IllConditionedFit, and the solution.
     On the ladder, a refused window after the first returns the fit before.
     """
+    if corrections is not None and corrections < 0:
+        raise DomainError(f"corrections must be at least 0, got {corrections}")
     x, vals = u.grid.nodes, u.values
     ks = step * np.arange(1 + (settings.tail_corrections if corrections is None
                                else int(corrections)))

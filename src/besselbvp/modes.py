@@ -31,7 +31,7 @@ from .core import Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
 from .fem import (Space, _matmul, mass_deflated_eig, modulus_order,
-                  pencil_eig, spectral_norm)
+                  norm_bound, pencil_eig)
 from .special import bessel_zeros
 
 __all__ = [
@@ -106,14 +106,23 @@ def _column_norms(X):
     return np.array([np.linalg.norm(x) for x in X.T])
 
 
+def _check_count(name, value, least):
+    """Refuse a count that is a bool, not an integer or below ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise DomainError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
+
+
 def _dirichlet_pairs(K, M, n_max):
     """(lambda, coeffs, residuals) of the n_max eigenpairs of K u = lambda M u
-    nearest 0, residuals in the coordinates scaled by K's diagonal."""
+    nearest 0, residuals in the coordinates scaled by K's diagonal, relative
+    to the norm bounds of the scaled K and M (fem.norm_bound)."""
     lam, vec = mass_deflated_eig(K, M, n_max)
     lam = np.real(lam)
     Ks, d = K.unit_diagonal()
     Ms = M.scaled(d)
-    scale_k, scale_m = spectral_norm(Ks), spectral_norm(Ms)
+    scale_k, scale_m = norm_bound(Ks), norm_bound(Ms)
     Z = vec / d[:, None]
     R = Ks @ Z - lam * (Ms @ Z)
     resid = _column_norms(R) / np.maximum(
@@ -129,9 +138,8 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     table and ``discrepancy`` the per-mode relative difference.
     """
     order = as_order(nu)
-    if (isinstance(q_max, bool) or not isinstance(q_max, numbers.Integral)
-            or q_max < 0):
-        raise DomainError(f"q_max must be an integer >= 0, got {q_max!r}")
+    _check_count("q_max", q_max, 0)
+    _check_count("n_max", n_max, 1)
     space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     zeros = bessel_zeros(order.nu, n_max, settings=settings).zeros
@@ -204,10 +212,12 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     are checked against the unlinearised pencil, for every mode at once:
     with C the unit eigenvectors, R = A0 C + Lam (A1 C) + Lam^2 (A2 C) takes
     one block product per operator (BorderedBand @ (n, k)), and the Cauchy
-    data are array operations on C.  By default modes above the 1e-7
-    residual budget are dropped; pass ``residual_cap=None`` to collect every
-    eigenvalue of the discrete pencil (with multiplicity), as the
-    completeness check requires.
+    data are array operations on C.  Residuals divide by a0 + |lam| a1 +
+    |lam|^2 a2, a_i = fem.norm_bound(A_i) >= ||A_i||_2: a valid backward
+    error, up to 1.44 times below the one on exact 2-norms.  By default
+    modes above the 1e-7 residual budget are dropped (length 0 when none
+    passes); pass ``residual_cap=None`` to collect every eigenvalue of the
+    discrete pencil (with multiplicity), as the completeness check requires.
 
     ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
     Arnoldi through the banded LU of P(0), O(n) per step.  Without it every
@@ -219,10 +229,13 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     pencil (an e0 term, an indefinite A0) takes companion QZ.
     """
     order = as_order(nu)
-    if max_modes is not None and max_modes < 1:
-        raise DomainError(f"max_modes must be >= 1, got {max_modes}")
+    if max_modes is not None:
+        _check_count("max_modes", max_modes, 1)
     if residual_cap == "default":
         residual_cap = settings.solver_residual_tol
+    if residual_cap is not None and not 0 < residual_cap < np.inf:
+        raise DomainError(f"residual_cap must be finite and > 0, "
+                          f"got {residual_cap!r}")
     A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
                                          settings)
     n = A0.shape[0]
@@ -235,7 +248,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
 
     # residuals against the unlinearised pencil, scale-aware, for every
     # mode at once: R = A0 C + Lam (A1 C) + Lam^2 (A2 C), C the unit columns
-    scale0, scale1, scale2 = (spectral_norm(A) for A in (A0, A1, A2))
+    scale0, scale1, scale2 = (norm_bound(A) for A in (A0, A1, A2))
     norms = _column_norms(cvecs)
     finite = np.isfinite(lam)
     live = finite & (norms != 0)

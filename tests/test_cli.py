@@ -135,6 +135,15 @@ def test_expand_corrections_default_to_tail_corrections(tmp_path):
     assert bodies["tolerance"] == bodies["fit"] != bodies["default"]
 
 
+def test_negative_fit_corrections_is_config_error(tmp_path, capsys):
+    cfg = write_expand_case(tmp_path)
+    cfg.write_text(f"{cfg.read_text()}\n[fit]\ncorrections = -1\n")
+    assert main(["expand", "--config", str(cfg), "--out", str(tmp_path),
+                 "--quiet"]) == 1
+    assert "config error:" in capsys.readouterr().err
+    assert not (tmp_path / "expand_expand_case.json").exists()
+
+
 EIGEN_FIXTURES = [("modes", "dirichlet_nu05"), ("kg", "ads_static")]
 ALL_FIXTURES = EIGEN_FIXTURES + [
     ("solve", "manufactured"), ("lopatinskii", "lambda_robin"),
@@ -248,6 +257,10 @@ def test_tolerance_override_section(tmp_path):
 BAD_VALUES = {
     "tolerance": ("modes", "[operator]\nnu = 0.5\n\n[modes]\nq = 0\n"
                   "count = 2\n\n[tolerances]\nsolver_residual_tol = abc\n"),
+    # once a bare ValueError from pencil_modes, which reads it as its cap
+    "negative tolerance": ("modes", "[operator]\nnu = 0.5\n\n[modes]\n"
+                           "count = 2\npencil = laplace_pencil\n\n"
+                           "[tolerances]\nsolver_residual_tol = -1\n"),
     "integer tolerance": ("modes", "[operator]\nnu = 0.5\n\n"
                           "[tolerances]\nfem_degree = inf\n"),
     "fem_degree": ("modes", "[operator]\nnu = 0.5\n\n"
@@ -281,6 +294,9 @@ BAD_VALUES = {
     "kg count": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
                  "gamma0 = 1 0 0; 0 -1 0; 0 0 -1\n\n[modes]\nq = 0 0\n"
                  "count = 0\n"),
+    # once a bare IndexError from the fitter's empty regressor set
+    "tail_corrections": ("modes", "[operator]\nnu = 0.5\n\n"
+                         "[tolerances]\ntail_corrections = -1\n"),
 }
 
 

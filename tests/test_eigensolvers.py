@@ -18,8 +18,8 @@ from besselbvp.core import Order
 from besselbvp.errors import DomainError, SingularSystem
 from besselbvp.fem import (BorderedBand, Space, _BorderedLU, _companion_qz,
                            _diag_scale, _hermitian_part, _is_real,
-                           mass_deflated_eig, modulus_order, pencil_eig,
-                           spectral_norm)
+                           mass_deflated_eig, modulus_order, norm_bound,
+                           pencil_eig)
 from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
                              embedding_singular_values, pencil_modes)
@@ -63,6 +63,11 @@ def dirichlet_operators(nu, q, n_nodes=256):
     return mats["S"] + (1.0 + q * q) * mats["M"], mats["M"]
 
 
+def two_norms(*ops):
+    """Dense ||A||_2 of each operator, the reference scale of a residual."""
+    return [la.norm(A.toarray(), 2) for A in ops]
+
+
 def rel(a, b):
     return float(np.max(np.abs(a - b) / np.abs(b)))
 
@@ -98,32 +103,55 @@ def test_pencil_arnoldi_matches_dense_qz(name):
     assert rel(np.abs(lam[:count]), np.abs(qz[:count])) < 1e-10
     for value in lam[:count]:
         assert np.min(np.abs(qz - value)) < 1e-10 * abs(value)
+    norms = two_norms(A0, A1, A2)
     for k in range(count):
         c = vecs[:, k] / np.linalg.norm(vecs[:, k])
         r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
-        scale = sum(spectral_norm(A) * abs(lam[k]) ** i
-                    for i, A in enumerate((A0, A1, A2)))
+        scale = sum(a * abs(lam[k]) ** i for i, a in enumerate(norms))
         assert np.linalg.norm(r) < 1e-12 * scale
 
 
-@pytest.mark.parametrize("name", PENCILS)
-def test_spectral_norm_estimate_matches_dense(name):
-    for A in pencil_case(name):
-        want = la.norm(A.toarray(), 2)
-        assert abs(spectral_norm(A) - want) <= 1e-10 * want
+def norm_bound_case(name):
+    """Operators whose residual scale is checked: a pencil's (A0, A1, A2),
+    the scaled Dirichlet (K, M) at q = 1, the non-Hermitian kg pencil, or a
+    lone seed row, whose ||A||_1 = 1 lies below ||A||_2 = sqrt(n)."""
+    if name == "seed row":
+        m = 15
+        return (BorderedBand(np.zeros((3, m)), np.ones(m), np.zeros(m), 1.0),)
+    if name.startswith("dirichlet"):
+        K, M = dirichlet_operators(float(name.split()[1]), 1)
+        Ks, d = K.unit_diagonal()
+        return Ks, M.scaled(d)
+    if name == "kg0.3 e0":
+        nu, op, q = kg_pencil(0.3, e0=0.5)
+        A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64, DEFAULTS)
+        dense = A0.toarray()
+        assert not np.allclose(dense, dense.conj().T)
+        return A0, A1, A2
+    return pencil_case(name)
 
 
-def test_spectral_norm_of_scaled_operators():
-    K, M = dirichlet_operators(0.4, 1)
-    Ks, d = K.unit_diagonal()
-    want = la.norm(Ks.toarray(), 2)
-    assert abs(spectral_norm(Ks) - want) <= 1e-10 * want
-    # the scaled mass has a tight cluster on top: the estimate stays below
-    Ms = M.scaled(d)
-    want = la.norm(Ms.toarray(), 2)
-    got = spectral_norm(Ms)
-    assert want * (1.0 - 1e-4) <= got <= want * (1.0 + 1e-14)
-    assert spectral_norm(0.0 * Ms) == 0.0
+@pytest.mark.parametrize("name", PENCILS + ["dirichlet 0.4", "dirichlet 2",
+                                            "dirichlet 10", "kg0.3 e0",
+                                            "seed row"])
+def test_norm_bound_brackets_the_two_norm(name):
+    # sqrt(||A||_1 ||A||_inf) is an upper bound on ||A||_2, and within 1.5x
+    # of it on every operator a residual divides by
+    ops = norm_bound_case(name)
+    for A in ops:
+        dense = A.toarray()
+        want = la.norm(dense, 2)
+        got = norm_bound(A)
+        assert want * (1.0 - 1e-14) <= got <= 1.5 * want
+        if np.allclose(dense, dense.conj().T, rtol=0.0,
+                       atol=1e-14 * np.abs(dense).max(initial=0.0)):
+            assert abs(got - A.norm1()) <= 1e-15 * got
+        assert norm_bound(0.0 * A) == 0.0
+    if name.startswith("robin"):
+        # the lambda-Robin A1 is its seed corner alone: the bound is exact
+        A1 = ops[1]
+        assert np.count_nonzero(A1.toarray()) == 1
+        assert norm_bound(A1) == abs(A1.corner) > 0
 
 
 def test_singular_p0_takes_the_retry_shift():
@@ -303,11 +331,11 @@ def test_lambda_robin_pencil_takes_the_definite_reduction(nu, monkeypatch):
     for value in lam[:32]:
         assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
     assert rel(np.abs(lam[:32]), np.abs(ref[:32])) < 1e-10
+    norms = two_norms(A0, A1, A2)
     for k in range(32):
         c = vecs[:, k] / np.linalg.norm(vecs[:, k])
         r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
-        scale = sum(spectral_norm(A) * abs(lam[k]) ** i
-                    for i, A in enumerate((A0, A1, A2)))
+        scale = sum(a * abs(lam[k]) ** i for i, a in enumerate(norms))
         assert np.linalg.norm(r) < 1e-12 * scale
 
 
@@ -432,9 +460,9 @@ def test_full_lambda_robin_spectrum_never_runs_qz(monkeypatch):
 
 def test_post_processing_products_do_not_grow_with_the_mesh(monkeypatch):
     # pencil_modes and dirichlet_spectrum form the residuals of all modes
-    # by block products; outside the Krylov products of spectral_norm and
-    # mass_deflated_eig, the count of BorderedBand products is the same at
-    # n = 32 and n = 128, so a per-mode loop fails here
+    # by block products; outside the Krylov products of mass_deflated_eig,
+    # the count of BorderedBand products is the same at n = 32 and n = 128,
+    # so a per-mode loop fails here
     counting, count = [True], [0]
     matmul = BorderedBand.__matmul__
 
@@ -452,7 +480,6 @@ def test_post_processing_products_do_not_grow_with_the_mesh(monkeypatch):
         return run
 
     monkeypatch.setattr(BorderedBand, "__matmul__", spy)
-    monkeypatch.setattr(modes, "spectral_norm", uncounted(spectral_norm))
     monkeypatch.setattr(modes, "mass_deflated_eig",
                         uncounted(mass_deflated_eig))
     nu = 0.6
@@ -487,17 +514,10 @@ def test_dense_products_run_in_scipy_blas(monkeypatch):
     ms = pencil_modes(nu, laplace_pencil(nu),
                       BoundaryOperator.lambda_robin(nu), q=0, n_nodes=128,
                       residual_cap=None)
-    # F = V^H (D A1 D) V and V W[n:], the seed rows of the three residual
-    # block products, and the re-orthogonalisation pair of each Lanczos step
+    # F = V^H (D A1 D) V and V W[n:], and the seed rows of the three
+    # residual block products; the residual scales take no dense product
     assert callers.pop("_definite_eig") == 3
     assert callers.pop("__matmul__") == 3
-    assert callers.pop("spectral_norm") > 0
-    assert not callers
-
-    K, M = dirichlet_operators(0.4, 1)
-    _, d = K.unit_diagonal()
-    spectral_norm(M.scaled(d))          # the clustered top runs all 60 steps
-    assert callers.pop("spectral_norm") == 60 * 2 * 2
     assert not callers
 
     modes.completeness_check(ms)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from besselbvp.config import DEFAULTS
 from besselbvp.core import GridFunction, Order, RadialGrid
 from besselbvp.errors import DomainError, IllConditionedFit
 from besselbvp.expansion import (
@@ -101,6 +102,21 @@ def test_fit_window_needs_nodes():
     u = GridFunction.from_pair(g, nu, [1.0], [1.0])
     with pytest.raises(DomainError):
         fit_expansion(u, nu, window=(0.9, 0.95))
+
+
+def test_negative_corrections_are_refused():
+    # both once raised a bare IndexError from an empty regressor set
+    nu = 0.3
+    g = RadialGrid.build(1.0, 256)
+    u = GridFunction(g, GridFunction.from_pair(g, nu, [3.0], [5.0]).values)
+    with pytest.raises(DomainError, match="corrections"):
+        fit_expansion(u, nu, corrections=-1)
+    with pytest.raises(DomainError, match="tail_corrections"):
+        DEFAULTS.with_overrides(tail_corrections=-1)
+    # no corrections fits the two bare branch powers
+    fit = fit_expansion(u, nu, corrections=0)
+    assert abs(fit.g_minus - 3.0) < 1e-10
+    assert abs(fit.g_plus - 5.0) < 1e-10
 
 
 def test_ill_conditioned_fit_near_zero_order():

@@ -312,6 +312,14 @@ def test_modulus_ties_break_by_real_part():
 
 
 
+def test_modulus_order_of_no_eigenvalues_is_empty():
+    # once a bare ValueError ("all keys need to be the same shape")
+    for lam in (np.zeros(0), np.zeros(0, dtype=complex)):
+        idx = modulus_order(lam)
+        assert idx.shape == (0,) and idx.dtype == np.intp
+        assert lam[idx].shape == (0,)
+
+
 def test_modulus_ties_order_imaginary_and_conjugate_pairs():
     j, eps = 3.0, 1e-15
     # an imaginary-axis pair whose real parts are rounding noise: -i j first

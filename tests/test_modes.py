@@ -68,11 +68,18 @@ def test_dirichlet_spectrum_refuses_non_integer_q_max(q_max):
         dirichlet_spectrum(0.4, q_max=q_max)
 
 
+@pytest.mark.parametrize("n_max", [1.5, True, 0])
+def test_dirichlet_spectrum_refuses_a_bad_mode_count(n_max):
+    # 1.5 and True once returned one mode silently
+    with pytest.raises(DomainError, match="n_max"):
+        dirichlet_spectrum(0.4, n_max=n_max, n_nodes=64)
+
+
 def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
     # modes q and -q share K = S + (1 + q^2) M: one eigensolve and one pair
-    # of norm estimates per |q|, each record kept once per q
+    # of norm bounds per |q|, each record kept once per q
     calls = {"eig": 0, "norm": 0}
-    eig, norm = modes.mass_deflated_eig, modes.spectral_norm
+    eig, norm = modes.mass_deflated_eig, modes.norm_bound
 
     def counted_eig(*args):
         calls["eig"] += 1
@@ -83,7 +90,7 @@ def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
         return norm(*args)
 
     monkeypatch.setattr(modes, "mass_deflated_eig", counted_eig)
-    monkeypatch.setattr(modes, "spectral_norm", counted_norm)
+    monkeypatch.setattr(modes, "norm_bound", counted_norm)
     ms = dirichlet_spectrum(0.4, q_max=2, n_max=2, n_nodes=160)
     assert calls == {"eig": 3, "norm": 6}
     assert len(ms) == 10
@@ -141,6 +148,63 @@ def test_pencil_refuses_a_mode_count_below_one(max_modes):
     with pytest.raises(DomainError, match="max_modes"):
         pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
                      max_modes=max_modes)
+
+
+@pytest.mark.parametrize("max_modes", [1.5, True])
+def test_pencil_refuses_a_non_integer_mode_count(max_modes):
+    # 1.5 once raised a bare TypeError (slice indices) and True ran as 1
+    nu = 0.4
+    with pytest.raises(DomainError, match="max_modes"):
+        pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
+                     max_modes=max_modes)
+
+
+@pytest.mark.parametrize("cap", [-1, 0.0, np.nan, np.inf])
+def test_pencil_refuses_a_bad_residual_cap(cap):
+    # -1 once crashed in modulus_order on the empty kept set
+    nu = 0.4
+    with pytest.raises(DomainError, match="residual_cap"):
+        pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
+                     residual_cap=cap)
+
+
+def test_pencil_with_no_mode_under_the_cap_is_empty():
+    nu = 0.4
+    ms = pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
+                      residual_cap=1e-30)
+    assert len(ms) == 0
+    assert ms.coeffs.shape == (ms.dof, 0)
+    assert ms.cauchy_data.shape == (2 * ms.dof, 0)
+    assert ms.residuals.shape == (0,)
+
+
+# (nu, boundary row, n_nodes, modes kept under the default 1e-7 cap): the
+# residuals divide by fem.norm_bound scales; the static Robin rows with
+# beta > 2 nu lose the modes that companion QZ returns as infinite
+KEPT_MODES = [
+    (0.55, ("lambda_robin", 1.0), 128, 252),
+    (0.3, ("lambda_robin", 0.7), 128, 252),
+    (0.52, ("lambda_robin", 1.3), 256, 512),
+    (0.4, None, 128, 250),
+    (0.75, None, 128, 250),
+    (5.5, None, 112, 220),
+    (0.3, ("robin", 0.9), 128, 218),
+    (0.3, ("robin", 1.8), 128, 218),
+    (0.6, ("robin", 1.8), 128, 150),
+    (0.6, ("robin", 3.6), 128, 150),
+]
+
+
+@pytest.mark.parametrize("nu, row, n_nodes, kept", KEPT_MODES)
+def test_pencil_kept_mode_counts(nu, row, n_nodes, kept):
+    bc = None if row is None else getattr(BoundaryOperator, row[0])(nu, row[1])
+    ms = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=n_nodes)
+    assert len(ms) == kept
+    assert np.all(ms.residuals < 1e-7)
+    if (nu, row) == (0.55, ("lambda_robin", 1.0)):
+        ms = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=n_nodes,
+                          max_modes=8)
+        assert len(ms) == 8
 
 
 def test_even_pencil_spectrum_symmetry():
