@@ -37,9 +37,11 @@ half-width p (the degree) plus, with the seed, one border row and column
 A BorderedBand multiplies a vector or an (n, k) block by the same strided
 sum over its diagonals, O(n k) per block; norm_bound, the residual scale
 of every spectrum, bounds its 2-norm from the same storage in O(n p).
-Count-limited eigensolves (mass_deflated_eig, pencil_eig with a count) run
-ARPACK shift-invert Lanczos/Arnoldi through the same factor, O(n) per
-Krylov step.  Full pencil spectra are dense.  When the scaled A0 and A2 are
+Count-limited eigensolves cost O(n) per Krylov step: mass_deflated_eig
+runs ARPACK's Lanczos on one banded Cholesky factor of the scaled K (so
+does pencil_eig with a count for an even real symmetric pencil); any other
+count-limited pencil runs shift-invert Arnoldi through the banded LU.
+Full pencil spectra are dense.  When the scaled A0 and A2 are
 Hermitian and A0 is definite, one n x n eigh of (A2, A0) reduces the pencil:
 lam = +-sqrt(mu) in closed form when A1 = 0, else one standard 2n x 2n eig
 in 1 / lam.  Any other pencil goes through companion QZ (real QZ for real
@@ -838,32 +840,57 @@ def modulus_order(lam):
     return by_re[np.lexsort((np.imag(lam)[by_re], cluster))]
 
 
+def _is_hermitian(A):
+    """True when an unseeded BorderedBand equals its adjoint to rounding
+    (1e-13 of its largest entry), as _hermitian_part judges a dense one."""
+    gap = np.max(np.abs(A.band - A.adjoint().band), initial=0.0)
+    return gap <= 1e-13 * np.max(np.abs(A.band), initial=0.0)
+
+
 def mass_deflated_eig(K, M, count):
     """The ``count`` eigenvalues of K u = lambda M u nearest 0, by modulus.
 
-    K, M are real symmetric BorderedBands, K positive definite.  Both are
-    scaled by K's diagonal, and ARPACK's shift-invert Lanczos about 0
-    applies the banded LU of the scaled K and a band product with M once per
-    step, so a step costs O(n).  Requests beyond ARPACK's limit k < n return
-    n - 1 modes.  Returns (eigenvalues, coefficient eigenvectors).
+    K, M are real symmetric unseeded BorderedBands, K positive definite.
+    Both are scaled by K's diagonal and the scaled K is factored as U^T U
+    (LAPACK dpbtrf on its upper band).  ARPACK's Lanczos then finds the
+    largest eigenvalues theta = 1 / lambda of U^-T M U^-1, the spectral
+    transformation of Ericsson & Ruhe (Math. Comp. 35, 1980): one real
+    callback per step of three BLAS-2 calls (dtbsv, dsbmv, dtbsv), O(n p).
+    The eigenvectors U^-1 y are scaled by sqrt|lambda|, so that
+    Z^T M Z = I when M is positive definite.  A scaled K that is not
+    positive definite raises SingularSystem; a seeded or complex operator
+    raises DomainError.  Requests beyond ARPACK's limit k < n return n - 1
+    modes.  Returns (eigenvalues, coefficient eigenvectors).
     """
     # imported here: scipy.sparse.linalg adds ~40 ms to the package import
     from scipy.sparse.linalg import LinearOperator, eigsh
 
+    if K.seeded or M.seeded:
+        raise DomainError("mass_deflated_eig takes unseeded K and M")
     Ks, d = K.unit_diagonal()
     Ms = M.scaled(d)
     if not _is_real(Ks, Ms):
         raise DomainError("mass_deflated_eig takes real symmetric K and M")
-    n = d.size
-    lu = _BorderedLU(Ks)
-    OPinv = LinearOperator((n, n), matvec=lambda v: lu.solve(v).real,
-                           dtype=float)
-    Kop, Mop = (LinearOperator((n, n), matvec=lambda v, B=B: (B @ v).real,
-                               dtype=float) for B in (Ks, Ms))
-    lam, Z = eigsh(Kop, k=min(int(count), n - 1), M=Mop, sigma=0.0,
-                   OPinv=OPinv, v0=_start_vector(n))
+    n, p = d.size, Ks.p
+    # rows 0..p of the band storage are LAPACK's upper symmetric band
+    U, info = la.lapack.dpbtrf(Ks.band[:p + 1].real)
+    if info > 0:
+        raise SingularSystem(f"Cholesky: leading minor {info} of the scaled "
+                             f"K is not positive definite")
+    m_up = np.asfortranarray(Ms.band[:p + 1].real)
+    tbsv, sbmv = la.blas.dtbsv, la.blas.dsbmv
+
+    def op(v):          # U^-T M U^-1 v
+        return tbsv(p, U, sbmv(p, 1.0, m_up, tbsv(p, U, v)), trans=1,
+                    overwrite_x=1)
+
+    theta, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float),
+                     k=min(int(count), n - 1), which="LM",
+                     v0=_start_vector(n))
+    lam = 1.0 / theta
+    Z, _ = la.lapack.dtbtrs(U, Y)
     idx = np.argsort(np.abs(lam), kind="stable")
-    return lam[idx], Z[:, idx] * d[:, None]
+    return lam[idx], (Z * np.sqrt(np.abs(lam)) * d[:, None])[:, idx]
 
 
 def pencil_eig(A0, A1, A2, count=None):
@@ -873,12 +900,17 @@ def pencil_eig(A0, A1, A2, count=None):
     the eigenvalues by modulus in the canonical order of modulus_order.
 
     With ``count``, the ``count + 2`` eigenvalues of least modulus (two
-    spare, so a +- pair is never cut before the caller's sort): ARPACK
-    Arnoldi on the companion operator shift-inverted about 0,
-    [v1; v2] -> [v2; -A0^{-1}(A2 v1 + A1 v2)], applying the banded LU of the
-    diagonally scaled A0 once per step.  An exactly singular A0 is retried
-    once about a small shift sigma (nearest eigenvalues to sigma).  Here m =
-    n, and at most 2n - 2 eigenvalues are returned.
+    spare, so a +- pair is never cut before the caller's sort); m = n, and
+    at most 2n - 2 eigenvalues are returned.  An unseeded real pencil with
+    A1 = 0 and the scaled A0 and A2 symmetric (judged on the band storage)
+    is A0 v = mu A2 v, mu = -lam^2: mass_deflated_eig's Lanczos on one
+    Cholesky factor of A0 gives lam = +-sqrt(-mu), each pair sharing one
+    eigenvector, as the dense A1 = 0 reduction does.  Any other pencil, or
+    an A0 whose Cholesky fails, takes ARPACK Arnoldi on the companion
+    operator shift-inverted about 0, [v1; v2] -> [v2; -A0^{-1}(A2 v1 +
+    A1 v2)], applying the banded LU of the diagonally scaled A0 once per
+    step.  An exactly singular A0 is retried once about a small shift sigma
+    (nearest eigenvalues to sigma).
 
     Without ``count``, every eigenvalue, nonfinite ones at infinity kept; a
     regular pencil contributes 2 m eigenvalues with multiplicity.  The
@@ -909,12 +941,25 @@ def pencil_eig(A0, A1, A2, count=None):
         lam, vecs, m = _definite_eig(*dense) or _companion_qz(*dense)
         idx = modulus_order(lam)
         return lam[idx], vecs[:, idx], m
-    # imported here: scipy.sparse.linalg adds ~40 ms to the package import
-    from scipy.sparse.linalg import LinearOperator, eigs
-
     B0, d = A0.unit_diagonal()
     B1, B2 = A1.scaled(d), A2.scaled(d)
     n = d.size
+    k = min(int(count) + 2, 2 * n - 2)
+    if (not B0.seeded and not np.any(B1.band) and _is_real(B0, B2)
+            and _is_hermitian(B0) and _is_hermitian(B2)):
+        try:
+            mu, Z = mass_deflated_eig(B0, B2, (k + 1) // 2)
+        except SingularSystem:
+            pass                # A0 is not definite: Arnoldi below
+        else:
+            lam = np.sqrt((-mu).astype(complex))
+            lam = np.concatenate([lam, -lam])
+            vecs = np.concatenate([Z, Z], axis=1) * d[:, None]
+            idx = modulus_order(lam)[:k]
+            return lam[idx], vecs[:, idx], n
+    # imported here: scipy.sparse.linalg adds ~40 ms to the package import
+    from scipy.sparse.linalg import LinearOperator, eigs
+
     shift = 0.0
     try:
         lu = _BorderedLU(B0)
@@ -933,8 +978,7 @@ def pencil_eig(A0, A1, A2, count=None):
         return np.concatenate([v2, -lu.solve(B2 @ v1 + B1 @ v2)])
 
     op = LinearOperator((2 * n, 2 * n), matvec=companion, dtype=complex)
-    mu, V = eigs(op, k=min(int(count) + 2, 2 * n - 2), which="LM",
-                 v0=_start_vector(2 * n).astype(complex))
+    mu, V = eigs(op, k=k, which="LM", v0=_start_vector(2 * n).astype(complex))
     finite = mu != 0
     lam = shift + 1.0 / mu[finite]
     vecs = V[:n, finite] * d[:, None]

@@ -2,16 +2,17 @@
 
 The interval Dirichlet spectrum has the closed form 1 + |q|^2 + j_{nu,n}^2
 with eigenfunctions sqrt(x) J_nu(j_{nu,n} x); the discrete Galerkin
-eigenproblem is solved alongside, by shift-invert Lanczos for the modes
-asked for, and the per-mode discrepancy reported.  Quadratic pencils
-P(lambda) = P2 + lambda P1 + lambda^2 (lambda may enter the gamma_- term
-of the boundary row) are linearised to a companion eigenproblem:
-shift-invert Arnoldi when a mode count is given.  The full spectrum is
-dense: a pencil whose lambda-free and lambda^2 parts are Hermitian, the
-first definite, is reduced by one symmetric problem (+-sqrt(mu) of it when
-P1 = 0 and no lambda sits in the boundary row, one standard eigenproblem in
-1 / lambda otherwise, as for the lambda-Robin row); any other goes through
-companion QZ.
+eigenproblem is solved alongside, by Lanczos on a banded Cholesky factor
+for the modes asked for, and the per-mode discrepancy reported.  Quadratic
+pencils P(lambda) = P2 + lambda P1 + lambda^2 (lambda may enter the
+gamma_- term of the boundary row) with a mode count take the same Lanczos
+in mu = -lambda^2 when P1 = 0 and the operators are real and symmetric,
+else shift-invert Arnoldi on the companion linearisation.  The full
+spectrum is dense: a pencil whose lambda-free and lambda^2 parts are
+Hermitian, the first definite, is reduced by one symmetric problem
+(+-sqrt(mu) of it when P1 = 0 and no lambda sits in the boundary row, one
+standard eigenproblem in 1 / lambda otherwise, as for the lambda-Robin
+row); any other goes through companion QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -219,14 +220,17 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     passes); pass ``residual_cap=None`` to collect every eigenvalue of the
     discrete pencil (with multiplicity), as the completeness check requires.
 
-    ``max_modes=k`` asks for the k modes of least modulus only: shift-invert
-    Arnoldi through the banded LU of P(0), O(n) per step.  Without it every
-    eigenvalue is computed densely (fem.pencil_eig).  When the lambda-free
-    and lambda^2 operators are Hermitian and the first is definite (the
-    Laplace pencil with a Dirichlet, lambda-free or lambda-Robin row), one
-    symmetric eigh reduces the pencil: +-sqrt(mu), mu = lambda^2, without a
-    lambda-linear term, one standard eig in 1 / lambda with it.  Any other
-    pencil (an e0 term, an indefinite A0) takes companion QZ.
+    ``max_modes=k`` asks for the k modes of least modulus only, O(n) per
+    Krylov step: the Cholesky Lanczos in -lambda^2 for a real symmetric
+    pencil without a lambda-linear term (the Dirichlet Laplace and kg
+    pencils), else shift-invert Arnoldi through the banded LU of P(0).
+    Without it every eigenvalue is computed densely (fem.pencil_eig).  When
+    the lambda-free and lambda^2 operators are Hermitian and the first is
+    definite (the Laplace pencil with a Dirichlet, lambda-free or
+    lambda-Robin row), one symmetric eigh reduces the pencil: +-sqrt(mu),
+    mu = lambda^2, without a lambda-linear term, one standard eig in
+    1 / lambda with it.  Any other pencil (an e0 term, an indefinite A0)
+    takes companion QZ.
     """
     order = as_order(nu)
     if max_modes is not None:
@@ -326,12 +330,14 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     They equal (1 + lambda_n)^{-1/2} for the discrete Dirichlet eigenvalues,
     the finite-rank counterpart of (1 + j_{nu,n}^2)^{-1/2}; a log-log fit of
     s_j against j estimates the decay exponent (continuum value -1 at n = 1).
+    ``dof`` is an integer >= 2 (a line fit needs two points).
     """
     order = as_order(nu)
+    _check_count("dof", dof, 2)
     # resolve well past `dof` modes: the trailing eigenvalues of a spectral
     # discretisation overshoot, and the embedding's leading dof singular
     # values are the desk-scale surrogate being certified
-    space = Space(order, 1.0, n_nodes=4 * int(dof), dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=4 * dof, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     mats = space.matrices()
     lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof)

@@ -18,6 +18,7 @@ import besselbvp.cli  # noqa: F401  (traced, and not imported by the package)
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.fem import Space
+from besselbvp.modes import dirichlet_spectrum, pencil_modes
 from besselbvp.solve import BesselOperator, BVProblem, solve_1d
 from besselbvp.symbols import BoundaryOperator
 
@@ -64,3 +65,24 @@ def test_constant_a_solve_assembles_and_gates_once(b_coeff, forms):
     cell0 = [s for s in spans if s.name == "fem.first_cell_inner"]
     assert len(cell0) == forms
     assert all(s.parent == assembly for s in cell0)
+
+
+def test_targeted_spectra_trace_one_lanczos_per_eigensolve():
+    # fem.mass_deflated_eig.busy_s times the Cholesky Lanczos: once per |q|
+    # of a Dirichlet spectrum, and inside fem.pencil_eig for a count-limited
+    # even real pencil
+    with layers.watch(Tracer()) as tracer:
+        dirichlet_spectrum(0.4, q_max=1)
+    names = [s.name for s in tracer.spans]
+    assert names.count("fem.mass_deflated_eig") == 2
+
+    nu = 0.4
+    op = BesselOperator(Order(nu), a_coeff=0.0,
+                        pencil_fourier=lambda q: (float(np.dot(q, q)), 0.0,
+                                                  1.0))
+    with layers.watch(Tracer()) as tracer:
+        pencil_modes(nu, op, None, q=0, n_nodes=128, max_modes=4)
+    spans = tracer.spans
+    lanczos = [s for s in spans if s.name == "fem.mass_deflated_eig"]
+    assert len(lanczos) == 1
+    assert spans[lanczos[0].parent].name == "fem.pencil_eig"

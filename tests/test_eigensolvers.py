@@ -17,9 +17,9 @@ from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.errors import DomainError, SingularSystem
 from besselbvp.fem import (BorderedBand, Space, _BorderedLU, _companion_qz,
-                           _diag_scale, _hermitian_part, _is_real,
-                           mass_deflated_eig, modulus_order, norm_bound,
-                           pencil_eig)
+                           _definite_eig, _diag_scale, _hermitian_part,
+                           _is_real, mass_deflated_eig, modulus_order,
+                           norm_bound, pencil_eig)
 from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
                              embedding_singular_values, pencil_modes)
@@ -88,6 +88,9 @@ def test_dirichlet_lanczos_matches_dense_reduction(nu, q):
     for k in range(8):
         r = K @ vecs[:, k] - lam[k] * (M @ vecs[:, k])
         assert np.linalg.norm(r) <= 1e-9 * np.linalg.norm(K @ vecs[:, k])
+    # the eigenvectors are M-orthonormal
+    gram = vecs.T @ M.toarray().real @ vecs
+    assert np.max(np.abs(gram - np.eye(8))) < 1e-12
 
 
 @pytest.mark.parametrize("name", PENCILS)
@@ -186,6 +189,123 @@ def test_lanczos_refuses_complex_operators():
     K, M = dirichlet_operators(0.5, 0, n_nodes=40)
     with pytest.raises(DomainError):
         mass_deflated_eig(K + 0.1j * M, M, 3)
+
+
+def test_lanczos_refuses_an_indefinite_K():
+    # S - 50 M has S's least eigenvalue (about 9.9 at nu = 0.5) below 50
+    space = Space(Order(0.5), 1.0, n_nodes=40, dirichlet_cap=True,
+                  include_minus=False)
+    mats = space.matrices()
+    with pytest.raises(SingularSystem, match="leading minor"):
+        mass_deflated_eig(mats["S"] + (-50.0) * mats["M"], mats["M"], 3)
+
+
+def test_lanczos_refuses_seeded_operators():
+    space = Space(Order(0.3), 1.0, n_nodes=40, dirichlet_cap=True,
+                  include_minus=True)
+    mats = space.matrices()
+    K, M = mats["S"] + mats["M"], mats["M"]
+    for ops in [(K, M), (K, M.lagrange_block()), (K.lagrange_block(), M)]:
+        with pytest.raises(DomainError):
+            mass_deflated_eig(*ops, 3)
+
+
+def test_lanczos_makes_no_operator_product_and_no_lu(monkeypatch):
+    # one Cholesky factor and BLAS band kernels do every Krylov step
+    def refuse(*args, **kwargs):
+        raise AssertionError("mass_deflated_eig left the Cholesky path")
+
+    K, M = dirichlet_operators(0.5, 1, n_nodes=128)
+    monkeypatch.setattr(BorderedBand, "__matmul__", refuse)
+    monkeypatch.setattr(fem, "_BorderedLU", refuse)
+    lam, _ = mass_deflated_eig(K, M, 6)
+    assert lam.size == 6
+
+
+def kg_ads_static_pencil():
+    """The pencil of the kg fixture ads_static.cfg (mass -2, nu = 1/2) at
+    the fixture's mesh."""
+    red = reduce(ModelMetric(3, np.diag([1.0, -1.0, -1.0]), None, 0.0), -2.0)
+    return _pencil_matrices(red.nu, red.bessel_op, None, (0, 0), 160,
+                            DEFAULTS)[:3]
+
+
+def count_routes(monkeypatch):
+    """Patch fem so that each count-limited pencil_eig records whether the
+    Lanczos ran (and returned) and whether the banded LU was built."""
+    seen = {"lanczos": 0, "lanczos_failed": 0, "lu": 0}
+    lanczos, lu = fem.mass_deflated_eig, fem._BorderedLU
+
+    def spy_lanczos(*args):
+        try:
+            out = lanczos(*args)
+        except SingularSystem:
+            seen["lanczos_failed"] += 1
+            raise
+        seen["lanczos"] += 1
+        return out
+
+    def spy_lu(*args):
+        seen["lu"] += 1
+        return lu(*args)
+
+    monkeypatch.setattr(fem, "mass_deflated_eig", spy_lanczos)
+    monkeypatch.setattr(fem, "_BorderedLU", spy_lu)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["laplace", "kg ads_static"])
+def test_even_real_pencil_count_takes_the_lanczos(name, monkeypatch):
+    if name == "laplace":
+        A0, A1, A2 = _pencil_matrices(0.4, laplace_pencil(0.4), None, 0, 128,
+                                      DEFAULTS)[:3]
+    else:
+        A0, A1, A2 = kg_ads_static_pencil()
+    seen = count_routes(monkeypatch)
+    lam, vecs, m = pencil_eig(A0, A1, A2, count=8)
+    assert seen == {"lanczos": 1, "lanczos_failed": 0, "lu": 0}
+    assert m == A0.shape[0] and lam.size == 10
+    # count + 2 eigenvalues also when that splits a +- pair, as the Arnoldi
+    assert pencil_eig(A0, A1, A2, count=5)[0].size == 7
+    ref, _, _ = _definite_eig(*(A.toarray().real for A in (A0, A1, A2)))
+    ref = ref[modulus_order(ref)]
+    assert np.max(np.abs(lam - ref[:10]) / np.abs(ref[:10])) < 1e-10
+    # each +- pair shares one eigenvector
+    assert np.array_equal(vecs[:, 0::2], vecs[:, 1::2])
+    norms = two_norms(A0, A1, A2)
+    for k in range(10):
+        c = vecs[:, k] / np.linalg.norm(vecs[:, k])
+        r = A0 @ c + lam[k] ** 2 * (A2 @ c)
+        assert np.linalg.norm(r) < 1e-12 * (norms[0] + abs(lam[k]) ** 2
+                                            * norms[2])
+
+
+def other_pencil(name):
+    if name == "lambda-robin":
+        return pencil_case("robin 0.55")
+    if name == "kg e0":
+        nu, op, q = kg_pencil(0.3, e0=0.5)
+        return _pencil_matrices(nu, op, None, q, 128, DEFAULTS)[:3]
+    A0, A1, A2 = pencil_case("laplace 0.4")
+    return A0 + (-30.0) * A2, A1, A2
+
+
+@pytest.mark.parametrize("name, lanczos_failed", [("lambda-robin", 0),
+                                                   ("kg e0", 0),
+                                                   ("indefinite", 1)])
+def test_other_pencil_counts_take_the_arnoldi(name, lanczos_failed,
+                                              monkeypatch):
+    # a seeded lambda-Robin pencil, a non-Hermitian A0 (e0 term) and an
+    # indefinite A0 = S - 30 M, whose Cholesky fails, keep the Arnoldi
+    A0, A1, A2 = other_pencil(name)
+    seen = count_routes(monkeypatch)
+    lam, _, _ = pencil_eig(A0, A1, A2, count=6)
+    assert seen == {"lanczos": 0, "lanczos_failed": lanczos_failed,
+                    "lu": 1}
+    qz, _, _ = pencil_eig(A0, A1, A2)
+    qz = qz[np.isfinite(qz)]
+    for value in lam[:6]:
+        assert np.min(np.abs(qz - value)) < 1e-10 * abs(value)
 
 
 def test_requests_beyond_arpack_limits_return_what_fits():
@@ -460,28 +580,17 @@ def test_full_lambda_robin_spectrum_never_runs_qz(monkeypatch):
 
 def test_post_processing_products_do_not_grow_with_the_mesh(monkeypatch):
     # pencil_modes and dirichlet_spectrum form the residuals of all modes
-    # by block products; outside the Krylov products of mass_deflated_eig,
-    # the count of BorderedBand products is the same at n = 32 and n = 128,
-    # so a per-mode loop fails here
-    counting, count = [True], [0]
+    # by block products, and mass_deflated_eig makes none: the count of
+    # BorderedBand products is the same at n = 32 and n = 128, so a
+    # per-mode loop fails here
+    count = [0]
     matmul = BorderedBand.__matmul__
 
     def spy(self, x):
-        count[0] += counting[0]
+        count[0] += 1
         return matmul(self, x)
 
-    def uncounted(fun):
-        def run(*args, **kwargs):
-            counting[0] = False
-            try:
-                return fun(*args, **kwargs)
-            finally:
-                counting[0] = True
-        return run
-
     monkeypatch.setattr(BorderedBand, "__matmul__", spy)
-    monkeypatch.setattr(modes, "mass_deflated_eig",
-                        uncounted(mass_deflated_eig))
     nu = 0.6
     counts = []
     for n in (32, 128):

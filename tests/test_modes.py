@@ -3,7 +3,7 @@ import pytest
 
 from besselbvp import modes
 from besselbvp.core import Order, RadialGrid, GridFunction
-from besselbvp.errors import DomainError, IncompleteModeInput
+from besselbvp.errors import DomainError, IncompleteModeInput, SingularSystem
 from besselbvp.modes import (
     ModeSource,
     completeness_check,
@@ -73,6 +73,13 @@ def test_dirichlet_spectrum_refuses_a_bad_mode_count(n_max):
     # 1.5 and True once returned one mode silently
     with pytest.raises(DomainError, match="n_max"):
         dirichlet_spectrum(0.4, n_max=n_max, n_nodes=64)
+
+
+def test_dirichlet_spectrum_large_order_is_a_typed_failure():
+    # at nu = 20 the first stiffness entries underflow to 0, so the scaled K
+    # is not positive definite: a SingularSystem, never a silent spectrum
+    with pytest.raises(SingularSystem, match="leading minor"):
+        dirichlet_spectrum(20, n_max=10)
 
 
 def test_dirichlet_spectrum_solves_each_abs_q_once(monkeypatch):
@@ -329,6 +336,14 @@ def test_embedding_exponent_in_range():
     rep = embedding_singular_values(0.3, dof=64)
     assert -1.1 <= rep.fitted_exponent <= -0.9
     assert np.all(np.diff(rep.s) < 0)
+
+
+@pytest.mark.parametrize("dof", [10.5, True, 1])
+def test_embedding_refuses_a_bad_dof(dof):
+    # 10.5 once ran as dof = 10, and True failed on a 4-node mesh; a
+    # log-log fit needs two singular values
+    with pytest.raises(DomainError, match="dof"):
+        embedding_singular_values(0.3, dof=dof)
 
 
 def test_embedding_monotone_and_positive():
