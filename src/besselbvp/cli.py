@@ -197,8 +197,12 @@ def _get(conf, section, key, default=None, typ=str):
 
 
 def _int(raw):
-    """An integer written as any number, e.g. 1e3 (a ``typ`` for _get)."""
-    return int(float(raw))
+    """An integer written as any number, e.g. 1e3 (a ``typ`` for _get); a
+    fractional part is refused, not truncated."""
+    value = float(raw)
+    if value != int(value):
+        raise ValueError(f"{raw!r} is not an integer")
+    return int(value)
 
 
 def _floats(raw):

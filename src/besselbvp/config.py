@@ -4,9 +4,19 @@ Every numerical knob that more than one module consults lives here, so that a
 sweep or a CLI run can override tolerances in one place.
 """
 
-from dataclasses import dataclass, replace
+import math
+import numbers
+from dataclasses import dataclass, fields, replace
 
 from .errors import DomainError
+
+
+def _check_count(name, value, least):
+    """Refuse a count that is a bool, not an integer or below ``least``."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise DomainError(f"{name} must be an integer >= {least}, "
+                          f"got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -41,14 +51,18 @@ class Settings:
     halfline_decay_lengths: float = 40.0
 
     def __post_init__(self):
-        if self.fem_degree < 2:
-            raise DomainError("fem degree must be at least 2")
-        if not 0 < self.solver_residual_tol < float("inf"):
-            raise DomainError("solver_residual_tol must be finite and > 0, "
-                              f"got {self.solver_residual_tol}")
-        if self.tail_corrections < 0:
-            raise DomainError("tail_corrections must be at least 0, got "
-                              f"{self.tail_corrections}")
+        """Integer fields are counts (>= 1; fem_degree >= 2,
+        tail_corrections >= 0); float fields are finite and > 0."""
+        least = {"fem_degree": 2, "tail_corrections": 0}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type is int:
+                _check_count(f.name, value, least.get(f.name, 1))
+            elif (isinstance(value, bool)
+                  or not isinstance(value, numbers.Real)
+                  or not 0 < value < math.inf):
+                raise DomainError(f"{f.name} must be finite and > 0, "
+                                  f"got {value!r}")
 
     def with_overrides(self, **kw):
         return replace(self, **kw)

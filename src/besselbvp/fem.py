@@ -46,6 +46,12 @@ Hermitian and A0 is definite, one n x n eigh of (A2, A0) reduces the pencil:
 lam = +-sqrt(mu) in closed form when A1 = 0, else one standard 2n x 2n eig
 in 1 / lam.  Any other pencil goes through companion QZ (real QZ for real
 operators).
+
+Across the package, scipy is imported inside the functions that call it,
+never at module level: ``import besselbvp`` loads numpy alone, and the
+first scipy-backed call of a process pays scipy's set-up (about 0.3 s).
+Once scipy is loaded such an import costs about a microsecond; none runs
+in an ARPACK callback (_BorderedLU binds zgbtrs once per factorisation).
 """
 
 from __future__ import annotations
@@ -57,8 +63,6 @@ import numpy as np
 from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import Legendre
 from numpy.polynomial.polynomial import polyder, polyval
-from scipy import linalg as la
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from .config import DEFAULTS
 from .core import as_order
@@ -176,6 +180,8 @@ def _matmul(a, b):
     Each call passes the layout and transposition flags numpy's matmul
     passes its BLAS, so on one thread the kernels sum in numpy's order.
     """
+    from scipy.linalg.blas import get_blas_funcs
+
     dtype = np.result_type(a, b)
     # numpy casts an operand into a C-ordered copy
     a, b = (x if x.dtype == dtype else np.ascontiguousarray(x, dtype)
@@ -187,11 +193,11 @@ def _matmul(a, b):
     if b.ndim == 1:
         if a.shape[0] == 1:     # one entry: numpy's own unthreaded dot
             return a @ b
-        gemv = la.blas.get_blas_funcs("gemv", dtype=dtype)
+        gemv = get_blas_funcs("gemv", dtype=dtype)
         y, t = _blas_layout(a)
         return gemv(1.0, y, b, trans=t)
     # (a b)^T = b^T a^T in column-major storage, as numpy's row-major gemm
-    gemm = la.blas.get_blas_funcs("gemm", dtype=dtype)
+    gemm = get_blas_funcs("gemm", dtype=dtype)
     (y, ty), (z, tz) = _blas_layout(b.T), _blas_layout(a.T)
     return gemm(1.0, y, z, trans_a=ty, trans_b=tz).T
 
@@ -260,16 +266,22 @@ class BorderedBand:
         p, m = self.p, self.band.shape[1]
         block = x.shape[1:]                 # () for a vector, (k,) for a block
         along = (...,) + (None,) * len(block)
-        # prod[r, p + j] = A[j + r - p, j] x_j, so (A x)_i sums the slots
-        # prod[r, i + 2p - r]: a strided view walks those anti-diagonals,
-        # the block columns riding along as a trailing axis
-        prod = np.zeros((2 * p + 1, m + 2 * p) + block,
-                        dtype=np.result_type(self.band, x))
-        np.multiply(self.band[along], xw, out=prod[:, p:p + m])
-        st = prod.strides
-        y = np.add.reduce(np.ndarray((2 * p + 1, m) + block, prod.dtype,
-                                     prod, 2 * p * st[1],
-                                     (st[0] - st[1],) + st[1:]), axis=0)
+        dtype = np.result_type(self.band, x)
+        if not self.band.any():
+            # a zero band (the A1 of a Laplace or corner-only lambda-Robin
+            # pencil): only the seed terms below are nonzero
+            y = np.zeros((m,) + block, dtype)
+        else:
+            # prod[r, p + j] = A[j + r - p, j] x_j, so (A x)_i sums the
+            # slots prod[r, i + 2p - r]: a strided view walks those
+            # anti-diagonals, the block columns riding along as a trailing
+            # axis
+            prod = np.zeros((2 * p + 1, m + 2 * p) + block, dtype)
+            np.multiply(self.band[along], xw, out=prod[:, p:p + m])
+            st = prod.strides
+            y = np.add.reduce(np.ndarray((2 * p + 1, m) + block, dtype,
+                                         prod, 2 * p * st[1],
+                                         (st[0] - st[1],) + st[1:]), axis=0)
         if not self.seeded:
             return y
         seed = _matmul(self.row, xw) if block else self.row @ xw
@@ -705,10 +717,12 @@ class _BorderedLU:
     """Banded LU of the Lagrange block plus one Schur step on the seed."""
 
     def __init__(self, A):
+        from scipy.linalg.lapack import zgbtrf, zgbtrs
+
         p = A.p
         ab = np.zeros((3 * p + 1, A.band.shape[1]), dtype=complex)
         ab[p:] = A.band
-        self.A, self.p = A, p
+        self.A, self.p, self.zgbtrs = A, p, zgbtrs
         self.lu, self.piv, info = zgbtrf(ab, p, p, overwrite_ab=True)
         if info != 0:
             raise SingularSystem(f"banded LU: zero pivot in column {info}")
@@ -720,7 +734,7 @@ class _BorderedLU:
                 raise SingularSystem("zero Schur pivot on the seed dof")
 
     def _band_solve(self, b, trans):
-        x, _ = zgbtrs(self.lu, self.p, self.p, b, self.piv, trans=trans)
+        x, _ = self.zgbtrs(self.lu, self.p, self.p, b, self.piv, trans=trans)
         return x
 
     def solve(self, b, adjoint=False):
@@ -862,7 +876,7 @@ def mass_deflated_eig(K, M, count):
     raises DomainError.  Requests beyond ARPACK's limit k < n return n - 1
     modes.  Returns (eigenvalues, coefficient eigenvectors).
     """
-    # imported here: scipy.sparse.linalg adds ~40 ms to the package import
+    from scipy.linalg import blas, lapack
     from scipy.sparse.linalg import LinearOperator, eigsh
 
     if K.seeded or M.seeded:
@@ -873,12 +887,12 @@ def mass_deflated_eig(K, M, count):
         raise DomainError("mass_deflated_eig takes real symmetric K and M")
     n, p = d.size, Ks.p
     # rows 0..p of the band storage are LAPACK's upper symmetric band
-    U, info = la.lapack.dpbtrf(Ks.band[:p + 1].real)
+    U, info = lapack.dpbtrf(Ks.band[:p + 1].real)
     if info > 0:
         raise SingularSystem(f"Cholesky: leading minor {info} of the scaled "
                              f"K is not positive definite")
     m_up = np.asfortranarray(Ms.band[:p + 1].real)
-    tbsv, sbmv = la.blas.dtbsv, la.blas.dsbmv
+    tbsv, sbmv = blas.dtbsv, blas.dsbmv
 
     def op(v):          # U^-T M U^-1 v
         return tbsv(p, U, sbmv(p, 1.0, m_up, tbsv(p, U, v)), trans=1,
@@ -888,7 +902,7 @@ def mass_deflated_eig(K, M, count):
                      k=min(int(count), n - 1), which="LM",
                      v0=_start_vector(n))
     lam = 1.0 / theta
-    Z, _ = la.lapack.dtbtrs(U, Y)
+    Z, _ = lapack.dtbtrs(U, Y)
     idx = np.argsort(np.abs(lam), kind="stable")
     return lam[idx], (Z * np.sqrt(np.abs(lam)) * d[:, None])[:, idx]
 
@@ -957,7 +971,6 @@ def pencil_eig(A0, A1, A2, count=None):
             vecs = np.concatenate([Z, Z], axis=1) * d[:, None]
             idx = modulus_order(lam)[:k]
             return lam[idx], vecs[:, idx], n
-    # imported here: scipy.sparse.linalg adds ~40 ms to the package import
     from scipy.sparse.linalg import LinearOperator, eigs
 
     shift = 0.0
@@ -988,8 +1001,10 @@ def pencil_eig(A0, A1, A2, count=None):
 
 def _deflation(K):
     """(T, Dinv, Ks): orthonormal basis of the content of the scaled K."""
+    from scipy.linalg import svd
+
     Ks, Dinv = _diag_scale(K)
-    U, sv, _ = la.svd(0.5 * (Ks + Ks.conj().T))
+    U, sv, _ = svd(0.5 * (Ks + Ks.conj().T))
     keep = sv > RANK_CUTOFF * sv[0]
     return U[:, keep], Dinv, Ks
 
@@ -1020,15 +1035,17 @@ def _definite_eig(A0, A1, A2):
     leading coefficient: one standard eig, real for real operators.  Its
     bottom block is the eigenvector, and at s = 0 (lam = inf) the v2 data.
     """
+    from scipy.linalg import eig, eigh, eigvalsh
+
     A0s, Dinv = _diag_scale(A0)
     H0 = _hermitian_part(A0s)
     H2 = _hermitian_part((A2 * Dinv[None, :]) * Dinv[:, None])
     if H0 is None or H2 is None:
         return None
-    ev = la.eigvalsh(H0)        # the singular values _deflation ranks
+    ev = eigvalsh(H0)        # the singular values _deflation ranks
     if not ev[0] > RANK_CUTOFF * abs(ev[-1]):
         return None
-    theta, V = la.eigh(H2, H0)  # A2 v = theta A0 v
+    theta, V = eigh(H2, H0)  # A2 v = theta A0 v
     n = theta.size
     if not np.any(A1):
         with np.errstate(divide="ignore"):
@@ -1039,7 +1056,7 @@ def _definite_eig(A0, A1, A2):
     F = _matmul(_matmul(V.conj().T, (A1 * Dinv[None, :]) * Dinv[:, None]), V)
     C = np.block([[-F, -np.diag(theta).astype(F.dtype)],
                   [np.eye(n, dtype=F.dtype), np.zeros((n, n), F.dtype)]])
-    s, W = la.eig(C)            # s = 1 / lam
+    s, W = eig(C)            # s = 1 / lam
     lam = np.full(s.shape, np.inf, dtype=complex)
     lam[s != 0] = 1.0 / s[s != 0]
     return lam, _matmul(V, W[n:]) * Dinv[:, None], n
@@ -1047,6 +1064,8 @@ def _definite_eig(A0, A1, A2):
 
 def _companion_qz(A0, A1, A2):
     """Dense companion QZ of pencil_eig in deflated scaled coordinates."""
+    from scipy.linalg import eig
+
     T, Dinv, A0s = _deflation(A0)
     A0p = _matmul(_matmul(T.conj().T, A0s), T)
     A1p, A2p = _project(T, Dinv, A1), _project(T, Dinv, A2)
@@ -1055,7 +1074,7 @@ def _companion_qz(A0, A1, A2):
     Iden = np.eye(m, dtype=A0p.dtype)
     C = np.block([[-A1p, -A0p], [Iden, Z]])
     D = np.block([[A2p, Z], [Z, Iden]])
-    lam, V = la.eig(C, D)
+    lam, V = eig(C, D)
     bad = np.isnan(lam)
     lam, V = lam[~bad], V[:, ~bad]
     # an eigenvalue beyond double range is reported inf by QZ; its Cauchy

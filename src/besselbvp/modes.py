@@ -20,14 +20,12 @@ statement.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
-from scipy import linalg as la
 
-from .config import DEFAULTS
+from .config import DEFAULTS, _check_count
 from .core import Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
@@ -105,14 +103,6 @@ def _column_norms(X):
     """The 2-norm of each column of X, one np.linalg.norm per column (a
     single norm(axis=0) rounds differently)."""
     return np.array([np.linalg.norm(x) for x in X.T])
-
-
-def _check_count(name, value, least):
-    """Refuse a count that is a bool, not an integer or below ``least``."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise DomainError(f"{name} must be an integer >= {least}, "
-                          f"got {value!r}")
 
 
 def _dirichlet_pairs(K, M, n_max):
@@ -243,9 +233,9 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
                                          settings)
     n = A0.shape[0]
-    try:
+    try:        # scipy.linalg raises numpy's LinAlgError
         lam, cvecs, m_eff = pencil_eig(A0, A1, A2, count=max_modes)
-    except (la.LinAlgError, SingularSystem) as exc:
+    except (np.linalg.LinAlgError, SingularSystem) as exc:
         raise LinearizationSingular(str(exc)) from exc
     if lam.size == 0:
         raise LinearizationSingular("every pencil eigenvalue is infinite")
@@ -303,6 +293,8 @@ def completeness_check(modes, settings=DEFAULTS):
     one; the verdict
     is full numerical rank at the 1e-8 relative singular-value threshold.
     """
+    from scipy.linalg import svdvals
+
     D = modes.cauchy_data
     if D.size == 0:
         raise IncompleteModeInput("mode set carries no Cauchy data")
@@ -317,7 +309,7 @@ def completeness_check(modes, settings=DEFAULTS):
     if constraint is not None:
         w = constraint / max(np.linalg.norm(constraint), 1e-300)
         cols = cols - np.outer(w, _matmul(w.conj(), cols))
-    s = la.svdvals(cols)
+    s = svdvals(cols)
     thresh = settings.rank_rel_tol * s[0] if s.size else 0.0
     rank = int(np.sum(s > thresh))
     smallest = float(s[rank - 1]) if rank else 0.0

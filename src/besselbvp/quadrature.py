@@ -14,13 +14,13 @@ what makes the trace/Green identities certifiable at tight tolerances.
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 from .errors import DomainError
 
 
 @lru_cache(maxsize=256)
 def _legendre(n):
+    from scipy.special import roots_legendre
     x, w = roots_legendre(n)
     return x, w
 
@@ -33,6 +33,7 @@ def _jacobi01(beta, n):
     if abs(beta) < 1e-14:
         x, w = _legendre(n)
         return (x + 1.0) / 2.0, w / 2.0
+    from scipy.special import roots_jacobi
     x, w = roots_jacobi(n, 0.0, beta)
     t = (x + 1.0) / 2.0
     return t, w / 2.0 ** (beta + 1.0)

@@ -16,8 +16,6 @@ from enum import Enum
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.special import gamma as _gamma
-from scipy.special import ive, kve
 
 from .config import DEFAULTS
 from .core import (
@@ -502,6 +500,8 @@ def poisson_lift_profile(nu, which, q):
     "at_one":  gamma_- = 0 and value 1 at x = 1 (any nu > 0).  Evaluation is
     overflow-safe for large <q> through exponentially scaled Bessel calls.
     """
+    from scipy.special import gamma, ive, kve
+
     order = as_order(nu)
     nuval = order.nu
     if which not in ("at_zero", "at_one"):
@@ -517,7 +517,7 @@ def poisson_lift_profile(nu, which, q):
         return profile
 
     # (2 (tau/2)^nu / Gamma(nu)) [sqrt(x) K(tau x) - (K(tau)/I(tau)) sqrt(x) I(tau x)]
-    pref = 2.0 * (tau / 2.0) ** nuval / _gamma(nuval)
+    pref = 2.0 * (tau / 2.0) ** nuval / gamma(nuval)
     ratio = (kve(nuval, tau) / ive(nuval, tau)) * np.exp(-2.0 * tau)
 
     def profile(x):

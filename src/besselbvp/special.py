@@ -16,7 +16,6 @@ convention Im xi < 0 pass i*xi*x, which then has positive real part.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as _sp
 
 from .config import DEFAULTS
 from .errors import DomainError, OverflowSignalled, ZeroSearchError
@@ -73,31 +72,37 @@ def eval_K(nu, z):
     Overflow raises OverflowSignalled rather than returning inf; Re z <= 0
     is a domain error (principal branch only).
     """
+    from scipy.special import kv
+
     nu = _check_order(nu)
     zarr = np.asarray(z, dtype=complex)
     if np.any(zarr.real <= 0):
         raise DomainError("eval_K requires Re z > 0 (principal branch)")
     zin = zarr if np.iscomplexobj(np.asarray(z)) or zarr.imag.any() else zarr.real
-    val = _guard(_sp.kv(nu, zin), "K", nu, z)
+    val = _guard(kv(nu, zin), "K", nu, z)
     return val if np.ndim(z) else complex(val)
 
 
 def eval_I(nu, z):
     """Modified Bessel function I_nu(z); small-z behaviour (z/2)^nu / Gamma(1+nu)."""
+    from scipy.special import iv
+
     nu = _check_order(nu)
     zarr = np.asarray(z, dtype=complex)
     zin = zarr if np.iscomplexobj(np.asarray(z)) or zarr.imag.any() else zarr.real
-    val = _guard(_sp.iv(nu, zin), "I", nu, z)
+    val = _guard(iv(nu, zin), "I", nu, z)
     return val if np.ndim(z) else complex(val)
 
 
 def eval_J(nu, x):
     """Bessel function of the first kind J_nu(x) for real x > 0."""
+    from scipy.special import jv
+
     nu = _check_order(nu)
     xarr = np.asarray(x, dtype=float)
     if np.any(xarr <= 0):
         raise DomainError("eval_J requires x > 0")
-    val = _guard(_sp.jv(nu, xarr), "J", nu, x)
+    val = _guard(jv(nu, xarr), "J", nu, x)
     return val if np.ndim(x) else float(val)
 
 
@@ -110,12 +115,14 @@ def _zero_brackets(nu, count):
     every zero sits in exactly one grid interval and each sign change
     certifies one zero: the count cannot skip an index.
     """
+    from scipy.special import jv
+
     step = np.pi / 2.0
     brackets = []
     start = nu
     while len(brackets) < count:
         xs = start + step * np.arange(2 * (count - len(brackets)) + 8)
-        fs = _sp.jv(nu, xs)
+        fs = jv(nu, xs)
         for a, b, fa, fb in zip(xs[:-1], xs[1:], fs[:-1], fs[1:]):
             if fa != 0 and fa * fb <= 0:
                 brackets.append((a, b, np.sign(fa)))
@@ -130,6 +137,8 @@ def bessel_zeros(nu, count, settings=DEFAULTS):
     spacing (see ``_zero_brackets``); Newton steps that leave the bracket
     fall back to bisection, so the n-th entry is always the n-th zero.
     """
+    from scipy.special import jv, jvp
+
     nu = _check_order(nu)
     count = int(count)
     if count < 1:
@@ -139,8 +148,8 @@ def bessel_zeros(nu, count, settings=DEFAULTS):
         x = 0.5 * (lo + hi)
         converged = False
         for _ in range(settings.bessel_zero_max_newton):
-            f = _sp.jv(nu, x)
-            fp = _sp.jvp(nu, x)
+            f = jv(nu, x)
+            fp = jvp(nu, x)
             xn = x - f / fp if fp != 0 else np.nan
             if abs(f) < settings.bessel_zero_residual:
                 # one more step: Newton squares the residual-level error
@@ -163,6 +172,8 @@ def bessel_zeros(nu, count, settings=DEFAULTS):
 
 def sqrtx_K(nu, tau, x):
     """sqrt(x) K_nu(tau x) on an array of x > 0; the decaying radial branch."""
+    from scipy.special import kv
+
     x = np.asarray(x, dtype=float)
-    return np.sqrt(x) * _guard(_sp.kv(nu, tau * x), "K", nu, "tau*x")
+    return np.sqrt(x) * _guard(kv(nu, tau * x), "K", nu, "tau*x")
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as _gamma
 
 from .config import DEFAULTS
 from .core import GridFunction, RadialGrid, TraceData, as_order
@@ -179,11 +178,13 @@ def elliptic_roots(sym, eta, lam=0.0, settings=DEFAULTS):
 
 def mode_traces(nu, xi):
     """Closed-form traces (1, -2nu Gamma(1-nu)/Gamma(1+nu) (i xi/2)^{2nu})."""
+    from scipy.special import gamma
+
     order = as_order(nu)
     if order.regime.value != "subcritical":
         raise DomainError("mode traces require 0 < nu < 1")
     nu = order.nu
-    gp = -2.0 * nu * (_gamma(1.0 - nu) / _gamma(1.0 + nu)) \
+    gp = -2.0 * nu * (gamma(1.0 - nu) / gamma(1.0 + nu)) \
         * (1j * xi / 2.0) ** (2.0 * nu)
     return TraceData(1.0 + 0.0j, complex(gp))
 
@@ -214,6 +215,8 @@ def mode_solution(nu, xi, grid=None, settings=DEFAULTS):
     normalisation makes gamma_- = 1; traces follow the closed form above
     (subcritical orders only).
     """
+    from scipy.special import gamma
+
     order = as_order(nu)
     xi = complex(xi)
     if not (xi.imag < 0):
@@ -221,7 +224,7 @@ def mode_solution(nu, xi, grid=None, settings=DEFAULTS):
     if grid is None:
         grid = halfline_grid(xi, settings=settings)
     tau = 1j * xi
-    c = 2.0 ** (1.0 - order.nu) / _gamma(order.nu)
+    c = 2.0 ** (1.0 - order.nu) / gamma(order.nu)
     vals = c * tau ** order.nu * sqrtx_K(order.nu, tau, grid.nodes)
     prof = GridFunction(grid, vals)
     tr = (mode_traces(order, xi) if order.regime.value == "subcritical"

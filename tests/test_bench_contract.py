@@ -3,9 +3,13 @@
 perfbench/tracing.py looks each traced function and method up by name, so
 removing or renaming one breaks `perfbench/run.py --trace 1`.  This test
 installs and uninstalls the benchmark's tracer against the library, reading
-perfbench/ without changing it.
+perfbench/ without changing it.  The benchmark's set-up probe times
+``import besselbvp`` in a fresh interpreter; scipy is loaded at the first
+call that needs it, so that probe and the CLI's import load numpy only.
 """
 
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +30,8 @@ from besselbvp.symbols import BoundaryOperator
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402
+import run  # noqa: E402
+import tracing  # noqa: E402
 from tracing import Tracer  # noqa: E402
 
 
@@ -86,3 +92,26 @@ def test_targeted_spectra_trace_one_lanczos_per_eigensolve():
     lanczos = [s for s in spans if s.name == "fem.mass_deflated_eig"]
     assert len(lanczos) == 1
     assert spans[lanczos[0].parent].name == "fem.pencil_eig"
+
+
+def test_package_import_leaves_scipy_unloaded():
+    # the benchmark's own set-up probe, then the CLI and one eigensolve in
+    # the same fresh interpreter: the first scipy-backed call loads scipy,
+    # and its eigenvalues (through scipy's BLAS pool) are bitwise those of
+    # a process that loaded scipy long before
+    check = run.IMPORT_PROBE + (
+        "; import json, besselbvp.cli; "
+        "loaded = {'scipy': 'scipy' in sys.modules, 'missing': "
+        "[m for m in %r if 'besselbvp.' + m not in sys.modules]}; "
+        "from besselbvp.modes import dirichlet_spectrum; "
+        "loaded['eigenvalues'] = "
+        "dirichlet_spectrum(0.5, n_max=4).eigenvalues.tobytes().hex(); "
+        "print(json.dumps(loaded))") % sorted(tracing.TRACED)
+    out = subprocess.run([sys.executable, "-c", check, str(run.SRC)],
+                         capture_output=True, text=True, check=True,
+                         timeout=120, cwd=run.ROOT)
+    loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    assert not loaded["scipy"]
+    assert loaded["missing"] == []
+    here = dirichlet_spectrum(0.5, n_max=4).eigenvalues
+    assert loaded["eigenvalues"] == here.tobytes().hex()

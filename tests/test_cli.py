@@ -265,6 +265,12 @@ BAD_VALUES = {
                           "[tolerances]\nfem_degree = inf\n"),
     "fem_degree": ("modes", "[operator]\nnu = 0.5\n\n"
                    "[tolerances]\nfem_degree = 1\n"),
+    # once truncated to degree 3
+    "fractional fem_degree": ("modes", "[operator]\nnu = 0.5\n\n"
+                              "[tolerances]\nfem_degree = 3.5\n"),
+    # once accepted: a zero rank threshold counts every nonzero singular value
+    "zero tolerance": ("modes", "[operator]\nnu = 0.5\n\n"
+                       "[tolerances]\nrank_rel_tol = 0\n"),
     "nodes": ("modes", "[operator]\nnu = 0.5\n\n[grid]\nnodes = inf\n"),
     "radii": ("sweep", "[operator]\nnu = 0.3\n\n[sweep]\nradii = 4 eight\n"),
     "eta_re": ("lopatinskii", "[symbol]\ndim_eta = 2\n\n[operator]\n"

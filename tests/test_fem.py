@@ -104,15 +104,21 @@ def random_operator(p, dtype, seeded, m=40, seed=0):
 
 
 def operators_p1_to_p4():
-    """Every p = 1..4, real and complex, unseeded and seeded, and the
-    assembled (p = 5) operators of robin_system."""
+    """Every p = 1..4, real and complex, unseeded and seeded, the
+    assembled (p = 5) operators of robin_system, and zero bands (the A1 of
+    the Laplace pencils; seeded, of the corner-only lambda-Robin A1)."""
     ops = [pytest.param(random_operator(p, dtype, seeded, seed=p),
                         id=f"p{p}-{dtype.__name__}-{SEEDING[seeded]}")
            for p in (1, 2, 3, 4) for dtype in (float, complex)
            for seeded in (False, True)]
-    return ops + [pytest.param(robin_system(0.3, 12, seeded)[1],
-                               id=f"assembled-{SEEDING[seeded]}")
-                  for seeded in (False, True)]
+    ops += [pytest.param(robin_system(0.3, 12, seeded)[1],
+                         id=f"assembled-{SEEDING[seeded]}")
+            for seeded in (False, True)]
+    zero = [replace(A, band=np.zeros_like(A.band))
+            for A in (random_operator(2, float, False, seed=7),
+                      random_operator(2, complex, True, seed=7))]
+    return ops + [pytest.param(A, id=f"zero-band-{SEEDING[A.seeded]}")
+                  for A in zero]
 
 
 @pytest.mark.parametrize("A", operators_p1_to_p4())

@@ -3,7 +3,8 @@ import pytest
 
 from besselbvp import modes
 from besselbvp.core import Order, RadialGrid, GridFunction
-from besselbvp.errors import DomainError, IncompleteModeInput, SingularSystem
+from besselbvp.errors import (DomainError, IncompleteModeInput,
+                              LinearizationSingular, SingularSystem)
 from besselbvp.modes import (
     ModeSource,
     completeness_check,
@@ -16,6 +17,7 @@ from besselbvp.special import bessel_zeros
 from besselbvp.symbols import BoundaryOperator, LinearSymbol
 
 import mpmath
+import scipy.linalg
 import scipy.special as ss
 
 import oracles
@@ -183,6 +185,31 @@ def test_pencil_with_no_mode_under_the_cap_is_empty():
     assert ms.coeffs.shape == (ms.dof, 0)
     assert ms.cauchy_data.shape == (2 * ms.dof, 0)
     assert ms.residuals.shape == (0,)
+
+
+@pytest.mark.parametrize("error", [scipy.linalg.LinAlgError("QZ failed"),
+                                   SingularSystem("zero pivot")])
+def test_pencil_eigensolver_failure_is_linearization_singular(monkeypatch,
+                                                              error):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(modes, "pencil_eig", fail)
+    nu = 0.4
+    with pytest.raises(LinearizationSingular) as info:
+        pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64)
+    assert info.value.__cause__ is error
+
+
+def test_pencil_without_lambda_terms_is_linearization_singular():
+    # P(lambda) = P(0) has every eigenvalue at infinity: the shift-inverted
+    # companion operator is nilpotent, so Arnoldi returns no finite mode
+    nu = 0.4
+    op = BesselOperator(Order(nu), a_coeff=0.0,
+                        pencil_fourier=lambda q: (1.0, 0.0, 0.0))
+    with pytest.raises(LinearizationSingular, match="infinite"):
+        pencil_modes(nu, op, BoundaryOperator.robin(nu, 0.7), q=0,
+                     n_nodes=64, max_modes=4)
 
 
 # (nu, boundary row, n_nodes, modes kept under the default 1e-7 cap): the
