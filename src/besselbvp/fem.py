@@ -43,9 +43,10 @@ does pencil_eig with a count for an even real symmetric pencil); any other
 count-limited pencil runs shift-invert Arnoldi through the banded LU.
 Full pencil spectra are dense.  When the scaled A0 and A2 are
 Hermitian and A0 is definite, one n x n eigh of (A2, A0) reduces the pencil:
-lam = +-sqrt(mu) in closed form when A1 = 0, else one standard 2n x 2n eig
-in 1 / lam.  Any other pencil goes through companion QZ (real QZ for real
-operators).
+lam = +-sqrt(mu) in closed form when A1 = 0; for an A1 that is only the
+seed corner (the lambda-Robin row) one 2n x 2n eigvals in 1 / lam, each
+eigenvector in closed form; for any other A1 one 2n x 2n eig with vectors.
+Any other pencil goes through companion QZ (real QZ for real operators).
 
 Across the package, scipy is imported inside the functions that call it,
 never at module level: ``import besselbvp`` loads numpy alone, and the
@@ -322,6 +323,12 @@ class BorderedBand:
     def lagrange_block(self):
         """The operator without its seed row and column."""
         return BorderedBand(self.band)
+
+    def real(self):
+        """The real part of an unseeded operator, as real band storage."""
+        if self.seeded:
+            raise DomainError("real() takes an unseeded operator")
+        return BorderedBand(self.band.real)
 
     def scaled(self, d):
         """diag(d) A diag(d), d over all dofs (seed first)."""
@@ -861,7 +868,7 @@ def _is_hermitian(A):
     return gap <= 1e-13 * np.max(np.abs(A.band), initial=0.0)
 
 
-def mass_deflated_eig(K, M, count):
+def mass_deflated_eig(K, M, count, vectors=True):
     """The ``count`` eigenvalues of K u = lambda M u nearest 0, by modulus.
 
     K, M are real symmetric unseeded BorderedBands, K positive definite.
@@ -869,12 +876,16 @@ def mass_deflated_eig(K, M, count):
     (LAPACK dpbtrf on its upper band).  ARPACK's Lanczos then finds the
     largest eigenvalues theta = 1 / lambda of U^-T M U^-1, the spectral
     transformation of Ericsson & Ruhe (Math. Comp. 35, 1980): one real
-    callback per step of three BLAS-2 calls (dtbsv, dsbmv, dtbsv), O(n p).
-    The eigenvectors U^-1 y are scaled by sqrt|lambda|, so that
+    callback per step of three BLAS-2 calls (dtbsv, dsbmv, dtbsv), O(n p).  The eigenvectors U^-1 y are scaled by sqrt|lambda|, so that
     Z^T M Z = I when M is positive definite.  A scaled K that is not
-    positive definite raises SingularSystem; a seeded or complex operator
-    raises DomainError.  Requests beyond ARPACK's limit k < n return n - 1
-    modes.  Returns (eigenvalues, coefficient eigenvectors).
+    positive definite, or a zero M (no finite eigenvalue), raises
+    SingularSystem; a seeded or complex operator raises DomainError.
+    Requests beyond ARPACK's limit k < n return n - 1 modes.  Returns
+    (eigenvalues, coefficient eigenvectors).
+
+    ``vectors=False`` (internal) skips the Ritz vectors (ARPACK's
+    return_eigenvectors=False, no back-transform) and returns
+    (eigenvalues, None), for callers that read the values only.
     """
     from scipy.linalg import blas, lapack
     from scipy.sparse.linalg import LinearOperator, eigsh
@@ -885,6 +896,10 @@ def mass_deflated_eig(K, M, count):
     Ms = M.scaled(d)
     if not _is_real(Ks, Ms):
         raise DomainError("mass_deflated_eig takes real symmetric K and M")
+    if not Ms.band.any():
+        # the Lanczos operator would be 0: ARPACK stops on a zero vector
+        raise SingularSystem("zero mass operator: every eigenvalue is "
+                             "infinite")
     n, p = d.size, Ks.p
     # rows 0..p of the band storage are LAPACK's upper symmetric band
     U, info = lapack.dpbtrf(Ks.band[:p + 1].real)
@@ -898,12 +913,15 @@ def mass_deflated_eig(K, M, count):
         return tbsv(p, U, sbmv(p, 1.0, m_up, tbsv(p, U, v)), trans=1,
                     overwrite_x=1)
 
-    theta, Y = eigsh(LinearOperator((n, n), matvec=op, dtype=float),
-                     k=min(int(count), n - 1), which="LM",
-                     v0=_start_vector(n))
+    found = eigsh(LinearOperator((n, n), matvec=op, dtype=float),
+                  k=min(int(count), n - 1), which="LM", v0=_start_vector(n),
+                  return_eigenvectors=vectors)
+    theta, Y = found if vectors else (found, None)
     lam = 1.0 / theta
-    Z, _ = lapack.dtbtrs(U, Y)
     idx = np.argsort(np.abs(lam), kind="stable")
+    if not vectors:
+        return lam[idx], None
+    Z, _ = lapack.dtbtrs(U, Y)
     return lam[idx], (Z * np.sqrt(np.abs(lam)) * d[:, None])[:, idx]
 
 
@@ -936,10 +954,12 @@ def pencil_eig(A0, A1, A2, count=None):
       (Tisseur & Meerbergen, SIAM Rev. 43 (2001), sec. 3).  m = n, the rank
       the companion path would deflate to.  With A1 = 0 (no nonzero entry)
       lam = +-sqrt(-1 / theta), and each pair shares one eigenvector, so its
-      Cauchy data (v, +-lam v) is exact.  Otherwise one standard eig of the
+      Cauchy data (v, +-lam v) is exact.  With A1 only the seed corner (the
+      lambda-Robin pencils) F has rank one: one standard eigvals of the
       2n x 2n companion in 1 / lam, whose leading coefficient is the
-      identity: no deflation and no QZ, and real arithmetic for real
-      operators (the lambda-Robin pencils).
+      identity (no deflation and no QZ, real arithmetic for real
+      operators), and each eigenvector in closed form, O(n) per mode.  Any
+      other A1 takes eig of that companion with its eigenvectors.
     * otherwise: companion QZ in deflated scaled coordinates, m the
       deflated rank; real QZ when every operator is real.  This is left to
       non-Hermitian operators (the kg pencil with an e0 term) and to an
@@ -964,7 +984,7 @@ def pencil_eig(A0, A1, A2, count=None):
         try:
             mu, Z = mass_deflated_eig(B0, B2, (k + 1) // 2)
         except SingularSystem:
-            pass                # A0 is not definite: Arnoldi below
+            pass    # A0 is not definite, or A2 = 0: Arnoldi below
         else:
             lam = np.sqrt((-mu).astype(complex))
             lam = np.concatenate([lam, -lam])
@@ -1028,12 +1048,17 @@ def _definite_eig(A0, A1, A2):
     positive definite with every eigenvalue above RANK_CUTOFF of the largest
     (pencil_eig).
 
-    One eigh of (H2, H0) gives V with V^H H0 V = I and V^H H2 V = Theta.
-    With A1 = 0, lam = +-sqrt(-1 / theta).  Otherwise the pencil in V's
-    coordinates is I + lam F + lam^2 Theta, F = V^H (D A1 D) V, and in
-    s = 1 / lam its companion [[-F, -Theta], [I, 0]] has the identity as
-    leading coefficient: one standard eig, real for real operators.  Its
-    bottom block is the eigenvector, and at s = 0 (lam = inf) the v2 data.
+    One eigh of (H2, H0) gives V with V^H H0 V = I and V^H H2 V = Theta, and
+    the pencil in V's coordinates is I + lam F + lam^2 Theta with
+    F = V^H (D A1 D) V.  In s = 1 / lam its companion [[-F, -Theta], [I, 0]]
+    has the identity as leading coefficient: a standard eigenproblem, real
+    for real operators.  When A1 is at most the seed corner (A1 = 0, or the
+    lambda-Robin row), F = f u u^H has rank one with u = conj(V[0]) and
+    f = a1 D[0]^2 (Golub, SIAM Rev. 15 (1973)), and _rank_one_eig solves it
+    without eigenvectors of the companion.  Any other A1 (a kg pencil whose
+    gamma0 mixes t and y, at q != 0) takes eig of the full companion with
+    vectors: its bottom block is the eigenvector, and at s = 0 (lam = inf)
+    the v2 data.
     """
     from scipy.linalg import eig, eigh, eigvalsh
 
@@ -1047,12 +1072,28 @@ def _definite_eig(A0, A1, A2):
         return None
     theta, V = eigh(H2, H0)  # A2 v = theta A0 v
     n = theta.size
-    if not np.any(A1):
+    if not (np.any(A1[1:]) or np.any(A1[0, 1:])):
+        # A1 = a1 e_0 e_0^T, F = f u u^H: a mode k with f u_k = 0 (every
+        # mode when a1 = 0) is decoupled, lam = +-sqrt(-1 / theta_k) sharing
+        # v_k.  As in LAPACK's rank-one divide and conquer (dlaed2), a u_k
+        # whose removal moves F by less than rounding of the companion,
+        # 2 |f| |u_k| |u| <= eps max(1, ||F||, ||Theta||), deflates too
+        f = A1[0, 0] * Dinv[0] * Dinv[0]
+        u = np.conj(V[0])
+        size = abs(f) * np.linalg.norm(u)
+        free = 2.0 * size * np.abs(u) <= np.finfo(float).eps * max(
+            1.0, size * np.linalg.norm(u), np.max(np.abs(theta)))
         with np.errstate(divide="ignore"):
-            lam = np.sqrt((-1.0 / theta).astype(complex))
-        vecs = V * Dinv[:, None]
-        return (np.concatenate([lam, -lam]),
-                np.concatenate([vecs, vecs], axis=1), n)
+            lam = np.sqrt((-1.0 / theta[free]).astype(complex))
+        vecs = V[:, free] * Dinv[:, None]
+        lam, vecs = np.concatenate([lam, -lam]), np.concatenate([vecs, vecs],
+                                                                axis=1)
+        if not free.all():
+            lam_j, X = _rank_one_eig(theta[~free], u[~free], f)
+            lam = np.concatenate([lam_j, lam])
+            vecs = np.concatenate(
+                [_matmul(V[:, ~free], X) * Dinv[:, None], vecs], axis=1)
+        return lam, vecs, n
     F = _matmul(_matmul(V.conj().T, (A1 * Dinv[None, :]) * Dinv[:, None]), V)
     C = np.block([[-F, -np.diag(theta).astype(F.dtype)],
                   [np.eye(n, dtype=F.dtype), np.zeros((n, n), F.dtype)]])
@@ -1060,6 +1101,86 @@ def _definite_eig(A0, A1, A2):
     lam = np.full(s.shape, np.inf, dtype=complex)
     lam[s != 0] = 1.0 / s[s != 0]
     return lam, _matmul(V, W[n:]) * Dinv[:, None], n
+
+
+def _rank_one_eig(theta, u, f):
+    """(lam, X): every eigenpair of I + lam f u u^H + lam^2 diag(theta)
+    with no u_k = 0, the eigenvectors in the coordinates of theta.
+
+    In s = 1 / lam one eigvals of the companion [[-f u u^H, -Theta],
+    [I, 0]] gives the 2n eigenvalues, the roots of the secular function
+    g(s) = 1 + f s sum_k |u_k|^2 / (s^2 + theta_k) (the rank-one reduction
+    of Tisseur & Meerbergen, SIAM Rev. 43 (2001), sec. 3, with F as in
+    Golub, SIAM Rev. 15 (1973)).  Each eigenvector is then, in closed form,
+    x = (s^2 I + Theta)^{-1} u, O(n) per mode, whose residual
+    P(s) x = u g(s) is known without a product.  Near a pole s^2 = -theta_k
+    that closed form amplifies the error of s, and e_k is the better
+    vector; each root keeps whichever of the two has the smaller residual
+    (a root on a pole takes e_k).  A root whose pair is not backward stable
+    also takes one Newton step on g, kept where it lowers that residual.
+    The closed form reads theta itself: the rounding-level theta <= 0 of
+    eigh take no square root.
+    """
+    from scipy.linalg import eigvals
+
+    n = theta.size
+    C = np.zeros((2 * n, 2 * n), dtype=np.result_type(f, u))
+    C[:n, :n] = -f * np.outer(u, np.conj(u))
+    C[:n, n:] = -np.diag(theta)
+    C[n:, :n] = np.eye(n)
+    s = eigvals(C)           # s = 1 / lam
+    w = (np.abs(u) ** 2)[:, None]
+    uu = w.sum()
+
+    def secular(s):
+        """Per root: the residual ||P(s) x|| and the unit vector x, the
+        better of the closed form and e_k at the nearest pole k, and g(s)
+        and g'(s).  With d = s^2 + theta (n x 2n), 1 / d = (Re d - i Im s^2)
+        a2, a2 = 1 / |d|^2, so the sums over k run in real arithmetic."""
+        s2 = s * s
+        dr = s2.real + theta[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a2 = 1.0 / (dr * dr + s2.imag ** 2)
+            t0 = w * a2
+            t1 = t0 * dr
+            t2 = t1 * a2
+            x2 = t0.sum(axis=0)                 # ||d^{-1} u||^2
+            ud = t1.sum(axis=0) - 1j * s2.imag * x2         # u^H d^-1 u
+            ud2 = ((t2 * dr).sum(axis=0) - s2.imag ** 2 * (t0 * a2).sum(
+                axis=0) - 2j * s2.imag * t2.sum(axis=0))      # u^H d^-2 u
+            g = 1.0 + f * s * ud
+            res = np.abs(g) * np.sqrt(uu / x2)  # P(s) d^-1 u = u g(s)
+            k = np.argmax(a2, axis=0)
+            wk = w[k, 0]
+            # P(s) e_k = d_k e_k + f s conj(u_k) u
+            dk = dr[k, np.arange(s.size)] + 1j * s2.imag
+            res_e = np.sqrt(np.abs(dk + f * s * wk) ** 2 + np.abs(f * s) ** 2
+                            * wk * np.maximum(uu - wk, 0.0))
+            scale = a2 / np.sqrt(x2)
+            X = np.empty(dr.shape, dtype=complex)
+            X.real, X.imag = dr * scale, -s2.imag * scale
+            X *= u[:, None]
+        unit = ~(res <= res_e)                  # a pole (nan) included
+        X[:, unit] = 0.0
+        X[k[unit], unit] = 1.0
+        return np.where(unit, res_e, res), X, g, f * (ud - 2.0 * s2 * ud2)
+
+    res, X, g, dg = secular(s)
+    # a pair within rounding of ||s^2 I + s F + Theta|| is backward stable;
+    # any other root takes one Newton step on g, kept where res falls
+    bound = np.abs(s) ** 2 + np.abs(f * s) * uu + np.max(np.abs(theta))
+    loose = np.flatnonzero(~(res <= 8.0 * np.finfo(float).eps * bound))
+    if loose.size:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = s[loose] - g[loose] / dg[loose]
+        step = np.where(np.isfinite(step), step, s[loose])
+        res_new, X_new, _, _ = secular(step)
+        better = res_new < res[loose]
+        s[loose[better]] = step[better]
+        X[:, loose[better]] = X_new[:, better]
+    lam = np.full(s.shape, np.inf, dtype=complex)
+    lam[s != 0] = 1.0 / s[s != 0]
+    return lam, X
 
 
 def _companion_qz(A0, A1, A2):

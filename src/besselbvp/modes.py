@@ -11,8 +11,9 @@ else shift-invert Arnoldi on the companion linearisation.  The full
 spectrum is dense: a pencil whose lambda-free and lambda^2 parts are
 Hermitian, the first definite, is reduced by one symmetric problem
 (+-sqrt(mu) of it when P1 = 0 and no lambda sits in the boundary row, one
-standard eigenproblem in 1 / lambda otherwise, as for the lambda-Robin
-row); any other goes through companion QZ.
+standard eigenproblem in 1 / lambda otherwise: eigenvalues only, with the
+eigenvectors in closed form, when lambda sits in the boundary row alone, as
+for the lambda-Robin row); any other goes through companion QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -29,7 +30,7 @@ from .config import DEFAULTS, _check_count
 from .core import Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
-from .fem import (Space, _matmul, mass_deflated_eig, modulus_order,
+from .fem import (Space, _is_real, _matmul, mass_deflated_eig, modulus_order,
                   norm_bound, pencil_eig)
 from .special import bessel_zeros
 
@@ -99,10 +100,12 @@ class SingularValueReport:
         object.__setattr__(self, "s", s)
 
 
-def _column_norms(X):
-    """The 2-norm of each column of X, one np.linalg.norm per column (a
-    single norm(axis=0) rounds differently)."""
-    return np.array([np.linalg.norm(x) for x in X.T])
+def _column_norms(X, cols=None):
+    """The 2-norm of each column of X, or of the columns ``cols`` only (once
+    per distinct column), one np.linalg.norm per column (a single
+    norm(axis=0) rounds differently)."""
+    cols = range(X.shape[1]) if cols is None else cols
+    return np.array([np.linalg.norm(X[:, j]) for j in cols])
 
 
 def _dirichlet_pairs(K, M, n_max):
@@ -218,9 +221,10 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     the lambda-free and lambda^2 operators are Hermitian and the first is
     definite (the Laplace pencil with a Dirichlet, lambda-free or
     lambda-Robin row), one symmetric eigh reduces the pencil: +-sqrt(mu),
-    mu = lambda^2, without a lambda-linear term, one standard eig in
-    1 / lambda with it.  Any other pencil (an e0 term, an indefinite A0)
-    takes companion QZ.
+    mu = lambda^2, without a lambda-linear term, one standard eigenproblem
+    in 1 / lambda with it.  Any other pencil (an e0 term, an indefinite A0)
+    takes companion QZ.  Without a lambda-linear term the +- pairs of both
+    paths share one vector, and its norm and residual are formed once.
     """
     order = as_order(nu)
     if max_modes is not None:
@@ -241,20 +245,39 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
         raise LinearizationSingular("every pencil eigenvalue is infinite")
 
     # residuals against the unlinearised pencil, scale-aware, for every
-    # mode at once: R = A0 C + Lam (A1 C) + Lam^2 (A2 C), C the unit columns
+    # mode at once: R = A0 C + Lam (A1 C) + Lam^2 (A2 C), C the unit columns.
+    # With A1 = 0 the norm and residual of a mode read c, lam^2 and |lam|
+    # only, so a +- pair sharing one vector (adjacent after modulus_order)
+    # takes them once
     scale0, scale1, scale2 = (norm_bound(A) for A in (A0, A1, A2))
-    norms = _column_norms(cvecs)
+    linear = scale1 != 0                        # A1 has a nonzero entry
+    first = np.ones(lam.size, dtype=bool)
+    if not linear:
+        first[1:] = ~((lam[1:] == -lam[:-1])
+                      & (cvecs[:, 1:] == cvecs[:, :-1]).all(axis=0))
+    distinct = np.flatnonzero(first)
+    index = np.cumsum(first) - 1                # each mode's distinct vector
+    norms = _column_norms(cvecs, distinct)[index]
     finite = np.isfinite(lam)
     live = finite & (norms != 0)
-    C, lam_c = cvecs[:, live] / norms[live], lam[live]
+    own = live & first
+    C, lam_c = cvecs[:, own] / norms[own], lam[own]
     # lam^2 and |lam| as numpy scalars round them: the array loops of
     # complex squares and np.abs differ from them in the last bit
     lam2 = np.array([l ** 2 for l in lam_c], dtype=complex)
     scale = np.array([scale0 + abs(l) * scale1 + abs(l) ** 2 * scale2
                       for l in lam_c])
-    R = A0 @ C + lam_c * (A1 @ C) + lam2 * (A2 @ C)
+    if not (A0.seeded or np.iscomplexobj(C)) and _is_real(A0, A1, A2):
+        # the real parts of the complex products, bit for bit (a seed row
+        # would sum through gemv, whose real and complex kernels differ)
+        A0, A1, A2 = A0.real(), A1.real(), A2.real()
+    R = A0 @ C
+    if linear:
+        R = R + lam_c * (A1 @ C)
+    R = R + lam2 * (A2 @ C)
     resid = np.zeros(lam.size)
-    resid[live] = _column_norms(R) / np.maximum(scale, 1e-300)
+    resid[own] = _column_norms(R) / np.maximum(scale, 1e-300)
+    resid = resid[distinct[index]]
     if residual_cap is None:
         # eigenvalues at infinity are kept only for completeness collection
         keep = norms != 0
@@ -322,7 +345,8 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     They equal (1 + lambda_n)^{-1/2} for the discrete Dirichlet eigenvalues,
     the finite-rank counterpart of (1 + j_{nu,n}^2)^{-1/2}; a log-log fit of
     s_j against j estimates the decay exponent (continuum value -1 at n = 1).
-    ``dof`` is an integer >= 2 (a line fit needs two points).
+    ``dof`` is an integer >= 2 (a line fit needs two points).  Only the
+    eigenvalues are read, so the Lanczos forms no Ritz vectors.
     """
     order = as_order(nu)
     _check_count("dof", dof, 2)
@@ -332,7 +356,8 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     space = Space(order, 1.0, n_nodes=4 * dof, dirichlet_cap=True,
                   include_minus=False, settings=settings)
     mats = space.matrices()
-    lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof)
+    lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof,
+                               vectors=False)
     s = 1.0 / np.sqrt(np.maximum(np.sort(lam.real), 1e-300))
     j = np.arange(1, s.size + 1)
     slope, intercept = np.polyfit(np.log(j), np.log(s), 1)

@@ -26,7 +26,7 @@ from besselbvp.modes import dirichlet_spectrum, pencil_modes
 from besselbvp.solve import BesselOperator, BVProblem, solve_1d
 from besselbvp.symbols import BoundaryOperator
 
-# appended, so that tests/oracles.py keeps precedence over perfbench's
+# appended, after the tests directory
 sys.path.append(str(Path(__file__).resolve().parent.parent / "perfbench"))
 
 import layers  # noqa: E402

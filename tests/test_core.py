@@ -32,7 +32,7 @@ from besselbvp.fem import lobatto_nodes
 from besselbvp.quadrature import composite_rule, graded_panels
 from besselbvp.solve import BesselOperator, operator_residual
 
-from oracles import (
+from reference_oracles import (
     bessel_schroedinger_apply,
     fornberg_weights,
     loop_composite_rule,

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from scipy import linalg as la
 
-import oracles
+import reference_oracles as oracles
 from besselbvp import fem, modes
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
@@ -198,6 +198,14 @@ def test_lanczos_refuses_an_indefinite_K():
     mats = space.matrices()
     with pytest.raises(SingularSystem, match="leading minor"):
         mass_deflated_eig(mats["S"] + (-50.0) * mats["M"], mats["M"], 3)
+
+
+def test_lanczos_refuses_a_zero_mass():
+    # M = 0 makes the Lanczos operator 0 (ARPACK would stop on a zero
+    # start vector): every eigenvalue is infinite, a typed refusal
+    K, M = dirichlet_operators(0.4, 0, n_nodes=64)
+    with pytest.raises(SingularSystem, match="zero mass"):
+        mass_deflated_eig(K, 0.0 * M, 3)
 
 
 def test_lanczos_refuses_seeded_operators():
@@ -623,9 +631,10 @@ def test_dense_products_run_in_scipy_blas(monkeypatch):
     ms = pencil_modes(nu, laplace_pencil(nu),
                       BoundaryOperator.lambda_robin(nu), q=0, n_nodes=128,
                       residual_cap=None)
-    # F = V^H (D A1 D) V and V W[n:], and the seed rows of the three
-    # residual block products; the residual scales take no dense product
-    assert callers.pop("_definite_eig") == 3
+    # V X, the closed-form eigenvectors of the corner-only A1 (F = f u u^H
+    # is an outer product), and the seed rows of the three residual block
+    # products; the residual scales take no dense product
+    assert callers.pop("_definite_eig") == 1
     assert callers.pop("__matmul__") == 3
     assert not callers
 
@@ -658,3 +667,174 @@ def test_targeted_paths_never_call_toarray(monkeypatch, tmp_path):
     assert run_cmd("modes", "dirichlet_nu05.cfg", tmp_path) == 0
     body = json.loads((tmp_path / "kg_ads_static.json").read_text())
     assert len(body["normal_modes"]) == 8
+
+
+# --------------------------------------------------------------------------
+# spectra compute what their callers read: closed-form lambda-Robin
+# eigenvectors, one residual per +- pair, a values-only Lanczos
+# --------------------------------------------------------------------------
+
+def dense_definite_eig(A0, A1, A2):
+    """Oracle: the definite reduction of a real pencil, with the library's
+    scaling and eigh (the top of a lambda-Robin spectrum moves at 1e-12
+    with the rounding of the scaled entries), then one dense eig of the
+    whole 2n x 2n companion in 1 / lambda, eigenvectors included."""
+    D0, D1, D2 = (A.toarray().real for A in (A0, A1, A2))
+    A0s, d = _diag_scale(D0)
+    theta, V = la.eigh(_hermitian_part((D2 * d[None, :]) * d[:, None]),
+                       _hermitian_part(A0s))
+    n = theta.size
+    F = V.T @ ((D1 * d[None, :]) * d[:, None]) @ V
+    s, W = la.eig(np.block([[-F, -np.diag(theta)],
+                            [np.eye(n), np.zeros((n, n))]]))
+    return 1.0 / s, (V @ W[n:]) * d[:, None]
+
+
+def backward_errors(A0, A1, A2, lam, vecs):
+    """pencil_modes' residuals: norm_bound weights, unit columns."""
+    a0, a1, a2 = (norm_bound(A) for A in (A0, A1, A2))
+    C = vecs / np.linalg.norm(vecs, axis=0)
+    R = A0 @ C + lam * (A1 @ C) + lam ** 2 * (A2 @ C)
+    mod = np.abs(lam)
+    return np.linalg.norm(R, axis=0) / (a0 + mod * a1 + mod ** 2 * a2)
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("c", [-2.0, 0.7, 1.0])
+@pytest.mark.parametrize("nu", [0.3, 0.55, 0.7, 0.95])
+def test_lambda_robin_closed_form_matches_dense_eig(nu, c, n):
+    # the rank-one route (eigvals, closed-form vectors) keeps the modes
+    # the dense eig with eigenvectors keeps, at the same eigenvalues
+    bc = BoundaryOperator.lambda_robin(nu, c)
+    A0, A1, A2 = _pencil_matrices(nu, laplace_pencil(nu), bc, 0, n,
+                                  DEFAULTS)[:3]
+    ref, ref_vecs = dense_definite_eig(A0, A1, A2)
+    ref_kept = backward_errors(A0, A1, A2, ref, ref_vecs) \
+        < DEFAULTS.solver_residual_tol
+    ms = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=n)
+    assert len(ms) == np.count_nonzero(ref_kept)
+    assert np.max(ms.residuals) <= 1e-12
+    low = ms.eigenvalues[np.abs(ms.eigenvalues) < 1e5]
+    ref_low = ref[np.abs(ref) < 1e5]
+    assert low.size == ref_low.size
+    # one to one: each oracle value matches at most one kept value, so a
+    # root found twice cannot hide a root lost
+    unused = np.ones(ref_low.size, dtype=bool)
+    for value in low:
+        gap = np.where(unused, np.abs(ref_low - value), np.inf)
+        j = np.argmin(gap)
+        assert gap[j] <= 1e-12 * abs(value)
+        unused[j] = False
+
+
+def corner_pencil(coupling):
+    """Dense A0, A1, A2 on 6 dofs: A1 only the (0, 0) corner, and dof 5
+    tied to the rest through A0[4, 5] = ``coupling`` alone."""
+    off = [-0.5] * 4 + [coupling]
+    A0 = np.diag([2.0, 3.0, 4.0, 5.0, 6.0, 7.0]) + np.diag(off, 1) \
+        + np.diag(off, -1)
+    A1 = np.zeros((6, 6))
+    A1[0, 0] = 0.8
+    return A0, A1, np.diag([1.0, 0.5, 0.25, 0.2, 0.1, 0.3])
+
+
+def dense_pencil_check(A0, A1, A2, lam, vecs):
+    """Largest backward error of the pairs and largest relative distance
+    of an eigenvalue from the dense QZ of the companion."""
+    n = A0.shape[0]
+    Z, eye = np.zeros((n, n)), np.eye(n)
+    ref = la.eigvals(np.block([[-A1, -A0], [eye, Z]]),
+                     np.block([[A2, Z], [Z, eye]]))
+    dist = max(np.min(np.abs(ref - value)) / abs(value) for value in lam)
+    norms = [la.norm(A, 2) for A in (A0, A1, A2)]
+    worst = 0.0
+    for value, v in zip(lam, vecs.T):
+        c = v / np.linalg.norm(v)
+        r = A0 @ c + value * (A1 @ c) + value ** 2 * (A2 @ c)
+        scale = sum(a * abs(value) ** i for i, a in enumerate(norms))
+        worst = max(worst, np.linalg.norm(r) / scale)
+    return worst, dist
+
+
+def test_decoupled_mode_of_a_corner_pencil_keeps_its_unit_vector():
+    # dof 5 couples to nothing, so its mode k has V[0, k] = 0: the pair
+    # lambda = +-i sqrt(7 / 0.3) comes back with x = e_k, without a
+    # division by s^2 + theta_k = 0 (warnings are errors here)
+    A0, A1, A2 = corner_pencil(0.0)
+    lam, vecs, m = _definite_eig(A0, A1, A2)
+    assert m == 6 and lam.size == 12
+    alone = np.flatnonzero(np.all(vecs[:5] == 0.0, axis=0))
+    assert alone.size == 2
+    assert np.all(vecs[5, alone] != 0.0)
+    assert np.all(lam[alone].real == 0.0)
+    assert np.allclose(np.sort(lam[alone].imag),
+                       [-np.sqrt(7.0 / 0.3), np.sqrt(7.0 / 0.3)],
+                       rtol=1e-14, atol=0.0)
+    worst, dist = dense_pencil_check(A0, A1, A2, lam, vecs)
+    assert worst < 1e-10 and dist < 1e-12
+
+
+def test_nearly_decoupled_mode_takes_the_better_vector():
+    # a coupling of 1e-9 leaves dof 5's root within rounding of its pole:
+    # the closed form (s^2 + Theta)^{-1} u points the wrong way there, and
+    # the root keeps e_k, whose residual is the smaller
+    A0, A1, A2 = corner_pencil(1e-9)
+    lam, vecs, m = _definite_eig(A0, A1, A2)
+    worst, dist = dense_pencil_check(A0, A1, A2, lam, vecs)
+    assert worst < 1e-9 and dist < 1e-12
+
+
+@pytest.mark.parametrize("max_modes", [None, 8])
+def test_pm_pairs_share_one_residual(max_modes, monkeypatch):
+    # with A1 = 0 both routes return lambda and -lambda with one shared
+    # vector: its norm and residual are formed once, so each residual
+    # block product receives one column per distinct vector
+    widths = []
+    matmul = BorderedBand.__matmul__
+
+    def spy(self, x):
+        widths.append(np.shape(x)[1:])
+        return matmul(self, x)
+
+    monkeypatch.setattr(BorderedBand, "__matmul__", spy)
+    nu = 0.4
+    ms = pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=128,
+                      residual_cap=None, max_modes=max_modes)
+    lam, resid = ms.eigenvalues, ms.residuals
+    partner = np.flatnonzero(lam[1:] == -lam[:-1])
+    assert np.array_equal(resid[partner], resid[partner + 1])
+    if max_modes is None:
+        assert partner.size == ms.dof and lam.size == 2 * ms.dof
+        distinct = ms.dof
+    else:
+        # pencil_eig returns max_modes + 2 modes, the pairs of 5 vectors
+        assert lam.size == max_modes and partner.size == max_modes // 2
+        distinct = (max_modes + 2) // 2
+    assert widths == [(distinct,), (distinct,)]     # A0 C and A2 C
+
+
+def test_embedding_reads_the_eigenvalues_only(monkeypatch):
+    # ARPACK forms no Ritz vectors for the embedding, and the values equal
+    # those of the vectors route
+    import scipy.sparse.linalg
+
+    asked = []
+    eigsh = scipy.sparse.linalg.eigsh
+
+    def spy(*args, **kwargs):
+        asked.append(kwargs.get("return_eigenvectors", True))
+        return eigsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigsh", spy)
+    nu, dof = 0.3, 64
+    rep = embedding_singular_values(nu, dof=dof)
+    assert asked == [False]
+    space = Space(Order(nu), 1.0, n_nodes=4 * dof, dirichlet_cap=True,
+                  include_minus=False)
+    mats = space.matrices()
+    K, M = mats["S"] + mats["M"], mats["M"]
+    lam, none = mass_deflated_eig(K, M, dof, vectors=False)
+    ref, _ = mass_deflated_eig(K, M, dof)
+    assert none is None and asked[1:] == [False, True]
+    assert rel(lam, ref) <= 1e-14
+    assert rel(rep.s, 1.0 / np.sqrt(np.sort(ref))) <= 1e-14

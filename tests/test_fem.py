@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
 
-import oracles
+import reference_oracles as oracles
 from besselbvp.config import DEFAULTS
 from besselbvp.core import BranchFunction, Order, branch_inner
 from besselbvp.errors import DomainError, SingularSystem

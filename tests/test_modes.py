@@ -20,7 +20,7 @@ import mpmath
 import scipy.linalg
 import scipy.special as ss
 
-import oracles
+import reference_oracles as oracles
 
 
 def laplace_pencil(nu):
@@ -210,6 +210,17 @@ def test_pencil_without_lambda_terms_is_linearization_singular():
     with pytest.raises(LinearizationSingular, match="infinite"):
         pencil_modes(nu, op, BoundaryOperator.robin(nu, 0.7), q=0,
                      n_nodes=64, max_modes=4)
+
+
+def test_count_limited_pencil_without_lambda_terms_is_typed():
+    # with no boundary row the even real pencil takes the Cholesky Lanczos
+    # in -lambda^2, whose mass A2 is 0: mass_deflated_eig refuses it before
+    # ARPACK (no raw ArpackError), and no finite mode is left
+    nu = 0.4
+    op = BesselOperator(Order(nu), a_coeff=0.0,
+                        pencil_fourier=lambda q: (1.0, 0.0, 0.0))
+    with pytest.raises(LinearizationSingular, match="infinite"):
+        pencil_modes(nu, op, None, q=0, n_nodes=64, max_modes=4)
 
 
 # (nu, boundary row, n_nodes, modes kept under the default 1e-7 cap): the

@@ -46,8 +46,8 @@ from besselbvp.symbols import (
 
 import scipy.special as ss
 
-import oracles
-from oracles import dense_galerkin_solve, robin_interval
+import reference_oracles as oracles
+from reference_oracles import dense_galerkin_solve, robin_interval
 
 
 def h1_error(sol, exact_vals, nu):

@@ -12,7 +12,7 @@ from besselbvp.special import (
     eval_K,
 )
 
-from oracles import (
+from reference_oracles import (
     asymptotic_K,
     newton_zero_from_series,
     series_I,
