@@ -41,12 +41,12 @@ Count-limited eigensolves cost O(n) per Krylov step: mass_deflated_eig
 runs ARPACK's Lanczos on one banded Cholesky factor of the scaled K (so
 does pencil_eig with a count for an even real symmetric pencil); any other
 count-limited pencil runs shift-invert Arnoldi through the banded LU.
-Full pencil spectra are dense.  When the scaled A0 and A2 are
-Hermitian and A0 is definite, one n x n eigh of (A2, A0) reduces the pencil:
-lam = +-sqrt(mu) in closed form when A1 = 0; for an A1 that is only the
-seed corner (the lambda-Robin row) one 2n x 2n eigvals in 1 / lam, each
-eigenvector in closed form; for any other A1 one 2n x 2n eig with vectors.
-Any other pencil goes through companion QZ (real QZ for real operators).
+Full pencil spectra are dense, on operators scaled once to a unit diagonal.
+When the scaled A0 and A2 are Hermitian, A0 is definite and A1 = alpha A2 +
+f e0 e0^T, one n x n eigh of (A2, A0) reduces the pencil: lam in closed
+form for the modes f leaves decoupled, one 2n x 2n eigvals in 1 / lam for
+the others, each eigenvector in closed form.  Any other pencil goes through
+companion QZ (real QZ for real operators).
 
 Across the package, scipy is imported inside the functions that call it,
 never at module level: ``import besselbvp`` loads numpy alone, and the
@@ -715,11 +715,6 @@ def _inverse_diag_sqrt(diag):
     return 1.0 / d
 
 
-def _diag_scale(A):
-    Dinv = _inverse_diag_sqrt(np.diag(A))
-    return (A * Dinv[None, :]) * Dinv[:, None], Dinv
-
-
 class _BorderedLU:
     """Banded LU of the Lagrange block plus one Schur step on the seed."""
 
@@ -812,10 +807,16 @@ def _start_vector(n):
     return np.random.default_rng(0).standard_normal(n)
 
 
+def _entries(B):
+    """The band of a BorderedBand, then with a seed its row, column and
+    corner (a 1-array)."""
+    seed = (B.row, B.col, np.atleast_1d(B.corner)) if B.seeded else ()
+    return (B.band,) + seed
+
+
 def _is_real(*ops):
     """True when no BorderedBand in ``ops`` has a nonzero imaginary part."""
-    return not any(np.any(np.imag(x)) for B in ops
-                   for x in (B.band, B.row, B.col, B.corner) if x is not None)
+    return not any(np.any(np.imag(x)) for B in ops for x in _entries(B))
 
 
 def norm_bound(A):
@@ -862,10 +863,33 @@ def modulus_order(lam):
 
 
 def _is_hermitian(A):
-    """True when an unseeded BorderedBand equals its adjoint to rounding
-    (1e-13 of its largest entry), as _hermitian_part judges a dense one."""
-    gap = np.max(np.abs(A.band - A.adjoint().band), initial=0.0)
-    return gap <= 1e-13 * np.max(np.abs(A.band), initial=0.0)
+    """True when a BorderedBand equals its adjoint to rounding (1e-13 of its
+    largest entry): the band, the seed row against the conjugate seed
+    column, and the seed corner against its conjugate."""
+    gap = max(np.max(np.abs(a - h), initial=0.0)
+              for a, h in zip(_entries(A), _entries(A.adjoint())))
+    return gap <= 1e-13 * max(np.max(np.abs(a), initial=0.0)
+                              for a in _entries(A))
+
+
+def _proportion(B1, B2):
+    """(alpha, f) with B1 = alpha B2 + f e0 e0^T to rounding (1e-13 of the
+    largest entry of B1 off the seed corner), else None; f = 0 without a
+    seed.  alpha is the least-squares ratio, summed elementwise on the band
+    storage (no BLAS product to wake numpy's pool, see _matmul), and both
+    are real for real operators, so a real pencil stays real."""
+    pairs = list(zip(_entries(B1), _entries(B2)))[:3]
+    num = sum(np.sum(np.conj(b) * a) for a, b in pairs)
+    den = sum(np.sum(b.real ** 2 + b.imag ** 2) for _, b in pairs)
+    alpha = num / den if den else 0.0
+    real = _is_real(B1, B2)
+    if real:
+        alpha = alpha.real
+    gap = max(np.max(np.abs(a - alpha * b), initial=0.0) for a, b in pairs)
+    if gap > 1e-13 * max(np.max(np.abs(a), initial=0.0) for a, _ in pairs):
+        return None
+    f = B1.corner - alpha * B2.corner
+    return alpha, (f.real if real else f)
 
 
 def mass_deflated_eig(K, M, count, vectors=True):
@@ -930,61 +954,58 @@ def pencil_eig(A0, A1, A2, count=None):
 
     Returns (eigenvalues, coefficient eigenvectors, effective dimension m),
     the eigenvalues by modulus in the canonical order of modulus_order.
+    Every route works on B_i = D A_i D, D the unit_diagonal scaling of A0,
+    whose structure is judged once on the band storage.
 
     With ``count``, the ``count + 2`` eigenvalues of least modulus (two
     spare, so a +- pair is never cut before the caller's sort); m = n, and
-    at most 2n - 2 eigenvalues are returned.  An unseeded real pencil with
-    A1 = 0 and the scaled A0 and A2 symmetric (judged on the band storage)
-    is A0 v = mu A2 v, mu = -lam^2: mass_deflated_eig's Lanczos on one
-    Cholesky factor of A0 gives lam = +-sqrt(-mu), each pair sharing one
-    eigenvector, as the dense A1 = 0 reduction does.  Any other pencil, or
-    an A0 whose Cholesky fails, takes ARPACK Arnoldi on the companion
-    operator shift-inverted about 0, [v1; v2] -> [v2; -A0^{-1}(A2 v1 +
-    A1 v2)], applying the banded LU of the diagonally scaled A0 once per
-    step.  An exactly singular A0 is retried once about a small shift sigma
-    (nearest eigenvalues to sigma).
+    at most 2n - 2 eigenvalues are returned, none when A1 = A2 = 0 (every
+    eigenvalue is infinite).  An unseeded real pencil with B1 = 0 and B0, B2
+    symmetric is B0 v = mu B2 v, mu = -lam^2: mass_deflated_eig's Lanczos
+    on one Cholesky factor of B0 gives lam = +-sqrt(-mu), each pair sharing
+    one eigenvector, as the dense reduction does (with B1 = alpha B2 the
+    count least |lam| need not come from the least mu).  Any other pencil,
+    or a B0 whose Cholesky fails, takes ARPACK Arnoldi on the companion
+    operator shift-inverted about 0, [v1; v2] -> [v2; -B0^{-1}(B2 v1 +
+    B1 v2)], applying the banded LU of B0 once per step.  An exactly
+    singular B0 is retried once about a small shift sigma (nearest
+    eigenvalues to sigma).
 
     Without ``count``, every eigenvalue, nonfinite ones at infinity kept; a
-    regular pencil contributes 2 m eigenvalues with multiplicity.  The
-    dense solver follows the structure of the operators:
+    regular pencil contributes 2 m eigenvalues with multiplicity:
 
-    * the scaled A0 and A2 Hermitian and A0 positive definite with no
-      direction below the deflation cutoff (any A1): one n x n eigh of
-      A2 v = theta A0 v reduces the pencil to I + lam F + lam^2 Theta
-      (Tisseur & Meerbergen, SIAM Rev. 43 (2001), sec. 3).  m = n, the rank
-      the companion path would deflate to.  With A1 = 0 (no nonzero entry)
-      lam = +-sqrt(-1 / theta), and each pair shares one eigenvector, so its
-      Cauchy data (v, +-lam v) is exact.  With A1 only the seed corner (the
-      lambda-Robin pencils) F has rank one: one standard eigvals of the
-      2n x 2n companion in 1 / lam, whose leading coefficient is the
-      identity (no deflation and no QZ, real arithmetic for real
-      operators), and each eigenvector in closed form, O(n) per mode.  Any
-      other A1 takes eig of that companion with its eigenvectors.
-    * otherwise: companion QZ in deflated scaled coordinates, m the
-      deflated rank; real QZ when every operator is real.  This is left to
-      non-Hermitian operators (the kg pencil with an e0 term) and to an
-      indefinite A0 (a Laplace pencil shifted below its least eigenvalue).
+    * B0 and B2 Hermitian, B0 positive definite above the deflation cutoff
+      and B1 = alpha B2 + f e0 e0^T (_proportion): _definite_eig, m = n,
+      the rank the companion path would deflate to.  This takes A1 = 0,
+      the lambda-Robin row (alpha = 0), the kg pencil at q != 0 on a
+      boosted gamma0 (f = 0), and both at once.
+    * otherwise _companion_qz, m the deflated rank.
 
     At an infinite eigenvalue the returned vector is the v2 = lam v block of
     the Cauchy data.
     """
-    if count is None:
-        dense = [A.toarray() for A in (A0, A1, A2)]
-        if _is_real(A0, A1, A2):
-            dense = [D.real for D in dense]
-        lam, vecs, m = _definite_eig(*dense) or _companion_qz(*dense)
-        idx = modulus_order(lam)
-        return lam[idx], vecs[:, idx], m
     B0, d = A0.unit_diagonal()
     B1, B2 = A1.scaled(d), A2.scaled(d)
     n = d.size
+    if count is None:
+        dense = [B.toarray() for B in (B0, B1, B2)]
+        if _is_real(B0, B1, B2):
+            dense = [D.real for D in dense]
+        form = (_proportion(B1, B2)
+                if _is_hermitian(B0) and _is_hermitian(B2) else None)
+        found = form and _definite_eig(dense[0], dense[2], *form)
+        lam, vecs, m = found or _companion_qz(*dense)
+        idx = modulus_order(lam)
+        return lam[idx], vecs[:, idx] * d[:, None], m
+    if not (B1.norm1() or B2.norm1()):
+        return np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), n
     k = min(int(count) + 2, 2 * n - 2)
     if (not B0.seeded and not np.any(B1.band) and _is_real(B0, B2)
             and _is_hermitian(B0) and _is_hermitian(B2)):
         try:
             mu, Z = mass_deflated_eig(B0, B2, (k + 1) // 2)
         except SingularSystem:
-            pass    # A0 is not definite, or A2 = 0: Arnoldi below
+            pass    # A0 is not definite: Arnoldi below
         else:
             lam = np.sqrt((-mu).astype(complex))
             lam = np.concatenate([lam, -lam])
@@ -1019,101 +1040,62 @@ def pencil_eig(A0, A1, A2, count=None):
     return lam[idx], vecs[:, idx], n
 
 
-def _deflation(K):
-    """(T, Dinv, Ks): orthonormal basis of the content of the scaled K."""
-    from scipy.linalg import svd
+def _definite_eig(A0, A2, alpha, f):
+    """Every eigenpair of A0 + lam (alpha A2 + f e0 e0^T) + lam^2 A2 for
+    dense Hermitian A0 and A2 (pencil_eig passes them scaled), or None
+    unless A0 is positive definite with every eigenvalue above RANK_CUTOFF
+    of the largest.  Returns (lam, vecs, n).
 
-    Ks, Dinv = _diag_scale(K)
-    U, sv, _ = svd(0.5 * (Ks + Ks.conj().T))
-    keep = sv > RANK_CUTOFF * sv[0]
-    return U[:, keep], Dinv, Ks
-
-
-def _project(T, Dinv, A):
-    """T^H (D A D) T: A in the deflated scaled coordinates."""
-    return _matmul(_matmul(T.conj().T, (A * Dinv[None, :]) * Dinv[:, None]),
-                   T)
-
-
-def _hermitian_part(A):
-    """(A + A^H) / 2 when A is Hermitian to rounding (1e-13 of its largest
-    entry), else None."""
-    H = 0.5 * (A + A.conj().T)
-    return H if np.max(np.abs(A - H)) <= 1e-13 * np.max(np.abs(A)) else None
-
-
-def _definite_eig(A0, A1, A2):
-    """Every eigenpair of A0 + lam A1 + lam^2 A2 through the definite
-    reduction, or None unless the scaled A0 and A2 are Hermitian and A0 is
-    positive definite with every eigenvalue above RANK_CUTOFF of the largest
-    (pencil_eig).
-
-    One eigh of (H2, H0) gives V with V^H H0 V = I and V^H H2 V = Theta, and
-    the pencil in V's coordinates is I + lam F + lam^2 Theta with
-    F = V^H (D A1 D) V.  In s = 1 / lam its companion [[-F, -Theta], [I, 0]]
-    has the identity as leading coefficient: a standard eigenproblem, real
-    for real operators.  When A1 is at most the seed corner (A1 = 0, or the
-    lambda-Robin row), F = f u u^H has rank one with u = conj(V[0]) and
-    f = a1 D[0]^2 (Golub, SIAM Rev. 15 (1973)), and _rank_one_eig solves it
-    without eigenvectors of the companion.  Any other A1 (a kg pencil whose
-    gamma0 mixes t and y, at q != 0) takes eig of the full companion with
-    vectors: its bottom block is the eigenvector, and at s = 0 (lam = inf)
-    the v2 data.
+    One eigh of (A2, A0) gives V with V^H A0 V = I and V^H A2 V = Theta,
+    and the pencil in V's coordinates is I + lam F + lam^2 Theta with
+    F = alpha Theta + f u u^H, u = conj(V[0]): diagonal plus rank one
+    (Golub, SIAM Rev. 15 (1973)).  A mode k with f u_k = 0 (every mode when
+    f = 0) is decoupled: 1 + alpha theta_k lam + theta_k lam^2 = 0 gives
+    lam = (-alpha +- sqrt(alpha^2 - 4 / theta_k)) / 2, the pair sharing
+    v_k; at alpha = 0 that is +-sqrt(-1 / theta_k), and the Cauchy data
+    (v, +-lam v) of the pair is exact.  _rank_one_eig solves the coupled
+    modes, without eigenvectors of a companion.
     """
-    from scipy.linalg import eig, eigh, eigvalsh
+    from scipy.linalg import eigh, eigvalsh
 
-    A0s, Dinv = _diag_scale(A0)
-    H0 = _hermitian_part(A0s)
-    H2 = _hermitian_part((A2 * Dinv[None, :]) * Dinv[:, None])
-    if H0 is None or H2 is None:
-        return None
-    ev = eigvalsh(H0)        # the singular values _deflation ranks
+    ev = eigvalsh(A0)        # the singular values the QZ deflation ranks
     if not ev[0] > RANK_CUTOFF * abs(ev[-1]):
         return None
-    theta, V = eigh(H2, H0)  # A2 v = theta A0 v
+    theta, V = eigh(A2, A0)  # A2 v = theta A0 v
     n = theta.size
-    if not (np.any(A1[1:]) or np.any(A1[0, 1:])):
-        # A1 = a1 e_0 e_0^T, F = f u u^H: a mode k with f u_k = 0 (every
-        # mode when a1 = 0) is decoupled, lam = +-sqrt(-1 / theta_k) sharing
-        # v_k.  As in LAPACK's rank-one divide and conquer (dlaed2), a u_k
-        # whose removal moves F by less than rounding of the companion,
-        # 2 |f| |u_k| |u| <= eps max(1, ||F||, ||Theta||), deflates too
-        f = A1[0, 0] * Dinv[0] * Dinv[0]
-        u = np.conj(V[0])
-        size = abs(f) * np.linalg.norm(u)
-        free = 2.0 * size * np.abs(u) <= np.finfo(float).eps * max(
-            1.0, size * np.linalg.norm(u), np.max(np.abs(theta)))
-        with np.errstate(divide="ignore"):
-            lam = np.sqrt((-1.0 / theta[free]).astype(complex))
-        vecs = V[:, free] * Dinv[:, None]
-        lam, vecs = np.concatenate([lam, -lam]), np.concatenate([vecs, vecs],
-                                                                axis=1)
-        if not free.all():
-            lam_j, X = _rank_one_eig(theta[~free], u[~free], f)
-            lam = np.concatenate([lam_j, lam])
-            vecs = np.concatenate(
-                [_matmul(V[:, ~free], X) * Dinv[:, None], vecs], axis=1)
-        return lam, vecs, n
-    F = _matmul(_matmul(V.conj().T, (A1 * Dinv[None, :]) * Dinv[:, None]), V)
-    C = np.block([[-F, -np.diag(theta).astype(F.dtype)],
-                  [np.eye(n, dtype=F.dtype), np.zeros((n, n), F.dtype)]])
-    s, W = eig(C)            # s = 1 / lam
-    lam = np.full(s.shape, np.inf, dtype=complex)
-    lam[s != 0] = 1.0 / s[s != 0]
-    return lam, _matmul(V, W[n:]) * Dinv[:, None], n
+    # As in LAPACK's rank-one divide and conquer (dlaed2), a u_k whose
+    # removal moves F by less than rounding of the companion,
+    # 2 |f| |u_k| |u| <= eps max(1, ||F||, ||Theta||), deflates too
+    u = np.conj(V[0])
+    size = abs(f) * np.linalg.norm(u)
+    top = np.max(np.abs(theta))
+    free = 2.0 * size * np.abs(u) <= np.finfo(float).eps * max(
+        1.0, size * np.linalg.norm(u) + abs(alpha) * top, top)
+    with np.errstate(divide="ignore"):
+        half = 0.5 * np.sqrt((alpha * alpha - 4.0 / theta[free])
+                             .astype(complex))
+    lam = np.concatenate([-0.5 * alpha + half, -0.5 * alpha - half])
+    vecs = np.concatenate([V[:, free], V[:, free]], axis=1)
+    if not free.all():
+        lam_j, X = _rank_one_eig(theta[~free], u[~free], f, alpha)
+        lam = np.concatenate([lam_j, lam])
+        vecs = np.concatenate([_matmul(V[:, ~free], X), vecs], axis=1)
+    return lam, vecs, n
 
 
-def _rank_one_eig(theta, u, f):
-    """(lam, X): every eigenpair of I + lam f u u^H + lam^2 diag(theta)
-    with no u_k = 0, the eigenvectors in the coordinates of theta.
+def _rank_one_eig(theta, u, f, alpha):
+    """(lam, X): every eigenpair of I + lam (alpha Theta + f u u^H)
+    + lam^2 Theta with no u_k = 0, the eigenvectors in the coordinates of
+    theta.
 
-    In s = 1 / lam one eigvals of the companion [[-f u u^H, -Theta],
-    [I, 0]] gives the 2n eigenvalues, the roots of the secular function
-    g(s) = 1 + f s sum_k |u_k|^2 / (s^2 + theta_k) (the rank-one reduction
-    of Tisseur & Meerbergen, SIAM Rev. 43 (2001), sec. 3, with F as in
-    Golub, SIAM Rev. 15 (1973)).  Each eigenvector is then, in closed form,
-    x = (s^2 I + Theta)^{-1} u, O(n) per mode, whose residual
-    P(s) x = u g(s) is known without a product.  Near a pole s^2 = -theta_k
+    In s = 1 / lam the pencil is D(s) + f s u u^H with D(s) diagonal,
+    d_k(s) = s^2 + theta_k (1 + alpha s).  One eigvals of the companion
+    [[-alpha Theta - f u u^H, -Theta], [I, 0]] gives the 2n eigenvalues,
+    the roots of the secular function g(s) = 1 + f s sum_k |u_k|^2 / d_k(s)
+    (the rank-one reduction of Tisseur & Meerbergen, SIAM Rev. 43 (2001),
+    sec. 3, with F as in Golub, SIAM Rev. 15 (1973)).  Each eigenvector is
+    then, in closed form, x = D(s)^{-1} u, O(n) per mode, whose residual
+    P(s) x = u g(s) is known without a product.  Near a pole d_k(s) = 0
     that closed form amplifies the error of s, and e_k is the better
     vector; each root keeps whichever of the two has the smaller residual
     (a root on a pole takes e_k).  A root whose pair is not backward stable
@@ -1124,57 +1106,64 @@ def _rank_one_eig(theta, u, f):
     from scipy.linalg import eigvals
 
     n = theta.size
-    C = np.zeros((2 * n, 2 * n), dtype=np.result_type(f, u))
-    C[:n, :n] = -f * np.outer(u, np.conj(u))
+    C = np.zeros((2 * n, 2 * n), dtype=np.result_type(f, alpha, u))
+    C[:n, :n] = -f * np.outer(u, np.conj(u)) - alpha * np.diag(theta)
     C[:n, n:] = -np.diag(theta)
     C[n:, :n] = np.eye(n)
     s = eigvals(C)           # s = 1 / lam
     w = (np.abs(u) ** 2)[:, None]
     uu = w.sum()
+    th = theta[:, None]
 
     def secular(s):
         """Per root: the residual ||P(s) x|| and the unit vector x, the
-        better of the closed form and e_k at the nearest pole k, and g(s)
-        and g'(s).  With d = s^2 + theta (n x 2n), 1 / d = (Re d - i Im s^2)
-        a2, a2 = 1 / |d|^2, so the sums over k run in real arithmetic."""
-        s2 = s * s
-        dr = s2.real + theta[:, None]
+        better of the closed form and e_k at the nearest pole k, and g(s).
+        With d = D(s) (n x 2n) and a2 = 1 / |d|^2, 1 / d = conj(d) a2, so
+        the sums over k run in real arithmetic."""
+        s2, sa = s * s, alpha * s
+        dr = s2.real + th * (1.0 + sa.real)
+        di = s2.imag + th * sa.imag
         with np.errstate(divide="ignore", invalid="ignore"):
-            a2 = 1.0 / (dr * dr + s2.imag ** 2)
+            a2 = 1.0 / (dr * dr + di * di)
             t0 = w * a2
-            t1 = t0 * dr
-            t2 = t1 * a2
             x2 = t0.sum(axis=0)                 # ||d^{-1} u||^2
-            ud = t1.sum(axis=0) - 1j * s2.imag * x2         # u^H d^-1 u
-            ud2 = ((t2 * dr).sum(axis=0) - s2.imag ** 2 * (t0 * a2).sum(
-                axis=0) - 2j * s2.imag * t2.sum(axis=0))      # u^H d^-2 u
-            g = 1.0 + f * s * ud
+            ud = (t0 * dr).sum(axis=0) - 1j * (t0 * di).sum(axis=0)
+            g = 1.0 + f * s * ud                # u^H d^-1 u = ud
             res = np.abs(g) * np.sqrt(uu / x2)  # P(s) d^-1 u = u g(s)
             k = np.argmax(a2, axis=0)
             wk = w[k, 0]
             # P(s) e_k = d_k e_k + f s conj(u_k) u
-            dk = dr[k, np.arange(s.size)] + 1j * s2.imag
+            cols = np.arange(s.size)
+            dk = dr[k, cols] + 1j * di[k, cols]
             res_e = np.sqrt(np.abs(dk + f * s * wk) ** 2 + np.abs(f * s) ** 2
                             * wk * np.maximum(uu - wk, 0.0))
             scale = a2 / np.sqrt(x2)
             X = np.empty(dr.shape, dtype=complex)
-            X.real, X.imag = dr * scale, -s2.imag * scale
+            X.real, X.imag = dr * scale, -di * scale
             X *= u[:, None]
         unit = ~(res <= res_e)                  # a pole (nan) included
         X[:, unit] = 0.0
         X[k[unit], unit] = 1.0
-        return np.where(unit, res_e, res), X, g, f * (ud - 2.0 * s2 * ud2)
+        return np.where(unit, res_e, res), X, g
 
-    res, X, g, dg = secular(s)
+    def slope(s):
+        """g'(s) = f (u^H d^-1 u - s u^H d^-2 d' u), d' = 2 s + alpha theta."""
+        d = s * s + th * (1.0 + alpha * s)
+        q = w / d
+        return f * (q.sum(axis=0)
+                    - s * (q * (2.0 * s + alpha * th) / d).sum(axis=0))
+
+    res, X, g = secular(s)
     # a pair within rounding of ||s^2 I + s F + Theta|| is backward stable;
     # any other root takes one Newton step on g, kept where res falls
-    bound = np.abs(s) ** 2 + np.abs(f * s) * uu + np.max(np.abs(theta))
+    top = np.max(np.abs(theta))
+    bound = np.abs(s) ** 2 + np.abs(s) * (abs(f) * uu + abs(alpha) * top) + top
     loose = np.flatnonzero(~(res <= 8.0 * np.finfo(float).eps * bound))
     if loose.size:
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = s[loose] - g[loose] / dg[loose]
+            step = s[loose] - g[loose] / slope(s[loose])
         step = np.where(np.isfinite(step), step, s[loose])
-        res_new, X_new, _, _ = secular(step)
+        res_new, X_new, _ = secular(step)
         better = res_new < res[loose]
         s[loose[better]] = step[better]
         X[:, loose[better]] = X_new[:, better]
@@ -1184,12 +1173,21 @@ def _rank_one_eig(theta, u, f):
 
 
 def _companion_qz(A0, A1, A2):
-    """Dense companion QZ of pencil_eig in deflated scaled coordinates."""
-    from scipy.linalg import eig
+    """Dense companion QZ of pencil_eig's scaled operators, for the pencils
+    _definite_eig does not take: non-Hermitian ones (the kg pencil with an
+    e0 term), an indefinite or rank-deficient A0, and an A1 not of the form
+    alpha A2 + f e0 e0^T (a linear pencil, A2 = 0, with more than the seed
+    corner in A1 among them).  The pencil is projected onto the singular
+    vectors of A0's Hermitian part above RANK_CUTOFF of the largest, m of
+    them; real QZ for real operators.  Returns (lam, vecs, m)."""
+    from scipy.linalg import eig, svd
 
-    T, Dinv, A0s = _deflation(A0)
-    A0p = _matmul(_matmul(T.conj().T, A0s), T)
-    A1p, A2p = _project(T, Dinv, A1), _project(T, Dinv, A2)
+    U, sv, _ = svd(0.5 * (A0 + A0.conj().T))
+    T = U[:, sv > RANK_CUTOFF * sv[0]]
+    Th = T.conj().T
+    A0p = _matmul(_matmul(Th, A0), T)
+    A1p = _matmul(_matmul(Th, A1), T)
+    A2p = _matmul(_matmul(Th, A2), T)
     m = A0p.shape[0]
     Z = np.zeros((m, m), dtype=A0p.dtype)
     Iden = np.eye(m, dtype=A0p.dtype)
@@ -1201,5 +1199,4 @@ def _companion_qz(A0, A1, A2):
     # an eigenvalue beyond double range is reported inf by QZ; its Cauchy
     # data degenerates to (0, v) (top block of the companion vector)
     vecs = np.where(np.isfinite(lam)[None, :], V[m:, :], V[:m, :])
-    vecs = _matmul(T, vecs) * Dinv[:, None]
-    return lam, vecs, m
+    return lam, _matmul(T, vecs), m

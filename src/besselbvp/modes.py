@@ -9,11 +9,11 @@ gamma_- term of the boundary row) with a mode count take the same Lanczos
 in mu = -lambda^2 when P1 = 0 and the operators are real and symmetric,
 else shift-invert Arnoldi on the companion linearisation.  The full
 spectrum is dense: a pencil whose lambda-free and lambda^2 parts are
-Hermitian, the first definite, is reduced by one symmetric problem
-(+-sqrt(mu) of it when P1 = 0 and no lambda sits in the boundary row, one
-standard eigenproblem in 1 / lambda otherwise: eigenvalues only, with the
-eigenvectors in closed form, when lambda sits in the boundary row alone, as
-for the lambda-Robin row); any other goes through companion QZ.
+Hermitian, the first definite, and whose P1 is a multiple of the lambda^2
+part plus a lambda in the boundary row, is reduced by one symmetric
+problem (lambda in closed form for a mode the boundary row leaves
+decoupled, else from the eigenvalues of one standard eigenproblem in
+1 / lambda, the eigenvectors in closed form); any other takes companion QZ.
 Two-fold completeness is probed by the numerical rank of the stacked Cauchy
 data (u, lambda u), the desk-scale surrogate for the continuum density
 statement.
@@ -218,11 +218,11 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     pencil without a lambda-linear term (the Dirichlet Laplace and kg
     pencils), else shift-invert Arnoldi through the banded LU of P(0).
     Without it every eigenvalue is computed densely (fem.pencil_eig).  When
-    the lambda-free and lambda^2 operators are Hermitian and the first is
-    definite (the Laplace pencil with a Dirichlet, lambda-free or
-    lambda-Robin row), one symmetric eigh reduces the pencil: +-sqrt(mu),
-    mu = lambda^2, without a lambda-linear term, one standard eigenproblem
-    in 1 / lambda with it.  Any other pencil (an e0 term, an indefinite A0)
+    the lambda-free and lambda^2 operators are Hermitian, the first is
+    definite and the lambda-linear one is a multiple of the lambda^2 one
+    plus the seed corner (the Laplace pencil with a Dirichlet, lambda-free
+    or lambda-Robin row; the kg pencil without e0), one symmetric eigh
+    reduces the pencil.  Any other pencil (an e0 term, an indefinite A0)
     takes companion QZ.  Without a lambda-linear term the +- pairs of both
     paths share one vector, and its norm and residual are formed once.
     """

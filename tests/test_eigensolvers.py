@@ -4,8 +4,10 @@ plus structural guards: count-limited paths never densify an operator,
 full lambda-Robin spectra never fall back to QZ, and the residuals of a
 spectrum take a fixed number of operator products."""
 
+import ast
 import json
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +17,10 @@ import reference_oracles as oracles
 from besselbvp import fem, modes
 from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
-from besselbvp.errors import DomainError, SingularSystem
+from besselbvp.errors import DomainError, LinearizationSingular, SingularSystem
 from besselbvp.fem import (BorderedBand, Space, _BorderedLU, _companion_qz,
-                           _definite_eig, _diag_scale, _hermitian_part,
-                           _is_real, mass_deflated_eig, modulus_order,
+                           _definite_eig, _is_hermitian, _is_real,
+                           _proportion, mass_deflated_eig, modulus_order,
                            norm_bound, pencil_eig)
 from besselbvp.kg import ModelMetric, mass_of_order, reduce
 from besselbvp.modes import (_pencil_matrices, dirichlet_spectrum,
@@ -275,7 +277,9 @@ def test_even_real_pencil_count_takes_the_lanczos(name, monkeypatch):
     assert m == A0.shape[0] and lam.size == 10
     # count + 2 eigenvalues also when that splits a +- pair, as the Arnoldi
     assert pencil_eig(A0, A1, A2, count=5)[0].size == 7
-    ref, _, _ = _definite_eig(*(A.toarray().real for A in (A0, A1, A2)))
+    B0, d = A0.unit_diagonal()
+    ref, _, _ = _definite_eig(B0.toarray().real, A2.scaled(d).toarray().real,
+                              0.0, 0.0)
     ref = ref[modulus_order(ref)]
     assert np.max(np.abs(lam - ref[:10]) / np.abs(ref[:10])) < 1e-10
     # each +- pair shares one eigenvector
@@ -316,6 +320,28 @@ def test_other_pencil_counts_take_the_arnoldi(name, lanczos_failed,
         assert np.min(np.abs(qz - value)) < 1e-10 * abs(value)
 
 
+def test_zero_pencil_count_returns_before_any_factorisation(monkeypatch):
+    # A1 = A2 = 0: every eigenvalue is infinite, known before a banded LU
+    # or an Arnoldi run on the nilpotent companion operator
+    import scipy.sparse.linalg
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a zero pencil was factored")
+
+    monkeypatch.setattr(fem, "_BorderedLU", refuse)
+    monkeypatch.setattr(fem, "mass_deflated_eig", refuse)
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", refuse)
+    nu = 0.4
+    op = BesselOperator(Order(nu), a_coeff=0.0,
+                        pencil_fourier=lambda q: (1.0, 0.0, 0.0))
+    A0, A1, A2 = _pencil_matrices(nu, op, None, 0, 64, DEFAULTS)[:3]
+    lam, vecs, m = pencil_eig(A0, A1, A2, count=4)
+    assert lam.size == 0 and vecs.shape == (A0.shape[0], 0)
+    assert m == A0.shape[0]
+    with pytest.raises(LinearizationSingular, match="infinite"):
+        pencil_modes(nu, op, None, q=0, n_nodes=64, max_modes=4)
+
+
 def test_requests_beyond_arpack_limits_return_what_fits():
     K, M = dirichlet_operators(0.5, 0, n_nodes=40)
     n = K.shape[0]
@@ -350,8 +376,11 @@ def test_dirichlet_spectrum_large_order_matches_closed_form():
 # --------------------------------------------------------------------------
 
 def complex_qz(A0, A1, A2):
-    """The complex companion QZ oracle, eigenvalues in canonical order."""
-    lam, _, m = _companion_qz(A0.toarray(), A1.toarray(), A2.toarray())
+    """The complex companion QZ oracle, eigenvalues in canonical order, on
+    the operators scaled as the library scales them (unit_diagonal)."""
+    B0, d = A0.unit_diagonal()
+    lam, _, m = _companion_qz(B0.toarray(), A1.scaled(d).toarray(),
+                              A2.scaled(d).toarray())
     return lam[modulus_order(lam)], m
 
 
@@ -398,7 +427,7 @@ def test_non_hermitian_even_pencil_takes_companion_qz(monkeypatch):
     nu, op, q = kg_pencil(0.6, e0=0.5)
     A0, A1, A2 = _pencil_matrices(nu, op, None, q, 160, DEFAULTS)[:3]
     assert not np.any(A1.toarray())
-    assert _hermitian_part(_diag_scale(A0.toarray())[0]) is None
+    assert not _is_hermitian(A0.unit_diagonal()[0])
     qz_calls = spy_companion_qz(monkeypatch)
     lam, _, m = pencil_eig(A0, A1, A2)
     assert len(qz_calls) == 1
@@ -498,10 +527,110 @@ def test_gyroscopic_pencil_takes_the_definite_reduction(monkeypatch):
         assert np.linalg.norm(r) < 1e-12 * (1.0 + abs(lam[k])) ** 2
 
 
+BOOSTED = np.array([[1.0, 0.3, 0.0], [0.3, -1.0, 0.0], [0.0, 0.0, -1.0]])
+
+
+def boosted_kg(bc_coeff=None):
+    """(nu, op, bc): the kg pencil of mass -2 on a boosted gamma0, whose
+    inverse mixes t and y, so at q = (1, 0) A1 = alpha A2 with alpha != 0;
+    with ``bc_coeff`` the lambda-Robin row adds the seed corner f."""
+    red = reduce(ModelMetric(3, BOOSTED, None, 0.0), -2.0)
+    bc = (None if bc_coeff is None
+          else BoundaryOperator.lambda_robin(red.nu, bc_coeff))
+    return red.nu, red.bessel_op, bc
+
+
+def test_boosted_kg_pencil_takes_the_definite_reduction(monkeypatch):
+    # f = 0: every mode is decoupled, 1 + alpha theta lam + theta lam^2 = 0
+    nu, op, bc = boosted_kg()
+    A0, A1, A2 = _pencil_matrices(nu, op, bc, (1, 0), 160, DEFAULTS)[:3]
+    d = A0.unit_diagonal()[1]
+    alpha, f = _proportion(A1.scaled(d), A2.scaled(d))
+    assert alpha != 0.0 and f == 0.0 and np.isrealobj(alpha)
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, vecs, m = pencil_eig(A0, A1, A2)
+    assert not qz_calls
+    ref, m_ref = complex_qz(A0, A1, A2)
+    assert m == m_ref == A0.shape[0] and lam.size == 2 * m
+    assert_lower_half_agrees(lam, ref, m)
+    norms = two_norms(A0, A1, A2)
+    for k in range(32):
+        c = vecs[:, k] / np.linalg.norm(vecs[:, k])
+        r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
+        scale = sum(a * abs(lam[k]) ** i for i, a in enumerate(norms))
+        assert np.linalg.norm(r) < 1e-12 * scale
+
+
+def test_unstructured_a1_takes_qz(monkeypatch):
+    # Hermitian definite A0 and A2, but A1 a diagonal no multiple of A2 and
+    # no corner: F is not diagonal plus rank one, so the companion QZ
+    n = 24
+    x = np.linspace(1.0, 3.0, n)
+    A0 = tridiagonal(-x[1:], 2.0 * x + 0.5, -x[1:])
+    A1 = tridiagonal(np.zeros(n - 1), np.linspace(0.1, 0.4, n),
+                     np.zeros(n - 1))
+    A2 = (1.0 / 6.0) * tridiagonal(np.ones(n - 1), np.full(n, 4.0),
+                                   np.ones(n - 1))
+    assert _proportion(A1, A2) is None
+    qz_calls = spy_companion_qz(monkeypatch)
+    lam, vecs, m = pencil_eig(A0, A1, A2)
+    assert len(qz_calls) == 1
+    ref = oracles.dense_companion_eigvals(A0, A1, A2)
+    assert m == n and lam.size == 2 * n
+    for value in lam:
+        assert np.min(np.abs(ref - value)) < 1e-10 * abs(value)
+    for k in range(2 * n):
+        c = vecs[:, k] / np.linalg.norm(vecs[:, k])
+        r = A0 @ c + lam[k] * (A1 @ c) + lam[k] ** 2 * (A2 @ c)
+        assert np.linalg.norm(r) < 1e-12 * (1.0 + abs(lam[k])) ** 2
+
+
+def seeded_matrices():
+    """S and M of a seeded space: Hermitian, with a seed row and corner."""
+    mats = Space(Order(0.3), 1.0, n_nodes=40, dirichlet_cap=True,
+                 include_minus=True).matrices()
+    return mats["S"], mats["M"]
+
+
+def test_proportion_reads_alpha_and_the_corner():
+    _, M = seeded_matrices()
+    corner = replace(0.0 * M, corner=0.7 + 0j)
+    assert _proportion(0.0 * M, M) == (0.0, 0.0)
+    assert _proportion(0.0 * M, 0.0 * M) == (0.0, 0.0)
+    alpha, f = _proportion(corner, M)              # the lambda-Robin A1
+    assert alpha == 0.0 and f == 0.7
+    assert np.isrealobj(alpha) and np.isrealobj(f)
+    alpha, f = _proportion(2.5 * M + corner, M)    # seeded, both nonzero
+    assert abs(alpha - 2.5) < 1e-15 and abs(f - 0.7) < 1e-13
+    assert np.isrealobj(alpha) and np.isrealobj(f)
+    alpha, f = _proportion(0.75j * M, (1.0 / 6.0) * M)      # gyroscopic
+    assert abs(alpha - 4.5j) < 1e-14 and abs(f) < 1e-14 * abs(M.corner)
+    band = M.lagrange_block()
+    alpha, f = _proportion(2.0 * band, band)       # unseeded: no corner
+    assert abs(alpha - 2.0) < 1e-15 and f == 0.0
+
+
+def test_proportion_refuses_other_a1():
+    S, M = seeded_matrices()
+    assert _proportion(S, M) is None
+    assert _proportion(M, 0.0 * M) is None         # a nonzero A1, A2 = 0
+    row = replace(M, row=M.row * (1.0 + 1e-9))     # only the seed row off
+    assert _proportion(row, M) is None
+
+
+def test_is_hermitian_reads_the_seed_border():
+    _, M = seeded_matrices()
+    assert _is_hermitian(M)
+    assert not _is_hermitian(replace(M, row=M.row + 1e-6 * np.abs(M.row)
+                                     .max()))
+    assert not _is_hermitian(replace(M, corner=M.corner * (1.0 + 1e-6j)))
+    assert _is_hermitian(replace(M, corner=M.corner * (1.0 + 1e-15j)))
+
+
 def test_linear_pencil_puts_half_its_spectrum_at_infinity(monkeypatch):
-    # A2 = 0: Theta = 0, and the companion in 1 / lambda has n exact zeros;
-    # they come back as lambda = inf, the other n as the eigenvalues of the
-    # linear pencil A0 + lambda A1
+    # A2 = 0 leaves A1 no multiple of A2: the companion QZ, whose D block
+    # A2 = 0 puts n eigenvalues at lambda = inf, the other n at the
+    # eigenvalues of the linear pencil A0 + lambda A1
     n = 12
     x = np.linspace(1.0, 3.0, n)
     A0 = tridiagonal(-x[1:], 2.0 * x + 0.5, -x[1:])
@@ -509,7 +638,7 @@ def test_linear_pencil_puts_half_its_spectrum_at_infinity(monkeypatch):
     A2 = tridiagonal(np.zeros(n - 1), np.zeros(n), np.zeros(n - 1))
     qz_calls = spy_companion_qz(monkeypatch)
     lam, _, m = pencil_eig(A0, A1, A2)
-    assert not qz_calls
+    assert len(qz_calls) == 1
     assert m == n and lam.size == 2 * n
     assert np.all(np.isinf(lam[n:])) and np.all(np.isfinite(lam[:n]))
     ref = la.eigvals(A0.toarray(), -A1.toarray())
@@ -579,7 +708,6 @@ def test_full_lambda_robin_spectrum_never_runs_qz(monkeypatch):
         raise AssertionError("a lambda-Robin spectrum fell back to QZ")
 
     monkeypatch.setattr(fem, "_companion_qz", refuse)
-    monkeypatch.setattr(fem, "_deflation", refuse)
     nu = 0.6
     ms = pencil_modes(nu, laplace_pencil(nu),
                       BoundaryOperator.lambda_robin(nu), q=0, n_nodes=128)
@@ -646,9 +774,31 @@ def test_dense_products_run_in_scipy_blas(monkeypatch):
     nu, op, q = kg_pencil(0.3, e0=0.5)
     A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64, DEFAULTS)
     pencil_eig(A0, A1, A2)
-    assert callers.pop("_project") == 2 * 2
-    assert callers.pop("_companion_qz") == 2 + 1
+    assert callers.pop("_companion_qz") == 3 * 2 + 1
     assert not callers
+
+
+def test_dense_routes_make_no_numpy_product():
+    # a numpy product wakes numpy's own BLAS pool (see fem._matmul), and a
+    # spy on _matmul cannot see one added beside it: read the source
+    with open(fem.__file__) as source:
+        tree = ast.parse(source.read())
+    routes = {"_definite_eig", "_rank_one_eig", "_companion_qz",
+              "_proportion"}
+    banned = {"dot", "vdot", "inner", "matmul", "tensordot"}
+    funcs = [f for f in tree.body
+             if isinstance(f, ast.FunctionDef) and f.name in routes]
+    assert {f.name for f in funcs} == routes
+    found = []
+    for func in funcs:
+        for node in ast.walk(func):
+            op = getattr(node, "op", None)
+            if isinstance(op, ast.MatMult) or (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in banned):
+                found.append((func.name, node.lineno))
+    assert not found
 
 
 def test_targeted_paths_never_call_toarray(monkeypatch, tmp_path):
@@ -679,12 +829,11 @@ def dense_definite_eig(A0, A1, A2):
     scaling and eigh (the top of a lambda-Robin spectrum moves at 1e-12
     with the rounding of the scaled entries), then one dense eig of the
     whole 2n x 2n companion in 1 / lambda, eigenvectors included."""
-    D0, D1, D2 = (A.toarray().real for A in (A0, A1, A2))
-    A0s, d = _diag_scale(D0)
-    theta, V = la.eigh(_hermitian_part((D2 * d[None, :]) * d[:, None]),
-                       _hermitian_part(A0s))
+    B0, d = A0.unit_diagonal()
+    D0, D1, D2 = (B.toarray().real for B in (B0, A1.scaled(d), A2.scaled(d)))
+    theta, V = la.eigh(D2, D0)
     n = theta.size
-    F = V.T @ ((D1 * d[None, :]) * d[:, None]) @ V
+    F = V.T @ D1 @ V
     s, W = la.eig(np.block([[-F, -np.diag(theta)],
                             [np.eye(n), np.zeros((n, n))]]))
     return 1.0 / s, (V @ W[n:]) * d[:, None]
@@ -699,19 +848,14 @@ def backward_errors(A0, A1, A2, lam, vecs):
     return np.linalg.norm(R, axis=0) / (a0 + mod * a1 + mod ** 2 * a2)
 
 
-@pytest.mark.parametrize("n", [128, 256])
-@pytest.mark.parametrize("c", [-2.0, 0.7, 1.0])
-@pytest.mark.parametrize("nu", [0.3, 0.55, 0.7, 0.95])
-def test_lambda_robin_closed_form_matches_dense_eig(nu, c, n):
-    # the rank-one route (eigvals, closed-form vectors) keeps the modes
-    # the dense eig with eigenvectors keeps, at the same eigenvalues
-    bc = BoundaryOperator.lambda_robin(nu, c)
-    A0, A1, A2 = _pencil_matrices(nu, laplace_pencil(nu), bc, 0, n,
-                                  DEFAULTS)[:3]
+def assert_keeps_the_dense_eig_modes(nu, op, bc, q, n):
+    """The rank-one route (eigvals, closed-form vectors) keeps the modes
+    the dense eig with eigenvectors keeps, at the same eigenvalues."""
+    A0, A1, A2 = _pencil_matrices(nu, op, bc, q, n, DEFAULTS)[:3]
     ref, ref_vecs = dense_definite_eig(A0, A1, A2)
     ref_kept = backward_errors(A0, A1, A2, ref, ref_vecs) \
         < DEFAULTS.solver_residual_tol
-    ms = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=n)
+    ms = pencil_modes(nu, op, bc, q=q, n_nodes=n)
     assert len(ms) == np.count_nonzero(ref_kept)
     assert np.max(ms.residuals) <= 1e-12
     low = ms.eigenvalues[np.abs(ms.eigenvalues) < 1e5]
@@ -725,6 +869,24 @@ def test_lambda_robin_closed_form_matches_dense_eig(nu, c, n):
         j = np.argmin(gap)
         assert gap[j] <= 1e-12 * abs(value)
         unused[j] = False
+
+
+@pytest.mark.parametrize("n", [128, 256])
+@pytest.mark.parametrize("c", [-2.0, 0.7, 1.0])
+@pytest.mark.parametrize("nu", [0.3, 0.55, 0.7, 0.95])
+def test_lambda_robin_closed_form_matches_dense_eig(nu, c, n):
+    assert_keeps_the_dense_eig_modes(nu, laplace_pencil(nu),
+                                     BoundaryOperator.lambda_robin(nu, c), 0,
+                                     n)
+
+
+def test_boosted_lambda_robin_pencil_matches_dense_eig(monkeypatch):
+    # alpha and f both nonzero: the secular roots of d_k(s) = s^2
+    # + theta_k (1 + alpha s); the companion QZ would lose modes here
+    qz_calls = spy_companion_qz(monkeypatch)
+    nu, op, bc = boosted_kg(0.7)
+    assert_keeps_the_dense_eig_modes(nu, op, bc, (1, 0), 128)
+    assert not qz_calls
 
 
 def corner_pencil(coupling):
@@ -761,7 +923,7 @@ def test_decoupled_mode_of_a_corner_pencil_keeps_its_unit_vector():
     # lambda = +-i sqrt(7 / 0.3) comes back with x = e_k, without a
     # division by s^2 + theta_k = 0 (warnings are errors here)
     A0, A1, A2 = corner_pencil(0.0)
-    lam, vecs, m = _definite_eig(A0, A1, A2)
+    lam, vecs, m = _definite_eig(A0, A2, 0.0, A1[0, 0])
     assert m == 6 and lam.size == 12
     alone = np.flatnonzero(np.all(vecs[:5] == 0.0, axis=0))
     assert alone.size == 2
@@ -779,7 +941,7 @@ def test_nearly_decoupled_mode_takes_the_better_vector():
     # the closed form (s^2 + Theta)^{-1} u points the wrong way there, and
     # the root keeps e_k, whose residual is the smaller
     A0, A1, A2 = corner_pencil(1e-9)
-    lam, vecs, m = _definite_eig(A0, A1, A2)
+    lam, vecs, m = _definite_eig(A0, A2, 0.0, A1[0, 0])
     worst, dist = dense_pencil_check(A0, A1, A2, lam, vecs)
     assert worst < 1e-9 and dist < 1e-12
 
