@@ -24,7 +24,7 @@ Space._images, tabulates the polynomial factors at any points; every
 consumer integrates these tables.  The tables are real (so are the Lagrange
 and seed polynomials): S and M are contracted in real arithmetic, and
 complex numbers enter only with a complex coefficient, load or coefficient
-vector.  The assembled operators are complex.  Cells away from the origin
+vector.  Real-valued operators are stored real.  Cells away from the origin
 multiply the tables by x^power and use Gauss-Legendre, vectorised over
 cells.  On the origin cell the entries of a form are grouped by their
 product power beta and each group is integrated exactly by the 24-point
@@ -213,6 +213,9 @@ class BorderedBand:
     (seed, w_j), ``col`` the entries (w_i, seed) and ``corner`` (seed, seed).
     Unseeded operators carry ``row = col = None``.
 
+    The parts share one ``dtype``, decided once where an operator is built:
+    float64 when none has a nonzero imaginary part, else complex128.
+
     ``A @ x`` takes a vector or an (n, k) block.  The block columns ride
     along as a trailing axis of the vector product, so each column of
     ``A @ X`` equals ``A @ X[:, j]`` bitwise, except the seed row: a block
@@ -226,6 +229,19 @@ class BorderedBand:
     corner: complex = 0.0
 
     __array_ufunc__ = None      # numpy scalars defer to __rmul__
+
+    def __post_init__(self):
+        names = ("band", "row", "col", "corner")[:1 + 3 * self.seeded]
+        parts = [getattr(self, name) for name in names]
+        dtype = (complex if any(np.iscomplexobj(x) and np.any(np.imag(x))
+                                for x in parts) else float)
+        for name, x in zip(names, parts):
+            x = np.require(x if dtype is complex else np.real(x), dtype, "C")
+            object.__setattr__(self, name, x if x.ndim else x[()])
+
+    @property
+    def dtype(self):
+        return self.band.dtype
 
     @property
     def p(self):
@@ -243,8 +259,7 @@ class BorderedBand:
     @property
     def nbytes(self):
         """Bytes actually stored: band, border and corner."""
-        border = self.row.nbytes + self.col.nbytes + 16 if self.seeded else 0
-        return self.band.nbytes + border
+        return sum(x.nbytes for x in _entries(self))
 
     def __add__(self, other):
         if self.seeded != other.seeded:
@@ -295,7 +310,7 @@ class BorderedBand:
         rows = _band_rows(self.p, n - s)
         cols = np.broadcast_to(np.arange(n - s), rows.shape)
         inside = (rows >= 0) & (rows < n - s)
-        out = np.zeros((n, n), dtype=complex)
+        out = np.zeros((n, n), dtype=self.dtype)
         out[s + rows[inside], s + cols[inside]] = self.band[inside]
         if s:
             out[0, 0] = self.corner
@@ -323,12 +338,6 @@ class BorderedBand:
     def lagrange_block(self):
         """The operator without its seed row and column."""
         return BorderedBand(self.band)
-
-    def real(self):
-        """The real part of an unseeded operator, as real band storage."""
-        if self.seeded:
-            raise DomainError("real() takes an unseeded operator")
-        return BorderedBand(self.band.real)
 
     def scaled(self, d):
         """diag(d) A diag(d), d over all dofs (seed first)."""
@@ -370,8 +379,10 @@ class Space:
     dof.  A Dirichlet cap drops the dof of the last edge.
     """
 
-    def __init__(self, nu, x_max, n_nodes=None, dirichlet_cap=True,
-                 include_minus=None, outward=False, settings=DEFAULTS):
+    dirichlet_cap = True
+
+    def __init__(self, nu, x_max, n_nodes=None, include_minus=None,
+                 outward=False, settings=DEFAULTS):
         self.order = as_order(nu)
         self.settings = settings
         self.degree = int(settings.fem_degree)
@@ -383,7 +394,6 @@ class Space:
                 f"{n_nodes} nodes give {n_cells} cells of degree "
                 f"{self.degree}; at least {MIN_CELLS} are needed")
         self.x_max = float(x_max)
-        self.dirichlet_cap = bool(dirichlet_cap)
 
         subcritical = self.order.needs_boundary_conditions
         if include_minus is None:
@@ -427,7 +437,7 @@ class Space:
         seeds = int(include_minus)
         self.idx_minus = 0 if include_minus else None
         self.idx_w0 = seeds
-        self.n = seeds + self.n_cells * p + (0 if self.dirichlet_cap else 1)
+        self.n = seeds + self.n_cells * p
         self._lagrange = _lagrange_tables(p)
         # the branch power of each local function's value, d_nu and
         # |D_nu|^2 images: x^{1/2+nu} W_h gives nu+1/2, nu-1/2, nu-1/2 and
@@ -460,7 +470,7 @@ class Space:
     def _scatter(self, loc):
         """Lagrange part of a global vector from per-cell entries loc[k, 0..p]."""
         p, K = self.degree, self.n_cells
-        w = np.zeros(K * p + 1, dtype=complex)
+        w = np.zeros(K * p + 1, dtype=loc.dtype)
         w[:K * p] += loc[:, :p].reshape(-1)
         w[p::p] += loc[:, p]
         return w[:self.n - int(self.include_minus)]
@@ -474,7 +484,7 @@ class Space:
 
     def _assemble(self, loc):
         """BorderedBand from per-cell matrices loc[k, j, i] (seed last),
-        summed in loc's dtype and stored complex."""
+        summed in loc's dtype and stored real when its entries are."""
         p, K = self.degree, self.n_cells
         j, i = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
         blocks = np.zeros((2 * p + 1, K, p + 1), dtype=loc.dtype)
@@ -483,11 +493,13 @@ class Space:
         band[:, :K * p] += blocks[:, :, :p].reshape(2 * p + 1, -1)
         band[:, p::p] += blocks[:, :, p]
         m = self.n - int(self.include_minus)
-        band = band[:, :m].astype(complex)
+        band = band[:, :m]
         band[_band_rows(p, m) >= m] = 0.0      # couplings to a capped dof
         if not self.include_minus:
             return BorderedBand(band)
         s = p + 1
+        # a complex sum even for real loc: numpy's pairwise sum groups real
+        # and complex arrays apart, and the corner must not depend on which
         return BorderedBand(band, self._scatter(loc[:, s]),
                             self._scatter(loc[:, :, s]),
                             loc[:, s, s].astype(complex).sum())
@@ -814,11 +826,6 @@ def _entries(B):
     return (B.band,) + seed
 
 
-def _is_real(*ops):
-    """True when no BorderedBand in ``ops`` has a nonzero imaginary part."""
-    return not any(np.any(np.imag(x)) for B in ops for x in _entries(B))
-
-
 def norm_bound(A):
     """Upper bound sqrt(||A||_1 ||A||_inf) >= ||A||_2 of a BorderedBand, in
     O(n p) from its storage (Golub & Van Loan, Matrix Computations, 2.3).
@@ -877,19 +884,15 @@ def _proportion(B1, B2):
     largest entry of B1 off the seed corner), else None; f = 0 without a
     seed.  alpha is the least-squares ratio, summed elementwise on the band
     storage (no BLAS product to wake numpy's pool, see _matmul), and both
-    are real for real operators, so a real pencil stays real."""
+    are real for real-stored operators, so a real pencil stays real."""
     pairs = list(zip(_entries(B1), _entries(B2)))[:3]
     num = sum(np.sum(np.conj(b) * a) for a, b in pairs)
     den = sum(np.sum(b.real ** 2 + b.imag ** 2) for _, b in pairs)
     alpha = num / den if den else 0.0
-    real = _is_real(B1, B2)
-    if real:
-        alpha = alpha.real
     gap = max(np.max(np.abs(a - alpha * b), initial=0.0) for a, b in pairs)
     if gap > 1e-13 * max(np.max(np.abs(a), initial=0.0) for a, _ in pairs):
         return None
-    f = B1.corner - alpha * B2.corner
-    return alpha, (f.real if real else f)
+    return alpha, B1.corner - alpha * B2.corner
 
 
 def mass_deflated_eig(K, M, count, vectors=True):
@@ -916,21 +919,21 @@ def mass_deflated_eig(K, M, count, vectors=True):
 
     if K.seeded or M.seeded:
         raise DomainError("mass_deflated_eig takes unseeded K and M")
+    if not K.dtype == M.dtype == float:
+        raise DomainError("mass_deflated_eig takes real symmetric K and M")
     Ks, d = K.unit_diagonal()
     Ms = M.scaled(d)
-    if not _is_real(Ks, Ms):
-        raise DomainError("mass_deflated_eig takes real symmetric K and M")
     if not Ms.band.any():
         # the Lanczos operator would be 0: ARPACK stops on a zero vector
         raise SingularSystem("zero mass operator: every eigenvalue is "
                              "infinite")
     n, p = d.size, Ks.p
     # rows 0..p of the band storage are LAPACK's upper symmetric band
-    U, info = lapack.dpbtrf(Ks.band[:p + 1].real)
+    U, info = lapack.dpbtrf(Ks.band[:p + 1])
     if info > 0:
         raise SingularSystem(f"Cholesky: leading minor {info} of the scaled "
                              f"K is not positive definite")
-    m_up = np.asfortranarray(Ms.band[:p + 1].real)
+    m_up = np.asfortranarray(Ms.band[:p + 1])
     tbsv, sbmv = blas.dtbsv, blas.dsbmv
 
     def op(v):          # U^-T M U^-1 v
@@ -988,9 +991,8 @@ def pencil_eig(A0, A1, A2, count=None):
     B1, B2 = A1.scaled(d), A2.scaled(d)
     n = d.size
     if count is None:
-        dense = [B.toarray() for B in (B0, B1, B2)]
-        if _is_real(B0, B1, B2):
-            dense = [D.real for D in dense]
+        dtype = np.result_type(B0.dtype, B1.dtype, B2.dtype)
+        dense = [B.toarray().astype(dtype, copy=False) for B in (B0, B1, B2)]
         form = (_proportion(B1, B2)
                 if _is_hermitian(B0) and _is_hermitian(B2) else None)
         found = form and _definite_eig(dense[0], dense[2], *form)
@@ -1000,7 +1002,7 @@ def pencil_eig(A0, A1, A2, count=None):
     if not (B1.norm1() or B2.norm1()):
         return np.zeros(0, dtype=complex), np.zeros((n, 0), dtype=complex), n
     k = min(int(count) + 2, 2 * n - 2)
-    if (not B0.seeded and not np.any(B1.band) and _is_real(B0, B2)
+    if (not B0.seeded and not np.any(B1.band) and B0.dtype == B2.dtype == float
             and _is_hermitian(B0) and _is_hermitian(B2)):
         try:
             mu, Z = mass_deflated_eig(B0, B2, (k + 1) // 2)

@@ -30,7 +30,7 @@ from .config import DEFAULTS, _check_count
 from .core import Regime, as_order
 from .errors import (DomainError, IncompleteModeInput, LinearizationSingular,
                      SingularSystem)
-from .fem import (Space, _is_real, _matmul, mass_deflated_eig, modulus_order,
+from .fem import (Space, _matmul, mass_deflated_eig, modulus_order,
                   norm_bound, pencil_eig)
 from .special import bessel_zeros
 
@@ -113,7 +113,6 @@ def _dirichlet_pairs(K, M, n_max):
     nearest 0, residuals in the coordinates scaled by K's diagonal, relative
     to the norm bounds of the scaled K and M (fem.norm_bound)."""
     lam, vec = mass_deflated_eig(K, M, n_max)
-    lam = np.real(lam)
     Ks, d = K.unit_diagonal()
     Ms = M.scaled(d)
     scale_k, scale_m = norm_bound(Ks), norm_bound(Ms)
@@ -134,7 +133,7 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     order = as_order(nu)
     _check_count("q_max", q_max, 0)
     _check_count("n_max", n_max, 1)
-    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=False, settings=settings)
     zeros = bessel_zeros(order.nu, n_max, settings=settings).zeros
     mats = space.matrices()
@@ -178,7 +177,7 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     # no row, or a Dirichlet-type one (gamma_- u = 0), is essential
     essential = bc is None or all(s.const == 0 for s in bc.t_plus)
 
-    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=(order.regime is Regime.SUBCRITICAL
                                  and not essential),
                   settings=settings)
@@ -205,8 +204,9 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     into the seed corner (a lambda in its gamma_- term enters P1); residuals
     are checked against the unlinearised pencil, for every mode at once:
     with C the unit eigenvectors, R = A0 C + Lam (A1 C) + Lam^2 (A2 C) takes
-    one block product per operator (BorderedBand @ (n, k)), and the Cauchy
-    data are array operations on C.  Residuals divide by a0 + |lam| a1 +
+    one block product per operator (BorderedBand @ (n, k)) in the
+    operator's own storage (real for a real pencil), and the Cauchy data
+    are array operations on C.  Residuals divide by a0 + |lam| a1 +
     |lam|^2 a2, a_i = fem.norm_bound(A_i) >= ||A_i||_2: a valid backward
     error, up to 1.44 times below the one on exact 2-norms.  By default
     modes above the 1e-7 residual budget are dropped (length 0 when none
@@ -267,10 +267,6 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     lam2 = np.array([l ** 2 for l in lam_c], dtype=complex)
     scale = np.array([scale0 + abs(l) * scale1 + abs(l) ** 2 * scale2
                       for l in lam_c])
-    if not (A0.seeded or np.iscomplexobj(C)) and _is_real(A0, A1, A2):
-        # the real parts of the complex products, bit for bit (a seed row
-        # would sum through gemv, whose real and complex kernels differ)
-        A0, A1, A2 = A0.real(), A1.real(), A2.real()
     R = A0 @ C
     if linear:
         R = R + lam_c * (A1 @ C)
@@ -353,7 +349,7 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     # resolve well past `dof` modes: the trailing eigenvalues of a spectral
     # discretisation overshoot, and the embedding's leading dof singular
     # values are the desk-scale surrogate being certified
-    space = Space(order, 1.0, n_nodes=4 * dof, dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=4 * dof,
                   include_minus=False, settings=settings)
     mats = space.matrices()
     lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof,

@@ -372,7 +372,7 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
     x_max = _halfline_extent(a_eff, settings) if decay else 1.0
 
     def assemble(xm):
-        space = Space(order, xm, n_nodes=n_nodes, dirichlet_cap=True,
+        space = Space(order, xm, n_nodes=n_nodes,
                       outward=decay, settings=settings)
         base, M = op.forms(space)
         return space, base + c * M, space.load_vector(
@@ -411,7 +411,7 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
     a = complex(a)
     if a.imag == 0 and a.real <= 1e-12:
         raise SpectralParameterOnCut(f"a = {a} lies on (-inf, 0]")
-    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=False, settings=settings)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     op = BesselOperator(order, a_coeff=a)
@@ -461,8 +461,7 @@ def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
     mode q adds c M, c = A(q) (mode_coefficients).
     """
     order = as_order(nu)
-    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
-                  settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, settings=settings)
     base, M = op.forms(space)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     out = {}
@@ -612,7 +611,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     order = op.nu
     theta = sector.intervals[0]
     theta = 0.5 * (theta[0] + theta[1])
-    space = Space(order, 1.0, n_nodes=n_nodes, dirichlet_cap=True,
+    space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=(bc is not None
                                  and order.regime is Regime.SUBCRITICAL),
                   settings=settings)

@@ -151,6 +151,70 @@ def test_block_product_equals_stacked_column_products(A):
                 assert np.all(np.abs(Y[0] - cols[0]) <= 1e-15 * size)
 
 
+PARTS = ("band", "row", "col", "corner")
+
+
+def stored_dtypes(A):
+    """The dtypes of an operator's stored parts, seed parts included."""
+    names = PARTS if A.seeded else PARTS[:1]
+    return {np.asarray(getattr(A, name)).dtype for name in names}
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_real_entries_are_stored_float64(seeded):
+    R = random_operator(2, float, seeded)
+    parts = [getattr(R, name) for name in PARTS[:1 + 3 * seeded]]
+    A = BorderedBand(*(np.asarray(x) + 0j for x in parts))
+    assert A.dtype == np.float64 and stored_dtypes(A) == {np.dtype(float)}
+    assert same_bits(A, R)
+    assert A.toarray().dtype == np.float64
+    assert np.array_equal(A.toarray(), R.toarray())
+
+
+@pytest.mark.parametrize("part", PARTS)
+def test_one_imaginary_part_keeps_all_four_complex(part):
+    R = random_operator(2, float, True)
+    A = replace(R, **{part: getattr(R, part) + 0.5j})
+    assert A.dtype == np.complex128
+    assert stored_dtypes(A) == {np.dtype(complex)}
+    assert A.toarray().dtype == np.complex128
+    D = R.toarray() + 0j
+    if part == "band":
+        i, j = np.indices((40, 40))
+        D[1:, 1:][np.abs(i - j) <= 2] += 0.5j
+    else:
+        D[{"row": (0, slice(1, None)), "col": (slice(1, None), 0),
+           "corner": (0, 0)}[part]] += 0.5j
+    assert np.array_equal(A.toarray(), D)
+
+
+@pytest.mark.parametrize("seeded", [True, False])
+def test_operator_algebra_follows_the_storage_rule(seeded):
+    R = random_operator(2, float, seeded)
+    C = random_operator(2, complex, seeded, seed=1)
+    real = [R + R, 2.5 * R, (2.5 + 0j) * R, np.complex128(2.5) * R,
+            R.scaled(np.linspace(1.0, 2.0, R.shape[0])), R.adjoint(),
+            replace(R, band=R.band + 0j), 1j * (1j * R), C + (-1.0) * C]
+    cplx = [R + C, C + R, 1j * R, C.scaled(np.ones(C.shape[0])),
+            C.adjoint(), replace(R, band=R.band * 1j)]
+    for A in real:
+        assert stored_dtypes(A) == {np.dtype(float)}
+        assert A.toarray().dtype == np.float64
+    for A in cplx:
+        assert stored_dtypes(A) == {np.dtype(complex)}
+        assert A.toarray().dtype == np.complex128
+    assert same_bits((2.5 + 0j) * R, 2.5 * R)
+    assert same_bits(R.adjoint().adjoint(), R)
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_nbytes_counts_the_stored_itemsize(dtype):
+    A = random_operator(2, dtype, True)
+    item = np.dtype(dtype).itemsize
+    assert A.nbytes == (5 * 40 + 40 + 40 + 1) * item
+    assert A.lagrange_block().nbytes == 5 * 40 * item
+
+
 def _layouts(rng, shape, complex_):
     """Random arrays of ``shape``: C-ordered, F-ordered, the transposed view
     of a C-ordered array, and slices of larger C- and F-ordered arrays (rows
@@ -441,10 +505,11 @@ def test_image_tables_are_real_and_results_complex(case):
     tabs = [space._images(x, 0.0, space.edges[1]), space._bulk[2],
             space._first_rules([space._beta("d", "v")])[2]]
     assert all(tab.dtype == np.float64 for t in tabs for tab in t.values())
-    mats = space.matrices(b_fun=lambda x: x)
-    for A in mats.values():
-        parts = (A.band, A.row, A.col, A.corner) if A.seeded else (A.band,)
-        assert all(np.asarray(part).dtype == complex for part in parts)
+    # a real a reaches the assembly as complex values (_at); A is stored real
+    mats = space.matrices(a_fun=lambda x: 1.0 + x, b_fun=lambda x: x)
+    for name in "SMA":
+        assert stored_dtypes(mats[name]) == {np.dtype(float)}, name
+    assert stored_dtypes(mats["B"]) == {np.dtype(complex)}
     assert space.load_vector(np.cos).dtype == complex
 
 
