@@ -506,7 +506,6 @@ def run(cfg):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    np.random.seed(cfg.seed)
     try:
         payload, rows = _COMMANDS[cfg.command](conf, cfg, settings)
     except ConfigError as exc:

@@ -34,8 +34,8 @@ convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
 in the first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
 (BorderedBand); solves cost O(n) through a banded LU and one Schur step.
-A BorderedBand multiplies a vector or an (n, k) block by the same strided
-sum over its diagonals, O(n k) per block; norm_bound, the residual scale
+A BorderedBand multiplies a vector or an (n, k) block by the same sum over
+its 2p+1 diagonals, O(n k) per block; norm_bound, the residual scale
 of every spectrum, bounds its 2-norm from the same storage in O(n p).
 Count-limited eigensolves cost O(n) per Krylov step: mass_deflated_eig
 runs ARPACK's Lanczos on one banded Cholesky factor of the scaled K (so
@@ -102,7 +102,8 @@ def solver_mesh(x_max, n_cells, floor=1e-8, outward=False):
     eigenfunctions); with ``outward`` the bulk cells grow geometrically, the
     right layout for exponentially decaying half-line solutions whose
     structure concentrates at x = O(1).  ``n_cells`` is at least MIN_CELLS
-    (Space refuses fewer); an outward mesh gets one cell more.
+    (Space refuses fewer); an outward mesh gets one cell more.  Returns
+    (edges, index of the edge where the tail ends).
     """
     h_target = x_max / n_cells if not outward \
         else x_max / (12.0 * n_cells)
@@ -128,7 +129,7 @@ def solver_mesh(x_max, n_cells, floor=1e-8, outward=False):
         steps = h_target * g ** np.arange(n_bulk)
         bulk = h_target + np.cumsum(steps) * (span / steps.sum())
     edges = np.concatenate(([0.0], tail, [h_target], bulk))
-    return np.unique(edges)
+    return np.unique(edges), n_tail + 1
 
 
 def first_cell_inner(x, w, f, g, mask, coeff=None):
@@ -159,9 +160,17 @@ def _at(fun, x):
     return vals.reshape(np.shape(x))
 
 
-def _band_rows(p, m):
-    """Row index of each slot of (2p+1, m) band storage (may fall outside)."""
-    return np.arange(m)[None, :] + np.arange(2 * p + 1)[:, None] - p
+@lru_cache(maxsize=256)
+def _diagonals(p, m):
+    """(r, rows, cols) slices of each row r of (2p+1, m) band storage: the
+    slots band[r, cols] hold the entries A[rows, cols] of diagonal r - p;
+    the slots outside the matrix are in no slice."""
+    diags = []
+    for r in range(2 * p + 1):
+        lo = max(0, p - r)
+        hi = max(lo, min(m, m + p - r))
+        diags.append((r, slice(lo + r - p, hi + r - p), slice(lo, hi)))
+    return tuple(diags)
 
 
 def _blas_layout(x):
@@ -216,11 +225,11 @@ class BorderedBand:
     The parts share one ``dtype``, decided once where an operator is built:
     float64 when none has a nonzero imaginary part, else complex128.
 
-    ``A @ x`` takes a vector or an (n, k) block.  The block columns ride
-    along as a trailing axis of the vector product, so each column of
-    ``A @ X`` equals ``A @ X[:, j]`` bitwise, except the seed row: a block
-    sums ``row @ X`` through scipy's gemv (_matmul), a vector ``row @ x``
-    through numpy's dot, in different orders (rounding level).
+    ``A @ x`` takes a vector or an (n, k) block.  Both add the 2p+1
+    diagonals (_diagonals) in one order into one output array, so each
+    column of ``A @ X`` equals ``A @ X[:, j]`` bitwise, except the seed row:
+    a block sums ``row @ X`` through scipy's gemv (_matmul), a vector
+    ``row @ x`` through numpy's dot, in different orders (rounding level).
     """
 
     band: np.ndarray
@@ -231,11 +240,10 @@ class BorderedBand:
     __array_ufunc__ = None      # numpy scalars defer to __rmul__
 
     def __post_init__(self):
-        names = ("band", "row", "col", "corner")[:1 + 3 * self.seeded]
-        parts = [getattr(self, name) for name in names]
+        parts = self.parts
         dtype = (complex if any(np.iscomplexobj(x) and np.any(np.imag(x))
                                 for x in parts) else float)
-        for name, x in zip(names, parts):
+        for name, x in zip(("band", "row", "col", "corner"), parts):
             x = np.require(x if dtype is complex else np.real(x), dtype, "C")
             object.__setattr__(self, name, x if x.ndim else x[()])
 
@@ -257,61 +265,50 @@ class BorderedBand:
         return (n, n)
 
     @property
+    def parts(self):
+        """The stored parts: the band, then with a seed row, col, corner."""
+        return (self.band, self.row, self.col, self.corner)[
+            :1 + 3 * self.seeded]
+
+    @property
     def nbytes(self):
         """Bytes actually stored: band, border and corner."""
-        return sum(x.nbytes for x in _entries(self))
+        return sum(x.nbytes for x in self.parts)
 
     def __add__(self, other):
         if self.seeded != other.seeded:
             raise DomainError("operators on different spaces")
-        if not self.seeded:
-            return BorderedBand(self.band + other.band)
-        return BorderedBand(self.band + other.band, self.row + other.row,
-                            self.col + other.col, self.corner + other.corner)
+        return BorderedBand(*(a + b for a, b in zip(self.parts, other.parts)))
 
     def __rmul__(self, c):
-        if not self.seeded:
-            return BorderedBand(c * self.band)
-        return BorderedBand(c * self.band, c * self.row, c * self.col,
-                            c * self.corner)
+        return BorderedBand(*(c * x for x in self.parts))
 
     def __matmul__(self, x):
         """A x for a vector x, or A X column by column for an (n, k) block."""
         x = np.asarray(x)
-        xw = x[int(self.seeded):]
-        p, m = self.p, self.band.shape[1]
-        block = x.shape[1:]                 # () for a vector, (k,) for a block
-        along = (...,) + (None,) * len(block)
-        dtype = np.result_type(self.band, x)
-        if not self.band.any():
-            # a zero band (the A1 of a Laplace or corner-only lambda-Robin
-            # pencil): only the seed terms below are nonzero
-            y = np.zeros((m,) + block, dtype)
-        else:
-            # prod[r, p + j] = A[j + r - p, j] x_j, so (A x)_i sums the
-            # slots prod[r, i + 2p - r]: a strided view walks those
-            # anti-diagonals, the block columns riding along as a trailing
-            # axis
-            prod = np.zeros((2 * p + 1, m + 2 * p) + block, dtype)
-            np.multiply(self.band[along], xw, out=prod[:, p:p + m])
-            st = prod.strides
-            y = np.add.reduce(np.ndarray((2 * p + 1, m) + block, dtype,
-                                         prod, 2 * p * st[1],
-                                         (st[0] - st[1],) + st[1:]), axis=0)
-        if not self.seeded:
-            return y
-        seed = _matmul(self.row, xw) if block else self.row @ xw
-        return np.concatenate(([self.corner * x[0] + seed],
-                               y + self.col[along] * x[0]))
+        s = int(self.seeded)
+        along = (...,) + (None,) * (x.ndim - 1)    # block columns ride along
+        band = self.band[along]
+        y = np.zeros(x.shape, np.result_type(band, x))
+        yw, xw = y[s:], x[s:]
+        # a zero band (the A1 of a Laplace or corner-only lambda-Robin
+        # pencil) adds nothing: only the seed terms below are nonzero
+        if band.any():
+            for r, rows, cols in _diagonals(self.p, band.shape[1]):
+                out = yw[rows]
+                out += band[r, cols] * xw[cols]
+        if s:
+            yw += self.col[along] * x[0]
+            y[0] = self.corner * x[0] + (_matmul(self.row, xw) if x.ndim > 1
+                                         else self.row @ xw)
+        return y
 
     def toarray(self):
-        n = self.shape[0]
         s = int(self.seeded)
-        rows = _band_rows(self.p, n - s)
-        cols = np.broadcast_to(np.arange(n - s), rows.shape)
-        inside = (rows >= 0) & (rows < n - s)
-        out = np.zeros((n, n), dtype=self.dtype)
-        out[s + rows[inside], s + cols[inside]] = self.band[inside]
+        out = np.zeros(self.shape, dtype=self.dtype)
+        lagrange = out[s:, s:]
+        for r, rows, cols in _diagonals(self.p, self.band.shape[1]):
+            np.fill_diagonal(lagrange[rows, cols], self.band[r, cols])
         if s:
             out[0, 0] = self.corner
             out[0, 1:] = self.row
@@ -320,12 +317,9 @@ class BorderedBand:
 
     def adjoint(self):
         """The conjugate transpose, in the same storage."""
-        p, m = self.p, self.band.shape[1]
         band = np.zeros_like(self.band)
-        for r in range(2 * p + 1):
-            off = r - p
-            lo, hi = max(0, -off), min(m, m - off)
-            band[2 * p - r, lo + off:hi + off] = np.conj(self.band[r, lo:hi])
+        for r, rows, cols in _diagonals(self.p, self.band.shape[1]):
+            band[2 * self.p - r, rows] = np.conj(self.band[r, cols])
         if not self.seeded:
             return BorderedBand(band)
         return BorderedBand(band, np.conj(self.col), np.conj(self.row),
@@ -343,11 +337,10 @@ class BorderedBand:
         """diag(d) A diag(d), d over all dofs (seed first)."""
         s = int(self.seeded)
         dw = d[s:]
-        m = dw.size
-        rows = _band_rows(self.p, m)
-        drow = np.where((rows >= 0) & (rows < m), dw[np.clip(rows, 0, m - 1)],
-                        0.0)
-        band = self.band * drow * dw[None, :]
+        drow = np.zeros(self.band.shape, dw.dtype)     # d of each slot's row
+        for r, rows, cols in _diagonals(self.p, dw.size):
+            drow[r, cols] = dw[rows]
+        band = self.band * drow * dw
         if not s:
             return BorderedBand(band)
         return BorderedBand(band, d[0] * self.row * dw, d[0] * self.col * dw,
@@ -416,8 +409,8 @@ class Space:
             floor = float(np.clip((1e-9) ** (1.0 / mu), 1e-14, 1e-8))
         else:
             floor = 1e-8
-        self.edges = solver_mesh(x_max, n_cells, floor=floor,
-                                 outward=outward)
+        self.edges, self._tail_end = solver_mesh(x_max, n_cells, floor=floor,
+                                                 outward=outward)
 
         # the cutoff scale of the minus-branch seed: the last edge at or
         # below half the domain
@@ -468,12 +461,14 @@ class Space:
         return local
 
     def _scatter(self, loc):
-        """Lagrange part of a global vector from per-cell entries loc[k, 0..p]."""
+        """Lagrange part of global vectors from per-cell entries
+        loc[..., k, 0..p], summed in loc's dtype; leading axes ride along."""
         p, K = self.degree, self.n_cells
-        w = np.zeros(K * p + 1, dtype=loc.dtype)
-        w[:K * p] += loc[:, :p].reshape(-1)
-        w[p::p] += loc[:, p]
-        return w[:self.n - int(self.include_minus)]
+        lead = loc.shape[:-2]
+        w = np.zeros(lead + (K * p + 1,), dtype=loc.dtype)
+        w[..., :K * p] += loc[..., :p].reshape(lead + (-1,))
+        w[..., p::p] += loc[..., p]
+        return w[..., :self.n - int(self.include_minus)]
 
     def _assemble_vector(self, loc):
         """Global vector from per-cell entries loc[k, i] (seed last)."""
@@ -489,12 +484,9 @@ class Space:
         j, i = np.meshgrid(np.arange(p + 1), np.arange(p + 1), indexing="ij")
         blocks = np.zeros((2 * p + 1, K, p + 1), dtype=loc.dtype)
         blocks[p + j - i, :, i] = np.moveaxis(loc[:, j, i], 0, -1)
-        band = np.zeros((2 * p + 1, K * p + 1), dtype=loc.dtype)
-        band[:, :K * p] += blocks[:, :, :p].reshape(2 * p + 1, -1)
-        band[:, p::p] += blocks[:, :, p]
-        m = self.n - int(self.include_minus)
-        band = band[:, :m]
-        band[_band_rows(p, m) >= m] = 0.0      # couplings to a capped dof
+        band = self._scatter(blocks)
+        for r, _, cols in _diagonals(p, band.shape[1]):
+            band[r, cols.stop:] = 0.0           # couplings to a capped dof
         if not self.include_minus:
             return BorderedBand(band)
         s = p + 1
@@ -645,7 +637,7 @@ class Space:
 
     @property
     def resolved_start(self):
-        """Index of the first uniform cell; the graded tail sits below it.
+        """Index of the first cell past the geometric tail (solver_mesh).
 
         Strong residuals are evaluated from here: second derivatives on the
         geometric tail amplify coefficient rounding like h^{-3/2} (1e13 at
@@ -653,8 +645,7 @@ class Space:
         L2 mass.  The boundary region is certified through traces and
         expansions instead.
         """
-        h_target = self.x_max / max(self.edges.size - 1, 6)
-        return int(np.searchsorted(self.edges, 0.999 * h_target))
+        return self._tail_end
 
     def strong_residual(self, coeffs, terms, f=None):
         """(||P u_h - f||, scale) in L2 over the resolved window (see
@@ -819,13 +810,6 @@ def _start_vector(n):
     return np.random.default_rng(0).standard_normal(n)
 
 
-def _entries(B):
-    """The band of a BorderedBand, then with a seed its row, column and
-    corner (a 1-array)."""
-    seed = (B.row, B.col, np.atleast_1d(B.corner)) if B.seeded else ()
-    return (B.band,) + seed
-
-
 def norm_bound(A):
     """Upper bound sqrt(||A||_1 ||A||_inf) >= ||A||_2 of a BorderedBand, in
     O(n p) from its storage (Golub & Van Loan, Matrix Computations, 2.3).
@@ -874,9 +858,9 @@ def _is_hermitian(A):
     largest entry): the band, the seed row against the conjugate seed
     column, and the seed corner against its conjugate."""
     gap = max(np.max(np.abs(a - h), initial=0.0)
-              for a, h in zip(_entries(A), _entries(A.adjoint())))
+              for a, h in zip(A.parts, A.adjoint().parts))
     return gap <= 1e-13 * max(np.max(np.abs(a), initial=0.0)
-                              for a in _entries(A))
+                              for a in A.parts)
 
 
 def _proportion(B1, B2):
@@ -885,7 +869,7 @@ def _proportion(B1, B2):
     seed.  alpha is the least-squares ratio, summed elementwise on the band
     storage (no BLAS product to wake numpy's pool, see _matmul), and both
     are real for real-stored operators, so a real pencil stays real."""
-    pairs = list(zip(_entries(B1), _entries(B2)))[:3]
+    pairs = list(zip(B1.parts, B2.parts))[:3]
     num = sum(np.sum(np.conj(b) * a) for a, b in pairs)
     den = sum(np.sum(b.real ** 2 + b.imag ** 2) for _, b in pairs)
     alpha = num / den if den else 0.0

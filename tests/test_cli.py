@@ -55,6 +55,14 @@ def test_lopatinskii_oblique_fixture(tmp_path):
     assert len(fails) == 2
 
 
+def test_run_leaves_the_global_random_state_alone(tmp_path):
+    before = np.random.get_state()
+    assert run_cmd("lopatinskii", "lambda_robin.cfg", tmp_path, seed=3) == 0
+    after = np.random.get_state()
+    assert before[0] == after[0] and before[2:] == after[2:]
+    assert np.array_equal(before[1], after[1])
+
+
 def test_lopatinskii_lambda_robin_fixture(tmp_path):
     assert run_cmd("lopatinskii", "lambda_robin.cfg", tmp_path) == 0
     body = json.loads((tmp_path / "lopatinskii_lambda_robin.json").read_text())

@@ -1,6 +1,7 @@
 """The banded Galerkin core: cell tables, band-plus-border storage, the
 bordered solve and the canonical order of pencil eigenvalues."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -69,20 +70,6 @@ def loop_matvec(A, x):
     return np.concatenate(([A.corner * x[0] + A.row @ xw], y + A.col * x[0]))
 
 
-@pytest.mark.parametrize("seeded", [True, False])
-def test_band_product_adjoint_and_scalar_multiple(seeded):
-    _, A, _ = robin_system(0.3, 12, seeded)
-    D = A.toarray()
-    c = np.random.default_rng(2).standard_normal(A.shape[0]) * (1 + 2j)
-    # the strided product adds the diagonals in the loop's order
-    assert np.array_equal(A @ c, loop_matvec(A, c))
-    assert np.array_equal(A.adjoint().toarray(), D.conj().T)
-    assert np.array_equal((np.float64(2.5) * A).toarray(), 2.5 * D)
-    As, d = A.unit_diagonal()
-    assert np.allclose(np.abs(As.diagonal()), 1.0, rtol=1e-14)
-    assert np.allclose(As.toarray(), D * np.outer(d, d), rtol=1e-14)
-
-
 SEEDING = {False: "unseeded", True: "seeded"}
 
 
@@ -122,6 +109,20 @@ def operators_p1_to_p4():
 
 
 @pytest.mark.parametrize("A", operators_p1_to_p4())
+def test_band_product_adjoint_and_scalar_multiple(A):
+    D = A.toarray()
+    c = np.random.default_rng(2).standard_normal(A.shape[0]) * (1 + 2j)
+    # the product adds the diagonals in the loop's order
+    assert np.array_equal(A @ c, loop_matvec(A, c))
+    assert np.array_equal(A.adjoint().toarray(), D.conj().T)
+    assert np.array_equal((np.float64(2.5) * A).toarray(), 2.5 * D)
+    As, d = A.unit_diagonal()
+    live = np.diag(D) != 0          # a zero diagonal entry is scaled by 1
+    assert np.allclose(np.abs(As.diagonal()[live]), 1.0, rtol=1e-14)
+    assert np.allclose(As.toarray(), D * np.outer(d, d), rtol=1e-14)
+
+
+@pytest.mark.parametrize("A", operators_p1_to_p4())
 def test_vector_product_is_the_strided_product(A):
     # the block product kept the vector arithmetic: bitwise the oracle's
     rng = np.random.default_rng(3)
@@ -149,6 +150,23 @@ def test_block_product_equals_stacked_column_products(A):
                 size = abs(A.corner) * np.abs(X[0]) + np.abs(A.row) @ np.abs(
                     X[1:])
                 assert np.all(np.abs(Y[0] - cols[0]) <= 1e-15 * size)
+
+
+def test_block_product_memory_stays_near_its_output():
+    # the diagonals accumulate into the output: no (2p+1, m+2p, k) staging
+    space = Space(Order(0.3), 1.0, n_nodes=255, include_minus=True)
+    A = space.matrices(a_fun=lambda x: 1.0 + 0.5j * x)["A"]
+    rng = np.random.default_rng(5)
+    X = rng.standard_normal((256, 512)) + 1j * rng.standard_normal((256, 512))
+    assert A.p == 5 and A.shape == (256, 256) and A.dtype == complex
+    A @ X                   # first use loads scipy's BLAS, outside the trace
+    tracemalloc.start()
+    try:
+        Y = A @ X
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * Y.nbytes
 
 
 PARTS = ("band", "row", "col", "corner")
@@ -555,6 +573,22 @@ def test_spaces_of_one_degree_share_read_only_lagrange_tables():
     for tab in first._lagrange:
         with pytest.raises(ValueError):
             tab[0, 0] = 1.0
+
+
+def test_residual_window_starts_where_the_geometric_tail_ends():
+    for nu, n_nodes in ((0.3, 256), (0.8, 60), (1.5, 1024)):
+        space = Space(Order(nu), 40.0, n_nodes=n_nodes, outward=True)
+        edges, start = space.edges, space.resolved_start
+        assert edges[start] == 40.0 / (12.0 * (n_nodes // space.degree))
+        assert np.allclose(edges[2:start + 1] / edges[1:start], 4.0)
+    # on uniform meshes the tail ends at the first edge >= x_max / cells
+    for p in (2, 3, 5, 7):
+        settings = DEFAULTS.with_overrides(fem_degree=p)
+        for n_nodes in range(6 * p, 60 * p, 7):
+            space = Space(Order(0.4), 1.0, n_nodes=n_nodes, settings=settings)
+            h = 1.0 / (space.edges.size - 1)
+            assert space.resolved_start == np.searchsorted(space.edges,
+                                                           0.999 * h)
 
 
 def _node_count_entry_points(nu=0.4):
