@@ -518,17 +518,13 @@ def run(cfg):
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     stem = f"{cfg.command}_{cfg.config_path.stem}"
     wrote = []
-    if cfg.format == "json" or rows is None:
-        out = cfg.output_dir / f"{stem}.json"
-        out.write_text(dumps(payload) + "\n")
-        wrote.append(out)
-    if rows is not None and cfg.format == "csv":
+    if cfg.format == "csv" and rows is not None:
         out = cfg.output_dir / f"{stem}.csv"
         out.write_text("\n".join(",".join(r) for r in rows) + "\n")
         wrote.append(out)
-        summary = cfg.output_dir / f"{stem}.json"
-        summary.write_text(dumps(payload) + "\n")
-        wrote.append(summary)
+    out = cfg.output_dir / f"{stem}.json"
+    out.write_text(dumps(payload) + "\n")
+    wrote.append(out)
     meta = {
         "command": cfg.command,
         "config": {s: dict(kv) for s, kv in conf.items()},

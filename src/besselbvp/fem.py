@@ -954,9 +954,8 @@ def pencil_eig(A0, A1, A2, count=None):
     count least |lam| need not come from the least mu).  Any other pencil,
     or a B0 whose Cholesky fails, takes ARPACK Arnoldi on the companion
     operator shift-inverted about 0, [v1; v2] -> [v2; -B0^{-1}(B2 v1 +
-    B1 v2)], applying the banded LU of B0 once per step.  An exactly
-    singular B0 is retried once about a small shift sigma (nearest
-    eigenvalues to sigma).
+    B1 v2)], applying the banded LU of B0 once per step; an exactly
+    singular B0 raises SingularSystem.
 
     Without ``count``, every eigenvalue, nonfinite ones at infinity kept; a
     regular pencil contributes 2 m eigenvalues with multiplicity:
@@ -1000,18 +999,7 @@ def pencil_eig(A0, A1, A2, count=None):
             return lam[idx], vecs[:, idx], n
     from scipy.sparse.linalg import LinearOperator, eigs
 
-    shift = 0.0
-    try:
-        lu = _BorderedLU(B0)
-    except SingularSystem:
-        # 1e-3 of the eigenvalue scale sqrt(|B0| / |B2|) (|B0| / |B1| for a
-        # linear pencil); P(shift + e) = P(shift) + e (B1 + 2 shift B2)
-        # + e^2 B2 is again a quadratic pencil in e
-        n0, n1, n2 = B0.norm1(), B1.norm1(), B2.norm1()
-        shift = 1e-3 * (np.sqrt(n0 / n2) if n2 else (n0 / n1 if n1 else 1.0))
-        B0 = B0 + shift * B1 + shift ** 2 * B2
-        B1 = B1 + (2.0 * shift) * B2
-        lu = _BorderedLU(B0)
+    lu = _BorderedLU(B0)
 
     def companion(v):
         v1, v2 = v[:n], v[n:]
@@ -1020,7 +1008,7 @@ def pencil_eig(A0, A1, A2, count=None):
     op = LinearOperator((2 * n, 2 * n), matvec=companion, dtype=complex)
     mu, V = eigs(op, k=k, which="LM", v0=_start_vector(2 * n).astype(complex))
     finite = mu != 0
-    lam = shift + 1.0 / mu[finite]
+    lam = 1.0 / mu[finite]
     vecs = V[:n, finite] * d[:, None]
     idx = modulus_order(lam)
     return lam[idx], vecs[:, idx], n

@@ -4,13 +4,13 @@ Covers the regular 1D problems on the (truncated) half-line, the Dirichlet
 Laplacian on (0, 1), separable problems on (0,1) x T^{n-1} mode by mode, the
 explicit Poisson lifts built from K_nu / I_nu, and the large-parameter
 resolvent sweep.  Every solve goes through the enriched Galerkin space of
-:mod:`besselbvp.fem`; the regularity (Lopatinskii) test runs first and a
+:mod:`besselbvp.fem`; the regularity (Lopatinskii) test runs first, on the
+decaying root and boundary matrix of :mod:`besselbvp.symbols`, and a
 failing pair is refused with the offending sample.
 """
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -35,7 +35,7 @@ from .errors import (
 )
 from .fem import Space, galerkin_solve
 from .quadrature import composite_rule
-from .symbols import mode_traces
+from .symbols import boundary_matrix, decaying_root, mode_traces
 
 __all__ = [
     "BesselOperator",
@@ -155,11 +155,16 @@ class BVProblem:
     rhs_singular_exponent: float = 0.0  # x^sigma hint for the rhs at 0
 
     def __post_init__(self):
-        needs = self.op.nu.regime is Regime.SUBCRITICAL
-        if needs and self.bc0 is None:
-            raise DomainError("0 < nu < 1 requires a boundary condition at 0")
-        if not needs and self.bc0 is not None:
-            raise DomainError("no boundary conditions are admissible for nu >= 1")
+        _check_bc0(self.op.nu, self.bc0)
+
+
+def _check_bc0(order, bc0):
+    """DomainError unless bc0 is given exactly when 0 < nu < 1."""
+    needs = order.regime is Regime.SUBCRITICAL
+    if needs and bc0 is None:
+        raise DomainError("0 < nu < 1 requires a boundary condition at 0")
+    if not needs and bc0 is not None:
+        raise DomainError("no boundary conditions are admissible for nu >= 1")
 
 
 @dataclass(frozen=True)
@@ -178,42 +183,25 @@ class Solution:
 # regularity pre-check (the 1D Lopatinskii test with full trace values)
 # ---------------------------------------------------------------------------
 
-def _decaying_root(a_eff):
-    """xi with Im xi < 0 and xi^2 + a = 0; None if a in (-inf, 0]."""
+def regularity_check(nu, a_eff, bc, q=None):
+    """Raise RegularityViolated unless {P, T, C} is regular at mode q;
+    returns the decaying root xi of xi^2 + a.
+
+    The determinant is symbols' boundary matrix, read on the full rows and
+    C at (eta, lambda) = (q, 0).
+    """
+    order = as_order(nu)
     a = complex(a_eff)
     if a.imag == 0 and a.real <= 0:
-        return None
-    root = cmath.sqrt(-a)
-    if root.imag > 0 or (root.imag == 0 and root.real < 0):
-        root = -root
-    return root
-
-
-def _boundary_matrix(nu, bc, xi, q=None):
-    """[T_k u_+ | C] with the full boundary coefficients at eta = q."""
-    tr = mode_traces(nu, xi)
-    eta = bc.mode_eta(q)
-    rows = bc.evaluate_full(eta, 0.0)
-    J = bc.n_aux
-    M = np.zeros((J + 1, J + 1), dtype=complex)
-    for k, (tm, tp) in enumerate(rows):
-        M[k, 0] = tm * tr.gamma_minus + tp * tr.gamma_plus
-    if J:
-        M[:, 1:] = bc.c_values(eta, 0.0)
-    return M, tr
-
-
-def regularity_check(nu, a_eff, bc, q=None):
-    """Raise RegularityViolated unless {P, T, C} is regular at mode q."""
-    order = as_order(nu)
-    xi = _decaying_root(a_eff)
-    if xi is None:
         raise RegularityViolated(
             f"zeroth-order value a={a_eff} lies on (-inf, 0]; "
             "the operator is not regular", sample={"a": a_eff})
+    xi = decaying_root(a)
     if order.regime is not Regime.SUBCRITICAL:
         return xi
-    M, _ = _boundary_matrix(order, bc, xi, q)
+    eta = bc.mode_eta(q)
+    M = boundary_matrix(bc.evaluate_full(eta, 0.0), mode_traces(order, xi),
+                        bc.c_values(eta, 0.0))
     det = np.linalg.det(M)
     scale = float(np.prod(np.maximum(
         np.sum(np.abs(M), axis=1), 1e-300)))
@@ -261,12 +249,6 @@ def _reduce_boundary_system(bc, g, q=None, lam=0.0):
 # ---------------------------------------------------------------------------
 # the 1D solve
 # ---------------------------------------------------------------------------
-
-def _halfline_extent(a_eff, settings):
-    xi = _decaying_root(a_eff)
-    rate = (1j * xi).real if xi is not None else 1.0
-    return settings.halfline_decay_lengths / max(rate, 1e-8)
-
 
 def _mode_value(op, c):
     """a(0) + c: the zeroth-order value the regularity test reads."""
@@ -365,11 +347,12 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
     op = prob.op
     order = op.nu
     c = op.mode_coefficients(prob.fourier_index)[0]
-    a_eff = _mode_value(op, c)
-    regularity_check(order, a_eff, prob.bc0, prob.fourier_index)
+    xi = regularity_check(order, _mode_value(op, c), prob.bc0,
+                          prob.fourier_index)
 
     decay = prob.bc1 is CapCondition.DECAY
-    x_max = _halfline_extent(a_eff, settings) if decay else 1.0
+    x_max = (settings.halfline_decay_lengths / max((1j * xi).real, 1e-8)
+             if decay else 1.0)
 
     def assemble(xm):
         space = Space(order, xm, n_nodes=n_nodes,
@@ -461,6 +444,7 @@ def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
     mode q adds c M, c = A(q) (mode_coefficients).
     """
     order = as_order(nu)
+    _check_bc0(order, bc0)
     space = Space(order, 1.0, n_nodes=n_nodes, settings=settings)
     base, M = op.forms(space)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)

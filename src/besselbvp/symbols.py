@@ -34,10 +34,12 @@ __all__ = [
     "Sector",
     "NotElliptic",
     "ModeSolution",
+    "decaying_root",
     "elliptic_roots",
     "mode_solution",
     "mode_traces",
     "halfline_grid",
+    "boundary_matrix",
     "lopatinskii_verdict",
     "lopatinskii_sweep",
     "SweepReport",
@@ -154,6 +156,15 @@ class NotElliptic:
         return False
 
 
+def decaying_root(a2):
+    """The root xi of xi^2 + a2 = 0 with Im xi < 0, or Re xi > 0 when the
+    root is real (a2 on (-inf, 0]; callers refuse or flag that case)."""
+    xi = complex(np.sqrt(complex(-a2)))
+    if xi.imag > 0 or (xi.imag == 0 and xi.real < 0):
+        xi = -xi
+    return xi
+
+
 def elliptic_roots(sym, eta, lam=0.0, settings=DEFAULTS):
     """Roots +/- xi of xi^2 + a2(eta, lambda) = 0, decaying root first.
 
@@ -161,14 +172,9 @@ def elliptic_roots(sym, eta, lam=0.0, settings=DEFAULTS):
     decays), or NotElliptic when the roots are real to relative tolerance.
     """
     a2 = sym(eta, lam)
-    root = complex(np.sqrt(complex(-a2)))
-    if root.imag > 0 or (root.imag == 0 and root.real < 0):
-        root = -root
-    xi = root
+    xi = decaying_root(a2)
     if abs(xi.imag) < settings.ellipticity_rel_tol * max(abs(xi), 1e-300):
         return NotElliptic(tuple(np.atleast_1d(eta)), complex(lam), a2)
-    if xi.imag > 0:
-        xi = -xi
     return xi, -xi
 
 
@@ -429,6 +435,22 @@ def _validate_nu_order(nu, t_minus, t_plus, mu):
 # the Lopatinskii determinant and sweeps
 # ---------------------------------------------------------------------------
 
+def boundary_matrix(rows, tr, C):
+    """Matrix of (u, u_) -> T u + C u_ on the mode with traces ``tr``.
+
+    Row k is (t_minus_k gamma_- + t_plus_k gamma_+, C[k]) for the pairs
+    ``rows`` = [(t_minus_k, t_plus_k)] and the (J+1, J) values C (unread
+    when J = 0).
+    """
+    J = len(rows) - 1
+    M = np.zeros((J + 1, J + 1), dtype=complex)
+    for k, (tm, tp) in enumerate(rows):
+        M[k, 0] = tm * tr.gamma_minus + tp * tr.gamma_plus
+    if J:
+        M[:, 1:] = C
+    return M
+
+
 def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
     """Matrix of (u, u_) -> That u + Chat u_ plus a cancellation-free scale.
 
@@ -440,23 +462,19 @@ def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
     roots = elliptic_roots(sym, eta, lam, settings=settings)
     if isinstance(roots, NotElliptic):
         return roots, 0.0
-    xi = roots[0]
-    tr = mode_traces(nu, xi)
-    rows = bc.principal_rows(nu, eta, lam)
+    tr = mode_traces(nu, roots[0])
+    J = bc.n_aux
+    Cvals = bc.c_values(eta, lam) if J else None
+    M = boundary_matrix(bc.principal_rows(nu, eta, lam), tr, Cvals)
     mu = bc.nu_order
     nuval = as_order(nu).nu
     k_minus = _ceil_fuzz(mu - 1.0 + nuval)
     k_plus = _ceil_fuzz(mu - 1.0 - nuval)
-    J = bc.n_aux
-    M = np.zeros((J + 1, J + 1), dtype=complex)
-    Cvals = bc.c_values(eta, lam) if J else None
     scale = 1.0
-    for k, (tm, tp) in enumerate(rows):
-        M[k, 0] = tm * tr.gamma_minus + tp * tr.gamma_plus
+    for k in range(J + 1):
         row_scale = (bc.t_minus[k].part_scale(k_minus) * abs(tr.gamma_minus)
                      + bc.t_plus[k].part_scale(k_plus) * abs(tr.gamma_plus))
         if J:
-            M[k, 1:] = Cvals[k]
             row_scale += float(np.sum(np.abs(Cvals[k])))
         scale *= max(row_scale, 1e-300)
     return M, scale

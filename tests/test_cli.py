@@ -86,6 +86,22 @@ def test_solve_csv_output(tmp_path):
     assert (tmp_path / "solve_manufactured.json").exists()
 
 
+@pytest.mark.parametrize("command, fixture, fmt, suffixes", [
+    ("solve", "manufactured.cfg", "csv", [".csv", ".json", ".meta.json"]),
+    ("solve", "manufactured.cfg", "json", [".json", ".meta.json"]),
+    ("lopatinskii", "lambda_robin.cfg", "csv", [".json", ".meta.json"])])
+def test_run_prints_what_it_writes_in_order(tmp_path, capsys, command,
+                                             fixture, fmt, suffixes):
+    # the JSON summary is written for both formats, after any CSV
+    assert main([command, "--config", str(FIXTURES / fixture),
+                 "--out", str(tmp_path), "--format", fmt]) == 0
+    stem = f"{command}_{Path(fixture).stem}"
+    want = [str(tmp_path / f"{stem}{s}") for s in suffixes]
+    assert capsys.readouterr().out.splitlines() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        Path(w).name for w in want)
+
+
 def test_sweep_fixture(tmp_path):
     assert run_cmd("sweep", "resolvent.cfg", tmp_path) == 0
     body = json.loads((tmp_path / "sweep_resolvent.json").read_text())

@@ -274,6 +274,17 @@ def test_twisted_norm_h1_quadrature_oracle():
     assert abs(got - want) < 1e-8 * max(want, 1.0)
 
 
+@pytest.mark.parametrize("nu", [1.5, 2.5])
+def test_twisted_h2_norm_of_samples_matches_the_pair(nu):
+    # the sampled branch (stencil derivatives) against the pair calculus
+    g = RadialGrid.uniform(1.0, 1024)
+    plus = Polynomial([1.0, 0.5, -0.3]) * Polynomial([1.0, -1.0]) ** 3
+    u = GridFunction.from_pair(g, nu, [], plus.coef)
+    want = twisted_norm(u, 2, nu)
+    got = twisted_norm(GridFunction(g, u.values), 2, nu)
+    assert abs(got - want) < 1e-10 * want
+
+
 def test_fourier_norm_identity_two_modes():
     # || u ||^2_{H^s} = sum_q <q>^{2s-1} || S_{1/<q>} u_q ||^2_{H^s(R_+)}
     nu = 0.35

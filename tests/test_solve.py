@@ -517,6 +517,15 @@ def test_separable_reports_offending_mode():
     assert err.value.sample["q"] in (0, 1, 2)
 
 
+@pytest.mark.parametrize("nu, bc0", [
+    (0.3, None), (1.5, BoundaryOperator.dirichlet(0.3))])
+def test_separable_validates_bc0_before_the_modes(nu, bc0):
+    # bc0 meets BVProblem's rule before the regularity check reads it
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    with pytest.raises(DomainError, match="boundary condition"):
+        solve_separable(nu, op, bc0, {0: lambda x: x}, n_nodes=64)
+
+
 def test_separable_condition_uniformity():
     nu = 0.3
     op = BesselOperator(Order(nu), a_coeff=1.0)

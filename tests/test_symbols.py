@@ -14,6 +14,7 @@ from besselbvp.symbols import (
     LinearSymbol,
     NotElliptic,
     Sector,
+    decaying_root,
     elliptic_roots,
     halfline_grid,
     lopatinskii_sweep,
@@ -31,6 +32,17 @@ def test_elliptic_roots_laplace():
     sym = BoundarySymbol.laplace(2)
     xi, xim = elliptic_roots(sym, [1.0, 0.0])
     assert abs(xi + 1j) < 1e-14 and abs(xim - 1j) < 1e-14
+
+
+@pytest.mark.parametrize("a2, want", [
+    (4.0, -2j),                                 # the decaying K_nu branch
+    (-4.0, 2.0), (0.0, 0.0),                    # real roots: Re xi >= 0
+    (1j, (1 - 1j) / np.sqrt(2.0)),
+    (-1j, -(1 + 1j) / np.sqrt(2.0))])
+def test_decaying_root(a2, want):
+    xi = decaying_root(a2)
+    assert abs(xi - want) < 1e-15
+    assert abs(xi * xi + a2) < 1e-15
 
 
 def test_elliptic_roots_wave_real_roots():
@@ -260,6 +272,30 @@ def test_sweep_refuses_a_row_of_another_eta_dimension(dim_eta, eta_coeffs):
     bc = BoundaryOperator.oblique(0.3, eta_coeffs)
     with pytest.raises(DomainError, match="dim_eta"):
         lopatinskii_sweep(0.3, sym, bc)
+
+
+def test_sweep_samples_the_fibonacci_sphere_at_dim_eta_3():
+    sym = BoundarySymbol.laplace(3)
+    bc = BoundaryOperator.dirichlet(0.3)
+    rep = lopatinskii_sweep(0.3, sym, bc, sphere_samples=64)
+    assert len(rep.samples) == 64 and rep.all_pass
+    etas = np.array([s["eta"] for s in rep.samples])
+    assert np.allclose(np.linalg.norm(etas, axis=1), 1.0, rtol=0, atol=1e-14)
+    with pytest.raises(DomainError, match="above 3"):
+        lopatinskii_sweep(0.3, BoundarySymbol.laplace(4), bc)
+
+
+def test_sweep_reports_not_elliptic_samples():
+    # on the real lambda ray the wave symbol has real roots once |lambda|
+    # reaches |eta|: those rows fail with det 0
+    bc = BoundaryOperator.dirichlet(0.3)
+    rep = lopatinskii_sweep(0.3, BoundarySymbol.wave(1), bc,
+                            sphere_samples=16, sector=Sector(((0.0, 0.0),)))
+    assert not rep.all_pass and rep.min_abs_det == 0.0
+    fails = [s for s in rep.samples if not s["pass"]]
+    assert (len(fails), len(rep.samples)) == (3, 7)
+    for s in fails:
+        assert s["det"] == 0 and abs(s["lambda"]) > abs(s["eta"][0])
 
 
 def test_sweep_lambda_robin_on_imaginary_axis():
