@@ -22,16 +22,16 @@ times a polynomial, with one of four branch powers (nu +- 1/2 for the
 Lagrange functions, 1/2 - nu and 3/2 - nu for the seed).  One helper,
 Space._images, tabulates the polynomial factors at any points; every
 consumer integrates these tables.  The tables are real (so are the Lagrange
-and seed polynomials): S and M are contracted in real arithmetic, and
-complex numbers enter only with a complex coefficient, load or coefficient
-vector.  Real-valued operators are stored real.  Cells away from the origin
-multiply the tables by x^power and use Gauss-Legendre, vectorised over
-cells.  On the origin cell the entries of a form are grouped by their
-product power beta and each group is integrated exactly by the 24-point
-Gauss-Jacobi rule for x^beta, one einsum per form (first_cell_inner), the
-rules of a whole call tabulated in one pass (Space._first_rules).  Matrix
-convention: entry[row j, col i] = <op(phi_i), phi_j>, inner product linear
-in the first slot.  A local-to-global DOF map makes every operator a band of
+and seed polynomials): S, M and a real coefficient's form are contracted in
+real arithmetic.  Real-valued operators are stored real.  Cells away from
+the origin multiply the tables by x^power and use Gauss-Legendre,
+vectorised over cells, one batched matmul per form.  The origin cell is
+tabulated once per Space on n0 = max(24, 2p + 1) fixed nodes, and each
+entry of a form is integrated with the weights of its product power beta
+(quadrature.power_rule, exact for x^beta times any polynomial of degree
+< n0), one einsum per form (first_cell_inner).  Matrix convention:
+entry[row j, col i] = <op(phi_i), phi_j>, inner product linear in the
+first slot.  A local-to-global DOF map makes every operator a band of
 half-width p (the degree) plus, with the seed, one border row and column
 (BorderedBand); solves cost O(n) through a banded LU and one Schur step.
 A BorderedBand multiplies a vector or an (n, k) block by the same sum over
@@ -68,7 +68,7 @@ from numpy.polynomial.polynomial import polyder, polyval
 from .config import DEFAULTS
 from .core import as_order
 from .errors import DomainError, SingularSystem
-from .quadrature import jacobi_rule, legendre_rule
+from .quadrature import legendre_rule, power_rule
 
 RANK_CUTOFF = 1e-11
 MIN_CELLS = 6           # fewest mesh cells a Space accepts
@@ -88,6 +88,17 @@ def _lagrange_tables(p):
     (column i for function i) and of their first two derivatives."""
     lag = np.linalg.inv(np.vander(lobatto_nodes(p), p + 1, increasing=True))
     tables = (lag, polyder(lag), polyder(lag, 2))
+    for tab in tables:
+        tab.flags.writeable = False
+    return tables
+
+
+@lru_cache(maxsize=None)
+def _bulk_tables(p):
+    """Read-only (L, L', L'') in t at the p + 8 Gauss-Legendre nodes of
+    [0, 1], the reference of every bulk cell, shaped (p+1, 1, nq)."""
+    t, _ = legendre_rule(p + 8, 0.0, 1.0)
+    tables = tuple(polyval(t, c)[:, None] for c in _lagrange_tables(p))
     for tab in tables:
         tab.flags.writeable = False
     return tables
@@ -132,17 +143,17 @@ def solver_mesh(x_max, n_cells, floor=1e-8, outward=False):
     return np.unique(edges), n_tail + 1
 
 
-def first_cell_inner(x, w, f, g, mask, coeff=None):
+def first_cell_inner(x, w, f, g, coeff=None):
     """Cell-0 integrals int_0^h f_i conj(g_j) c dx of one form, entry [j, i].
 
-    Rule r (nodes x[r], weights w[r]) is the Gauss-Jacobi rule of the
-    product power x^beta_r and integrates the entries with mask[r, j, i];
-    f[r] and g[r] hold the trial and test tables at its nodes, without the
-    x^power factors.
+    All entries share the nodes x of cell 0; w[j, i] holds the weights of
+    entry (j, i), those of its product power x^beta (quadrature.power_rule).
+    f[i] and g[j] hold the trial and test tables at x, without the x^power
+    factors.
     """
     if coeff is not None:
         w = w * _at(coeff, x)
-    return np.einsum("rq,riq,rjq,rji->ji", w, f, np.conj(g), mask)
+    return np.einsum("jiq,iq,jq->ji", w, f, np.conj(g))
 
 
 class _Rho:
@@ -154,10 +165,12 @@ class _Rho:
 
 
 def _at(fun, x):
-    """fun at the points x (called on the flattened array), shaped like x."""
+    """fun at the points x (called on the flattened array), shaped like x:
+    float64 for real values, complex128 for complex ones."""
     flat = np.ravel(x)
-    vals = np.broadcast_to(np.asarray(fun(flat), dtype=complex), flat.shape)
-    return vals.reshape(np.shape(x))
+    vals = np.asarray(fun(flat))
+    vals = vals.astype(np.result_type(vals, np.float64), copy=False)
+    return np.broadcast_to(vals, flat.shape).reshape(np.shape(x))
 
 
 @lru_cache(maxsize=256)
@@ -441,7 +454,6 @@ class Space:
             for key, lag, seed in (("v", nuval + 0.5, 0.5 - nuval),
                                    ("d", nuval - 0.5, 1.5 - nuval),
                                    ("c", nuval - 0.5, 0.5 - nuval))}
-        self._rules = {}
 
     # -- the DOF map ------------------------------------------------------------
 
@@ -528,18 +540,19 @@ class Space:
 
     # -- per-cell tables --------------------------------------------------------
 
-    def _images(self, x, a, h):
+    def _images(self, x, h, lag):
         """Value, d_nu and |D_nu|^2 images of the local functions at x.
 
-        x, of shape (..., nq), lies in the cells with left edges a and widths
-        h, of shape (..., 1).  Returns {"v"/"d"/"c": table}, each of shape
+        x, of shape (..., nq), lies in the cells of widths h, of shape
+        (..., 1); lag holds (L, L', L'') in t at x, broadcastable to
+        (p+1, ..., nq).  Returns {"v"/"d"/"c": table}, each of shape
         (..., p+1+s, nq): the image of local function i at x is
         x^self._powers[key][i] * table[..., i, :].  The seed is last and zero
         from its cutoff on.
         """
         nuval = self.order.nu
-        t = (x - a) / h
-        L, L1, L2 = (polyval(t, c) for c in self._lagrange)
+        L, L1, L2 = lag
+        L = np.broadcast_to(L, L.shape[:1] + np.shape(x))
         L1, L2 = L1 / h, L2 / h ** 2
         # d_nu (x^{1/2+nu} L) = x^{nu-1/2} (x L' + 2 nu L)
         # |D_nu|^2 (x^{1/2+nu} L) = x^{nu-1/2} (-x L'' - (1+2nu) L')
@@ -566,35 +579,27 @@ class Space:
         exps = np.unique(np.concatenate(list(self._powers.values())))
         xpow = xq[:, None, :] ** exps[:, None]
         tables = {key: tab * xpow[:, np.searchsorted(exps, self._powers[key])]
-                  for key, tab in self._images(xq, a, b - a).items()}
+                  for key, tab in self._images(
+                      xq, b - a, _bulk_tables(self.degree)).items()}
         return xq, wq, tables
 
-    def _first_rules(self, betas):
-        """Stacked (x, w, tables) of the 24-point Gauss-Jacobi rules for
-        x^beta on cell 0, one per distinct beta, ascending.  Rules not yet
-        cached get one _images pass on their stacked nodes, bitwise as one
-        by one (_images is elementwise in x)."""
-        betas = np.unique(betas)
-        new = [b for b in betas if b not in self._rules]
-        if new:
-            x, w = map(np.array, zip(*(jacobi_rule(b, 24, 0.0, self.edges[1])
-                                       for b in new)))
-            tabs = self._images(x, 0.0, self.edges[1])
-            self._rules.update(zip(new, zip(x, w, *(tabs[k] for k in "vdc"))))
-        x, w, *tabs = map(np.array, zip(*(self._rules[b] for b in betas)))
-        return x, w, dict(zip("vdc", tabs))
+    @cached_property
+    def _origin(self):
+        """(x, tables) on cell 0: its n0 = max(24, 2p + 1) fixed nodes and
+        the images there, without x-powers.  Every cell-0 product has degree
+        at most max(2p, p + 8, 16) < n0 (the seed factors have degree 8)."""
+        h = self.edges[1]
+        t, _ = power_rule(0.0, max(24, 2 * self.degree + 1))
+        return h * t, self._images(h * t, h, [polyval(t, c)
+                                              for c in self._lagrange])
+
+    def _weights(self, beta):
+        """Cell-0 weights w[..., q] of the product powers beta[...]."""
+        return power_rule(beta, self._origin[0].size, self.edges[1])[1]
 
     def _beta(self, trial, test):
         """Product powers beta[j, i] of <trial image i, test image j>."""
         return np.add.outer(self._powers[test], self._powers[trial])
-
-    def _first_cell(self, trial, test):
-        """first_cell_inner's (x, w, f, g, mask) for <trial image, test
-        image>: one rule per product power beta[j, i] of the entries."""
-        beta = self._beta(trial, test)
-        betas = np.unique(beta)
-        x, w, tabs = self._first_rules(betas)
-        return x, w, tabs[trial], tabs[test], beta == betas[:, None, None]
 
     # -- assembly ---------------------------------------------------------------
 
@@ -608,16 +613,17 @@ class Space:
         if b_fun is not None:
             forms["B"] = ("d", "v", b_fun, -1j)
 
-        self._first_rules([self._beta(*form[:2]) for form in forms.values()])
+        x, tabs = self._origin
         xq, wq, tables = self._bulk
         mats = {}
         for name, (trial, test, coeff, factor) in forms.items():
-            # real for S and M: the tables are real
-            first = factor * first_cell_inner(*self._first_cell(trial, test),
-                                              coeff=coeff)
+            # real for S, M and a real coefficient: the tables are real
+            first = factor * first_cell_inner(
+                x, self._weights(self._beta(trial, test)), tabs[trial],
+                tabs[test], coeff=coeff)
             wk = wq if coeff is None else wq * _at(coeff, xq)
-            bulk = factor * np.einsum("kq,kiq,kjq->kji", wk, tables[trial],
-                                      np.conj(tables[test]))
+            bulk = factor * np.matmul(tables[test], np.swapaxes(
+                wk[:, None] * tables[trial], 1, 2))
             mats[name] = self._assemble(np.concatenate([first[None], bulk]))
         return mats
 
@@ -625,11 +631,9 @@ class Space:
         """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0."""
         power = self._powers["v"]
         loc = np.zeros((self.n_cells, power.size), dtype=complex)
-        x, w, images = self._first_rules(np.unique(power) + singular_exponent)
-        for r, e in enumerate(np.unique(power)):
-            smooth_f = _at(f, x[r]) / x[r] ** singular_exponent
-            own = power == e
-            loc[0, own] = np.conj(images["v"][r, own]) @ (w[r] * smooth_f)
+        x, tabs = self._origin
+        w = self._weights(power + singular_exponent)
+        loc[0] = (w * tabs["v"]) @ (_at(f, x) / x ** singular_exponent)
         xq, wq, tables = self._bulk
         loc[1:] = np.einsum("kq,kiq->ki", wq * _at(f, xq),
                             np.conj(tables["v"]))
@@ -681,19 +685,19 @@ class Space:
         As in strong_residual, u, d_nu u and |D_nu|^2 u are summed at the
         quadrature points before they are squared, so the large first-cell
         tables (~h0^{nu-3/2}) cancel in the image, not in a quadratic form.
-        On cell 0 the Lagrange and seed parts of each image are paired at
-        the rule of their product power.
+        On cell 0 the Lagrange and seed parts of each image are paired with
+        the weights of their product power.
         """
         local = self._local_coeffs(coeffs)
         heads = [0, self.degree + 1][:1 + int(self.include_minus)]
+        x, tabs = self._origin
         xq, wq, tables = self._bulk
-        self._first_rules([self._beta(key, key) for key in "vdc"])
         sq = []
         for key in ("v", "d", "c"):
-            x, w, f, _, mask = self._first_cell(key, key)
-            parts = np.add.reduceat(local[0, :, None] * f, heads, axis=1)
-            first = first_cell_inner(x, w, parts, parts,
-                                     mask[:, heads][:, :, heads])
+            parts = np.add.reduceat(local[0, :, None] * tabs[key], heads,
+                                    axis=0)
+            w = self._weights(self._beta(key, key)[np.ix_(heads, heads)])
+            first = first_cell_inner(x, w, parts, parts)
             image = np.einsum("ki,kiq->kq", local[1:], tables[key])
             sq.append(float(np.real(first.sum()))
                       + float(np.sum(wq * np.abs(image) ** 2)))

@@ -102,10 +102,12 @@ class SingularValueReport:
 
 def _column_norms(X, cols=None):
     """The 2-norm of each column of X, or of the columns ``cols`` only (once
-    per distinct column), one np.linalg.norm per column (a single
-    norm(axis=0) rounds differently)."""
-    cols = range(X.shape[1]) if cols is None else cols
-    return np.array([np.linalg.norm(X[:, j]) for j in cols])
+    per distinct column): one dot per row of a contiguous copy of X^T, the
+    sums np.linalg.norm forms for each column (a single norm(axis=0) rounds
+    differently)."""
+    rows = np.ascontiguousarray(X.T if cols is None else X.T[cols])
+    parts = (rows.real, rows.imag) if np.iscomplexobj(rows) else (rows,)
+    return np.sqrt([sum(r.dot(r) for r in row) for row in zip(*parts)])
 
 
 def _dirichlet_pairs(K, M, n_max):

@@ -183,14 +183,13 @@ def elliptic_roots(sym, eta, lam=0.0, settings=DEFAULTS):
 # ---------------------------------------------------------------------------
 
 def mode_traces(nu, xi):
-    """Closed-form traces (1, -2nu Gamma(1-nu)/Gamma(1+nu) (i xi/2)^{2nu})."""
-    from scipy.special import gamma
-
+    """Closed-form traces (1, -2nu Gamma(1-nu)/Gamma(1+nu) (i xi/2)^{2nu});
+    Gamma of the real order from ``math``."""
     order = as_order(nu)
     if order.regime.value != "subcritical":
         raise DomainError("mode traces require 0 < nu < 1")
     nu = order.nu
-    gp = -2.0 * nu * (gamma(1.0 - nu) / gamma(1.0 + nu)) \
+    gp = -2.0 * nu * (math.gamma(1.0 - nu) / math.gamma(1.0 + nu)) \
         * (1j * xi / 2.0) ** (2.0 * nu)
     return TraceData(1.0 + 0.0j, complex(gp))
 

@@ -7,15 +7,19 @@ of the assembled Galerkin system, and mpmath's hypergeometric 0F1 for the
 characteristic function of the lambda-Robin pencil.  They exist so the
 dual-route checks compare two genuinely different computations.
 
+The per-beta origin-cell assembly behind ``fem.Space``
+(``PerBetaAssembly``) integrates cell 0 by one Gauss-Jacobi rule per
+product power, where the library uses fixed nodes with weights per power,
+and reports the sum of the moduli of its terms as the scale of a match.
+
 Some oracles are references for bitwise equality instead: the scalar
 Fornberg recurrence behind ``core.grid_derivative``, the
 ``numpy.polynomial.Polynomial`` form of the pair calculus behind
-``core.BranchFunction``, the per-beta origin-cell tabulation behind
-``fem.Space`` (``PerBetaAssembly``), the panel-by-panel composite
+``core.BranchFunction``, the panel-by-panel composite
 Gauss-Legendre rule and the three-pass relative strong residual
 (``multipass_residual``).  They run the library's arithmetic one object,
-one node, one rule, one panel or one pass at a time, so the vectorised
-code must reproduce them exactly.
+one node, one panel or one pass at a time, so the vectorised code must
+reproduce them exactly.
 """
 
 import math
@@ -482,17 +486,20 @@ def loop_composite_rule(edges, order):
 
 class PerBetaAssembly:
     """S, M, A, B, load vectors and norms of a ``fem.Space``, with the origin
-    cell tabulated one Gauss-Jacobi rule at a time.
+    cell integrated by one Gauss-Jacobi rule per product power beta.
 
-    Each rule for a product power beta gets its own image tables, from the
-    Lagrange coefficients and their ``polyder``s formed afresh and the seed
-    factors evaluated as ``Polynomial``s.  Only the space's mesh, powers,
-    DOF map and assembly helpers are shared.
+    Each rule comes from scipy's ``roots_jacobi`` (24 nodes, exact for
+    x^beta times any polynomial of degree 47) and gets its own image tables,
+    from the Lagrange coefficients and their ``polyder``s formed afresh and
+    the seed factors evaluated as ``Polynomial``s; every sum is its own
+    einsum.  Each result comes with ``size``, the same sum over the moduli
+    of its quadrature terms: the scale of its rounding.  Only the space's
+    mesh, powers, DOF map and assembly helpers are shared.
     """
 
     def __init__(self, space):
         from besselbvp import fem
-        self.space, self.fem = space, fem
+        self.space = space
         p = space.degree
         self.lagrange = np.linalg.inv(
             np.vander(fem.lobatto_nodes(p), p + 1, increasing=True))
@@ -523,71 +530,95 @@ class PerBetaAssembly:
                 for key, tab in zip("vdc", tables)}
 
     def first_rule(self, beta):
+        """(x, w, tables) of the Gauss-Jacobi rule for x^beta on cell 0."""
+        from scipy.special import roots_jacobi
         if beta not in self.rules:
             h = self.space.edges[1]
-            x, w = self.fem.jacobi_rule(beta, 24, 0.0, h)
-            self.rules[beta] = (x, w, self.images(x, 0.0, h))
+            y, w = roots_jacobi(24, 0.0, beta)
+            x = h * (y + 1.0) / 2.0
+            self.rules[beta] = (x, w * (h / 2.0) ** (beta + 1.0),
+                                self.images(x, 0.0, h))
         return self.rules[beta]
 
-    def first_cell(self, trial, test):
-        powers = self.space._powers
-        beta = np.add.outer(powers[test], powers[trial])
-        betas = np.unique(beta)
-        x, w, tabs = zip(*(self.first_rule(b) for b in betas))
-        return (np.array(x), np.array(w), np.array([t[trial] for t in tabs]),
-                np.array([t[test] for t in tabs]),
-                beta == betas[:, None, None])
+    def first_cell(self, f, g, beta, coeff=None):
+        """(value, size) of the cell-0 sums int f_i conj(g_j) c dx, entry
+        [j, i] by the rule of beta[j, i]; f and g map a rule's tables to
+        the trial and test rows."""
+        value = np.zeros(beta.shape, dtype=complex)
+        size = np.zeros(beta.shape)
+        for (j, i), b in np.ndenumerate(beta):
+            x, w, tabs = self.first_rule(b)
+            if coeff is not None:
+                w = w * np.asarray(coeff(x), dtype=complex)
+            terms = np.einsum("q,q,q->q", w, f(tabs)[i], np.conj(g(tabs)[j]))
+            value[j, i], size[j, i] = terms.sum(), np.abs(terms).sum()
+        return value, size
 
     def matrices(self, a_fun=None, b_fun=None):
-        space, fem = self.space, self.fem
+        """{name: (operator, size)}, both assembled as BorderedBands."""
+        space = self.space
         forms = {"S": ("d", "d", None, 1.0), "M": ("v", "v", None, 1.0)}
         if a_fun is not None:
             forms["A"] = ("v", "v", a_fun, 1.0)
         if b_fun is not None:
             forms["B"] = ("d", "v", b_fun, -1j)
-        n_loc = space._powers["v"].size
+        powers = space._powers
         xq, wq, tables = self.bulk
         mats = {}
         for name, (trial, test, coeff, factor) in forms.items():
-            loc = np.empty((space.n_cells, n_loc, n_loc), dtype=complex)
-            loc[0] = factor * fem.first_cell_inner(
-                *self.first_cell(trial, test), coeff=coeff)
-            wk = wq if coeff is None else wq * fem._at(coeff, xq)
-            loc[1:] = factor * np.einsum("kq,kiq,kjq->kji", wk,
-                                         tables[trial], np.conj(tables[test]))
-            mats[name] = space._assemble(loc)
+            beta = np.add.outer(powers[test], powers[trial])
+            first, size0 = self.first_cell(lambda t: t[trial],
+                                           lambda t: t[test], beta, coeff)
+            wk = wq if coeff is None \
+                else wq * np.asarray(coeff(xq), dtype=complex)
+            terms = np.einsum("kq,kiq,kjq->kjiq", wk, tables[trial],
+                              np.conj(tables[test]))
+            loc = factor * np.concatenate([first[None], terms.sum(-1)])
+            size = np.concatenate([size0[None], np.abs(terms).sum(-1)])
+            mats[name] = (space._assemble(loc), space._assemble(size))
         return mats
 
     def load_vector(self, f, singular_exponent=0.0):
-        space, fem = self.space, self.fem
+        """(vector, size) of <f, phi_i>."""
+        space = self.space
         power = space._powers["v"]
-        loc = np.zeros((space.n_cells, power.size), dtype=complex)
-        for e in np.unique(power):
+        terms = np.zeros((space.n_cells, power.size), dtype=complex)
+        size = np.zeros(terms.shape)
+        for i, e in enumerate(power):
             x, w, images = self.first_rule(e + singular_exponent)
-            smooth_f = fem._at(f, x) / x ** singular_exponent
-            own = power == e
-            loc[0, own] = np.conj(images["v"][own]) @ (w * smooth_f)
+            t = w * np.conj(images["v"][i]) \
+                * np.asarray(f(x), dtype=complex) / x ** singular_exponent
+            terms[0, i], size[0, i] = t.sum(), np.abs(t).sum()
         xq, wq, tables = self.bulk
-        loc[1:] = np.einsum("kq,kiq->ki", wq * fem._at(f, xq),
-                            np.conj(tables["v"]))
-        return space._assemble_vector(loc)
+        t = np.einsum("kq,kiq->kiq", wq * np.asarray(f(xq), dtype=complex),
+                      np.conj(tables["v"]))
+        terms[1:], size[1:] = t.sum(-1), np.abs(t).sum(-1)
+        return space._assemble_vector(terms), space._assemble_vector(size)
 
     def norms(self, coeffs, q2=0.0):
+        """((H0^2, H1^2, H2^2), their sizes)."""
         space = self.space
         local = space._local_coeffs(coeffs)
         heads = [0, space.degree + 1][:1 + int(space.include_minus)]
         xq, wq, tables = self.bulk
-        sq = []
+        sq, size = [], []
         for key in ("v", "d", "c"):
-            x, w, f, _, mask = self.first_cell(key, key)
-            parts = np.add.reduceat(local[0, :, None] * f, heads, axis=1)
-            first = self.fem.first_cell_inner(x, w, parts, parts,
-                                              mask[:, heads][:, :, heads])
-            image = np.einsum("ki,kiq->kq", local[1:], tables[key])
-            sq.append(float(np.real(first.sum()))
-                      + float(np.sum(wq * np.abs(image) ** 2)))
-        h1sq = sq[1] + (1.0 + q2) * sq[0]
-        return sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq
+            pw = space._powers[key][heads]
+
+            def parts(tabs):
+                return np.add.reduceat(local[0, :, None] * tabs[key], heads,
+                                       axis=0)
+
+            first, size0 = self.first_cell(parts, parts, np.add.outer(pw, pw))
+            t = wq * np.abs(np.einsum("ki,kiq->kq", local[1:],
+                                      tables[key])) ** 2
+            sq.append(float(np.real(first.sum())) + float(t.sum()))
+            size.append(float(size0.sum()) + float(t.sum()))
+        out = []
+        for v in (sq, size):
+            h1sq = v[1] + (1.0 + q2) * v[0]
+            out.append((v[0], h1sq, v[2] + (1.0 + q2) * h1sq))
+        return tuple(out)
 
 
 def _window_residual(space, coeffs, op_values, f=None):

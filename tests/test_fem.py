@@ -4,6 +4,7 @@ bordered solve and the canonical order of pencil eigenvalues."""
 import tracemalloc
 from dataclasses import replace
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
@@ -12,10 +13,11 @@ import reference_oracles as oracles
 from besselbvp.config import DEFAULTS
 from besselbvp.core import BranchFunction, Order, branch_inner
 from besselbvp.errors import DomainError, SingularSystem
-from besselbvp import fem
+from besselbvp import fem, quadrature
 from besselbvp.fem import (BorderedBand, Space, galerkin_solve, lobatto_nodes,
                            modulus_order)
 from besselbvp.modes import dirichlet_spectrum, pencil_modes
+from besselbvp.quadrature import power_rule
 from besselbvp.solve import (BesselOperator, BVProblem, CapCondition,
                              resolvent_sweep, solve_1d,
                              solve_dirichlet_laplacian, solve_separable)
@@ -449,8 +451,7 @@ def test_eval_coeffs_batched_equals_columns(nu, seeded):
 
 
 # --------------------------------------------------------------------------
-# the origin cell: tabulated once per assembly call, bitwise equal to one
-# rule at a time
+# the origin cell: fixed nodes tabulated once per Space, weights per power
 # --------------------------------------------------------------------------
 
 def same_bits(got, want):
@@ -471,6 +472,36 @@ def same_bits(got, want):
             and got.tobytes() == want.tobytes())
 
 
+POWERS = (-0.9999, -0.999, -0.5, 0.0, 1e-9, 0.37, 1.0, 3.0, 41.0, 201.0)
+
+
+def test_power_rule_integrates_each_power_against_mpmath():
+    # sum_q w_q t_q^m = int_0^1 t^{beta+m} dt = 1 / (beta + m + 1), m < n,
+    # to 1e-12 of the sum of the terms' moduli.  Near beta = -1 the weights
+    # grow like 1 / (beta + 1) with alternating signs, so that sum, not the
+    # integral, is the scale of the rounding; from beta = -0.5 on the two
+    # agree and the error is held to 1e-12 of the integral itself
+    n = 24
+    t, w = power_rule(POWERS, n)
+    assert w.shape == (len(POWERS), n)
+    for beta, wb in zip(POWERS, w):
+        for m in range(n):
+            terms = wb * t ** m
+            exact = 1 / (mpmath.mpf(beta) + m + 1)
+            err = abs(mpmath.mpf(terms.sum()) - exact)
+            assert err <= 1e-12 * np.abs(terms).sum(), (beta, m)
+            if beta >= -0.5:
+                assert err <= 1e-12 * exact, (beta, m)
+    # on [0, h] the nodes scale by h and the weights by h^{beta+1}
+    h = 1e-8
+    x, wh = power_rule(POWERS, n, h)
+    assert np.array_equal(x, h * t)
+    assert np.allclose(wh, w * h ** (np.array(POWERS)[:, None] + 1.0),
+                       rtol=1e-14, atol=0.0)
+    with pytest.raises(DomainError):
+        power_rule(-1.0, n)
+
+
 TABULATED = {
     "seeded": (0.3, {}),
     "unseeded": (0.3, {"include_minus": False}),
@@ -479,13 +510,22 @@ TABULATED = {
 }
 
 
-@pytest.mark.parametrize("calls", ["MLN", "NLM"])
+def within_size(got, want, size, rtol=1e-12):
+    """|got - want| <= rtol * size entrywise, for BorderedBands or arrays."""
+    if isinstance(got, BorderedBand):
+        got, want, size = got.toarray(), want.toarray(), size.toarray()
+    return bool(np.all(np.abs(np.asarray(got) - np.asarray(want))
+                       <= rtol * np.asarray(size)))
+
+
 @pytest.mark.parametrize("case", list(TABULATED))
-def test_origin_cell_bitwise_equals_per_beta_oracle(case, calls):
-    # the rules a call tabulates depend on what earlier calls cached, so
-    # both call orders are checked
+def test_origin_cell_matches_per_beta_gauss_jacobi(case):
+    # S, M, A, B, load vectors and norms against one Gauss-Jacobi rule per
+    # product power on cell 0 (the oracle shares only the bulk method), to
+    # 1e-12 of the sum of the moduli of the quadrature terms
     nu, kwargs = TABULATED[case]
     space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
+    assert space.include_minus == ("unseeded" not in case and nu < 1)
     ref = oracles.PerBetaAssembly(space)
     rng = np.random.default_rng(8)
     c = rng.standard_normal(space.n) + 1j * rng.standard_normal(space.n)
@@ -502,16 +542,46 @@ def test_origin_cell_bitwise_equals_per_beta_oracle(case, calls):
     def g(x):
         return x ** (nu - 0.5) * f(x)
 
-    steps = {
-        "M": lambda s: (s.matrices(), s.matrices(a_fun=a_fun),
-                        s.matrices(a_fun, b_fun)),
-        "L": lambda s: (s.load_vector(f),
-                        s.load_vector(g, singular_exponent=nu - 0.5)),
-        "N": lambda s: (s.norms(c), s.norms(c, q2=1.0)),
-    }
-    assert space.include_minus == ("unseeded" not in case and nu < 1)
-    for step in calls:
-        assert same_bits(steps[step](space), steps[step](ref)), step
+    got, want = space.matrices(a_fun, b_fun), ref.matrices(a_fun, b_fun)
+    for name in "SMAB":
+        assert within_size(got[name], *want[name]), name
+    assert within_size(space.load_vector(f), *ref.load_vector(f))
+    assert within_size(space.load_vector(g, singular_exponent=nu - 0.5),
+                       *ref.load_vector(g, singular_exponent=nu - 0.5))
+    for q2 in (0.0, 1.0):
+        assert within_size(space.norms(c, q2=q2), *ref.norms(c, q2=q2))
+
+
+def test_origin_cell_mass_rule_is_exact_at_degree_12():
+    # 2p + 1 = 25 nodes: the weights of M's Lagrange block integrate the
+    # degree-24 products of the Lagrange functions exactly.  The products
+    # are formed from the Lagrange functions as products over the nodes:
+    # the library's monomial tables carry about 3e-8 of rounding at this
+    # degree whatever the rule
+    from scipy.special import roots_jacobi
+    p, nu = 12, 0.3
+    settings = DEFAULTS.with_overrides(fem_degree=p)
+    space = Space(Order(nu), 1.0, n_nodes=12 * p, include_minus=False,
+                  settings=settings)
+    nodes = lobatto_nodes(p)
+
+    def values(t):
+        return np.array([np.prod([(t - nk) / (nodes[i] - nk)
+                                  for nk in np.delete(nodes, i)], axis=0)
+                         for i in range(p + 1)])
+
+    h, beta = space.edges[1], 2 * nu + 1
+    x, _ = space._origin
+    assert x.size == 25
+    w = space._weights(space._beta("v", "v"))
+    assert np.all(space._beta("v", "v") == beta)
+    got = np.einsum("jiq,iq,jq->jiq", w, values(x / h), values(x / h))
+    y, wj = roots_jacobi(24, 0.0, beta)
+    wj = wj * (h / 2) ** (beta + 1)
+    want = np.einsum("q,iq,jq->jiq", wj, values((y + 1) / 2),
+                     values((y + 1) / 2))
+    err = np.abs(got.sum(-1) - want.sum(-1))
+    assert np.all(err <= 1e-12 * np.abs(want).sum(-1))
 
 
 @pytest.mark.parametrize("case", list(TABULATED))
@@ -519,11 +589,10 @@ def test_image_tables_are_real_and_results_complex(case):
     nu, kwargs = TABULATED[case]
     space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
     assert space.rho.poly.coef.dtype == np.float64
-    x = np.linspace(0.0, space.edges[2], 7)
-    tabs = [space._images(x, 0.0, space.edges[1]), space._bulk[2],
-            space._first_rules([space._beta("d", "v")])[2]]
+    tabs = [space._origin[1], space._bulk[2]]
     assert all(tab.dtype == np.float64 for t in tabs for tab in t.values())
-    # a real a reaches the assembly as complex values (_at); A is stored real
+    # a real a stays real (_at) and is contracted in real arithmetic; B
+    # carries -i and the load vector is complex
     mats = space.matrices(a_fun=lambda x: 1.0 + x, b_fun=lambda x: x)
     for name in "SMA":
         assert stored_dtypes(mats[name]) == {np.dtype(float)}, name
@@ -531,34 +600,40 @@ def test_image_tables_are_real_and_results_complex(case):
     assert space.load_vector(np.cos).dtype == complex
 
 
-def test_seeded_solve_tabulates_each_space_three_times(monkeypatch):
-    # bulk, matrices and load: one _images pass each; a b term adds forms
-    # but no pass, and every Gauss-Jacobi rule is computed once per Space
-    images, rules = {}, []
-    tabulate, jacobi = Space._images, fem.jacobi_rule
+def test_real_coefficient_form_matches_complex_arithmetic():
+    space = Space(Order(0.3), 1.0, n_nodes=24 * DEFAULTS.fem_degree)
+    assert fem._at(lambda x: 1 + x, np.ones(3)).dtype == np.float64
+    real = space.matrices(a_fun=lambda x: 1 + x)["A"]
+    cplx = space.matrices(
+        a_fun=lambda x: (1 + x).astype(complex))["A"]
+    assert real.dtype == np.float64
+    for got, want in zip(real.parts, cplx.parts):
+        assert np.all(np.abs(got - want) <= 1e-15 * np.abs(want))
 
-    def spy_images(self, x, a, h):
+
+def test_seeded_solve_tabulates_each_space_twice(monkeypatch):
+    # the bulk cells and the origin cell: one _images pass each; a b term
+    # adds forms but no pass, and no Gauss-Jacobi rule is computed
+    images = {}
+    tabulate = Space._images
+
+    def spy_images(self, x, h, lag):
         images[id(self)] = images.get(id(self), 0) + 1
-        return tabulate(self, x, a, h)
-
-    def spy_jacobi(beta, n, a=0.0, b=1.0):
-        rules.append((float(beta), b))
-        return jacobi(beta, n, a, b)
+        return tabulate(self, x, h, lag)
 
     monkeypatch.setattr(Space, "_images", spy_images)
-    monkeypatch.setattr(fem, "jacobi_rule", spy_jacobi)
     for b_coeff in (None, Polynomial([0.0, 1.0, -1.0])):
         images.clear()
-        rules.clear()
+        jacobi = quadrature._jacobi01.cache_info()
         prob = BVProblem(
             op=BesselOperator(Order(0.35), a_coeff=1.0, b_coeff=b_coeff),
             bc0=BoundaryOperator.robin(0.35, 1.0), rhs=np.cos,
             boundary_data=0.5)
         space = solve_1d(prob, n_nodes=128).space
         assert space.include_minus
-        assert images == {id(space): 3}
-        h = space.edges[1]
-        assert sorted(rules) == sorted((float(b), h) for b in space._rules)
+        assert images == {id(space): 2}
+        after = quadrature._jacobi01.cache_info()
+        assert (after.hits, after.misses) == (jacobi.hits, jacobi.misses)
 
 
 def test_spaces_of_one_degree_share_read_only_lagrange_tables():

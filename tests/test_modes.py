@@ -262,6 +262,23 @@ def test_even_pencil_spectrum_symmetry():
         assert np.round(-l, 6) in spec
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (129, 258), (40, 1),
+                                   (3, 50)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_column_norms_equal_per_column_norm(shape, dtype):
+    # row dots on a contiguous copy of X^T sum as np.linalg.norm does
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    X = rng.standard_normal(shape).astype(dtype)
+    if dtype is complex:
+        X += 1j * rng.standard_normal(shape)
+    want = np.array([np.linalg.norm(X[:, j]) for j in range(shape[1])])
+    assert modes._column_norms(X).tobytes() == want.tobytes()
+    assert modes._column_norms(np.asfortranarray(X)).tobytes() \
+        == want.tobytes()
+    cols = np.arange(shape[1])[::2]
+    assert modes._column_norms(X, cols).tobytes() == want[cols].tobytes()
+
+
 def test_pencil_eigenvalue_count_with_multiplicity():
     nu = 0.5
     ms = pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,

@@ -95,6 +95,19 @@ def test_mode_traces_quarter_order():
     assert abs(tr.gamma_plus - want) < 1e-14
 
 
+@pytest.mark.parametrize("nu", [1e-4, 0.3, 0.5, 0.97])
+def test_mode_traces_gamma_ratio_matches_mpmath(nu):
+    # at xi = -2i the power (i xi / 2)^{2nu} is 1: gamma_+ = -2nu times the
+    # ratio Gamma(1 - nu) / Gamma(1 + nu), here from math.gamma
+    import mpmath
+    with mpmath.workdps(30):
+        x = mpmath.mpf(nu)
+        ratio = mpmath.gamma(1 - x) / mpmath.gamma(1 + x)
+        got = mode_traces(nu, -2.0j).gamma_plus
+        assert got.imag == 0.0
+        assert abs(mpmath.mpf(got.real) / (-2 * x) - ratio) <= 1e-14 * ratio
+
+
 def test_mode_solution_interior_residual():
     for nu, xi in ((0.3, -1.0j), (0.8, -0.4 - 1.2j), (1.4, -2.0j)):
         g = RadialGrid.uniform(halfline_grid(xi).x_max, 1024)
