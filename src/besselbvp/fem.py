@@ -61,9 +61,9 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
-from numpy.polynomial import Polynomial
 from numpy.polynomial.legendre import Legendre
-from numpy.polynomial.polynomial import polyder, polyval
+from numpy.polynomial.polynomial import (polyder, polymul, polypow, polysub,
+                                         polyval)
 
 from .config import DEFAULTS
 from .core import as_order
@@ -154,14 +154,6 @@ def first_cell_inner(x, w, f, g, coeff=None):
     if coeff is not None:
         w = w * _at(coeff, x)
     return np.einsum("jiq,iq,jq->ji", w, f, np.conj(g))
-
-
-class _Rho:
-    """Even polynomial cutoff rho(x) = (1 - (x/xc)^2)^4 on [0, xc], else 0."""
-
-    def __init__(self, xc):
-        self.xc = float(xc)
-        self.poly = Polynomial([1.0, 0.0, -1.0 / self.xc ** 2]) ** 4
 
 
 def _at(fun, x):
@@ -425,18 +417,18 @@ class Space:
         self.edges, self._tail_end = solver_mesh(x_max, n_cells, floor=floor,
                                                  outward=outward)
 
-        # the cutoff scale of the minus-branch seed: the last edge at or
-        # below half the domain
+        # the seed's cutoff r(x) = (1 - (x/xc)^2)^4 on [0, xc], else 0; xc
+        # is the last edge at or below half the domain
         cut_idx = int(np.searchsorted(self.edges, self.x_max / 2.0,
                                       side="right") - 1)
-        self.rho = _Rho(self.edges[max(cut_idx, 1)])
+        self.rho_xc = float(self.edges[max(cut_idx, 1)])
         # the seed's image factors r, r'/x and -r'' - (1-2nu) r'/x, formed in
         # x (r is even, so r' = x (r'/x)): pushing the cancellation through
         # t = x/h would lose the h^2 structure of r(h t) on a ~1e-9 cell
-        r = self.rho.poly
-        r1_x = Polynomial(r.deriv().coef[1:])
-        self._seed_factors = (r, r1_x, -r.deriv(2)
-                              - (1.0 - 2.0 * self.order.nu) * r1_x)
+        r = polypow([1.0, 0.0, -1.0 / self.rho_xc ** 2], 4)
+        r1_x = polyder(r)[1:]
+        self._seed_factors = (r, r1_x, polysub(
+            -polyder(r, 2), polymul(1.0 - 2.0 * self.order.nu, r1_x)))
 
         p = self.degree
         self.n_cells = self.edges.size - 1
@@ -458,18 +450,18 @@ class Space:
     # -- the DOF map ------------------------------------------------------------
 
     def _local_coeffs(self, coeffs):
-        """(K, p+1+s) coefficients of each cell's local functions (seed
-        last); an (n, k) coefficient matrix gives (K, k, p+1+s)."""
+        """(..., K, p+1+s) coefficients of each cell's local functions (seed
+        last) of the vectors along coeffs' last axis: (K, p+1+s) for a
+        vector, (k, K, p+1+s) for the transpose of an (n, k) block."""
         c = np.asarray(coeffs, dtype=complex)
         p, K = self.degree, self.n_cells
         s = int(self.include_minus)
-        w = np.zeros((K * p + 1,) + c.shape[1:], dtype=complex)
-        w[:self.n - s] = c[s:]
-        local = np.ascontiguousarray(np.moveaxis(
-            w[p * np.arange(K)[:, None] + np.arange(p + 1)], 1, -1))
+        w = c[..., s:]                  # K p dofs: the capped last edge is 0
+        local = np.zeros(c.shape[:-1] + (K, p + 1 + s), dtype=complex)
+        local[..., :p] = w.reshape(c.shape[:-1] + (K, p))
+        local[..., :-1, p] = w[..., p::p]
         if s:
-            seed = np.broadcast_to(c[0][..., None], local.shape[:-1] + (1,))
-            local = np.concatenate([local, seed], axis=-1)
+            local[..., p + 1] = c[..., :1]
         return local
 
     def _scatter(self, loc):
@@ -514,29 +506,30 @@ class Space:
         """Evaluate sum_i c_i phi_i at arbitrary points in (0, X].
 
         ``coeffs`` of shape (n, k) evaluates k coefficient vectors at once
-        (shape x.shape + (k,)); the cell search and the Lagrange table are
-        shared, and each column equals its own one-vector evaluation.
+        (shape x.shape + (k,)); a vector is the one-column block.  The cell
+        search, the Lagrange table and the x-powers are shared; each column
+        sums its own Lagrange terms, so it equals its one-vector evaluation
+        bitwise and the temporaries stay O(x.size k).
         """
         x = np.asarray(x, dtype=float)
         c = np.asarray(coeffs)
-        batch = c.ndim - 1
+        cols = c.reshape(self.n, -1)
         nuval = self.order.nu
         edges = self.edges
         cell = np.clip(np.searchsorted(edges, x, side="right") - 1, 0,
                        self.n_cells - 1)
         t = (x - edges[cell]) / (edges[cell + 1] - edges[cell])
-        local = self._local_coeffs(c)
+        local = self._local_coeffs(cols.T)[..., :self.degree + 1]
         lag = np.moveaxis(polyval(t, self._lagrange[0]), 0, -1)
-        if batch:
-            lag = lag[..., None, :]
-        xb = x[..., None] if batch else x
-        out = xb ** (0.5 + nuval) \
-            * np.sum(local[cell, ..., :self.degree + 1] * lag, axis=-1)
-        if self.include_minus and np.any(c[0] != 0):
-            seed = c[0] * xb ** (0.5 - nuval) \
-                * np.where(xb < self.rho.xc, self.rho.poly(xb), 0.0)
-            out = np.where(c[0] != 0, out + seed, out)
-        return out
+        xb = x[..., None]
+        out = xb ** (0.5 + nuval) * np.stack(
+            [np.sum(loc[cell] * lag, axis=-1) for loc in local], axis=-1)
+        seed = cols[0]
+        if self.include_minus and np.any(seed != 0):
+            r = np.where(xb < self.rho_xc, polyval(xb, self._seed_factors[0]),
+                         0.0)
+            out = np.where(seed != 0, out + seed * xb ** (0.5 - nuval) * r, out)
+        return out if c.ndim > 1 else out[..., 0]
 
     # -- per-cell tables --------------------------------------------------------
 
@@ -559,8 +552,8 @@ class Space:
         tables = [L, x * L1 + 2.0 * nuval * L,
                   -x * L2 - (1.0 + 2.0 * nuval) * L1]
         if self.include_minus:
-            live = x < self.rho.xc
-            tables = [np.concatenate([tab, np.where(live, polyval(x, r.coef),
+            live = x < self.rho_xc
+            tables = [np.concatenate([tab, np.where(live, polyval(x, r),
                                                      0.0)[None]])
                       for tab, r in zip(tables, self._seed_factors)]
         return {key: np.moveaxis(tab, 0, -2) for key, tab in zip("vdc", tables)}
@@ -627,16 +620,25 @@ class Space:
             mats[name] = self._assemble(np.concatenate([first[None], bulk]))
         return mats
 
+    def sample(self, f):
+        """f at the cell-0 nodes and at the bulk nodes, shaped (n0,) and
+        (K-1, nq): the samples load_vector and strong_residual read."""
+        return _at(f, self._origin[0]), _at(f, self._bulk[0])
+
     def load_vector(self, f, singular_exponent=0.0):
-        """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0."""
+        """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0.
+
+        f is a callable or its samples (``sample(f)``): a solver samples its
+        right-hand side once for this and for its residual gate.
+        """
+        f0, fq = self.sample(f) if callable(f) else f
         power = self._powers["v"]
         loc = np.zeros((self.n_cells, power.size), dtype=complex)
         x, tabs = self._origin
         w = self._weights(power + singular_exponent)
-        loc[0] = (w * tabs["v"]) @ (_at(f, x) / x ** singular_exponent)
+        loc[0] = (w * tabs["v"]) @ (f0 / x ** singular_exponent)
         xq, wq, tables = self._bulk
-        loc[1:] = np.einsum("kq,kiq->ki", wq * _at(f, xq),
-                            np.conj(tables["v"]))
+        loc[1:] = np.einsum("kq,kiq->ki", wq * fq, np.conj(tables["v"]))
         return self._assemble_vector(loc)
 
     @property
@@ -656,10 +658,11 @@ class Space:
         resolved_start), from one evaluation of the images and of f.
 
         ``terms(xq, u, du, cu)`` returns the terms of P u_h at the
-        quadrature points, which sum to P u_h.  ``scale`` is ||f||, or when
-        f vanishes on the window (or is None) the L2 norm of the summed term
-        moduli: they cancel for a true solution, so the ratio does not scale
-        with the data.
+        quadrature points, which sum to P u_h.  f is None, a callable or its
+        samples (``sample(f)``, whose window is read).  ``scale`` is ||f||,
+        or when f vanishes on the window (or is None) the L2 norm of the
+        summed term moduli: they cancel for a true solution, so the ratio
+        does not scale with the data.
         """
         lo = max(self.resolved_start, 1)
         xq, wq, tables = self._bulk
@@ -671,7 +674,7 @@ class Space:
         r = sum(parts[1:], parts[0])
         scale = 0.0
         if f is not None:
-            fx = _at(f, x)
+            fx = _at(f, x) if callable(f) else f[1][lo - 1:].reshape(-1)
             r = r - fx
             scale = float(np.sqrt(np.sum(w * np.abs(fx) ** 2)))
         if scale == 0.0:
@@ -682,27 +685,32 @@ class Space:
     def norms(self, coeffs, q2=0.0):
         """(H0^2, H1^2, H2^2) of a coefficient vector for tangential mode q.
 
-        As in strong_residual, u, d_nu u and |D_nu|^2 u are summed at the
+        An (n, k) block gives three length-k arrays, each entry bitwise its
+        column's own result (a vector is the one-column block).  As in
+        strong_residual, u, d_nu u and |D_nu|^2 u are summed at the
         quadrature points before they are squared, so the large first-cell
         tables (~h0^{nu-3/2}) cancel in the image, not in a quadratic form.
         On cell 0 the Lagrange and seed parts of each image are paired with
         the weights of their product power.
         """
-        local = self._local_coeffs(coeffs)
+        c = np.asarray(coeffs)
+        local = self._local_coeffs(c.reshape(self.n, -1).T)   # (k, K, p+1+s)
         heads = [0, self.degree + 1][:1 + int(self.include_minus)]
         x, tabs = self._origin
         xq, wq, tables = self._bulk
         sq = []
         for key in ("v", "d", "c"):
-            parts = np.add.reduceat(local[0, :, None] * tabs[key], heads,
-                                    axis=0)
             w = self._weights(self._beta(key, key)[np.ix_(heads, heads)])
-            first = first_cell_inner(x, w, parts, parts)
-            image = np.einsum("ki,kiq->kq", local[1:], tables[key])
-            sq.append(float(np.real(first.sum()))
-                      + float(np.sum(wq * np.abs(image) ** 2)))
+            parts = np.add.reduceat(local[:, 0, :, None] * tabs[key], heads,
+                                    axis=1)
+            first = [np.real(first_cell_inner(x, w, pk, pk).sum())
+                     for pk in parts]
+            bulk = [np.sum(wq * np.abs(np.einsum(
+                "ki,kiq->kq", loc[1:], tables[key])) ** 2) for loc in local]
+            sq.append(np.array(first) + np.array(bulk))
         h1sq = sq[1] + (1.0 + q2) * sq[0]
-        return sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq
+        out = sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq
+        return out if c.ndim > 1 else tuple(float(v[0]) for v in out)
 
     def gamma_minus_vector(self):
         v = np.zeros(self.n, dtype=complex)

@@ -188,7 +188,8 @@ def regularity_check(nu, a_eff, bc, q=None):
     returns the decaying root xi of xi^2 + a.
 
     The determinant is symbols' boundary matrix, read on the full rows and
-    C at (eta, lambda) = (q, 0).
+    C at (eta, lambda) = (q, 0), against the product of the uncancelled row
+    sizes |t_-k||gamma_-| + |t_+k||gamma_+| + sum |C[k]|.
     """
     order = as_order(nu)
     a = complex(a_eff)
@@ -200,11 +201,12 @@ def regularity_check(nu, a_eff, bc, q=None):
     if order.regime is not Regime.SUBCRITICAL:
         return xi
     eta = bc.mode_eta(q)
-    M = boundary_matrix(bc.evaluate_full(eta, 0.0), mode_traces(order, xi),
-                        bc.c_values(eta, 0.0))
+    rows, tr = bc.evaluate_full(eta, 0.0), mode_traces(order, xi)
+    M = boundary_matrix(rows, tr, bc.c_values(eta, 0.0))
     det = np.linalg.det(M)
-    scale = float(np.prod(np.maximum(
-        np.sum(np.abs(M), axis=1), 1e-300)))
+    sizes = np.abs(rows) @ np.abs([tr.gamma_minus, tr.gamma_plus]) \
+        + np.sum(np.abs(M[:, 1:]), axis=1)
+    scale = float(np.prod(np.maximum(sizes, 1e-300)))
     if abs(det) <= 1e-10 * scale:
         raise RegularityViolated(
             "boundary operator is singular on the decaying solution "
@@ -299,6 +301,7 @@ def _discrete_traces(space, coeffs):
 def _residual(space, op, c, coeffs, rhs):
     """Relative strong residual ||P u_h - f|| over the resolved window; a
     residual above 1e-2 (the data is not resolved) raises SingularSystem.
+    rhs is a constant, a callable or its samples (Space.sample).
 
     Normalised by ||f||, or for f = 0 by the L2 size of the operator terms
     |cu| + |a u| + |b d_nu u| (they cancel for a true solution, as in
@@ -312,7 +315,8 @@ def _residual(space, op, c, coeffs, rhs):
             return cu, au
         return cu, au, -1j * np.asarray(b_fun(xq), dtype=complex) * du
 
-    rnorm, scale = space.strong_residual(coeffs, terms, f=_as_callable(rhs))
+    f = rhs if isinstance(rhs, tuple) else _as_callable(rhs)
+    rnorm, scale = space.strong_residual(coeffs, terms, f=f)
     resid = rnorm / scale if scale > 0 else rnorm
     if not np.isfinite(resid) or resid > 1e-2:
         raise SingularSystem(
@@ -321,19 +325,32 @@ def _residual(space, op, c, coeffs, rhs):
     return resid
 
 
-def _gated_solution(space, A, load, c, prob, grid):
-    """Solve prob with A = base + c M; gate the residual, sample on grid."""
-    coeffs, cond, aux = _solve_on_space(space, A, load, prob.bc0,
-                                        prob.boundary_data, prob.fourier_index)
-    resid = _residual(space, prob.op, c, coeffs, prob.rhs)
-    u = GridFunction(grid, space.eval_coeffs(coeffs, grid.nodes),
-                     fourier_index=prob.fourier_index)
+def _gated_solution(space, A, c, op, rhs, bc=None, g=0.0, q=None,
+                    sigma=0.0):
+    """Solve A = base + c M with the row of bc at mode q and data g, the rhs
+    sampled once for the load (x^sigma hint) and for the residual gate; u is
+    left to _on_grid."""
+    f = space.sample(_as_callable(rhs))
+    coeffs, cond, aux = _solve_on_space(
+        space, A, space.load_vector(f, singular_exponent=sigma), bc, g, q)
+    resid = _residual(space, op, c, coeffs, f)
     # gamma_-/gamma_+ of the discrete solution are exactly the enrichment
     # coefficients (the piecewise part has a double zero at x = 0)
     tr = _discrete_traces(space, coeffs) if space.include_minus else None
-    return Solution(u, tr, float(resid), float(cond),
+    return Solution(None, tr, float(resid), float(cond),
                     aux=aux if np.size(aux) else None,
                     space=space, coeffs=coeffs)
+
+
+def _on_grid(space, grid, sols, qs):
+    """The gated sols with u (mode qs[j] for sols[j]) sampled on grid from
+    one block evaluation of their coefficients."""
+    if not sols:
+        return []
+    values = np.ascontiguousarray(space.eval_coeffs(
+        np.stack([sol.coeffs for sol in sols], axis=1), grid.nodes).T)
+    return [replace(sol, u=GridFunction(grid, v, fourier_index=q))
+            for sol, v, q in zip(sols, values, qs)]
 
 
 def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
@@ -358,15 +375,18 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
         space = Space(order, xm, n_nodes=n_nodes,
                       outward=decay, settings=settings)
         base, M = op.forms(space)
-        return space, base + c * M, space.load_vector(
-            _as_callable(prob.rhs), singular_exponent=prob.rhs_singular_exponent)
+        return space, base + c * M
 
-    space, A, load = assemble(x_max)
-    sol = _gated_solution(space, A, load, c, prob, RadialGrid.build(
-        x_max, n_nodes=n_nodes, settings=settings))
+    space, A = assemble(x_max)
+    grid = RadialGrid.build(x_max, n_nodes=n_nodes, settings=settings)
+    sol, = _on_grid(space, grid, [_gated_solution(
+        space, A, c, op, prob.rhs, prob.bc0, prob.boundary_data,
+        prob.fourier_index, prob.rhs_singular_exponent)], [prob.fourier_index])
 
     if decay:
-        space2, A2, load2 = assemble(2.0 * x_max)
+        space2, A2 = assemble(2.0 * x_max)
+        load2 = space2.load_vector(_as_callable(prob.rhs),
+                                   singular_exponent=prob.rhs_singular_exponent)
         coeffs2, *_ = _solve_on_space(space2, A2, load2, prob.bc0,
                                       prob.boundary_data, prob.fourier_index)
         probe = np.linspace(0.05 * x_max, 0.9 * x_max, 64)
@@ -387,8 +407,9 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
 
     ``rhs_modes`` maps the tangential mode q to a callable f_q(x); ``a`` must
     avoid the cut (-inf, 0].  Mode q solves S + (a + |q|^2) M, S and M
-    assembled once.  A mode whose strong residual exceeds 1e-2 raises
-    SingularSystem, as in solve_1d.
+    assembled once, f_q sampled once for its load and its gate.  In order,
+    the first mode whose strong residual exceeds 1e-2 raises SingularSystem
+    (as in solve_1d); then one block evaluation samples every mode.
     """
     order = as_order(nu)
     a = complex(a)
@@ -399,17 +420,11 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
     op = BesselOperator(order, a_coeff=a)
     base, M = op.forms(space)
-    out = {}
+    sols = []
     for q, f in rhs_modes.items():
         c = op.mode_coefficients(q)[0]
-        coeffs, cond, _ = _solve_on_space(
-            space, base + c * M, space.load_vector(_as_callable(f)), None, 0.0)
-        resid = _residual(space, op, c, coeffs, f)
-        u = GridFunction(grid, space.eval_coeffs(coeffs, grid.nodes),
-                         fourier_index=q)
-        out[q] = Solution(u, None, float(resid), float(cond),
-                          space=space, coeffs=coeffs)
-    return out
+        sols.append(_gated_solution(space, base + c * M, c, op, f, q=q))
+    return dict(zip(rhs_modes, _on_grid(space, grid, sols, list(rhs_modes))))
 
 
 # ---------------------------------------------------------------------------
@@ -422,15 +437,20 @@ class SeparableSolution:
     condition_spread: float
 
     def synthesize(self, x, y):
-        """u(x, y) = sum_q u_q(x) exp(i <q, y>) from the per-mode solves."""
+        """u(x, y) = sum_q u_q(x) exp(i <q, y>) from the per-mode solves,
+        evaluated at x as one block on the modes' shared Space."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
-        for q, sol in self.modes.items():
+        sols = list(self.modes.values())
+        if sols:
+            values = sols[0].space.eval_coeffs(
+                np.stack([sol.coeffs for sol in sols], axis=1), x)
+        for j, q in enumerate(self.modes):
             qv = np.atleast_1d(q).astype(float)
             phase = np.exp(1j * qv[0] * y) if qv.size == 1 else \
                 np.exp(1j * np.tensordot(y, qv, axes=0).sum(-1))
-            out = out + sol.space.eval_coeffs(sol.coeffs, x) * phase
+            out = out + values[..., j] * phase
         return out
 
 
@@ -441,15 +461,18 @@ def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
     ``rhs_modes``: {q: callable}, ``boundary_data``: {q: g} (default 0);
     mode q reads the row at eta = q.  Per-mode condition estimates must stay
     within a bounded spread (reported).  The operator is assembled once;
-    mode q adds c M, c = A(q) (mode_coefficients).
+    mode q adds c M, c = A(q) (mode_coefficients).  In order of |q| each
+    mode is checked, solved and gated (f_q sampled once), so the first
+    failing mode raises; then one block evaluation samples every mode.
     """
     order = as_order(nu)
     _check_bc0(order, bc0)
     space = Space(order, 1.0, n_nodes=n_nodes, settings=settings)
     base, M = op.forms(space)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
-    out = {}
-    for q, f in sorted(rhs_modes.items(), key=lambda kv: np.sum(np.square(kv[0]))):
+    qs = sorted(rhs_modes, key=lambda q: np.sum(np.square(q)))
+    sols = []
+    for q in qs:
         c = op.mode_coefficients(q)[0]
         try:
             regularity_check(order, _mode_value(op, c), bc0, q)
@@ -457,11 +480,9 @@ def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
             raise RegularityViolated(f"mode q = {q}: {exc}",
                                      sample={"q": q}) from exc
         g = 0.0 if boundary_data is None else boundary_data.get(q, 0.0)
-        prob = BVProblem(op=op, bc0=bc0, bc1=CapCondition.DIRICHLET,
-                         rhs=f, boundary_data=g, fourier_index=q)
-        out[q] = _gated_solution(space, base + c * M,
-                                 space.load_vector(_as_callable(f)), c, prob,
-                                 grid)
+        sols.append(_gated_solution(space, base + c * M, c, op, rhs_modes[q],
+                                    bc0, g, q))
+    out = dict(zip(qs, _on_grid(space, grid, sols, qs)))
     conds = [sol.condition_estimate for sol in out.values()]
     spread = float(max(conds) / max(min(conds), 1e-300)) if conds else 1.0
     return SeparableSolution(out, spread)
@@ -590,7 +611,8 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     singular solve is reported in the row, not raised (that radius is below
     the invertibility threshold).  The operator and load are
     assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M, and
-    the boundary row is read at (eta, lambda) = (q, lambda).
+    the boundary row is read at (eta, lambda) = (q, lambda).  One
+    Space.norms call takes the norms of every solved radius as a block.
     """
     order = op.nu
     theta = sector.intervals[0]
@@ -606,24 +628,25 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     load = space.load_vector(f)
     a2, a1, a0 = op.mode_coefficients(q)
     q2 = _q_squared(q)
-    rows = []
+    rows, solved = [], []
     for r in radii:
         lam = r * complex(np.cos(theta), np.sin(theta))
         shift = a2 + a1 * lam + a0 * lam * lam
+        rows.append({"radius": float(r), "lambda": lam, "ratio": None,
+                     "singular": True, "condition": np.inf})
         try:
             coeffs, cond, _ = _solve_on_space(space, base + shift * M, load,
                                               bc, 0.0, q, lam)
-            singular = cond > 1e12
         except SingularSystem:
-            rows.append({"radius": float(r), "lambda": lam, "ratio": None,
-                         "singular": True, "condition": np.inf})
             continue
-        h0, h1, h2 = space.norms(coeffs, q2=q2)
-        al = abs(lam)
-        u_param = np.sqrt(al ** 4 * h0 + al ** 2 * h1 + h2)
-        rows.append({"radius": float(r), "lambda": lam,
-                     "ratio": float(u_param / max(fnorm, 1e-300)),
-                     "singular": bool(singular), "condition": float(cond)})
+        rows[-1].update(singular=bool(cond > 1e12), condition=float(cond))
+        solved.append((rows[-1], coeffs))
+    if solved:
+        norms = space.norms(np.stack([c for _, c in solved], axis=1), q2=q2)
+        for (row, _), h0, h1, h2 in zip(solved, *norms):
+            al = abs(row["lambda"])
+            u_param = np.sqrt(al ** 4 * h0 + al ** 2 * h1 + h2)
+            row["ratio"] = float(u_param / max(fnorm, 1e-300))
     ratios = [row["ratio"] for row in rows if not row["singular"]]
     bounded = all(b <= a * 1.1 for a, b in zip(ratios, ratios[1:]))
     return ResolventReport(tuple(rows), bool(bounded))

@@ -503,7 +503,7 @@ class PerBetaAssembly:
         p = space.degree
         self.lagrange = np.linalg.inv(
             np.vander(fem.lobatto_nodes(p), p + 1, increasing=True))
-        seed_poly = space.rho.poly
+        seed_poly = Polynomial(space._seed_factors[0])
         r1_x = Polynomial(seed_poly.deriv().coef[1:])
         self.seed_factors = (seed_poly, r1_x, -seed_poly.deriv(2)
                              - (1.0 - 2.0 * space.order.nu) * r1_x)
@@ -523,7 +523,7 @@ class PerBetaAssembly:
         tables = [L, x * L1 + 2.0 * nuval * L,
                   -x * L2 - (1.0 + 2.0 * nuval) * L1]
         if self.space.include_minus:
-            live = x < self.space.rho.xc
+            live = x < self.space.rho_xc
             tables = [np.concatenate([tab, np.where(live, r(x), 0.0)[None]])
                       for tab, r in zip(tables, self.seed_factors)]
         return {key: np.moveaxis(tab, 0, -2).astype(complex)

@@ -23,7 +23,8 @@ from besselbvp.config import DEFAULTS
 from besselbvp.core import Order
 from besselbvp.fem import Space
 from besselbvp.modes import dirichlet_spectrum, pencil_modes
-from besselbvp.solve import BesselOperator, BVProblem, solve_1d
+from besselbvp.solve import (BesselOperator, BVProblem, solve_1d,
+                             solve_dirichlet_laplacian, solve_separable)
 from besselbvp.symbols import BoundaryOperator
 
 # appended, after the tests directory
@@ -71,6 +72,31 @@ def test_constant_a_solve_assembles_and_gates_once(b_coeff, forms):
     cell0 = [s for s in spans if s.name == "fem.first_cell_inner"]
     assert len(cell0) == forms
     assert all(s.parent == assembly for s in cell0)
+
+
+@pytest.mark.parametrize("solver", ["solve_dirichlet_laplacian",
+                                    "solve_separable"])
+def test_multi_mode_solve_evaluates_its_modes_once(solver):
+    # nine modes: a solve and a residual gate each, then one eval_coeffs
+    # span on the output grid for the (n, 9) block of coefficients
+    nu = 0.35
+    rhs = {q: (lambda k: lambda x: np.sin(np.pi * x) * (1.0 + k * x))(q)
+           for q in range(9)}
+    with layers.watch(Tracer()) as tracer:
+        if solver == "solve_separable":
+            modes = solve_separable(
+                nu, BesselOperator(Order(nu), a_coeff=1.0),
+                BoundaryOperator.dirichlet(nu), rhs, n_nodes=128).modes
+        else:
+            modes = solve_dirichlet_laplacian(nu, 1.0, rhs, n_nodes=128)
+    names = [s.name for s in tracer.spans]
+    assert names.count("fem.Space.eval_coeffs") == 1
+    assert names.count("fem.Space.strong_residual") == 9
+    assert names.count("fem.galerkin_solve") == 9
+    for q, sol in modes.items():
+        want = sol.space.eval_coeffs(sol.coeffs, sol.u.grid.nodes)
+        assert sol.u.values.tobytes() == want.tobytes()
+        assert list(sol.u.fourier_index) == [q]
 
 
 def test_targeted_spectra_trace_one_lanczos_per_eigensolve():

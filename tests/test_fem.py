@@ -450,6 +450,47 @@ def test_eval_coeffs_batched_equals_columns(nu, seeded):
                           space.eval_coeffs(real[:, 1], x))
 
 
+def test_block_evaluation_memory_stays_near_its_output():
+    # each column sums its own Lagrange terms: no (points, k, p+1) staging
+    space = Space(Order(0.3), 1.0, n_nodes=255, include_minus=True)
+    rng = np.random.default_rng(6)
+    C = rng.standard_normal((space.n, 64)) + 1j * rng.standard_normal(
+        (space.n, 64))
+    x = np.linspace(1e-3, 1.0, 2000)
+    space.eval_coeffs(C[:, 0], x)
+    tracemalloc.start()
+    try:
+        out = space.eval_coeffs(C, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.shape == (x.size, 64) and space.degree == 5
+    assert peak < 6 * out.nbytes
+
+
+@pytest.mark.parametrize("nu, seeded", [(0.3, True), (0.3, False),
+                                        (1.5, False)])
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("q2", [0.0, 5.0])
+def test_norms_of_a_block_equal_its_column_norms(nu, seeded, dtype, q2):
+    space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree,
+                  include_minus=seeded)
+    rng = np.random.default_rng(7)
+    C = rng.standard_normal((space.n, 5)).astype(dtype)
+    if dtype is complex:
+        C += 1j * rng.standard_normal((space.n, 5))
+    C[0, 2] = 0.0             # a column without seed content
+    block = space.norms(C, q2=q2)
+    assert all(b.shape == (5,) and b.dtype == np.float64 for b in block)
+    for k in range(5):
+        column = space.norms(C[:, k], q2=q2)
+        assert all(type(v) is float for v in column)
+        assert same_bits(tuple(b[k] for b in block),
+                         tuple(map(np.float64, column)))
+    assert same_bits(space.norms(C[:, :1], q2=q2),
+                     tuple(np.array([v]) for v in space.norms(C[:, 0], q2=q2)))
+
+
 # --------------------------------------------------------------------------
 # the origin cell: fixed nodes tabulated once per Space, weights per power
 # --------------------------------------------------------------------------
@@ -588,7 +629,7 @@ def test_origin_cell_mass_rule_is_exact_at_degree_12():
 def test_image_tables_are_real_and_results_complex(case):
     nu, kwargs = TABULATED[case]
     space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
-    assert space.rho.poly.coef.dtype == np.float64
+    assert space._seed_factors[0].dtype == np.float64
     tabs = [space._origin[1], space._bulk[2]]
     assert all(tab.dtype == np.float64 for t in tabs for tab in t.values())
     # a real a stays real (_at) and is contracted in real arithmetic; B
@@ -598,6 +639,18 @@ def test_image_tables_are_real_and_results_complex(case):
         assert stored_dtypes(mats[name]) == {np.dtype(float)}, name
     assert stored_dtypes(mats["B"]) == {np.dtype(complex)}
     assert space.load_vector(np.cos).dtype == complex
+
+
+@pytest.mark.parametrize("case", ["seeded", "seeded-outward"])
+def test_seed_factors_equal_the_polynomial_algebra(case):
+    # the cutoff and the seed's image factors are built on coefficient
+    # arrays, bitwise equal to numpy's Polynomial algebra (signed zeros too)
+    nu, kwargs = TABULATED[case]
+    space = Space(Order(nu), 1.0, n_nodes=24 * DEFAULTS.fem_degree, **kwargs)
+    r = Polynomial([1.0, 0.0, -1.0 / space.rho_xc ** 2]) ** 4
+    r1_x = Polynomial(r.deriv().coef[1:])
+    want = (r, r1_x, -r.deriv(2) - (1.0 - 2.0 * nu) * r1_x)
+    assert same_bits(space._seed_factors, tuple(f.coef for f in want))
 
 
 def test_real_coefficient_form_matches_complex_arithmetic():

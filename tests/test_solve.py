@@ -21,6 +21,7 @@ from besselbvp.errors import (
 )
 from besselbvp.fem import Space
 from besselbvp.modes import dirichlet_spectrum
+from besselbvp.quadrature import composite_rule
 from besselbvp.solve import (
     BesselOperator,
     BVProblem,
@@ -28,6 +29,7 @@ from besselbvp.solve import (
     operator_residual,
     poisson_lift,
     poisson_lift_profile,
+    regularity_check,
     resolvent_sweep,
     solve_1d,
     solve_dirichlet_laplacian,
@@ -39,6 +41,7 @@ from besselbvp.symbols import (
     BoundarySymbol,
     LinearSymbol,
     Sector,
+    decaying_root,
     lopatinskii_sweep,
     mode_solution,
     mode_traces,
@@ -289,6 +292,18 @@ def test_regularity_refused_for_singular_boundary_pair():
     with pytest.raises(RegularityViolated) as err:
         solve_1d(prob)
     assert err.value.sample is not None
+
+
+def test_regularity_refuses_a_rounding_singular_robin_row():
+    # a scalar row is judged against |t_-||gamma_-| + |t_+||gamma_+|, a
+    # size its own cancellation cannot shrink: beta = -gamma_+ (1 + 1e-15)
+    # annihilates the decaying mode to rounding and is refused
+    nu = 0.3
+    gp = mode_traces(nu, decaying_root(1.0)).gamma_plus
+    for beta in (-gp, -gp * (1.0 + 1e-15)):
+        with pytest.raises(RegularityViolated):
+            regularity_check(nu, 1.0, BoundaryOperator.robin(nu, beta))
+    regularity_check(nu, 1.0, BoundaryOperator.robin(nu, -gp * (1.0 + 1e-6)))
 
 
 def test_subcritical_requires_bc():
@@ -641,6 +656,111 @@ def test_eta_row_without_matching_q_raises_domain_error():
         if q is not None:
             with pytest.raises(DomainError):
                 solve_separable(nu, op, bc, {q: rhs}, n_nodes=128)
+
+
+# --------------------------------------------------------------------------
+# multi-mode solves: each rhs sampled once, the modes finished as one block
+# --------------------------------------------------------------------------
+
+def counted(f):
+    """(f, sizes): f, recording the size of each point array it reads."""
+    sizes = []
+
+    def wrapped(x):
+        sizes.append(np.size(x))
+        return f(x)
+
+    return wrapped, sizes
+
+
+def test_rhs_is_sampled_once_for_the_load_and_the_gate():
+    # the load vector and the residual gate read one sampling of f: the
+    # cell-0 nodes, then the bulk nodes (the gate's window is part of them)
+    nu = 0.35
+    f, sizes = counted(np.cos)
+    op = BesselOperator(Order(nu), a_coeff=1.3)
+    bc = BoundaryOperator.robin(nu, 0.7)
+    sol = solve_1d(BVProblem(op=op, bc0=bc, rhs=f, boundary_data=0.5),
+                   n_nodes=512)
+    nodes = [sol.space._origin[0].size, sol.space._bulk[0].size]
+    assert sizes == nodes
+    # the samples give the gate the residual a fresh call of f gives
+    resid = besselbvp.solve._residual(sol.space, op, 0.0, sol.coeffs, np.cos)
+    assert np.float64(sol.residual_norm).tobytes() == \
+        np.float64(resid).tobytes()
+    for solver in (
+            lambda modes: solve_dirichlet_laplacian(nu, 1.0, modes,
+                                                    n_nodes=128),
+            lambda modes: solve_separable(nu, op, bc, modes, n_nodes=128)):
+        sizes.clear()
+        solver({q: f for q in range(3)})
+        assert len(sizes) == 6 and sizes == sizes[:2] * 3
+
+
+def test_synthesize_equals_the_per_mode_sum():
+    nu = 0.35
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    rhs = {q: (lambda k: lambda x: np.sin(np.pi * x) * (1.0 + k * x))(q)
+           for q in (3, 0, 1)}
+    sep = solve_separable(nu, op, BoundaryOperator.dirichlet(nu), rhs,
+                          n_nodes=128)
+    x = np.linspace(0.01, 1.0, 37)[:, None]
+    y = np.linspace(0.0, 2.0 * np.pi, 5)[None]
+    want = np.zeros((37, 5), dtype=complex)
+    for q, sol in sep.modes.items():
+        want = want + sol.space.eval_coeffs(sol.coeffs, x) * np.exp(
+            1j * float(q) * y)
+    got = sep.synthesize(x, y)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_multi_mode_gate_raises_the_first_failing_mode():
+    # each mode is gated right after its own solve, in mode order, so a
+    # multi-mode call raises what its first failing mode raises alone
+    nu = 0.4
+    op = BesselOperator(Order(nu), a_coeff=1.0)
+    bc = BoundaryOperator.dirichlet(nu)
+    smooth = lambda x: np.sin(np.pi * x)
+    rough = {1: lambda x: np.sin(300 * x), 2: lambda x: np.sin(200 * x)}
+    for solver in (
+            lambda modes: solve_dirichlet_laplacian(nu, 1.0, modes,
+                                                    n_nodes=32),
+            lambda modes: solve_separable(nu, op, bc, modes, n_nodes=32)):
+        messages = {}
+        for q, f in rough.items():
+            with pytest.raises(SingularSystem, match="strong residual") as e:
+                solver({q: f})
+            messages[q] = str(e.value)
+        assert messages[1] != messages[2]
+        with pytest.raises(SingularSystem) as err:
+            solver({0: smooth, **rough})
+        assert str(err.value) == messages[1]
+
+
+def test_resolvent_sweep_takes_its_norms_as_one_block(monkeypatch):
+    calls = []
+    norms = Space.norms
+
+    def recorded(self, coeffs, q2=0.0):
+        calls.append((self, coeffs, q2))
+        return norms(self, coeffs, q2=q2)
+
+    monkeypatch.setattr(Space, "norms", recorded)
+    nu, radii = 0.3, [4.0, 8.0, 16.0, 32.0]
+    rep = resolvent_sweep(pencil_op(nu), BoundaryOperator.dirichlet(nu),
+                          Sector.elliptic_cone(), radii, q=1, n_nodes=96)
+    (space, block, q2), = calls
+    assert block.shape == (space.n, len(radii)) and q2 == 1.0
+    # each row reads as it did when every radius took its own norms
+    f = besselbvp.solve._random_smooth_rhs(space.x_max, 0)
+    x, w = composite_rule(space.edges, space.degree + 8)
+    fnorm = np.sqrt(np.sum(w * np.abs(f(x)) ** 2))
+    for row, column in zip(rep.rows, block.T):
+        h0, h1, h2 = norms(space, column, q2=q2)
+        al = abs(row["lambda"])
+        want = np.sqrt(al ** 4 * h0 + al ** 2 * h1 + h2) / fnorm
+        assert not row["singular"]
+        assert np.float64(row["ratio"]).tobytes() == np.float64(want).tobytes()
 
 
 # --------------------------------------------------------------------------
