@@ -437,7 +437,6 @@ class Space:
         self.idx_w0 = seeds
         self.n = seeds + self.n_cells * p
         self._lagrange = _lagrange_tables(p)
-        self._rules = {}            # cell-0 weights by product powers
         # the branch power of each local function's value, d_nu and
         # |D_nu|^2 images: x^{1/2+nu} W_h gives nu+1/2, nu-1/2, nu-1/2 and
         # the seed x^{1/2-nu} r gives 1/2-nu, 3/2-nu, 1/2-nu
@@ -588,13 +587,14 @@ class Space:
                                               for c in self._lagrange])
 
     def _weights(self, beta):
-        """Cell-0 weights w[..., q] of the product powers beta[...], formed
-        once per Space and beta: every mode of a solve reads the same."""
-        key = (beta.shape, beta.tobytes())
-        if key not in self._rules:
-            self._rules[key] = power_rule(beta, self._origin[0].size,
-                                          self.edges[1])[1]
-        return self._rules[key]
+        """Cell-0 weights w[..., q] of the product powers beta[...]."""
+        return power_rule(beta, self._origin[0].size, self.edges[1])[1]
+
+    @cached_property
+    def _load_weights(self):
+        """Cell-0 weights of the load vector without an x^sigma hint, formed
+        once: every mode of a multi-mode solve reads them."""
+        return self._weights(self._powers["v"])
 
     def _beta(self, trial, test):
         """Product powers beta[j, i] of <trial image i, test image j>."""
@@ -641,7 +641,8 @@ class Space:
         power = self._powers["v"]
         loc = np.zeros((self.n_cells, power.size), dtype=complex)
         x, tabs = self._origin
-        w = self._weights(power + singular_exponent)
+        w = (self._weights(power + singular_exponent) if singular_exponent
+             else self._load_weights)
         loc[0] = (w * tabs["v"]) @ (f0 / x ** singular_exponent)
         xq, wq, tables = self._bulk
         loc[1:] = np.einsum("kq,kiq->ki", wq * fq, np.conj(tables["v"]))
