@@ -590,12 +590,6 @@ class Space:
         """Cell-0 weights w[..., q] of the product powers beta[...]."""
         return power_rule(beta, self._origin[0].size, self.edges[1])[1]
 
-    @cached_property
-    def _load_weights(self):
-        """Cell-0 weights of the load vector without an x^sigma hint, formed
-        once: every mode of a multi-mode solve reads them."""
-        return self._weights(self._powers["v"])
-
     def _beta(self, trial, test):
         """Product powers beta[j, i] of <trial image i, test image j>."""
         return np.add.outer(self._powers[test], self._powers[trial])
@@ -632,17 +626,13 @@ class Space:
         return _at(f, self._origin[0]), _at(f, self._bulk[0])
 
     def load_vector(self, f, singular_exponent=0.0):
-        """<f, phi_i>; ``singular_exponent`` hints the x^sigma factor of f at 0.
-
-        f is a callable or its samples (``sample(f)``): a solver samples its
-        right-hand side once for this and for its residual gate.
-        """
+        """<f, phi_i> of a callable f or of its samples ``sample(f)``;
+        ``singular_exponent`` hints the x^sigma factor of f at 0."""
         f0, fq = self.sample(f) if callable(f) else f
         power = self._powers["v"]
         loc = np.zeros((self.n_cells, power.size), dtype=complex)
         x, tabs = self._origin
-        w = (self._weights(power + singular_exponent) if singular_exponent
-             else self._load_weights)
+        w = self._weights(power + singular_exponent)
         loc[0] = (w * tabs["v"]) @ (f0 / x ** singular_exponent)
         xq, wq, tables = self._bulk
         loc[1:] = np.einsum("kq,kiq->ki", wq * fq, np.conj(tables["v"]))
@@ -665,8 +655,8 @@ class Space:
         resolved_start), from one evaluation of the images and of f.
 
         ``terms(xq, u, du, cu)`` returns the terms of P u_h at the
-        quadrature points, which sum to P u_h.  f is None, a callable or its
-        samples (``sample(f)``, whose window is read).  ``scale`` is ||f||,
+        quadrature points, which sum to P u_h.  f is None or the samples
+        ``sample(f)``, whose bulk part holds the window.  ``scale`` is ||f||,
         or when f vanishes on the window (or is None) the L2 norm of the
         summed term moduli: they cancel for a true solution, so the ratio
         does not scale with the data.
@@ -681,7 +671,7 @@ class Space:
         r = sum(parts[1:], parts[0])
         scale = 0.0
         if f is not None:
-            fx = _at(f, x) if callable(f) else f[1][lo - 1:].reshape(-1)
+            fx = f[1][lo - 1:].reshape(-1)
             r = r - fx
             scale = float(np.sqrt(np.sum(w * np.abs(fx) ** 2)))
         if scale == 0.0:

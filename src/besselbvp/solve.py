@@ -35,7 +35,8 @@ from .errors import (
 )
 from .fem import Space, galerkin_solve
 from .quadrature import composite_rule
-from .symbols import boundary_matrix, decaying_root, mode_traces
+from .symbols import (boundary_matrix, boundary_scale, decaying_root,
+                      mode_traces)
 
 __all__ = [
     "BesselOperator",
@@ -188,8 +189,8 @@ def regularity_check(nu, a_eff, bc, q=None):
     returns the decaying root xi of xi^2 + a.
 
     The determinant is symbols' boundary matrix, read on the full rows and
-    C at (eta, lambda) = (q, 0), against the product of the uncancelled row
-    sizes |t_-k||gamma_-| + |t_+k||gamma_+| + sum |C[k]|.
+    C at (eta, lambda) = (q, 0), against symbols.boundary_scale of those
+    rows' moduli.
     """
     order = as_order(nu)
     a = complex(a_eff)
@@ -201,12 +202,10 @@ def regularity_check(nu, a_eff, bc, q=None):
     if order.regime is not Regime.SUBCRITICAL:
         return xi
     eta = bc.mode_eta(q)
-    rows, tr = bc.evaluate_full(eta, 0.0), mode_traces(order, xi)
-    M = boundary_matrix(rows, tr, bc.c_values(eta, 0.0))
-    det = np.linalg.det(M)
-    sizes = np.abs(rows) @ np.abs([tr.gamma_minus, tr.gamma_plus]) \
-        + np.sum(np.abs(M[:, 1:]), axis=1)
-    scale = float(np.prod(np.maximum(sizes, 1e-300)))
+    rows, tr, C = bc.evaluate_full(eta, 0.0), mode_traces(order, xi), \
+        bc.c_values(eta, 0.0)
+    det = np.linalg.det(boundary_matrix(rows, tr, C))
+    scale = boundary_scale(np.abs(rows), tr, C)
     if abs(det) <= 1e-10 * scale:
         raise RegularityViolated(
             "boundary operator is singular on the decaying solution "
@@ -315,7 +314,7 @@ def _residual(space, op, c, coeffs, rhs):
             return cu, au
         return cu, au, -1j * np.asarray(b_fun(xq), dtype=complex) * du
 
-    f = rhs if isinstance(rhs, tuple) else _as_callable(rhs)
+    f = rhs if isinstance(rhs, tuple) else space.sample(_as_callable(rhs))
     rnorm, scale = space.strong_residual(coeffs, terms, f=f)
     resid = rnorm / scale if scale > 0 else rnorm
     if not np.isfinite(resid) or resid > 1e-2:
@@ -386,7 +385,7 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
     if decay:
         space2, A2 = assemble(2.0 * x_max)
         load2 = space2.load_vector(_as_callable(prob.rhs),
-                                   singular_exponent=prob.rhs_singular_exponent)
+                                   prob.rhs_singular_exponent)
         coeffs2, *_ = _solve_on_space(space2, A2, load2, prob.bc0,
                                       prob.boundary_data, prob.fourier_index)
         probe = np.linspace(0.05 * x_max, 0.9 * x_max, 64)
@@ -438,11 +437,13 @@ class SeparableSolution:
 
     def synthesize(self, x, y):
         """u(x, y) = sum_q u_q(x) exp(i <q, y>) from the per-mode solves,
-        evaluated at x as one block on the modes' shared Space."""
+        one block on their shared Space (DomainError if they have none)."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         out = np.zeros(np.broadcast_shapes(x.shape, y.shape), dtype=complex)
         sols = list(self.modes.values())
+        if any(sol.space is not sols[0].space for sol in sols):
+            raise DomainError("synthesize needs every mode on one Space")
         if sols:
             values = sols[0].space.eval_coeffs(
                 np.stack([sol.coeffs for sol in sols], axis=1), x)

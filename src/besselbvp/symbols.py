@@ -40,6 +40,7 @@ __all__ = [
     "mode_traces",
     "halfline_grid",
     "boundary_matrix",
+    "boundary_scale",
     "lopatinskii_verdict",
     "lopatinskii_sweep",
     "SweepReport",
@@ -450,6 +451,19 @@ def boundary_matrix(rows, tr, C):
     return M
 
 
+def boundary_scale(sizes, tr, C):
+    """Product over rows k of |t_minus_k||gamma_-| + |t_plus_k||gamma_+| +
+    sum |C[k]| for ``sizes`` = [(|t_minus_k|, |t_plus_k|)]: the size of
+    boundary_matrix's determinant without cancellation (C unread if J = 0)."""
+    scale = 1.0
+    for k, (sm, sp) in enumerate(sizes):
+        row_scale = sm * abs(tr.gamma_minus) + sp * abs(tr.gamma_plus)
+        if len(sizes) > 1:
+            row_scale += float(np.sum(np.abs(C[k])))
+        scale *= max(row_scale, 1e-300)
+    return scale
+
+
 def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
     """Matrix of (u, u_) -> That u + Chat u_ plus a cancellation-free scale.
 
@@ -469,14 +483,9 @@ def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
     nuval = as_order(nu).nu
     k_minus = _ceil_fuzz(mu - 1.0 + nuval)
     k_plus = _ceil_fuzz(mu - 1.0 - nuval)
-    scale = 1.0
-    for k in range(J + 1):
-        row_scale = (bc.t_minus[k].part_scale(k_minus) * abs(tr.gamma_minus)
-                     + bc.t_plus[k].part_scale(k_plus) * abs(tr.gamma_plus))
-        if J:
-            row_scale += float(np.sum(np.abs(Cvals[k])))
-        scale *= max(row_scale, 1e-300)
-    return M, scale
+    sizes = [(sm.part_scale(k_minus), sp.part_scale(k_plus))
+             for sm, sp in zip(bc.t_minus, bc.t_plus)]
+    return M, boundary_scale(sizes, tr, Cvals)
 
 
 def lopatinskii_verdict(nu, sym, bc, eta, lam=0.0, settings=DEFAULTS):

@@ -712,6 +712,13 @@ def test_synthesize_equals_the_per_mode_sum():
             1j * float(q) * y)
     got = sep.synthesize(x, y)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    # the block is read on one Space: a mode from another mesh is refused
+    other = solve_separable(nu, op, BoundaryOperator.dirichlet(nu),
+                            {2: rhs[3]}, n_nodes=64)
+    mixed = besselbvp.solve.SeparableSolution(
+        {**sep.modes, **other.modes}, sep.condition_spread)
+    with pytest.raises(DomainError, match="one Space"):
+        mixed.synthesize(x, y)
 
 
 def test_multi_mode_gate_raises_the_first_failing_mode():
