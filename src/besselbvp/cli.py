@@ -34,9 +34,6 @@ Config schema (sections and keys per command):
                           nodes?, boundary = none|dirichlet
   kg:          [metric]   n, mass, gamma0 (rows split by ';'), gamma1?, e0?
                [modes]    q?, count?   (optional normal-mode computation)
-
-All commands accept a [tolerances] section whose keys override Settings
-fields (e.g. solver_residual_tol = 1e-6).
 """
 
 from __future__ import annotations
@@ -52,8 +49,8 @@ import numpy as np
 
 from . import __version__
 from .config import DEFAULTS
-from .core import Order, gridfunction_from_csv
-from .errors import BesselBVPError, ConfigError, DomainError
+from .core import TAIL_CORRECTIONS, Order, gridfunction_from_csv
+from .errors import BesselBVPError, ConfigError
 from .expansion import fit_expansion
 from .fem import MIN_CELLS
 from .kg import ModelMetric, ellipticity_verdicts, reduce as kg_reduce
@@ -166,9 +163,6 @@ def _load_config(cfg):
         raise ConfigError(f"unknown command {cfg.command!r}")
     resolved = {}
     for section in parser.sections():
-        if section == "tolerances":
-            resolved[section] = dict(parser.items(section))
-            continue
         if section not in schema:
             raise ConfigError(
                 f"unknown section [{section}] for command {cfg.command}")
@@ -217,22 +211,6 @@ def _matrix(raw):
     return np.array(rows) if rows else None
 
 
-def _settings_from(conf):
-    overrides = conf.get("tolerances", {})
-    if not overrides:
-        return DEFAULTS
-    kw = {}
-    for key in overrides:
-        if not hasattr(DEFAULTS, key):
-            raise ConfigError(f"unknown tolerance override {key!r}")
-        typ = _int if isinstance(getattr(DEFAULTS, key), int) else float
-        kw[key] = _get(conf, "tolerances", key, typ=typ)
-    try:
-        return DEFAULTS.with_overrides(**kw)
-    except DomainError as exc:
-        raise ConfigError(f"bad [tolerances]: {exc}") from exc
-
-
 def _boundary_from(conf, nu, dim_eta=1):
     btype = _get(conf, "boundary", "type", "dirichlet")
     beta = complex(_get(conf, "boundary", "beta_re", "0", float),
@@ -263,7 +241,7 @@ def _boundary_from(conf, nu, dim_eta=1):
 # command bodies: each returns (payload dict, optional csv rows)
 # ---------------------------------------------------------------------------
 
-def _cmd_solve(conf, cfg, settings):
+def _cmd_solve(conf, cfg):
     nu = _get(conf, "operator", "nu", typ=float)
     a = complex(_get(conf, "operator", "a_re", typ=float),
                 _get(conf, "operator", "a_im", "0", float))
@@ -305,7 +283,7 @@ def _cmd_solve(conf, cfg, settings):
                      bc1=(CapCondition.DECAY if cap == "decay"
                           else CapCondition.DIRICHLET),
                      rhs=rhs, boundary_data=g, rhs_singular_exponent=sing)
-    sol = solve_1d(prob, n_nodes=nodes, settings=settings)
+    sol = solve_1d(prob, n_nodes=nodes)
     payload = {
         "residual": sol.residual_norm,
         "condition": sol.condition_estimate,
@@ -338,7 +316,7 @@ def _mode_count(conf, default):
     return count
 
 
-def _cmd_modes(conf, cfg, settings):
+def _cmd_modes(conf, cfg):
     nu = _get(conf, "operator", "nu", typ=float)
     q = _get(conf, "modes", "q", "0", _int)
     count = _mode_count(conf, "10")
@@ -346,8 +324,7 @@ def _cmd_modes(conf, cfg, settings):
     pencil = _get(conf, "modes", "pencil", "none")
     payload = {"nu": nu, "q": q}
     if pencil == "none":
-        ms = dirichlet_spectrum(nu, q_max=abs(q), n_max=count, n_nodes=nodes,
-                                settings=settings)
+        ms = dirichlet_spectrum(nu, q_max=abs(q), n_max=count, n_nodes=nodes)
         payload["eigenvalues"] = _eigen_rows(ms.eigenvalues[:count],
                                              ms.residuals[:count])
         payload["closed_form"] = [float(v) for v in ms.closed_form[:count]]
@@ -358,7 +335,7 @@ def _cmd_modes(conf, cfg, settings):
         bc = None if btype == "dirichlet" else \
             BoundaryOperator.lambda_robin(nu)
         ms = pencil_modes(nu, op, bc, q=q, n_nodes=nodes,
-                          max_modes=2 * count, settings=settings)
+                          max_modes=2 * count)
         payload["eigenvalues"] = _eigen_rows(ms.eigenvalues, ms.residuals)
         if _get(conf, "modes", "completeness", "false", bool):
             dof = _get(conf, "modes", "completeness_dof", "32", _int)
@@ -366,16 +343,15 @@ def _cmd_modes(conf, cfg, settings):
                 raise ConfigError(f"[modes] completeness_dof must be at "
                                   f"least {MIN_CELLS}, got {dof}")
             all_ms = pencil_modes(nu, op, bc, q=q,
-                                  n_nodes=dof * settings.fem_degree,
-                                  residual_cap=None, settings=settings)
-            payload["completeness"] = asdict(
-                completeness_check(all_ms, settings=settings))
+                                  n_nodes=dof * DEFAULTS.fem_degree,
+                                  residual_cap=None)
+            payload["completeness"] = asdict(completeness_check(all_ms))
     else:
         raise ConfigError(f"unknown pencil {pencil!r}")
     return payload, None
 
 
-def _cmd_lopatinskii(conf, cfg, settings):
+def _cmd_lopatinskii(conf, cfg):
     nu = _get(conf, "operator", "nu", typ=float)
     kind = _get(conf, "symbol", "kind", "laplace")
     dim_eta = _get(conf, "symbol", "dim_eta", "2", _int)
@@ -394,7 +370,7 @@ def _cmd_lopatinskii(conf, cfg, settings):
     if sector == "x":
         raise ConfigError(f"unknown sector {sector_name!r}")
     report = lopatinskii_sweep(nu, sym, bc, sphere_samples=samples,
-                               sector=sector, settings=settings)
+                               sector=sector)
     payload = {
         "samples": [
             {"eta": list(s["eta"]),
@@ -409,21 +385,19 @@ def _cmd_lopatinskii(conf, cfg, settings):
     return payload, None
 
 
-def _cmd_expand(conf, cfg, settings):
+def _cmd_expand(conf, cfg):
     path = Path(_get(conf, "input", "csv"))
     nu = _get(conf, "input", "nu", typ=float)
     u = gridfunction_from_csv(str(path))
     lo = _get(conf, "fit", "window_lo", "-1", float)
     hi = _get(conf, "fit", "window_hi", "-1", float)
     window = (lo, hi) if lo > 0 and hi > 0 else None
-    # absent: None, so that [tolerances] tail_corrections sets the default
-    corrections = _get(conf, "fit", "corrections", typ=_int) \
-        if "corrections" in conf.get("fit", {}) else None
-    if corrections is not None and corrections < 0:
+    corrections = _get(conf, "fit", "corrections", str(TAIL_CORRECTIONS),
+                       _int)
+    if corrections < 0:
         raise ConfigError(
             f"[fit] corrections must be at least 0, got {corrections}")
-    fit = fit_expansion(u, nu, window=window, corrections=corrections,
-                        settings=settings)
+    fit = fit_expansion(u, nu, window=window, corrections=corrections)
     return {
         "g_minus": complex(fit.g_minus),
         "g_plus": complex(fit.g_plus),
@@ -433,7 +407,7 @@ def _cmd_expand(conf, cfg, settings):
     }, None
 
 
-def _cmd_sweep(conf, cfg, settings):
+def _cmd_sweep(conf, cfg):
     nu = _get(conf, "operator", "nu", typ=float)
     radii = _get(conf, "sweep", "radii", "4 8 16 32", _floats)
     nodes = _get(conf, "sweep", "nodes", "128", _int)
@@ -447,8 +421,7 @@ def _cmd_sweep(conf, cfg, settings):
     btype = _get(conf, "sweep", "boundary", "none")
     bc = _boundary_from(conf, nu) if btype != "none" \
         and order.needs_boundary_conditions else None
-    rep = resolvent_sweep(op, bc, sector, radii, n_nodes=nodes, seed=cfg.seed,
-                          settings=settings)
+    rep = resolvent_sweep(op, bc, sector, radii, n_nodes=nodes, seed=cfg.seed)
     return {
         "rows": [
             {"radius": r["radius"], "lambda": complex(r["lambda"]),
@@ -459,15 +432,15 @@ def _cmd_sweep(conf, cfg, settings):
     }, None
 
 
-def _cmd_kg(conf, cfg, settings):
+def _cmd_kg(conf, cfg):
     n = _get(conf, "metric", "n", typ=_int)
     mass = _get(conf, "metric", "mass", typ=float)
     gamma0 = _get(conf, "metric", "gamma0", typ=_matrix)
     gamma1 = _get(conf, "metric", "gamma1", "", _matrix)
     e0 = _get(conf, "metric", "e0", "0", float)
     metric = ModelMetric(n, gamma0, gamma1, e0)
-    red = kg_reduce(metric, mass, settings=settings)
-    verdicts = ellipticity_verdicts(red, metric, settings=settings)
+    red = kg_reduce(metric, mass)
+    verdicts = ellipticity_verdicts(red, metric)
     payload = {
         "nu": red.nu.nu,
         "regime": red.nu.regime.value,
@@ -483,7 +456,7 @@ def _cmd_kg(conf, cfg, settings):
             raise ConfigError(f"q must have {n - 1} components")
         count = _mode_count(conf, "6")
         ms = pencil_modes(red.nu, red.bessel_op, None, q=q, n_nodes=160,
-                          max_modes=2 * count, settings=settings)
+                          max_modes=2 * count)
         payload["normal_modes"] = _eigen_rows(ms.eigenvalues, ms.residuals)
     return payload, None
 
@@ -502,12 +475,7 @@ def run(cfg):
     """Execute one command; writes artifacts, returns the exit status."""
     try:
         conf = _load_config(cfg)
-        settings = _settings_from(conf)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 1
-    try:
-        payload, rows = _COMMANDS[cfg.command](conf, cfg, settings)
+        payload, rows = _COMMANDS[cfg.command](conf, cfg)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

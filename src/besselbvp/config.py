@@ -1,14 +1,19 @@
-"""Central tolerance / default record.
+"""The one setting two callers choose differently, and the shared sizes.
 
-Every numerical knob that more than one module consults lives here, so that a
-sweep or a CLI run can override tolerances in one place.
+``Settings`` carries the FEM degree, the single value callers set per call
+(``DEFAULTS.with_overrides(fem_degree=4)``).  Every threshold a verdict
+reads is a module constant beside its check, and each result reports the
+number its gate reads, so a caller who wants another threshold applies it
+to that number.  The two sizes below are read by more than one module.
 """
 
-import math
 import numbers
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import DomainError
+
+DEFAULT_NODES = 256                # node count of a Space or RadialGrid
+HALFLINE_DECAY_LENGTHS = 40.0      # truncated half-line length, in 1/Re(i xi)
 
 
 def _check_count(name, value, least):
@@ -21,48 +26,10 @@ def _check_count(name, value, least):
 
 @dataclass(frozen=True)
 class Settings:
-    # special functions
-    bessel_zero_residual: float = 1e-13
-    bessel_zero_max_newton: int = 60
-
-    # grids and quadrature
-    default_nodes: int = 256
-    panel_order: int = 12            # Gauss points per mesh panel
-    grading_floor: float = 1e-10     # smallest panel edge relative to x_max
-
-    # grid derivatives
-    stencil_width: int = 9
-    derivative_check_tol: float = 1e-4   # relative; grid-too-coarse diagnostic
-
-    # traces / expansion fits
-    trace_fit_residual: float = 1e-6
-    fit_condition_cap: float = 1e10
-    tail_corrections: int = 2
-
-    # symbol analysis
-    ellipticity_rel_tol: float = 1e-12
-    lopatinskii_rel_tol: float = 1e-10
-    resonance_tol: float = 1e-8
-
-    # solvers
     fem_degree: int = 5
-    solver_residual_tol: float = 1e-7
-    rank_rel_tol: float = 1e-8
-    halfline_decay_lengths: float = 40.0
 
     def __post_init__(self):
-        """Integer fields are counts (>= 1; fem_degree >= 2,
-        tail_corrections >= 0); float fields are finite and > 0."""
-        least = {"fem_degree": 2, "tail_corrections": 0}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type is int:
-                _check_count(f.name, value, least.get(f.name, 1))
-            elif (isinstance(value, bool)
-                  or not isinstance(value, numbers.Real)
-                  or not 0 < value < math.inf):
-                raise DomainError(f"{f.name} must be finite and > 0, "
-                                  f"got {value!r}")
+        _check_count("fem_degree", self.fem_degree, 2)
 
     def with_overrides(self, **kw):
         return replace(self, **kw)

@@ -28,7 +28,7 @@ from enum import Enum
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import DEFAULT_NODES, _check_count
 from .errors import (DomainError, GridTooCoarse, IllConditionedFit,
                      TraceFitError)
 from .quadrature import composite_rule, graded_panels, jacobi_rule
@@ -89,6 +89,10 @@ def as_order(nu):
 # grids
 # ---------------------------------------------------------------------------
 
+PANEL_ORDER = 12          # Gauss points per mesh panel
+GRADING_FLOOR = 1e-10     # smallest panel edge relative to x_max
+
+
 @dataclass(frozen=True)
 class RadialGrid:
     """Quadrature grid on (0, x_max] for the plain Lebesgue measure dx.
@@ -122,18 +126,18 @@ class RadialGrid:
         object.__setattr__(self, "weights", weights)
 
     @classmethod
-    def build(cls, x_max, n_nodes=None, settings=DEFAULTS):
-        n_nodes = settings.default_nodes if n_nodes is None else int(n_nodes)
-        order = min(settings.panel_order, max(4, n_nodes))
+    def build(cls, x_max, n_nodes=None):
+        n_nodes = DEFAULT_NODES if n_nodes is None else int(n_nodes)
+        order = min(PANEL_ORDER, max(4, n_nodes))
         n_panels = max(2, int(round(n_nodes / order)))
-        edges = graded_panels(x_max, n_panels, floor=settings.grading_floor)
+        edges = graded_panels(x_max, n_panels, floor=GRADING_FLOOR)
         nodes, weights = composite_rule(edges, order)
         return cls(nodes, weights, float(x_max))
 
     @classmethod
-    def uniform(cls, x_max, n_nodes, settings=DEFAULTS):
+    def uniform(cls, x_max, n_nodes):
         """Quasi-uniform panel grid; best for interior stencil derivatives."""
-        order = min(settings.panel_order, max(4, int(n_nodes)))
+        order = min(PANEL_ORDER, max(4, int(n_nodes)))
         n_panels = max(2, int(round(n_nodes / order)))
         edges = np.linspace(0.0, x_max, n_panels + 1)
         nodes, weights = composite_rule(edges, order)
@@ -391,20 +395,23 @@ def _fornberg(z, x, m):
     return c
 
 
-def grid_derivative(grid, values, deriv=1, settings=DEFAULTS, check=True):
+STENCIL_WIDTH = 9
+DERIVATIVE_CHECK_TOL = 1e-4     # relative; grid-too-coarse diagnostic
+
+
+def grid_derivative(grid, values, deriv=1, check=True):
     """Derivative of sampled values by sliding local polynomial stencils.
 
-    Node i uses the ``settings.stencil_width`` nodes centred on it, shifted
-    inwards at the ends; the Fornberg weights of each (width, deriv) are
-    computed on the first call and kept on the grid.  The stencil error is
-    estimated by re-running two orders lower; a grid-too-coarse diagnostic
-    is raised when the estimate exceeds the configured relative tolerance.
+    Node i uses the STENCIL_WIDTH nodes centred on it, shifted inwards at
+    the ends; the Fornberg weights of each (width, deriv) are computed on
+    the first call and kept on the grid.  The stencil error is estimated by
+    re-running two orders lower; a grid-too-coarse diagnostic is raised when
+    the estimate exceeds DERIVATIVE_CHECK_TOL (relative).
     """
-    width = settings.stencil_width
     x, memo = grid.nodes, grid._stencils
     values = np.asarray(values)
     n = x.size
-    width = min(width, n)
+    width = min(STENCIL_WIDTH, n)
     if width < deriv + 2:
         raise GridTooCoarse("not enough nodes for the requested stencil")
 
@@ -435,10 +442,10 @@ def grid_derivative(grid, values, deriv=1, settings=DEFAULTS, check=True):
         rough = sweep(width - 2)
         scale = np.max(np.abs(result[lo:hi])) or 1.0
         estimate = np.max(np.abs(result[lo:hi] - rough[lo:hi])) / scale
-        if estimate > settings.derivative_check_tol:
+        if estimate > DERIVATIVE_CHECK_TOL:
             raise GridTooCoarse(
                 f"stencil error estimate {estimate:.2e} exceeds "
-                f"{settings.derivative_check_tol:.2e}")
+                f"{DERIVATIVE_CHECK_TOL:.2e}")
     return result
 
 
@@ -446,24 +453,24 @@ def grid_derivative(grid, values, deriv=1, settings=DEFAULTS, check=True):
 # the twisted operations
 # ---------------------------------------------------------------------------
 
-def d_nu(u, nu, settings=DEFAULTS):
+def d_nu(u, nu):
     """Twisted derivative d_nu u = x^{1/2-nu} d/dx (x^{nu-1/2} u)."""
     order = as_order(nu)
     if u.rep == "fnupair":
         return GridFunction(u.grid, fourier_index=u.fourier_index,
                             pair=u.pair.d_nu(order.nu), order=order)
-    du = grid_derivative(u.grid, u.values, settings=settings)
+    du = grid_derivative(u.grid, u.values)
     vals = du + (order.nu - 0.5) * u.values / u.grid.nodes
     return u.with_values(vals)
 
 
-def d_nu_star(u, nu, settings=DEFAULTS):
+def d_nu_star(u, nu):
     """Formal adjoint d_nu* u = -x^{nu-1/2} d/dx (x^{1/2-nu} u)."""
     order = as_order(nu)
     if u.rep == "fnupair":
         return GridFunction(u.grid, fourier_index=u.fourier_index,
                             pair=u.pair.d_nu_star(order.nu), order=order)
-    du = grid_derivative(u.grid, u.values, settings=settings)
+    du = grid_derivative(u.grid, u.values)
     vals = -du + (order.nu - 0.5) * u.values / u.grid.nodes
     return u.with_values(vals)
 
@@ -472,7 +479,7 @@ def _mode_weight_sq(u):
     return 1.0 + u.q_norm_sq
 
 
-def twisted_norm(u, s, nu, settings=DEFAULTS):
+def twisted_norm(u, s, nu):
     """Per-Fourier-mode H^s norm, s in {0, 1, 2}.
 
     H^1: ||u||^2 + ||d_nu u||^2 + |q|^2 ||u||^2;
@@ -500,14 +507,13 @@ def twisted_norm(u, s, nu, settings=DEFAULTS):
     l2 = u.norm_sq()
     if s == 0:
         return float(np.sqrt(l2))
-    du = grid_derivative(u.grid, u.values, settings=settings, check=False)
+    du = grid_derivative(u.grid, u.values, check=False)
     dnu_vals = du + (order.nu - 0.5) * u.values / u.grid.nodes
     h1 = float(np.real(u.grid.integrate(np.abs(dnu_vals) ** 2))) \
         + _mode_weight_sq(u) * l2
     if s == 1:
         return float(np.sqrt(h1))
-    d2 = grid_derivative(u.grid, u.values, deriv=2, settings=settings,
-                         check=False)
+    d2 = grid_derivative(u.grid, u.values, deriv=2, check=False)
     comp_vals = -d2 + (order.nu ** 2 - 0.25) * u.values / u.grid.nodes ** 2
     h2 = float(np.real(u.grid.integrate(np.abs(comp_vals) ** 2))) \
         + _mode_weight_sq(u) * h1
@@ -526,27 +532,28 @@ def dilate(u, tau, grid=None):
                         pair=u.pair.dilate(tau), order=u.order)
 
 
-_FIT_MIN_NODES = 12      # fewest nodes a boundary-expansion fit accepts
+_FIT_MIN_NODES = 12          # fewest nodes a boundary-expansion fit accepts
+TRACE_FIT_RESIDUAL = 1e-6    # relative residual a trace fit must reach
+FIT_CONDITION_CAP = 1e10     # largest Gram condition a fit window accepts
+TAIL_CORRECTIONS = 2         # x^2-tail corrections per branch power
 
 
-def _fit_branches(u, order, window=None, corrections=None, step=2, log=False,
-                  settings=DEFAULTS):
+def _fit_branches(u, order, window=None, corrections=TAIL_CORRECTIONS,
+                  step=2, log=False):
     """Least-squares fit of u = x^{1/2-nu} u_- + x^{1/2+nu} u_+ to samples,
     shared by ``traces`` and ``expansion.fit_expansion`` (whose docstrings
     state the window rule).
 
     Columns: x^{1/2-nu+step k} (only for nu < 1) and x^{1/2+nu+step k},
-    k = 0..``corrections`` (default ``settings.tail_corrections``), and
-    x^{1/2+nu} log x when ``log``.  One SVD of the column-scaled design per
-    window gives both the Gram condition, refused above
-    ``settings.fit_condition_cap`` with IllConditionedFit, and the solution.
-    On the ladder, a refused window after the first returns the fit before.
+    k = 0..``corrections`` (an integer >= 0), and x^{1/2+nu} log x when
+    ``log``.  One SVD of the column-scaled design per window gives both the
+    Gram condition, refused above FIT_CONDITION_CAP with IllConditionedFit,
+    and the solution.  On the ladder, a refused window after the first
+    returns the fit before.
     """
-    if corrections is not None and corrections < 0:
-        raise DomainError(f"corrections must be at least 0, got {corrections}")
+    _check_count("corrections", corrections, 0)
     x, vals = u.grid.nodes, u.values
-    ks = step * np.arange(1 + (settings.tail_corrections if corrections is None
-                               else int(corrections)))
+    ks = step * np.arange(1 + corrections)
     minus = order.regime is Regime.SUBCRITICAL
     exps = np.concatenate([0.5 - order.nu + ks if minus else [],
                            0.5 + order.nu + ks])
@@ -564,10 +571,10 @@ def _fit_branches(u, order, window=None, corrections=None, step=2, log=False,
         As = A / scale
         U, s, Vh = np.linalg.svd(As, full_matrices=False)
         gram_cond = (s[0] / s[-1]) ** 2 if s[-1] > 0 else np.inf
-        if gram_cond > settings.fit_condition_cap:
+        if gram_cond > FIT_CONDITION_CAP:
             raise IllConditionedFit(
                 f"fit Gram condition {gram_cond:.2e} exceeds "
-                f"{settings.fit_condition_cap:.2e}; shrink the window or "
+                f"{FIT_CONDITION_CAP:.2e}; shrink the window or "
                 "raise nu")
         z = Vh.T @ ((U.T @ vw) / s)
         resid = np.linalg.norm(As @ z - vw) / max(np.linalg.norm(vw), 1e-300)
@@ -592,25 +599,24 @@ def _fit_branches(u, order, window=None, corrections=None, step=2, log=False,
             return prev
         if hi == innermost or (
                 prev is not None
-                and cur.fit_residual < settings.trace_fit_residual
+                and cur.fit_residual < TRACE_FIT_RESIDUAL
                 and cur.fit_residual > 0.5 * prev.fit_residual):
             return cur
         prev, hi = cur, max(hi / 4.0, innermost)
 
 
-def traces(u, nu, settings=DEFAULTS):
+def traces(u, nu):
     """Weighted traces (gamma_- u, gamma_+ u) at x = 0.
 
     gamma_- u = x^{nu-1/2} u|_0 and gamma_+ u = x^{1-2nu} d/dx (x^{nu-1/2} u)|_0.
     Exact for pair-represented functions.  Plain samples go through the
     boundary-expansion fit that ``expansion.fit_expansion`` also uses: the
-    two branch powers with ``settings.tail_corrections`` x^2-tail
-    corrections each, on a window that starts at (x_0, 0.1 x_max) and
-    shrinks its upper end by 4 per step down to the innermost 12 nodes,
-    stopping once the relative residual is below
-    ``settings.trace_fit_residual`` and no longer halves (the data's own
-    rounding floor).  A final residual above ``settings.trace_fit_residual``
-    raises TraceFitError.
+    two branch powers with TAIL_CORRECTIONS x^2-tail corrections each, on a
+    window that starts at (x_0, 0.1 x_max) and shrinks its upper end by 4
+    per step down to the innermost 12 nodes, stopping once the relative
+    residual is below TRACE_FIT_RESIDUAL and no longer halves (the data's
+    own rounding floor).  A final residual above TRACE_FIT_RESIDUAL raises
+    TraceFitError; TraceData.fit_residual reports the residual it read.
     """
     order = as_order(nu)
     if order.regime is not Regime.SUBCRITICAL:
@@ -627,11 +633,11 @@ def traces(u, nu, settings=DEFAULTS):
                 raise DomainError(f"unexpected branch exponent {e}")
         return TraceData(gm, gp, 0.0)
 
-    fit = _fit_branches(u, order, settings=settings)
-    if fit.fit_residual > settings.trace_fit_residual:
+    fit = _fit_branches(u, order)
+    if fit.fit_residual > TRACE_FIT_RESIDUAL:
         raise TraceFitError(
             f"power fit residual {fit.fit_residual:.2e} exceeds "
-            f"{settings.trace_fit_residual:.2e}")
+            f"{TRACE_FIT_RESIDUAL:.2e}")
     return TraceData(fit.g_minus, 2.0 * nu * fit.g_plus, fit.fit_residual)
 
 
@@ -663,7 +669,7 @@ def _adjoint_branches(op, v, nu):
     return out
 
 
-def green_defect(op, u, v, settings=DEFAULTS):
+def green_defect(op, u, v):
     """|<Pu, v> - <u, P*v> - boundary pairing| for pair-represented u, v.
 
     The boundary pairing is gamma_+u conj(gamma_-v) - gamma_-u conj(gamma_+v)
@@ -687,7 +693,7 @@ def green_defect(op, u, v, settings=DEFAULTS):
     return float(abs(lhs - rhs - boundary))
 
 
-def hardy_check(u, nu, settings=DEFAULTS):
+def hardy_check(u, nu):
     """Both sides of the twisted Hardy inequality and the verdict.
 
     For 0 < nu < 1/2:  4 nu^2 ||u'||^2 <= ||d_nu u||^2;
@@ -703,7 +709,7 @@ def hardy_check(u, nu, settings=DEFAULTS):
         n_dx = float(np.real(branch_inner(dx, dx, X)))
         n_dn = float(np.real(branch_inner(dn, dn, X)))
     else:
-        du = grid_derivative(u.grid, u.values, settings=settings, check=False)
+        du = grid_derivative(u.grid, u.values, check=False)
         n_dx = float(np.real(u.grid.integrate(np.abs(du) ** 2)))
         dn = du + (nu - 0.5) * u.values / u.grid.nodes
         n_dn = float(np.real(u.grid.integrate(np.abs(dn) ** 2)))

@@ -18,8 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .config import DEFAULTS
-from .core import ExpansionFit, Regime, _fit_branches, as_order
+from .core import (TAIL_CORRECTIONS, ExpansionFit, Regime, _fit_branches,
+                   as_order)
 from .errors import DomainError
 
 __all__ = [
@@ -35,38 +35,41 @@ __all__ = [
 class IndicialData:
     nu: float
     roots: tuple            # (-1/2 + nu, -1/2 - nu)
-    resonant: bool          # 2 nu within 1e-8 of an odd integer >= 3
+    resonant: bool          # 2 nu within RESONANCE_TOL of an odd integer >= 3
 
 
-def indicial(nu, settings=DEFAULTS):
+RESONANCE_TOL = 1e-8
+
+
+def indicial(nu):
     """Roots of l_nu(s) = (s + 1/2 + nu)(s + 1/2 - nu) and the resonance flag."""
     order = as_order(nu)
     two_nu = 2.0 * order.nu
     nearest_odd = 2 * round((two_nu - 1.0) / 2.0) + 1
     resonant = (nearest_odd >= 3
-                and abs(two_nu - nearest_odd) < settings.resonance_tol)
+                and abs(two_nu - nearest_odd) < RESONANCE_TOL)
     return IndicialData(order.nu, (-0.5 + order.nu, -0.5 - order.nu),
                         bool(resonant))
 
 
-def fit_expansion(u, nu, window=None, corrections=None, parity="even",
-                  settings=DEFAULTS):
+def fit_expansion(u, nu, window=None, corrections=TAIL_CORRECTIONS,
+                  parity="even"):
     """Windowed least-squares fit of the two-branch boundary expansion.
 
-    Regressors: x^{1/2-nu} and x^{1/2+nu} with ``corrections`` many x^2-tail
-    terms each (absorbing u_+- - g_+- in x^2 C^inf), plus x^{1/2+nu} log x in
-    the resonant case.  ``parity="general"`` steps the corrections by x
-    instead of x^2, for data without the evenness structure (mixed powers
-    x^{r+1/2+-nu} appear beyond the second expansion step in general).  For
-    nu >= 1 the x^{1/2-nu} branch is not square integrable and is excluded;
-    g_minus is then reported as 0.
+    Regressors: x^{1/2-nu} and x^{1/2+nu} with ``corrections`` (an integer
+    >= 0) many x^2-tail terms each (absorbing u_+- - g_+- in x^2 C^inf),
+    plus x^{1/2+nu} log x in the resonant case.  ``parity="general"``
+    steps the corrections by x instead of x^2, for data without the
+    evenness structure (mixed powers x^{r+1/2+-nu} appear beyond the
+    second expansion step in general).  For nu >= 1 the x^{1/2-nu} branch
+    is not square integrable and is excluded; g_minus is then reported as 0.
 
     ``core.traces`` runs the same fit on plain samples.  An explicit
     ``window`` is honoured exactly.  When omitted, the window starts at
     (x_0, 0.1 x_max) and its upper end is divided by 4 per step, down to the
     innermost 12 nodes: the expansion is asymptotic, so the model error sets
     the usable window for each input.  The ladder stops at the first fit
-    whose relative residual is below ``settings.trace_fit_residual`` and no
+    whose relative residual is below core.TRACE_FIT_RESIDUAL and no
     longer halves, i.e. has reached the rounding floor of the data, and
     returns that fit.
     """
@@ -75,11 +78,10 @@ def fit_expansion(u, nu, window=None, corrections=None, parity="even",
         raise DomainError("parity must be 'even' or 'general'")
     return _fit_branches(u, order, window=window, corrections=corrections,
                          step=2 if parity == "even" else 1,
-                         log=indicial(order, settings=settings).resonant,
-                         settings=settings)
+                         log=indicial(order).resonant)
 
 
-def expansion_consistency(sol, nu, settings=DEFAULTS):
+def expansion_consistency(sol, nu):
     """max(|g_- - gamma_- u|, |2 nu g_+ - gamma_+ u|) for a solve output.
 
     Compares the windowed expansion fit of the sampled solution with the
@@ -94,6 +96,6 @@ def expansion_consistency(sol, nu, settings=DEFAULTS):
     tr = sol.traces
     if tr is None:
         raise DomainError("solution carries no discrete traces to compare")
-    fit = fit_expansion(sol.u, order, settings=settings)
+    fit = fit_expansion(sol.u, order)
     return float(max(abs(fit.g_minus - tr.gamma_minus),
                      abs(2.0 * order.nu * fit.g_plus - tr.gamma_plus)))

@@ -65,7 +65,7 @@ from numpy.polynomial.legendre import Legendre
 from numpy.polynomial.polynomial import (polyder, polymul, polypow, polysub,
                                          polyval)
 
-from .config import DEFAULTS
+from .config import DEFAULT_NODES, DEFAULTS
 from .core import as_order
 from .errors import DomainError, SingularSystem
 from .quadrature import legendre_rule, power_rule
@@ -369,8 +369,7 @@ class Space:
 
     The node count selects the mesh: ``n_nodes // degree`` cells of degree
     ``settings.fem_degree`` (see solver_mesh), ``n_nodes`` defaulting to
-    ``settings.default_nodes``.  Fewer than MIN_CELLS cells raise
-    DomainError.
+    DEFAULT_NODES.  Fewer than MIN_CELLS cells raise DomainError.
 
     DOF map: the seed (when present) is dof 0; cell k owns the Lagrange dofs
     s + k p + (0..p), s the seed count, neighbouring cells sharing their edge
@@ -382,10 +381,9 @@ class Space:
     def __init__(self, nu, x_max, n_nodes=None, include_minus=None,
                  outward=False, settings=DEFAULTS):
         self.order = as_order(nu)
-        self.settings = settings
         self.degree = int(settings.fem_degree)
         if n_nodes is None:
-            n_nodes = settings.default_nodes
+            n_nodes = DEFAULT_NODES
         n_cells = int(n_nodes) // self.degree
         if n_cells < MIN_CELLS:
             raise DomainError(
@@ -434,7 +432,6 @@ class Space:
         self.n_cells = self.edges.size - 1
         seeds = int(include_minus)
         self.idx_minus = 0 if include_minus else None
-        self.idx_w0 = seeds
         self.n = seeds + self.n_cells * p
         self._lagrange = _lagrange_tables(p)
         # the branch power of each local function's value, d_nu and
@@ -626,9 +623,9 @@ class Space:
         return _at(f, self._origin[0]), _at(f, self._bulk[0])
 
     def load_vector(self, f, singular_exponent=0.0):
-        """<f, phi_i> of a callable f or of its samples ``sample(f)``;
+        """<f, phi_i> from the samples ``sample(f)`` of f;
         ``singular_exponent`` hints the x^sigma factor of f at 0."""
-        f0, fq = self.sample(f) if callable(f) else f
+        f0, fq = f
         power = self._powers["v"]
         loc = np.zeros((self.n_cells, power.size), dtype=complex)
         x, tabs = self._origin
@@ -708,17 +705,6 @@ class Space:
         h1sq = sq[1] + (1.0 + q2) * sq[0]
         out = sq[0], h1sq, sq[2] + (1.0 + q2) * h1sq
         return out if c.ndim > 1 else tuple(float(v[0]) for v in out)
-
-    def gamma_minus_vector(self):
-        v = np.zeros(self.n, dtype=complex)
-        if self.include_minus:
-            v[self.idx_minus] = 1.0
-        return v
-
-    def gamma_plus_vector(self):
-        v = np.zeros(self.n, dtype=complex)
-        v[self.idx_w0] = 2.0 * self.order.nu
-        return v
 
 
 def _inverse_diag_sqrt(diag):

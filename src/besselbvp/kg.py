@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .config import DEFAULTS
 from .core import Order, as_order
 from .errors import BFViolated, SignatureError
 from .solve import BesselOperator
@@ -82,7 +81,7 @@ def mass_of_order(nu, dim_n):
     return as_order(nu).nu ** 2 - dim_n ** 2 / 4.0
 
 
-def reduce(metric, mass, settings=DEFAULTS):
+def reduce(metric, mass):
     """Order, pencil coefficients and ellipticity verdicts from (metric, mass).
 
     Raises BFViolated when mass + n^2/4 <= 0.  For a constant gamma0 the
@@ -107,7 +106,7 @@ def reduce(metric, mass, settings=DEFAULTS):
                 f"e0 = {metric.e0} violates the determinant relation "
                 f"tr(gamma0^-1 gamma1) = {e0_expected}", stacklevel=2)
 
-    report = ellipticity_verdicts(None, metric, samples=8, settings=settings)
+    report = ellipticity_verdicts(None, metric, samples=8)
     sectors = ("any angular sector disjoint from R \\ {0} "
                "(e.g. the imaginary axis)" if report.parameter_elliptic
                else "none certified: dt fails to be timelike at a sample")
@@ -146,7 +145,7 @@ class VerdictReport:
         return iter((self.elliptic, self.parameter_elliptic))
 
 
-def ellipticity_verdicts(red, metric, samples=8, settings=DEFAULTS):
+def ellipticity_verdicts(red, metric, samples=8):
     """Timelikeness checks at sampled boundary points plus root cross-checks.
 
     ``elliptic``: gamma0(dt_vec, dt_vec) > 0 at every sample (Killing field
@@ -185,7 +184,7 @@ def ellipticity_verdicts(red, metric, samples=8, settings=DEFAULTS):
             eta = rng.standard_normal(sym.dim_eta)
             eta /= np.linalg.norm(eta)
             if dt_timelike:
-                roots = elliptic_roots(sym, eta, 0.0, settings=settings)
+                roots = elliptic_roots(sym, eta, 0.0)
                 if isinstance(roots, NotElliptic):
                     raise SignatureError(
                         "elliptic_roots contradicts the timelike criterion "
@@ -193,7 +192,7 @@ def ellipticity_verdicts(red, metric, samples=8, settings=DEFAULTS):
             if conormal_timelike:
                 th = sector.angles(2)[0]
                 lam = 0.7 * complex(math.cos(th), math.sin(th))
-                roots = elliptic_roots(sym, 0.6 * eta, lam, settings=settings)
+                roots = elliptic_roots(sym, 0.6 * eta, lam)
                 if isinstance(roots, NotElliptic):
                     raise SignatureError(
                         "parameter ellipticity cross-check failed at "

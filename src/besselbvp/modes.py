@@ -21,6 +21,7 @@ statement.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, replace
 from enum import Enum
 
@@ -137,7 +138,7 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     _check_count("n_max", n_max, 1)
     space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=False, settings=settings)
-    zeros = bessel_zeros(order.nu, n_max, settings=settings).zeros
+    zeros = bessel_zeros(order.nu, n_max).zeros
     mats = space.matrices()
     S, M = mats["S"], mats["M"]
 
@@ -198,8 +199,12 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     return A0, A1, A2, space
 
 
-def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
-                 max_modes=None, settings=DEFAULTS):
+SOLVER_RESIDUAL_TOL = 1e-7
+
+
+def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None,
+                 residual_cap=SOLVER_RESIDUAL_TOL, max_modes=None,
+                 settings=DEFAULTS):
     """Eigenvalues of P(lambda) = P2 + lambda P1 + lambda^2 at a fixed mode.
 
     Companion linearisation with the boundary row, read at eta = q, folded
@@ -210,10 +215,11 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     operator's own storage (real for a real pencil), and the Cauchy data
     are array operations on C.  Residuals divide by a0 + |lam| a1 +
     |lam|^2 a2, a_i = fem.norm_bound(A_i) >= ||A_i||_2: a valid backward
-    error, up to 1.44 times below the one on exact 2-norms.  By default
-    modes above the 1e-7 residual budget are dropped (length 0 when none
-    passes); pass ``residual_cap=None`` to collect every eigenvalue of the
-    discrete pencil (with multiplicity), as the completeness check requires.
+    error, up to 1.44 times below the one on exact 2-norms.  Modes whose
+    residual is not below ``residual_cap`` (finite and > 0) are dropped
+    (length 0 when none passes); pass ``residual_cap=None`` to collect every
+    eigenvalue of the discrete pencil (with multiplicity), as the
+    completeness check requires.
 
     ``max_modes=k`` asks for the k modes of least modulus only, O(n) per
     Krylov step: the Cholesky Lanczos in -lambda^2 for a real symmetric
@@ -231,9 +237,10 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
     order = as_order(nu)
     if max_modes is not None:
         _check_count("max_modes", max_modes, 1)
-    if residual_cap == "default":
-        residual_cap = settings.solver_residual_tol
-    if residual_cap is not None and not 0 < residual_cap < np.inf:
+    if residual_cap is not None and (
+            isinstance(residual_cap, bool)
+            or not isinstance(residual_cap, numbers.Real)
+            or not 0 < residual_cap < np.inf):
         raise DomainError(f"residual_cap must be finite and > 0, "
                           f"got {residual_cap!r}")
     A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
@@ -295,8 +302,11 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
 
     constraint = None
     if bc is not None and any(s.lam != 0 for s in bc.t_minus):
-        gm = space.gamma_minus_vector()
-        gp = space.gamma_plus_vector()
+        # the trace rows: gamma_- v = v[0] with the seed (else 0) and
+        # gamma_+ v = 2 nu v[s], s the seed count
+        s = int(space.include_minus)
+        gm, gp = np.zeros((2, n), dtype=complex)
+        gm[0], gp[s] = s, 2.0 * order.nu
         tm = bc.t_minus[0]
         t1 = tm.const_at(bc.mode_eta(q)) * gm + bc.t_plus[0].const * gp
         constraint = np.concatenate([t1, tm.lam * gm])   # T1 v1 + T0 v2 = 0
@@ -306,13 +316,16 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None, residual_cap="default",
                    dof=m_eff)
 
 
-def completeness_check(modes, settings=DEFAULTS):
+RANK_REL_TOL = 1e-8
+
+
+def completeness_check(modes):
     """Numerical rank of the stacked Cauchy data against the ambient space.
 
     The ambient space is C^{2 dof} (the mode set's dof), restricted to the
     lambda-dependent boundary constraint subspace when the mode set carries
-    one; the verdict
-    is full numerical rank at the 1e-8 relative singular-value threshold.
+    one; the verdict is full numerical rank at the RANK_REL_TOL relative
+    singular-value threshold.
     """
     from scipy.linalg import svdvals
 
@@ -331,7 +344,7 @@ def completeness_check(modes, settings=DEFAULTS):
         w = constraint / max(np.linalg.norm(constraint), 1e-300)
         cols = cols - np.outer(w, _matmul(w.conj(), cols))
     s = svdvals(cols)
-    thresh = settings.rank_rel_tol * s[0] if s.size else 0.0
+    thresh = RANK_REL_TOL * s[0] if s.size else 0.0
     rank = int(np.sum(s > thresh))
     smallest = float(s[rank - 1]) if rank else 0.0
     return CompletenessReport(ambient, rank, smallest, bool(rank == ambient))

@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .config import DEFAULTS
+from .config import DEFAULTS, HALFLINE_DECAY_LENGTHS
 from .core import (
     GridFunction,
     Order,
@@ -292,15 +292,17 @@ def _solve_on_space(space, A, load, bc, g, q=None, lam=0.0):
 
 
 def _discrete_traces(space, coeffs):
-    gm = complex(space.gamma_minus_vector() @ coeffs)
-    gp = complex(space.gamma_plus_vector() @ coeffs)
-    return TraceData(gm, gp)
+    """(gamma_- u_h, gamma_+ u_h) on a Space with the seed: the seed's
+    coefficient c[0] and 2 nu w(0), w(0) = c[1] the first Lagrange dof.
+    Adding 0j maps -0.0 to 0.0, so a zero trace is written as 0, not -0."""
+    return TraceData(complex(coeffs[0]) + 0j,
+                     complex(2.0 * space.order.nu * coeffs[1]) + 0j)
 
 
-def _residual(space, op, c, coeffs, rhs):
-    """Relative strong residual ||P u_h - f|| over the resolved window; a
-    residual above 1e-2 (the data is not resolved) raises SingularSystem.
-    rhs is a constant, a callable or its samples (Space.sample).
+def _residual(space, op, c, coeffs, f):
+    """Relative strong residual ||P u_h - f|| over the resolved window, f
+    given by its samples (Space.sample); a residual above 1e-2 (the data is
+    not resolved) raises SingularSystem.
 
     Normalised by ||f||, or for f = 0 by the L2 size of the operator terms
     |cu| + |a u| + |b d_nu u| (they cancel for a true solution, as in
@@ -314,7 +316,6 @@ def _residual(space, op, c, coeffs, rhs):
             return cu, au
         return cu, au, -1j * np.asarray(b_fun(xq), dtype=complex) * du
 
-    f = rhs if isinstance(rhs, tuple) else space.sample(_as_callable(rhs))
     rnorm, scale = space.strong_residual(coeffs, terms, f=f)
     resid = rnorm / scale if scale > 0 else rnorm
     if not np.isfinite(resid) or resid > 1e-2:
@@ -367,7 +368,7 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
                           prob.fourier_index)
 
     decay = prob.bc1 is CapCondition.DECAY
-    x_max = (settings.halfline_decay_lengths / max((1j * xi).real, 1e-8)
+    x_max = (HALFLINE_DECAY_LENGTHS / max((1j * xi).real, 1e-8)
              if decay else 1.0)
 
     def assemble(xm):
@@ -377,14 +378,14 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
         return space, base + c * M
 
     space, A = assemble(x_max)
-    grid = RadialGrid.build(x_max, n_nodes=n_nodes, settings=settings)
+    grid = RadialGrid.build(x_max, n_nodes=n_nodes)
     sol, = _on_grid(space, grid, [_gated_solution(
         space, A, c, op, prob.rhs, prob.bc0, prob.boundary_data,
         prob.fourier_index, prob.rhs_singular_exponent)], [prob.fourier_index])
 
     if decay:
         space2, A2 = assemble(2.0 * x_max)
-        load2 = space2.load_vector(_as_callable(prob.rhs),
+        load2 = space2.load_vector(space2.sample(_as_callable(prob.rhs)),
                                    prob.rhs_singular_exponent)
         coeffs2, *_ = _solve_on_space(space2, A2, load2, prob.bc0,
                                       prob.boundary_data, prob.fourier_index)
@@ -416,7 +417,7 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
         raise SpectralParameterOnCut(f"a = {a} lies on (-inf, 0]")
     space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=False, settings=settings)
-    grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
+    grid = RadialGrid.build(1.0, n_nodes=n_nodes)
     op = BesselOperator(order, a_coeff=a)
     base, M = op.forms(space)
     sols = []
@@ -470,7 +471,7 @@ def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
     _check_bc0(order, bc0)
     space = Space(order, 1.0, n_nodes=n_nodes, settings=settings)
     base, M = op.forms(space)
-    grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
+    grid = RadialGrid.build(1.0, n_nodes=n_nodes)
     qs = sorted(rhs_modes, key=lambda q: np.sum(np.square(q)))
     sols = []
     for q in qs:
@@ -534,15 +535,14 @@ def poisson_lift_profile(nu, which, q):
     return profile
 
 
-def poisson_lift(nu, which, phi_modes, grid=None, n_nodes=None,
-                 settings=DEFAULTS):
+def poisson_lift(nu, which, phi_modes, grid=None, n_nodes=None):
     """Mode-wise lifts with (Delta_nu + 1) kernel on (0, 1).
 
     ``which`` = "at_zero": gamma_-(lift) = phi_q and lift(1) = 0 (0 < nu < 1);
     ``which`` = "at_one":  gamma_-(lift) = 0 and lift(1) = phi_q (any nu > 0).
     """
     if grid is None:
-        grid = RadialGrid.build(1.0, n_nodes=n_nodes, settings=settings)
+        grid = RadialGrid.build(1.0, n_nodes=n_nodes)
     out = {}
     for q, phi in phi_modes.items():
         profile = poisson_lift_profile(nu, which, q)
@@ -551,7 +551,7 @@ def poisson_lift(nu, which, phi_modes, grid=None, n_nodes=None,
     return out
 
 
-def operator_residual(u, nu, a_value, settings=DEFAULTS):
+def operator_residual(u, nu, a_value):
     """Relative residual of (|D_nu|^2 + a) u on the window (0.05, 0.95) x_max.
 
     Differentiates the sampled values with local stencils.  The residual is
@@ -566,8 +566,7 @@ def operator_residual(u, nu, a_value, settings=DEFAULTS):
     mask = (x >= lo) & (x <= hi)
     if not np.any(mask):
         raise DomainError("no grid node in the residual window")
-    d2 = grid_derivative(u.grid, u.values, deriv=2, settings=settings,
-                         check=False)
+    d2 = grid_derivative(u.grid, u.values, deriv=2, check=False)
     centrifugal = (order.nu ** 2 - 0.25) * u.values / x ** 2
     zeroth = complex(a_value) * u.values
     res = -d2 + centrifugal + zeroth
@@ -626,7 +625,7 @@ def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
     x, w = composite_rule(space.edges, space.degree + 8)
     fnorm = np.sqrt(np.sum(w * np.abs(f(x)) ** 2))
     base, M = op.forms(space)
-    load = space.load_vector(f)
+    load = space.load_vector(space.sample(f))
     a2, a1, a0 = op.mode_coefficients(q)
     q2 = _q_squared(q)
     rows, solved = [], []

@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULTS
 from .errors import DomainError, OverflowSignalled, ZeroSearchError
 
 __all__ = [
@@ -130,7 +129,11 @@ def _zero_brackets(nu, count):
     return brackets[:count]
 
 
-def bessel_zeros(nu, count, settings=DEFAULTS):
+BESSEL_ZERO_RESIDUAL = 1e-13     # |J_nu| at which a zero's Newton loop stops
+BESSEL_ZERO_MAX_NEWTON = 60      # Newton/bisection steps per zero
+
+
+def bessel_zeros(nu, count):
     """First ``count`` positive zeros of J_nu, Newton-refined until |J_nu| < 1e-13.
 
     Each zero is bracketed by a sign change on a scan finer than the zero
@@ -147,11 +150,11 @@ def bessel_zeros(nu, count, settings=DEFAULTS):
     for n, (lo, hi, sign_lo) in enumerate(_zero_brackets(nu, count)):
         x = 0.5 * (lo + hi)
         converged = False
-        for _ in range(settings.bessel_zero_max_newton):
+        for _ in range(BESSEL_ZERO_MAX_NEWTON):
             f = jv(nu, x)
             fp = jvp(nu, x)
             xn = x - f / fp if fp != 0 else np.nan
-            if abs(f) < settings.bessel_zero_residual:
+            if abs(f) < BESSEL_ZERO_RESIDUAL:
                 # one more step: Newton squares the residual-level error
                 x = xn if lo < xn < hi else x
                 converged = True
@@ -164,7 +167,7 @@ def bessel_zeros(nu, count, settings=DEFAULTS):
         if not converged:
             raise ZeroSearchError(
                 f"zero {n + 1} of J_{nu} did not converge below "
-                f"{settings.bessel_zero_residual}"
+                f"{BESSEL_ZERO_RESIDUAL}"
             )
         zeros[n] = x
     return BesselZeroTable(nu, zeros)

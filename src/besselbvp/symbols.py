@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULTS
+from .config import HALFLINE_DECAY_LENGTHS
 from .core import GridFunction, RadialGrid, TraceData, as_order
 from .errors import DomainError
 from .special import sqrtx_K
@@ -166,15 +166,18 @@ def decaying_root(a2):
     return xi
 
 
-def elliptic_roots(sym, eta, lam=0.0, settings=DEFAULTS):
+ELLIPTICITY_REL_TOL = 1e-12
+
+
+def elliptic_roots(sym, eta, lam=0.0):
     """Roots +/- xi of xi^2 + a2(eta, lambda) = 0, decaying root first.
 
     Returns (xi, -xi) with Im xi < 0 (so Re(i xi) > 0 and the K_nu branch
-    decays), or NotElliptic when the roots are real to relative tolerance.
+    decays), or NotElliptic when |Im xi| < ELLIPTICITY_REL_TOL |xi|.
     """
     a2 = sym(eta, lam)
     xi = decaying_root(a2)
-    if abs(xi.imag) < settings.ellipticity_rel_tol * max(abs(xi), 1e-300):
+    if abs(xi.imag) < ELLIPTICITY_REL_TOL * max(abs(xi), 1e-300):
         return NotElliptic(tuple(np.atleast_1d(eta)), complex(lam), a2)
     return xi, -xi
 
@@ -195,13 +198,12 @@ def mode_traces(nu, xi):
     return TraceData(1.0 + 0.0j, complex(gp))
 
 
-def halfline_grid(xi, settings=DEFAULTS):
+def halfline_grid(xi):
     """Truncated half-line grid sized to the decay rate Re(i xi)."""
     rate = (1j * xi).real
     if rate <= 0:
         raise DomainError("Im xi < 0 required for a decaying profile")
-    x_max = settings.halfline_decay_lengths / rate
-    return RadialGrid.build(x_max, settings=settings)
+    return RadialGrid.build(HALFLINE_DECAY_LENGTHS / rate)
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ class ModeSolution:
     traces: TraceData
 
 
-def mode_solution(nu, xi, grid=None, settings=DEFAULTS):
+def mode_solution(nu, xi, grid=None):
     """Profile (2^{1-nu}/Gamma(nu)) (i xi)^nu sqrt(x) K_nu(i xi x) on the grid.
 
     The prefactor is the reflection-formula form of
@@ -228,7 +230,7 @@ def mode_solution(nu, xi, grid=None, settings=DEFAULTS):
     if not (xi.imag < 0):
         raise DomainError("mode_solution requires Im xi < 0")
     if grid is None:
-        grid = halfline_grid(xi, settings=settings)
+        grid = halfline_grid(xi)
     tau = 1j * xi
     c = 2.0 ** (1.0 - order.nu) / gamma(order.nu)
     vals = c * tau ** order.nu * sqrtx_K(order.nu, tau, grid.nodes)
@@ -464,7 +466,7 @@ def boundary_scale(sizes, tr, C):
     return scale
 
 
-def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
+def _lopatinskii_matrix(nu, sym, bc, eta, lam):
     """Matrix of (u, u_) -> That u + Chat u_ plus a cancellation-free scale.
 
     The scale multiplies the coefficient sizes of the selected principal
@@ -472,7 +474,7 @@ def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
     cancellation at special (eta, lambda) is judged against the size the
     entries would have without cancellation.
     """
-    roots = elliptic_roots(sym, eta, lam, settings=settings)
+    roots = elliptic_roots(sym, eta, lam)
     if isinstance(roots, NotElliptic):
         return roots, 0.0
     tr = mode_traces(nu, roots[0])
@@ -488,17 +490,21 @@ def _lopatinskii_matrix(nu, sym, bc, eta, lam, settings):
     return M, boundary_scale(sizes, tr, Cvals)
 
 
-def lopatinskii_verdict(nu, sym, bc, eta, lam=0.0, settings=DEFAULTS):
+LOPATINSKII_REL_TOL = 1e-10
+
+
+def lopatinskii_verdict(nu, sym, bc, eta, lam=0.0):
     """(holds, det, scale) with the cancellation-free row-coefficient scale.
 
     det is the determinant of the boundary-symbol map on span(mode) x C^J,
-    or NotElliptic when the interior symbol already fails at (eta, lambda).
+    or NotElliptic when the interior symbol already fails at (eta, lambda);
+    it holds when |det| > LOPATINSKII_REL_TOL scale.
     """
-    M, scale = _lopatinskii_matrix(nu, sym, bc, eta, lam, settings)
+    M, scale = _lopatinskii_matrix(nu, sym, bc, eta, lam)
     if isinstance(M, NotElliptic):
         return False, M, 0.0
     det = complex(np.linalg.det(M))
-    return bool(abs(det) > settings.lopatinskii_rel_tol * scale), det, scale
+    return bool(abs(det) > LOPATINSKII_REL_TOL * scale), det, scale
 
 
 def _eta_directions(dim, n):
@@ -526,8 +532,7 @@ class SweepReport:
     all_pass: bool
 
 
-def lopatinskii_sweep(nu, sym, bc, sphere_samples=64, sector=None,
-                      settings=DEFAULTS):
+def lopatinskii_sweep(nu, sym, bc, sphere_samples=64, sector=None):
     """Sample the unit sphere in (eta, lambda) and report verdicts.
 
     Without a sector, lambda = 0 and eta runs over the unit sphere.  With a
@@ -570,8 +575,7 @@ def lopatinskii_sweep(nu, sym, bc, sphere_samples=64, sector=None,
         if key in seen:
             continue
         seen.add(key)
-        holds, det, scale = lopatinskii_verdict(nu, sym, bc, eta, lam,
-                                                settings=settings)
+        holds, det, scale = lopatinskii_verdict(nu, sym, bc, eta, lam)
         if isinstance(det, NotElliptic):
             rows.append({"eta": tuple(eta), "lambda": complex(lam),
                          "det": 0.0 + 0.0j, "pass": False})

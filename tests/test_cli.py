@@ -11,8 +11,8 @@ import pytest
 
 from besselbvp import cli
 from besselbvp.cli import main
-from besselbvp.core import (GridFunction, Order, RadialGrid,
-                            gridfunction_to_csv)
+from besselbvp.core import (TAIL_CORRECTIONS, GridFunction, Order,
+                            RadialGrid, gridfunction_to_csv)
 from besselbvp.modes import (dirichlet_spectrum, embedding_singular_values,
                              pencil_modes)
 from besselbvp.solve import BesselOperator
@@ -149,14 +149,14 @@ def test_expand_corrections_default_to_tail_corrections(tmp_path):
     base = write_expand_case(tmp_path).read_text()
     bodies = {}
     for name, extra in (("default", ""),
-                        ("tolerance", "[tolerances]\ntail_corrections = 1\n"),
-                        ("fit", "[fit]\ncorrections = 1\n")):
+                        ("tail", f"[fit]\ncorrections = {TAIL_CORRECTIONS}\n"),
+                        ("one", "[fit]\ncorrections = 1\n")):
         cfg = tmp_path / f"{name}.cfg"
         cfg.write_text(f"{base}\n{extra}")
         assert main(["expand", "--config", str(cfg), "--out", str(tmp_path),
                      "--quiet"]) == 0
         bodies[name] = (tmp_path / f"expand_{name}.json").read_text()
-    assert bodies["tolerance"] == bodies["fit"] != bodies["default"]
+    assert bodies["default"] == bodies["tail"] != bodies["one"]
 
 
 def test_negative_fit_corrections_is_config_error(tmp_path, capsys):
@@ -269,19 +269,26 @@ def test_missing_config_file(tmp_path):
                  "--out", str(tmp_path), "--quiet"]) == 1
 
 
-def test_tolerance_override_section(tmp_path):
-    cfg = tmp_path / "tol.cfg"
-    cfg.write_text("[operator]\nnu = 0.5\n\n[modes]\nq = 0\ncount = 2\n\n"
-                   "[grid]\nnodes = 128\n\n"
-                   "[tolerances]\nsolver_residual_tol = 1e-5\n")
-    assert main(["modes", "--config", str(cfg), "--out", str(tmp_path),
-                 "--quiet"]) == 0
+def test_tolerance_override_section(tmp_path, capsys):
+    # the section once overrode Settings fields; every threshold is now a
+    # constant, so the section is unknown to every command
+    for command, fixture in ALL_FIXTURES:
+        cfg = tmp_path / f"{fixture}.cfg"
+        cfg.write_text((FIXTURES / f"{fixture}.cfg").read_text()
+                       + "\n[tolerances]\nsolver_residual_tol = 1e-7\n")
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path),
+                     "--quiet"]) == 1
+        assert (f"config error: unknown section [tolerances] for command "
+                f"{command}") in capsys.readouterr().err
+        assert not (tmp_path / f"{command}_{fixture}.json").exists()
 
 
 BAD_VALUES = {
+    # former [tolerances] overrides that each once failed in its own way (a
+    # bare ValueError from pencil_modes' cap, degree 3 from 3.5, a zero rank
+    # threshold accepted); the section is gone, so all are refused unread
     "tolerance": ("modes", "[operator]\nnu = 0.5\n\n[modes]\nq = 0\n"
                   "count = 2\n\n[tolerances]\nsolver_residual_tol = abc\n"),
-    # once a bare ValueError from pencil_modes, which reads it as its cap
     "negative tolerance": ("modes", "[operator]\nnu = 0.5\n\n[modes]\n"
                            "count = 2\npencil = laplace_pencil\n\n"
                            "[tolerances]\nsolver_residual_tol = -1\n"),
@@ -289,12 +296,12 @@ BAD_VALUES = {
                           "[tolerances]\nfem_degree = inf\n"),
     "fem_degree": ("modes", "[operator]\nnu = 0.5\n\n"
                    "[tolerances]\nfem_degree = 1\n"),
-    # once truncated to degree 3
     "fractional fem_degree": ("modes", "[operator]\nnu = 0.5\n\n"
                               "[tolerances]\nfem_degree = 3.5\n"),
-    # once accepted: a zero rank threshold counts every nonzero singular value
     "zero tolerance": ("modes", "[operator]\nnu = 0.5\n\n"
                        "[tolerances]\nrank_rel_tol = 0\n"),
+    "tail_corrections": ("modes", "[operator]\nnu = 0.5\n\n"
+                         "[tolerances]\ntail_corrections = -1\n"),
     "nodes": ("modes", "[operator]\nnu = 0.5\n\n[grid]\nnodes = inf\n"),
     "radii": ("sweep", "[operator]\nnu = 0.3\n\n[sweep]\nradii = 4 eight\n"),
     "eta_re": ("lopatinskii", "[symbol]\ndim_eta = 2\n\n[operator]\n"
@@ -324,9 +331,6 @@ BAD_VALUES = {
     "kg count": ("kg", "[metric]\nn = 3\nmass = -2.0\n"
                  "gamma0 = 1 0 0; 0 -1 0; 0 0 -1\n\n[modes]\nq = 0 0\n"
                  "count = 0\n"),
-    # once a bare IndexError from the fitter's empty regressor set
-    "tail_corrections": ("modes", "[operator]\nnu = 0.5\n\n"
-                         "[tolerances]\ntail_corrections = -1\n"),
 }
 
 

@@ -26,7 +26,6 @@ from besselbvp.core import (
     twisted_norm,
     _fornberg,
 )
-from besselbvp.config import DEFAULTS
 from besselbvp.errors import DomainError, GridTooCoarse, TraceFitError
 from besselbvp.fem import lobatto_nodes
 from besselbvp.quadrature import composite_rule, graded_panels
@@ -205,28 +204,32 @@ def test_stencil_weights_bitwise_equal_scalar_fornberg(kind, width, deriv):
     assert np.array_equal(got, want)
 
 
+# the constant width, the width - 2 of its error estimate's sweep, and the
+# estimate's width at width - 2 (core.STENCIL_WIDTH patched per test)
+STENCIL_WIDTHS = [core.STENCIL_WIDTH - 4, core.STENCIL_WIDTH - 2,
+                  core.STENCIL_WIDTH]
+
+
 @pytest.mark.parametrize("kind", sorted(STENCIL_GRIDS))
-@pytest.mark.parametrize("width", [5, 7, 9])
+@pytest.mark.parametrize("width", STENCIL_WIDTHS)
 @pytest.mark.parametrize("deriv", [1, 2])
 @pytest.mark.parametrize("check", [True, False])
 def test_grid_derivative_bitwise_equal_per_node_oracle(kind, width, deriv,
-                                                       check):
+                                                       check, monkeypatch):
     g = STENCIL_GRIDS[kind]()
     x = g.nodes
-    settings = DEFAULTS.with_overrides(stencil_width=width)
+    monkeypatch.setattr(core, "STENCIL_WIDTH", width)
     samples = [np.sin(3 * x) + 1j * x ** 0.3 * np.cos(x), np.exp(x)]
     for values in samples:
         want = stencil_derivative(x, values, deriv, width)
         estimate = stencil_error_estimate(x, values, deriv, width)
         too_coarse = (check and estimate is not None
-                      and estimate > DEFAULTS.derivative_check_tol)
+                      and estimate > core.DERIVATIVE_CHECK_TOL)
         if too_coarse:
             with pytest.raises(GridTooCoarse):
-                grid_derivative(g, values, deriv=deriv, settings=settings,
-                                check=check)
+                grid_derivative(g, values, deriv=deriv, check=check)
             continue
-        got = grid_derivative(g, values, deriv=deriv, settings=settings,
-                              check=check)
+        got = grid_derivative(g, values, deriv=deriv, check=check)
         assert got.dtype == complex
         assert np.array_equal(got, want)
 
@@ -645,18 +648,17 @@ def test_stencil_weights_computed_once_per_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("kind", sorted(STENCIL_GRIDS))
-def test_interleaved_derivatives_bitwise_equal_fresh_grids(kind):
+def test_interleaved_derivatives_bitwise_equal_fresh_grids(kind, monkeypatch):
     g = STENCIL_GRIDS[kind]()
     x = g.nodes
     samples = [np.sin(3 * x) + 1j * x ** 0.3 * np.cos(x), np.exp(x)]
-    for deriv, width in [(1, 9), (2, 9), (1, 7), (2, 5), (1, 9), (2, 9)]:
+    w9, w7, w5 = STENCIL_WIDTHS[::-1]
+    for deriv, width in [(1, w9), (2, w9), (1, w7), (2, w5), (1, w9), (2, w9)]:
+        monkeypatch.setattr(core, "STENCIL_WIDTH", width)
         for values in samples:
-            settings = DEFAULTS.with_overrides(stencil_width=width)
-            got = grid_derivative(g, values, deriv=deriv, settings=settings,
-                                  check=False)
+            got = grid_derivative(g, values, deriv=deriv, check=False)
             fresh = STENCIL_GRIDS[kind]()
-            want = grid_derivative(fresh, values, deriv=deriv,
-                                   settings=settings, check=False)
+            want = grid_derivative(fresh, values, deriv=deriv, check=False)
             assert np.array_equal(got, want)
             assert np.array_equal(
                 got, stencil_derivative(x, values, deriv, width))

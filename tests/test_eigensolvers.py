@@ -848,7 +848,7 @@ def assert_keeps_the_dense_eig_modes(nu, op, bc, q, n):
     A0, A1, A2 = _pencil_matrices(nu, op, bc, q, n, DEFAULTS)[:3]
     ref, ref_vecs = dense_definite_eig(A0, A1, A2)
     ref_kept = backward_errors(A0, A1, A2, ref, ref_vecs) \
-        < DEFAULTS.solver_residual_tol
+        < modes.SOLVER_RESIDUAL_TOL
     ms = pencil_modes(nu, op, bc, q=q, n_nodes=n)
     assert len(ms) == np.count_nonzero(ref_kept)
     assert np.max(ms.residuals) <= 1e-12

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from besselbvp.config import DEFAULTS
-from besselbvp.core import GridFunction, Order, RadialGrid
+from besselbvp.core import TAIL_CORRECTIONS, GridFunction, Order, RadialGrid
 from besselbvp.errors import DomainError, IllConditionedFit
 from besselbvp.expansion import (
     expansion_consistency,
@@ -105,18 +104,23 @@ def test_fit_window_needs_nodes():
 
 
 def test_negative_corrections_are_refused():
-    # both once raised a bare IndexError from an empty regressor set
+    # -1 once raised a bare IndexError from an empty regressor set; None
+    # once read the count from the settings
     nu = 0.3
     g = RadialGrid.build(1.0, 256)
     u = GridFunction(g, GridFunction.from_pair(g, nu, [3.0], [5.0]).values)
-    with pytest.raises(DomainError, match="corrections"):
-        fit_expansion(u, nu, corrections=-1)
-    with pytest.raises(DomainError, match="tail_corrections"):
-        DEFAULTS.with_overrides(tail_corrections=-1)
+    for bad in (-1, None, 2.5, True):
+        with pytest.raises(DomainError, match="corrections"):
+            fit_expansion(u, nu, corrections=bad)
     # no corrections fits the two bare branch powers
     fit = fit_expansion(u, nu, corrections=0)
     assert abs(fit.g_minus - 3.0) < 1e-10
     assert abs(fit.g_plus - 5.0) < 1e-10
+    assert fit_expansion(u, nu) == fit_expansion(u, nu,
+                                                 corrections=TAIL_CORRECTIONS)
+    # four per branch leave the Gram condition above the cap
+    with pytest.raises(IllConditionedFit):
+        fit_expansion(u, nu, corrections=4)
 
 
 def test_ill_conditioned_fit_near_zero_order():

@@ -1,3 +1,5 @@
+import inspect
+
 import numpy as np
 import pytest
 
@@ -168,13 +170,29 @@ def test_pencil_refuses_a_non_integer_mode_count(max_modes):
                      max_modes=max_modes)
 
 
-@pytest.mark.parametrize("cap", [-1, 0.0, np.nan, np.inf])
+@pytest.mark.parametrize("cap", [-1, 0.0, np.nan, np.inf, "default"])
 def test_pencil_refuses_a_bad_residual_cap(cap):
-    # -1 once crashed in modulus_order on the empty kept set
+    # -1 once crashed in modulus_order on the empty kept set; "default", once
+    # the sentinel for a cap read from the settings, is refused like any
+    # other non-number (not by a TypeError from the comparison)
     nu = 0.4
     with pytest.raises(DomainError, match="residual_cap"):
         pencil_modes(nu, laplace_pencil(nu), None, q=0, n_nodes=64,
                      residual_cap=cap)
+
+
+def test_pencil_default_cap_is_the_solver_residual_tolerance():
+    nu = 0.4
+    bc = BoundaryOperator.lambda_robin(nu)
+    default = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=64)
+    capped = pencil_modes(nu, laplace_pencil(nu), bc, q=0, n_nodes=64,
+                          residual_cap=1e-7)
+    assert modes.SOLVER_RESIDUAL_TOL == 1e-7 == inspect.signature(
+        pencil_modes).parameters["residual_cap"].default
+    assert len(default) > 0
+    for name in ("eigenvalues", "residuals", "coeffs", "constraint"):
+        assert getattr(default, name).tobytes() == \
+            getattr(capped, name).tobytes(), name
 
 
 def test_pencil_with_no_mode_under_the_cap_is_empty():
