@@ -1,7 +1,9 @@
 """The one setting two callers choose differently, and the shared sizes.
 
 ``Settings`` carries the FEM degree, the single value callers set per call
-(``DEFAULTS.with_overrides(fem_degree=4)``).  Every threshold a verdict
+(``DEFAULTS.with_overrides(fem_degree=4)``); ``pencil_modes`` is its only
+reader, and passes the degree to ``fem.Space(degree=...)``, whose default
+is ``DEFAULTS.fem_degree``.  Every threshold a verdict
 reads is a module constant beside its check, and each result reports the
 number its gate reads, so a caller who wants another threshold applies it
 to that number.  The two sizes below are read by more than one module.

@@ -65,7 +65,7 @@ from numpy.polynomial.legendre import Legendre
 from numpy.polynomial.polynomial import (polyder, polymul, polypow, polysub,
                                          polyval)
 
-from .config import DEFAULT_NODES, DEFAULTS
+from .config import DEFAULT_NODES, DEFAULTS, _check_count
 from .core import as_order
 from .errors import DomainError, SingularSystem
 from .quadrature import legendre_rule, power_rule
@@ -368,8 +368,9 @@ class Space:
     """Substituted-variable space x^{1/2+nu} W_h (+ minus seed) on (0, X).
 
     The node count selects the mesh: ``n_nodes // degree`` cells of degree
-    ``settings.fem_degree`` (see solver_mesh), ``n_nodes`` defaulting to
-    DEFAULT_NODES.  Fewer than MIN_CELLS cells raise DomainError.
+    ``degree`` (see solver_mesh), ``n_nodes`` defaulting to DEFAULT_NODES
+    and ``degree`` to DEFAULTS.fem_degree.  A degree that is not an integer
+    >= 2, or fewer than MIN_CELLS cells, raise DomainError.
 
     DOF map: the seed (when present) is dof 0; cell k owns the Lagrange dofs
     s + k p + (0..p), s the seed count, neighbouring cells sharing their edge
@@ -379,9 +380,10 @@ class Space:
     dirichlet_cap = True
 
     def __init__(self, nu, x_max, n_nodes=None, include_minus=None,
-                 outward=False, settings=DEFAULTS):
+                 outward=False, degree=DEFAULTS.fem_degree):
         self.order = as_order(nu)
-        self.degree = int(settings.fem_degree)
+        _check_count("degree", degree, 2)
+        self.degree = int(degree)
         if n_nodes is None:
             n_nodes = DEFAULT_NODES
         n_cells = int(n_nodes) // self.degree
@@ -431,7 +433,6 @@ class Space:
         p = self.degree
         self.n_cells = self.edges.size - 1
         seeds = int(include_minus)
-        self.idx_minus = 0 if include_minus else None
         self.n = seeds + self.n_cells * p
         self._lagrange = _lagrange_tables(p)
         # the branch power of each local function's value, d_nu and

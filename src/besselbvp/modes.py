@@ -126,7 +126,7 @@ def _dirichlet_pairs(K, M, n_max):
     return lam, vec, resid
 
 
-def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
+def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None):
     """Spectrum of Delta_nu + 1 on (0,1) x T^{n-1} restricted to |q| <= q_max.
 
     Returns a ModeSet whose eigenvalues come from the discrete Galerkin
@@ -136,8 +136,7 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
     order = as_order(nu)
     _check_count("q_max", q_max, 0)
     _check_count("n_max", n_max, 1)
-    space = Space(order, 1.0, n_nodes=n_nodes,
-                  include_minus=False, settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, include_minus=False)
     zeros = bessel_zeros(order.nu, n_max).zeros
     mats = space.matrices()
     S, M = mats["S"], mats["M"]
@@ -169,7 +168,7 @@ def dirichlet_spectrum(nu, q_max=0, n_max=10, n_nodes=None, settings=DEFAULTS):
 # quadratic pencils
 # ---------------------------------------------------------------------------
 
-def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
+def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, degree):
     """(A0, A1, A2, space): BorderedBands of A(lam) = A0 + lam A1 + lam^2 A2
     with the boundary row, read at eta = q, folded in."""
     order = as_order(nu)
@@ -183,7 +182,7 @@ def _pencil_matrices(nu, pencil_op, bc, q, n_nodes, settings):
     space = Space(order, 1.0, n_nodes=n_nodes,
                   include_minus=(order.regime is Regime.SUBCRITICAL
                                  and not essential),
-                  settings=settings)
+                  degree=degree)
     base, M = pencil_op.forms(space)
     A0 = base + a2c * M
     A1 = a1c * M
@@ -233,6 +232,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None,
     reduces the pencil.  Any other pencil (an e0 term, an indefinite A0)
     takes companion QZ.  Without a lambda-linear term the +- pairs of both
     paths share one vector, and its norm and residual are formed once.
+    ``settings.fem_degree`` is the degree of the Space.
     """
     order = as_order(nu)
     if max_modes is not None:
@@ -244,7 +244,7 @@ def pencil_modes(nu, pencil_op, bc, q=0, n_nodes=None,
         raise DomainError(f"residual_cap must be finite and > 0, "
                           f"got {residual_cap!r}")
     A0, A1, A2, space = _pencil_matrices(order, pencil_op, bc, q, n_nodes,
-                                         settings)
+                                         settings.fem_degree)
     n = A0.shape[0]
     try:        # scipy.linalg raises numpy's LinAlgError
         lam, cvecs, m_eff = pencil_eig(A0, A1, A2, count=max_modes)
@@ -350,7 +350,7 @@ def completeness_check(modes):
     return CompletenessReport(ambient, rank, smallest, bool(rank == ambient))
 
 
-def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
+def embedding_singular_values(nu, dof=64):
     """Singular values of the discrete H^1 -> L^2 embedding (Dirichlet part).
 
     They equal (1 + lambda_n)^{-1/2} for the discrete Dirichlet eigenvalues,
@@ -364,8 +364,7 @@ def embedding_singular_values(nu, dof=64, settings=DEFAULTS):
     # resolve well past `dof` modes: the trailing eigenvalues of a spectral
     # discretisation overshoot, and the embedding's leading dof singular
     # values are the desk-scale surrogate being certified
-    space = Space(order, 1.0, n_nodes=4 * dof,
-                  include_minus=False, settings=settings)
+    space = Space(order, 1.0, n_nodes=4 * dof, include_minus=False)
     mats = space.matrices()
     lam, _ = mass_deflated_eig(mats["S"] + mats["M"], mats["M"], dof,
                                vectors=False)

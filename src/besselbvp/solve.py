@@ -17,7 +17,7 @@ from enum import Enum
 import numpy as np
 from numpy.polynomial import Polynomial
 
-from .config import DEFAULTS, HALFLINE_DECAY_LENGTHS
+from .config import HALFLINE_DECAY_LENGTHS
 from .core import (
     GridFunction,
     Order,
@@ -35,6 +35,7 @@ from .errors import (
 )
 from .fem import Space, galerkin_solve
 from .quadrature import composite_rule
+from . import symbols
 from .symbols import (boundary_matrix, boundary_scale, decaying_root,
                       mode_traces)
 
@@ -190,7 +191,8 @@ def regularity_check(nu, a_eff, bc, q=None):
 
     The determinant is symbols' boundary matrix, read on the full rows and
     C at (eta, lambda) = (q, 0), against symbols.boundary_scale of those
-    rows' moduli.
+    rows' moduli, and refused at |det| <= symbols.LOPATINSKII_REL_TOL scale
+    (lopatinskii_verdict's rule).
     """
     order = as_order(nu)
     a = complex(a_eff)
@@ -206,7 +208,7 @@ def regularity_check(nu, a_eff, bc, q=None):
         bc.c_values(eta, 0.0)
     det = np.linalg.det(boundary_matrix(rows, tr, C))
     scale = boundary_scale(np.abs(rows), tr, C)
-    if abs(det) <= 1e-10 * scale:
+    if abs(det) <= symbols.LOPATINSKII_REL_TOL * scale:
         raise RegularityViolated(
             "boundary operator is singular on the decaying solution "
             f"(|det| = {abs(det):.2e})", sample={"a": a_eff, "xi": xi})
@@ -265,22 +267,16 @@ def _solve_on_space(space, A, load, bc, g, q=None, lam=0.0):
 
     if bc is not None:
         alpha, beta, gamma, recover = _reduce_boundary_system(bc, g, q, lam)
-        im = space.idx_minus
-        if im is None:
-            raise DomainError("boundary conditions need the x^{1/2-nu} branch")
         if abs(beta) <= 1e-14 * max(abs(alpha), 1.0):
-            # essential: gamma_- u = gamma / alpha fixes the seed dof
+            # essential: gamma_- u = gamma / alpha fixes the seed dof 0
             gval = gamma / alpha
-            keep = np.arange(space.n) != im
             sol, cond = galerkin_solve(A.lagrange_block(),
-                                       load[keep] - gval * A.col)
-            coeffs = np.zeros(space.n, dtype=complex)
-            coeffs[keep] = sol
-            coeffs[im] = gval
+                                       load[1:] - gval * A.col)
+            coeffs = np.concatenate([[gval], sol])
         else:
             A = replace(A, corner=A.corner - alpha / beta)
             load = load.copy()
-            load[im] -= gamma / beta
+            load[0] -= gamma / beta
             coeffs, cond = galerkin_solve(A, load)
     else:
         coeffs, cond = galerkin_solve(A, load)
@@ -353,7 +349,7 @@ def _on_grid(space, grid, sols, qs):
             for sol, v, q in zip(sols, values, qs)]
 
 
-def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
+def solve_1d(prob, n_nodes=None):
     """Solve P u = f, T u = g on (0, 1) or the truncated half-line.
 
     The pair (P, T), the row read at eta = fourier_index, is checked for
@@ -372,8 +368,7 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
              if decay else 1.0)
 
     def assemble(xm):
-        space = Space(order, xm, n_nodes=n_nodes,
-                      outward=decay, settings=settings)
+        space = Space(order, xm, n_nodes=n_nodes, outward=decay)
         base, M = op.forms(space)
         return space, base + c * M
 
@@ -401,8 +396,7 @@ def solve_1d(prob, n_nodes=None, settings=DEFAULTS):
 # the Dirichlet Laplacian, mode by mode
 # ---------------------------------------------------------------------------
 
-def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
-                              settings=DEFAULTS):
+def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None):
     """(Delta_nu + a) u = f with the twisted-Dirichlet form domain, per mode.
 
     ``rhs_modes`` maps the tangential mode q to a callable f_q(x); ``a`` must
@@ -415,8 +409,7 @@ def solve_dirichlet_laplacian(nu, a, rhs_modes, n_nodes=None,
     a = complex(a)
     if a.imag == 0 and a.real <= 1e-12:
         raise SpectralParameterOnCut(f"a = {a} lies on (-inf, 0]")
-    space = Space(order, 1.0, n_nodes=n_nodes,
-                  include_minus=False, settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, include_minus=False)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes)
     op = BesselOperator(order, a_coeff=a)
     base, M = op.forms(space)
@@ -457,7 +450,7 @@ class SeparableSolution:
 
 
 def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
-                    n_nodes=None, settings=DEFAULTS):
+                    n_nodes=None):
     """Per-mode 1D solves of a separable problem; fails on the offending q.
 
     ``rhs_modes``: {q: callable}, ``boundary_data``: {q: g} (default 0);
@@ -469,7 +462,7 @@ def solve_separable(nu, op, bc0, rhs_modes, boundary_data=None,
     """
     order = as_order(nu)
     _check_bc0(order, bc0)
-    space = Space(order, 1.0, n_nodes=n_nodes, settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes)
     base, M = op.forms(space)
     grid = RadialGrid.build(1.0, n_nodes=n_nodes)
     qs = sorted(rhs_modes, key=lambda q: np.sum(np.square(q)))
@@ -602,25 +595,25 @@ def _random_smooth_rhs(x_max, seed, n_terms=6):
     return f
 
 
-def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0,
-                    settings=DEFAULTS):
+def resolvent_sweep(op, bc, sector, radii, q=None, n_nodes=None, seed=0):
     """Solve P(lambda) u = f along the sector bisector at growing |lambda|.
 
     Reports the parameter-dependent ratio [[u]]_{H^2} / [[f]]_{H^0} per
     radius, the norm taken for mode q (Space.norms with q2 = |q|^2); a
     singular solve is reported in the row, not raised (that radius is below
-    the invertibility threshold).  The operator and load are
+    the invertibility threshold).  A boundary row at nu >= 1 is refused
+    before assembly (DomainError, as in solve_separable); bc = None sweeps
+    without the x^{1/2-nu} seed at any order.  The operator and load are
     assembled once; each lambda adds (a2 + a1 lambda + a0 lambda^2) M, and
     the boundary row is read at (eta, lambda) = (q, lambda).  One
     Space.norms call takes the norms of every solved radius as a block.
     """
     order = op.nu
+    if bc is not None:
+        _check_bc0(order, bc)
     theta = sector.intervals[0]
     theta = 0.5 * (theta[0] + theta[1])
-    space = Space(order, 1.0, n_nodes=n_nodes,
-                  include_minus=(bc is not None
-                                 and order.regime is Regime.SUBCRITICAL),
-                  settings=settings)
+    space = Space(order, 1.0, n_nodes=n_nodes, include_minus=bc is not None)
     f = _random_smooth_rhs(space.x_max, seed)
     x, w = composite_rule(space.edges, space.degree + 8)
     fnorm = np.sqrt(np.sum(w * np.abs(f(x)) ** 2))

@@ -47,11 +47,12 @@ def pencil_case(name):
     """(A0, A1, A2) of the pencils the library reports spectra for."""
     if name.startswith("kg"):
         nu, op, q = kg_pencil(float(name[2:]))
-        return _pencil_matrices(nu, op, None, q, 160, DEFAULTS)[:3]
+        return _pencil_matrices(nu, op, None, q, 160, DEFAULTS.fem_degree)[:3]
     kind, nu = name.split()
     nu = float(nu)
     bc = BoundaryOperator.lambda_robin(nu) if kind == "robin" else None
-    return _pencil_matrices(nu, laplace_pencil(nu), bc, 0, 128, DEFAULTS)[:3]
+    return _pencil_matrices(nu, laplace_pencil(nu), bc, 0, 128,
+                            DEFAULTS.fem_degree)[:3]
 
 
 PENCILS = ["laplace 0.4", "laplace 0.75", "robin 0.55", "laplace 5.5",
@@ -128,7 +129,8 @@ def norm_bound_case(name):
         return Ks, M.scaled(d)
     if name == "kg0.3 e0":
         nu, op, q = kg_pencil(0.3, e0=0.5)
-        A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64, DEFAULTS)
+        A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64,
+                                         DEFAULTS.fem_degree)
         dense = A0.toarray()
         assert not np.allclose(dense, dense.conj().T)
         return A0, A1, A2
@@ -232,7 +234,7 @@ def kg_ads_static_pencil():
     the fixture's mesh."""
     red = reduce(ModelMetric(3, np.diag([1.0, -1.0, -1.0]), None, 0.0), -2.0)
     return _pencil_matrices(red.nu, red.bessel_op, None, (0, 0), 160,
-                            DEFAULTS)[:3]
+                            DEFAULTS.fem_degree)[:3]
 
 
 def count_routes(monkeypatch):
@@ -263,7 +265,7 @@ def count_routes(monkeypatch):
 def test_even_real_pencil_count_takes_the_lanczos(name, monkeypatch):
     if name == "laplace":
         A0, A1, A2 = _pencil_matrices(0.4, laplace_pencil(0.4), None, 0, 128,
-                                      DEFAULTS)[:3]
+                                      DEFAULTS.fem_degree)[:3]
     else:
         A0, A1, A2 = kg_ads_static_pencil()
     seen = count_routes(monkeypatch)
@@ -292,7 +294,7 @@ def other_pencil(name):
         return pencil_case("robin 0.55")
     if name == "kg e0":
         nu, op, q = kg_pencil(0.3, e0=0.5)
-        return _pencil_matrices(nu, op, None, q, 128, DEFAULTS)[:3]
+        return _pencil_matrices(nu, op, None, q, 128, DEFAULTS.fem_degree)[:3]
     A0, A1, A2 = pencil_case("laplace 0.4")
     return A0 + (-30.0) * A2, A1, A2
 
@@ -329,7 +331,7 @@ def test_zero_pencil_count_returns_before_any_factorisation(monkeypatch):
     nu = 0.4
     op = BesselOperator(Order(nu), a_coeff=0.0,
                         pencil_fourier=lambda q: (1.0, 0.0, 0.0))
-    A0, A1, A2 = _pencil_matrices(nu, op, None, 0, 64, DEFAULTS)[:3]
+    A0, A1, A2 = _pencil_matrices(nu, op, None, 0, 64, DEFAULTS.fem_degree)[:3]
     lam, vecs, m = pencil_eig(A0, A1, A2, count=4)
     assert lam.size == 0 and vecs.shape == (A0.shape[0], 0)
     assert m == A0.shape[0]
@@ -345,7 +347,7 @@ def test_requests_beyond_arpack_limits_return_what_fits():
     ref, _, _ = oracles.dense_hermitian_eig(K, M)
     assert rel(lam[:8], ref[:8]) < 1e-10
     A0, A1, A2 = _pencil_matrices(0.5, laplace_pencil(0.5), None, 0, 30,
-                                  DEFAULTS)[:3]
+                                  DEFAULTS.fem_degree)[:3]
     n = A0.shape[0]
     lam, _, _ = pencil_eig(A0, A1, A2, count=4 * n)
     assert lam.size <= 2 * n - 2
@@ -420,7 +422,8 @@ def test_non_hermitian_even_pencil_takes_companion_qz(monkeypatch):
     # the e0 term b = i e0 x makes the kg operators non-Hermitian, so the
     # even pencil has no eigh in mu and goes through the companion QZ
     nu, op, q = kg_pencil(0.6, e0=0.5)
-    A0, A1, A2 = _pencil_matrices(nu, op, None, q, 160, DEFAULTS)[:3]
+    A0, A1, A2 = _pencil_matrices(nu, op, None, q, 160,
+                                  DEFAULTS.fem_degree)[:3]
     assert not np.any(A1.toarray())
     assert not _is_hermitian(A0.unit_diagonal()[0])
     qz_calls = spy_companion_qz(monkeypatch)
@@ -538,7 +541,8 @@ def boosted_kg(bc_coeff=None):
 def test_boosted_kg_pencil_takes_the_definite_reduction(monkeypatch):
     # f = 0: every mode is decoupled, 1 + alpha theta lam + theta lam^2 = 0
     nu, op, bc = boosted_kg()
-    A0, A1, A2 = _pencil_matrices(nu, op, bc, (1, 0), 160, DEFAULTS)[:3]
+    A0, A1, A2 = _pencil_matrices(nu, op, bc, (1, 0), 160,
+                                  DEFAULTS.fem_degree)[:3]
     d = A0.unit_diagonal()[1]
     alpha, f = _proportion(A1.scaled(d), A2.scaled(d))
     assert alpha != 0.0 and f == 0.0 and np.isrealobj(alpha)
@@ -664,7 +668,8 @@ def test_real_non_hermitian_pencil_takes_real_qz(monkeypatch):
     nu = 0.3
     op = BesselOperator(Order(nu), pencil_fourier=lambda q: (-30.0, 0.0, 1.0))
     for bc in (None, BoundaryOperator.lambda_robin(nu)):
-        A0, A1, A2 = _pencil_matrices(nu, op, bc, 0, 64, DEFAULTS)[:3]
+        A0, A1, A2 = _pencil_matrices(nu, op, bc, 0, 64,
+                                      DEFAULTS.fem_degree)[:3]
         assert A0.dtype == A1.dtype == A2.dtype == float
         assert np.any(A1.toarray()) == (bc is not None)
         del qz_calls[:]
@@ -766,7 +771,7 @@ def test_dense_products_run_in_scipy_blas(monkeypatch):
 
     # companion QZ: the three projections and the eigenvector product
     nu, op, q = kg_pencil(0.3, e0=0.5)
-    A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64, DEFAULTS)
+    A0, A1, A2, _ = _pencil_matrices(nu, op, None, q, 64, DEFAULTS.fem_degree)
     pencil_eig(A0, A1, A2)
     assert callers.pop("_companion_qz") == 3 * 2 + 1
     assert not callers
@@ -845,7 +850,7 @@ def backward_errors(A0, A1, A2, lam, vecs):
 def assert_keeps_the_dense_eig_modes(nu, op, bc, q, n):
     """The rank-one route (eigvals, closed-form vectors) keeps the modes
     the dense eig with eigenvectors keeps, at the same eigenvalues."""
-    A0, A1, A2 = _pencil_matrices(nu, op, bc, q, n, DEFAULTS)[:3]
+    A0, A1, A2 = _pencil_matrices(nu, op, bc, q, n, DEFAULTS.fem_degree)[:3]
     ref, ref_vecs = dense_definite_eig(A0, A1, A2)
     ref_kept = backward_errors(A0, A1, A2, ref, ref_vecs) \
         < modes.SOLVER_RESIDUAL_TOL

@@ -1,6 +1,7 @@
 """The banded Galerkin core: cell tables, band-plus-border storage, the
 bordered solve and the canonical order of pencil eigenvalues."""
 
+import inspect
 import tracemalloc
 from dataclasses import replace
 
@@ -16,7 +17,8 @@ from besselbvp.errors import DomainError, SingularSystem
 from besselbvp import fem, quadrature
 from besselbvp.fem import (BorderedBand, Space, galerkin_solve, lobatto_nodes,
                            modulus_order)
-from besselbvp.modes import dirichlet_spectrum, pencil_modes
+from besselbvp.modes import (dirichlet_spectrum, embedding_singular_values,
+                             pencil_modes)
 from besselbvp.quadrature import power_rule
 from besselbvp.solve import (BesselOperator, BVProblem, CapCondition,
                              resolvent_sweep, solve_1d,
@@ -604,9 +606,8 @@ def test_origin_cell_mass_rule_is_exact_at_degree_12():
     # degree whatever the rule
     from scipy.special import roots_jacobi
     p, nu = 12, 0.3
-    settings = DEFAULTS.with_overrides(fem_degree=p)
     space = Space(Order(nu), 1.0, n_nodes=12 * p, include_minus=False,
-                  settings=settings)
+                  degree=p)
     nodes = lobatto_nodes(p)
 
     def values(t):
@@ -696,8 +697,7 @@ def test_spaces_of_one_degree_share_read_only_lagrange_tables():
     p = DEFAULTS.fem_degree
     first = Space(Order(0.3), 1.0, n_nodes=12 * p)
     second = Space(Order(1.6), 2.0, n_nodes=30 * p, include_minus=False)
-    other = Space(Order(0.3), 1.0, n_nodes=12 * (p + 1),
-                  settings=DEFAULTS.with_overrides(fem_degree=p + 1))
+    other = Space(Order(0.3), 1.0, n_nodes=12 * (p + 1), degree=p + 1)
     assert len(first._lagrange) == 3
     assert all(a is b for a, b in zip(first._lagrange, second._lagrange))
     assert other._lagrange[0].shape != first._lagrange[0].shape
@@ -714,9 +714,8 @@ def test_residual_window_starts_where_the_geometric_tail_ends():
         assert np.allclose(edges[2:start + 1] / edges[1:start], 4.0)
     # on uniform meshes the tail ends at the first edge >= x_max / cells
     for p in (2, 3, 5, 7):
-        settings = DEFAULTS.with_overrides(fem_degree=p)
         for n_nodes in range(6 * p, 60 * p, 7):
-            space = Space(Order(0.4), 1.0, n_nodes=n_nodes, settings=settings)
+            space = Space(Order(0.4), 1.0, n_nodes=n_nodes, degree=p)
             h = 1.0 / (space.edges.size - 1)
             assert space.resolved_start == np.searchsorted(space.edges,
                                                            0.999 * h)
@@ -756,3 +755,40 @@ def test_node_count_below_six_cells_raises(entry, n_nodes):
             call(n_nodes)
     else:
         assert call(n_nodes) is not None
+
+
+def test_only_pencil_modes_takes_settings_and_space_takes_degree():
+    # pencil_modes is the one entry point whose callers set another degree;
+    # every other Space builder runs at DEFAULTS.fem_degree
+    builders = [solve_1d, solve_separable, solve_dirichlet_laplacian,
+                resolvent_sweep, dirichlet_spectrum, embedding_singular_values,
+                pencil_modes]
+    takes = [f.__name__ for f in builders
+             if "settings" in inspect.signature(f).parameters]
+    assert takes == ["pencil_modes"]
+    params = inspect.signature(Space).parameters
+    assert "settings" not in params
+    assert params["degree"].default == DEFAULTS.fem_degree
+
+
+@pytest.mark.parametrize("degree", [True, 1, 3.5])
+def test_space_refuses_a_degree_settings_would_refuse(degree):
+    with pytest.raises(DomainError, match="degree"):
+        Space(Order(0.4), 1.0, n_nodes=60, degree=degree)
+
+
+def test_space_accepts_a_numpy_integer_degree():
+    space = Space(Order(0.4), 1.0, n_nodes=60, degree=np.int64(4))
+    assert type(space.degree) is int and space.degree == 4
+    assert space.n_cells == 15
+
+
+def test_pencil_modes_builds_its_space_at_the_settings_degree():
+    nu = 0.4
+    pencil = BesselOperator(Order(nu), a_coeff=0.0,
+                            pencil_fourier=lambda q: (0.0, 0.0, 1.0))
+    ms = pencil_modes(nu, pencil, None, q=0, n_nodes=32, residual_cap=None,
+                      settings=DEFAULTS.with_overrides(fem_degree=4))
+    want = Space(Order(nu), 1.0, n_nodes=32, include_minus=False, degree=4)
+    assert ms.space.degree == 4 and ms.dof == 32
+    assert ms.space.edges.tobytes() == want.edges.tobytes()

@@ -5,6 +5,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 import besselbvp.solve
+from besselbvp import symbols
 from besselbvp.core import (
     GridFunction,
     Order,
@@ -304,6 +305,20 @@ def test_regularity_refuses_a_rounding_singular_robin_row():
         with pytest.raises(RegularityViolated):
             regularity_check(nu, 1.0, BoundaryOperator.robin(nu, beta))
     regularity_check(nu, 1.0, BoundaryOperator.robin(nu, -gp * (1.0 + 1e-6)))
+
+
+def test_regularity_check_reads_the_lopatinskii_threshold(monkeypatch):
+    # the solvers and lopatinskii_verdict judge the determinant by the one
+    # constant symbols.LOPATINSKII_REL_TOL: raising it refuses a row that
+    # 1e-10 accepts
+    nu = 0.3
+    gp = mode_traces(nu, decaying_root(1.0)).gamma_plus
+    row = BoundaryOperator.robin(nu, -gp * (1.0 + 1e-6))
+    assert symbols.LOPATINSKII_REL_TOL == 1e-10
+    regularity_check(nu, 1.0, row)
+    monkeypatch.setattr(symbols, "LOPATINSKII_REL_TOL", 1e-3)
+    with pytest.raises(RegularityViolated):
+        regularity_check(nu, 1.0, row)
 
 
 def test_subcritical_requires_bc():
@@ -903,6 +918,18 @@ def test_resolvent_sweep_evaluates_lambda_rows_at_lambda():
         for key in ("ratio", "condition"):
             assert abs(row[key] - want[key]) <= 1e-12 * want[key]
         assert abs(row["ratio"] - nrow["ratio"]) > 1e-6 * nrow["ratio"]
+
+
+@pytest.mark.parametrize("nu", [1.0, 1.5])
+def test_resolvent_sweep_refuses_a_row_at_nu_one_or_above(nu,
+                                                         assembly_counts):
+    # refused up front, as solve_1d and solve_separable refuse it, before
+    # any assembly
+    with pytest.raises(DomainError,
+                       match="no boundary conditions are admissible"):
+        resolvent_sweep(pencil_op(nu), BoundaryOperator.dirichlet(nu),
+                        Sector.elliptic_cone(), [4.0], n_nodes=96)
+    assert assembly_counts == {"Space": 0, "matrices": 0}
 
 
 @pytest.fixture
